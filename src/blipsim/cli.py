@@ -28,9 +28,10 @@ import numpy as np
 from .errors import BlipSimError, ConfigurationError, ZeroNormError
 from .fields import field_profile
 from .lattice import BlipWavePacket, Medium, centroid, combine, gaussian_packet, make_grid
-from .observables import branch_expectations, conditional_expectations
-from .propagation import Scenario, ScenarioResult, run_scenario
+from .observables import conditional_expectations
+from .propagation import ROW_VALUES, Scenario, ScenarioResult, run_scenario
 from .scattering import (
+    GUARD_TOL,
     REMAINDER_ROUNDING_FLOOR,
     MirrorCoupling,
     dyson_partial_sums,
@@ -51,6 +52,7 @@ DEFAULT_TOLERANCES = {
     "unitarity": 1e-9,
     "resample_drift": 1e-8,
     "peak_bins": 1.0,
+    "asymptotic": GUARD_TOL,
 }
 
 _BOOLEAN_STATES = {
@@ -294,18 +296,11 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
 # ---------------------------------------------------------------------------
 # run
 
-def _observable_block(p: BlipWavePacket, media: dict[int, Medium], hbar: float) -> dict[str, Any]:
-    vals = branch_expectations(p, media, hbar)
+def _observable_block(vals: dict[str, float], p: BlipWavePacket) -> dict[str, Any]:
+    """A stored expectation block plus the centroid of ``p``, the state at the report time."""
     weight = vals["photon_number"]
-    return {
-        "norm": weight,
-        "centroid": centroid(p) if weight > 0.0 else None,
-        "energy": vals["energy"],
-        "dyn_hamiltonian": vals["dyn_hamiltonian"],
-        "dyn_momentum": vals["dyn_momentum"],
-        "field_momentum": vals["field_momentum"],
-        "abraham_momentum": vals["abraham_momentum"],
-    }
+    block = {"norm": weight, "centroid": centroid(p) if weight > 0.0 else None}
+    return block | {name: vals[name] for name in ROW_VALUES}
 
 
 def _report_block(report) -> dict[str, Any]:
@@ -318,14 +313,19 @@ def _report_block(report) -> dict[str, Any]:
     }
 
 
-def _spectral_peak(p: BlipWavePacket) -> float | None:
-    sp = to_momentum(p)
-    dens = np.zeros(p.grid.n_points)
-    for a in sp.amp.values():
+def _density(state: BlipWavePacket | SpectralWavePacket) -> np.ndarray:
+    """``sum_ch |amplitude|^2`` on the grid, in whichever representation is given."""
+    dens = np.zeros(state.grid.n_points)
+    for a in state.amp.values():
         dens += np.abs(a) ** 2
+    return dens
+
+
+def _spectral_peak(sp: SpectralWavePacket) -> float | None:
+    dens = _density(sp)
     if not np.any(dens):
         return None
-    return float(p.grid.k[int(np.argmax(dens))])
+    return float(sp.grid.k[int(np.argmax(dens))])
 
 
 def _ratio(numer: float, denom: float) -> float | None:
@@ -343,9 +343,8 @@ def _verdict(deviation: float | None, tol: float) -> str:
 def _summarize(
     cfg: dict[str, dict[str, Any]], sc: Scenario, result: ScenarioResult
 ) -> tuple[dict[str, Any], int]:
-    incoming_media = {+1: sc.left_medium, -1: sc.right_medium}
-    outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
     outcome = result.outcome
+    blocks = result.blocks
     n = sc.n
     rates = outcome.rates
 
@@ -353,12 +352,12 @@ def _summarize(
     direction = directions[0] if len(directions) == 1 else 0
     k0 = cfg["packet"]["k0"]
 
-    inp = _observable_block(sc.packet, incoming_media, sc.hbar)
+    inp = _observable_block(blocks["input"], sc.packet)
     total_packet = combine(outcome.transmitted, outcome.reflected)
     out_blocks = {
-        "transmitted": _observable_block(outcome.transmitted, outgoing_media, sc.hbar),
-        "reflected": _observable_block(outcome.reflected, outgoing_media, sc.hbar),
-        "total": _observable_block(total_packet, outgoing_media, sc.hbar),
+        "transmitted": _observable_block(blocks["transmitted"], outcome.transmitted),
+        "reflected": _observable_block(blocks["reflected"], outcome.reflected),
+        "total": _observable_block(blocks["total"], total_packet),
     }
     out_blocks["transmitted"]["probability"] = outcome.prob_t
     out_blocks["reflected"]["probability"] = outcome.prob_r
@@ -397,7 +396,7 @@ def _summarize(
     measured_conditional = (
         _ratio(cond_t["dyn_momentum"], inp["dyn_momentum"]) if cond_t else None
     )
-    measured_peak = _spectral_peak(outcome.transmitted)
+    measured_peak = _spectral_peak(outcome.spectra["transmitted"])
     unitarity = outcome.prob_t + outcome.prob_r
 
     def rel_dev(measured: float | None, predicted: float | None) -> float | None:
@@ -417,6 +416,7 @@ def _summarize(
             if measured_peak is not None and pred_peak is not None
             else None
         ),
+        "asymptotic": outcome.guard_fraction,
     }
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(cfg.get("tolerances", {}))
@@ -531,23 +531,11 @@ def _write_snapshots(
     total = combine(outcome.transmitted, outcome.reflected)
     grid = total.grid
 
-    def density_x(p: BlipWavePacket) -> np.ndarray:
-        dens = np.zeros(grid.n_points)
-        for a in p.amp.values():
-            dens += np.abs(a) ** 2
-        return dens
-
-    def density_k(p: BlipWavePacket) -> np.ndarray:
-        dens = np.zeros(grid.n_points)
-        for a in to_momentum(p).amp.values():
-            dens += np.abs(a) ** 2
-        return dens
-
     written = []
     pos = [
         [x, t, r, tot]
         for x, t, r, tot in zip(
-            grid.x, density_x(outcome.transmitted), density_x(outcome.reflected), density_x(total)
+            grid.x, _density(outcome.transmitted), _density(outcome.reflected), _density(total)
         )
     ]
     written.append(
@@ -556,7 +544,7 @@ def _write_snapshots(
     spectrum_rows = [
         [k, t, r]
         for k, t, r in zip(
-            grid.k, density_k(outcome.transmitted), density_k(outcome.reflected)
+            grid.k, _density(outcome.spectra["transmitted"]), _density(outcome.spectra["reflected"])
         )
     ]
     written.append(
@@ -594,7 +582,8 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
         written.extend(_write_snapshots(out, sc, result, fmt))
 
     print(f"scenario: {summary['scenario']['tag']}")
-    for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins"):
+    for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins",
+                "asymptotic"):
         dev = summary["deviations"][key]
         shown = "n/a" if dev is None else _fmt_float(dev)
         print(f"  {key:<18} deviation {shown:<24} [{summary['checks'][key]}]")

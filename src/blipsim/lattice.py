@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, FixtureError, ZeroNormError
+from .errors import ConfigurationError, DomainError, DomainExitError, FixtureError, ZeroNormError
 
 __all__ = [
     "Channel",
@@ -51,6 +51,14 @@ FIXTURE_TAIL_TOL = 1e-12
 
 #: Per-side weight fraction ignored when locating a packet's support.
 SUPPORT_QUANTILE = 1e-12
+
+#: Cells a transported support keeps clear of both ends of ``[x_min, x_max - dx]``.
+EDGE_MARGIN_CELLS = 1
+
+
+def _is_positive_real(v: object) -> bool:
+    """A finite, positive int or float; ``bool`` is refused although it is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True, order=True)
@@ -145,7 +153,7 @@ class Medium:
     def __post_init__(self) -> None:
         for name in ("epsilon", "mu", "area", "c0"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not _is_positive_real(v):
                 raise DomainError(f"medium {name} must be a positive finite number, got {v!r}")
 
     @property
@@ -163,7 +171,7 @@ class Medium:
     @classmethod
     def from_index(cls, n: float, *, area: float = 1.0, c0: float = 1.0, tag: str = "") -> "Medium":
         """Non-magnetic medium (``mu = 1``) with refractive index ``n``."""
-        if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
+        if not _is_positive_real(n):
             raise DomainError(f"refractive index must be positive and finite, got {n!r}")
         return cls(epsilon=(n / c0) ** 2, mu=1.0, area=area, c0=c0, tag=tag)
 
@@ -309,8 +317,25 @@ def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | N
     return float(lo), float(hi)
 
 
+def _check_inside(grid: Grid, lo: float, hi: float, what: str) -> None:
+    """The one edge rule for transported supports, incoming or scattered.
+
+    Raises :class:`DomainExitError` unless ``[lo, hi]`` keeps
+    ``EDGE_MARGIN_CELLS`` cells from both ends of the sample range, beyond
+    which the periodic transform would wrap the support around.
+    """
+    margin = EDGE_MARGIN_CELLS * grid.dx
+    lo_edge, hi_edge = grid.x_min + margin, grid.x_max - grid.dx - margin
+    if lo < lo_edge or hi > hi_edge:
+        raise DomainExitError(
+            f"{what} would span [{lo:.6g}, {hi:.6g}], outside the usable grid "
+            f"[{lo_edge:.6g}, {hi_edge:.6g}]; enlarge the grid or shorten the schedule"
+        )
+
+
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:
-    """Coherent sum of packets on the same grid (shared channels add)."""
+    """Coherent sum of packets on the same grid (shared channels add); also
+    for momentum-space packets, the result taking the type of the first."""
     if not packets:
         raise DomainError("combine() needs at least one packet")
     grid = packets[0].grid
@@ -320,7 +345,7 @@ def combine(*packets: BlipWavePacket) -> BlipWavePacket:
             raise DomainError("combine() requires a shared grid")
         for ch, a in p.amp.items():
             acc[ch] = acc[ch] + a if ch in acc else np.array(a)
-    return BlipWavePacket(grid, acc)
+    return type(packets[0])(grid, acc)
 
 
 def restrict(p: BlipWavePacket, channels: Iterable[Channel | tuple[int, str]]) -> BlipWavePacket:

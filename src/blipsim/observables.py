@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fields as _fields
 from .errors import DomainError, ZeroNormError
-from .lattice import BlipWavePacket, Channel, Medium, as_channel, norm
+from .lattice import BlipWavePacket, Medium, norm
 from .spectral import (
     SpectralWavePacket,
     spectral_derivative,
@@ -50,6 +50,7 @@ __all__ = [
     "dyn_momentum_position_form",
     "dyn_hamiltonian_position_form",
     "abraham_momentum",
+    "spectral_expectations",
     "branch_expectations",
     "packet_report",
     "conditional_expectations",
@@ -141,30 +142,41 @@ def abraham_momentum(p_field: float, n: float) -> float:
     return p_field / (n * n)
 
 
-def _media_by_channel(
-    p: BlipWavePacket, media_by_direction: Mapping[int, Medium]
-) -> dict[Channel, Medium]:
-    try:
-        return {ch: media_by_direction[ch.s] for ch in p.amp}
-    except KeyError as exc:  # pragma: no cover - guarded by callers
-        raise DomainError(f"no medium given for direction {exc.args[0]}") from exc
+def _medium_tag(
+    state: BlipWavePacket | SpectralWavePacket, media_by_direction: Mapping[int, Medium]
+) -> str:
+    """Labels of the media the nonzero channels occupy, joined by ``+`` (``-`` if none)."""
+    tags = sorted({media_by_direction[ch.s].label for ch, a in state.amp.items() if np.any(a)})
+    return "+".join(tags) if tags else "-"
 
 
-def branch_expectations(
-    p: BlipWavePacket,
+def _report(vals: Mapping[str, float], medium_tag: str, weight: float = 1.0) -> ObservableReport:
+    """Record of ``vals`` per unit ``weight``."""
+    names = ("photon_number", "energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum")
+    return ObservableReport(**{name: vals[name] / weight for name in names}, medium_tag=medium_tag)
+
+
+def spectral_expectations(
+    sp: SpectralWavePacket,
     media_by_direction: Mapping[int, Medium],
     hbar: float = 1.0,
 ) -> dict[str, float]:
-    """All expectations of a packet whose channels may sit in different media.
+    """All expectations of a spectrum whose channels may sit in different media.
 
     ``media_by_direction`` maps the direction ``s`` to the medium that
     channel occupies (after scattering, ``+1`` movers are on the right and
     ``-1`` movers on the left; before, the opposite).  Energy and field
-    quantities are evaluated channel by channel in that channel's medium;
-    the field momentum goes through the actual field-profile functional.
+    quantities are evaluated channel by channel in that channel's medium.
+    The field momentum is the sum ``hbar s |k| |psi~|^2 dk`` that the
+    field-profile functional reproduces; :mod:`blipsim.fields` stays the
+    independent route the tests compare against.
     """
-    media = _media_by_channel(p, media_by_direction)
-    sp = to_momentum(p)
+    missing = {ch.s for ch in sp.amp} - set(media_by_direction)
+    if missing:
+        raise DomainError(f"no medium given for direction {min(missing)}")
+    k = sp.grid.k
+    abs_k = np.abs(k)
+    dk = sp.grid.dk
     out = {
         "photon_number": spectral_norm(sp),
         "energy": 0.0,
@@ -173,32 +185,32 @@ def branch_expectations(
         "field_momentum": 0.0,
         "abraham_momentum": 0.0,
     }
-    for ch in sp.amp:
-        single = SpectralWavePacket(sp.grid, {ch: sp.amp[ch]})
-        m = media[ch]
-        out["energy"] += expect_energy(single, m, hbar)
-        out["dyn_hamiltonian"] += expect_dyn_hamiltonian(single, m, hbar)
-        p_field = _fields.momentum_from_fields(
-            _fields.field_profile(single, m, hbar), m
-        )
+    for ch, a in sp.amp.items():
+        m = media_by_direction[ch.s]
+        dens = np.abs(a) ** 2
+        weighted = float(np.sum(abs_k * dens))
+        out["energy"] += hbar * m.c * weighted * dk
+        out["dyn_hamiltonian"] += hbar * m.c * float(np.sum(k * dens)) * dk
+        p_field = hbar * ch.s * weighted * dk
         out["field_momentum"] += p_field
         out["abraham_momentum"] += abraham_momentum(p_field, m.n)
     return out
+
+
+def branch_expectations(
+    p: BlipWavePacket,
+    media_by_direction: Mapping[int, Medium],
+    hbar: float = 1.0,
+) -> dict[str, float]:
+    """:func:`spectral_expectations` of a position-space packet."""
+    return spectral_expectations(to_momentum(p), media_by_direction, hbar)
 
 
 def packet_report(
     p: BlipWavePacket, m: Medium, hbar: float = 1.0, tag: str | None = None
 ) -> ObservableReport:
     """Report for a packet entirely inside one medium."""
-    vals = branch_expectations(p, {+1: m, -1: m}, hbar)
-    return ObservableReport(
-        photon_number=vals["photon_number"],
-        energy=vals["energy"],
-        dyn_hamiltonian=vals["dyn_hamiltonian"],
-        dyn_momentum=vals["dyn_momentum"],
-        field_momentum=vals["field_momentum"],
-        medium_tag=m.label if tag is None else tag,
-    )
+    return _report(branch_expectations(p, {+1: m, -1: m}, hbar), m.label if tag is None else tag)
 
 
 def conditional_expectations(
@@ -206,27 +218,20 @@ def conditional_expectations(
 ) -> ObservableReport:
     """Expectations post-selected on one branch of a scattering outcome.
 
-    ``branch`` is ``"transmitted"`` or ``"reflected"``.  The branch packet
-    is renormalized by its own weight; branches with weight below
-    ``1e-12`` (for example the reflected branch at index 1) are refused.
+    ``branch`` is ``"transmitted"`` or ``"reflected"``.  The branch is read
+    from the outcome's stored spectrum and renormalized by its own weight;
+    branches with weight below ``1e-12`` (for example the reflected branch
+    at index 1) are refused.
     """
     if branch not in ("transmitted", "reflected"):
         raise DomainError(f"branch must be 'transmitted' or 'reflected', got {branch!r}")
-    packet: BlipWavePacket = getattr(outcome, branch)
+    sp = outcome.spectra[branch]
     media = {+1: outcome.right_medium, -1: outcome.left_medium}
-    vals = branch_expectations(packet, media, hbar)
+    vals = spectral_expectations(sp, media, hbar)
     weight = vals["photon_number"]
     if weight < CONDITIONAL_MIN_WEIGHT:
         raise ZeroNormError(
             f"{branch} branch weight {weight:.3e} is below {CONDITIONAL_MIN_WEIGHT:.0e}; "
             "conditional expectations are undefined"
         )
-    tags = sorted({media[ch.s].label for ch in packet.amp})
-    return ObservableReport(
-        photon_number=1.0,
-        energy=vals["energy"] / weight,
-        dyn_hamiltonian=vals["dyn_hamiltonian"] / weight,
-        dyn_momentum=vals["dyn_momentum"] / weight,
-        field_momentum=vals["field_momentum"] / weight,
-        medium_tag="+".join(tags),
-    )
+    return _report(vals, _medium_tag(sp, media), weight)

@@ -6,10 +6,16 @@ without deformation.  Norm, energy, and momenta are exactly conserved.
 
 A scenario is one packet launched toward the scatterer at ``x = 0``
 (reference medium on the left, the other medium on the right) with a list
-of report times.  Because the scattering maps are asymptotic and the
-observables of the out-state are time independent, each report is computed
-directly at its own time; reports that fall while a branch still straddles
-the scatterer are flagged ``crossing`` rather than interpolated.
+of report times.  The boundary map is asymptotic and transport is
+dispersionless, so a scenario scatters once and evolves by phase.  The
+input is transformed once; an incoming report is one phase multiply and
+one inverse transform.  The map is applied once, at the first report time
+past the crossing, and every later report re-phases its out-spectra (see
+:meth:`blipsim.scattering.ScatterOutcome.at`).  Every quadratic
+observable except the centroid is time independent, so the input and
+branch observables are computed once and shared by all rows; a row adds
+only its centroid.  Reports that fall while a branch still straddles the
+scatterer are flagged ``crossing`` rather than interpolated.
 """
 
 from __future__ import annotations
@@ -18,22 +24,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from .errors import ConfigurationError, DomainExitError
-from .lattice import BlipWavePacket, Medium, centroid, combine, _support_interval
-from .observables import branch_expectations
+from .errors import ConfigurationError
+from .lattice import BlipWavePacket, Medium, _check_inside, _support_interval, centroid, combine
+from .observables import _medium_tag, spectral_expectations
 from .scattering import (
-    GUARD_HALF_CELLS,
     GUARD_TOL,
     MirrorCoupling,
     ScatterOutcome,
-    beamsplitter_scatter,
+    _band_masses,
     interface_scatter,
     rates_from_omega,
-    _check_incoming_support,
 )
-from .spectral import SpectralWavePacket, to_momentum, to_position
+from .spectral import SpectralWavePacket, _advance_spectrum, to_momentum, to_position
 
 __all__ = [
     "evolve_free",
@@ -45,30 +47,24 @@ __all__ = [
 
 
 def _advance(
-    p: BlipWavePacket, media_by_direction: Mapping[int, Medium], t: float
+    p: BlipWavePacket,
+    media_by_direction: Mapping[int, Medium],
+    t: float,
+    spectrum: SpectralWavePacket | None = None,
 ) -> BlipWavePacket:
-    """Advance every channel at its own medium's speed; guards the grid edges."""
+    """Advance every channel at its own medium's speed; guards the grid edges.
+
+    ``spectrum`` is ``to_momentum(p)`` when the caller already has it."""
     t = float(t)
-    grid = p.grid
     for ch in p.amp:
         bounds = _support_interval(p, ch)
-        if bounds is None:
-            continue
-        shift = ch.s * media_by_direction[ch.s].c * t
-        lo, hi = bounds[0] + shift, bounds[1] + shift
-        if lo < grid.x_min or hi > grid.x_max - grid.dx:
-            raise DomainExitError(
-                f"advancing channel {ch} by {shift:.6g} would carry its support "
-                f"to [{lo:.6g}, {hi:.6g}], outside [{grid.x_min}, {grid.x_max})"
-            )
+        if bounds is not None:
+            shift = ch.s * media_by_direction[ch.s].c * t
+            _check_inside(p.grid, bounds[0] + shift, bounds[1] + shift, f"at t = {t:.6g} channel {ch}")
     if t == 0.0:
         return p
-    sp = to_momentum(p)
-    moved = {
-        ch: a * np.exp(-1j * media_by_direction[ch.s].c * grid.k * t)
-        for ch, a in sp.amp.items()
-    }
-    return to_position(SpectralWavePacket(grid, moved))
+    sp = to_momentum(p) if spectrum is None else spectrum
+    return to_position(_advance_spectrum(sp, media_by_direction, t))
 
 
 def evolve_free(p: BlipWavePacket, m: Medium, t: float) -> BlipWavePacket:
@@ -118,6 +114,10 @@ class Scenario:
         return self.left_medium.c / self.right_medium.c
 
 
+#: Time-independent expectations a row copies from its shared block.
+ROW_VALUES = ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "abraham_momentum")
+
+
 @dataclass(frozen=True)
 class ScenarioRow:
     """Observables of one branch at one report time."""
@@ -138,10 +138,14 @@ class ScenarioRow:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """Rows per report time, the final outcome, and the time-independent
+    expectations of the ``input``, ``transmitted``, ``reflected`` and ``total`` blocks."""
+
     scenario: Scenario
     rows: tuple[ScenarioRow, ...]
     outcome: ScatterOutcome
     diagnostics: dict = field(default_factory=dict)
+    blocks: Mapping[str, dict[str, float]] = field(default_factory=dict)
 
 
 def _row(
@@ -149,77 +153,29 @@ def _row(
     branch: str,
     phase: str,
     asymptotic: bool,
+    vals: Mapping[str, float],
     packet: BlipWavePacket,
-    media: Mapping[int, Medium],
-    hbar: float,
+    medium_tag: str,
 ) -> ScenarioRow:
-    vals = branch_expectations(packet, media, hbar)
+    """A shared expectation block plus the centroid of ``packet``, the state at ``time``."""
     weight = vals["photon_number"]
-    tags = sorted({media[ch.s].label for ch in packet.amp if np.any(packet.amp[ch])})
     return ScenarioRow(
-        time=time,
-        branch=branch,
-        phase=phase,
-        asymptotic=asymptotic,
-        norm=weight,
-        centroid=centroid(packet) if weight > 0.0 else None,
-        energy=vals["energy"],
-        dyn_hamiltonian=vals["dyn_hamiltonian"],
-        dyn_momentum=vals["dyn_momentum"],
-        field_momentum=vals["field_momentum"],
-        abraham_momentum=vals["abraham_momentum"],
-        medium_tag="+".join(tags) if tags else "-",
+        time, branch, phase, asymptotic, norm=weight,
+        centroid=centroid(packet) if weight > 0.0 else None, medium_tag=medium_tag,
+        **{name: vals[name] for name in ROW_VALUES},
     )
 
 
 def _still_incoming(sc: Scenario, t: float) -> bool:
     """True while every channel's advanced support is clear on its incoming side."""
-    p = sc.packet
-    half = GUARD_HALF_CELLS * p.grid.dx
     media = {+1: sc.left_medium, -1: sc.right_medium}
-    x = p.grid.x
-    for ch, a in p.amp.items():
-        dens = np.abs(a) ** 2 * p.grid.dx
-        weight = float(dens.sum())
-        if weight == 0.0:
-            continue
-        c = media[ch.s].c
-        if ch.s > 0:
-            offending = float(dens[x >= -half - c * t].sum())
-        else:
-            offending = float(dens[x <= half + c * t].sum())
-        if offending > GUARD_TOL * weight:
+    for ch in sc.packet.amp:
+        # the guard band moves to -s c t in the frame of the unadvanced packet
+        left, mid, right = _band_masses(sc.packet, ch, -ch.s * media[ch.s].c * t)
+        wrong = right if ch.s > 0 else left
+        if mid + wrong > GUARD_TOL * (left + mid + right):
             return False
     return True
-
-
-def _scatter_at(sc: Scenario, t: float) -> ScatterOutcome:
-    if sc.omega is None:
-        return interface_scatter(
-            sc.packet,
-            sc.n,
-            t,
-            left=sc.left_medium,
-            right=sc.right_medium,
-            tag=sc.tag,
-            allow_partial=True,
-        )
-    coupling = MirrorCoupling(omega=sc.omega, c_ref=sc.left_medium.c)
-    rates = rates_from_omega(coupling)
-    if sc.left_medium == sc.right_medium:
-        return beamsplitter_scatter(
-            sc.packet, rates, sc.left_medium, t, tag=sc.tag, allow_partial=True
-        )
-    return interface_scatter(
-        sc.packet,
-        sc.n,
-        t,
-        rates=rates,
-        left=sc.left_medium,
-        right=sc.right_medium,
-        tag=sc.tag,
-        allow_partial=True,
-    )
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -229,23 +185,47 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     final time.  Rows are phase-labelled ``incoming`` (packet still on its
     way in), ``scattered`` (all branches clear), or ``crossing`` (the map's
     extrapolation while a branch still straddles the scatterer; flagged,
-    not an error).
+    not an error).  The boundary map runs exactly once; if no report time
+    is past the crossing it is applied at the final time.
     """
-    _check_incoming_support(sc.packet)
     incoming_media = {+1: sc.left_medium, -1: sc.right_medium}
     outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
+    # a suffix of the schedule: the incoming test can only turn false as t grows
+    scattered = [t for t in sc.schedule if not _still_incoming(sc, t)]
+    rates = None
+    if sc.omega is not None:
+        rates = rates_from_omega(MirrorCoupling(omega=sc.omega, c_ref=sc.left_medium.c))
+    first = interface_scatter(
+        sc.packet,
+        sc.n,
+        scattered[0] if scattered else sc.schedule[-1],
+        rates=rates,
+        left=sc.left_medium,
+        right=sc.right_medium,
+        tag=sc.tag,
+        allow_partial=True,
+    )
+    # each outgoing channel carries a single phase, so the total's
+    # observables follow from the per-channel sum of the t = 0 spectra
+    sp_in = to_momentum(sc.packet)
+    spectra = dict(first.spectra)
+    spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
+    blocks = {"input": spectral_expectations(sp_in, incoming_media, sc.hbar)}
+    tags = {"input": _medium_tag(sp_in, incoming_media)}
+    for branch, sp in spectra.items():
+        blocks[branch] = spectral_expectations(sp, outgoing_media, sc.hbar)
+        tags[branch] = _medium_tag(sp, outgoing_media)
+
     rows: list[ScenarioRow] = []
     non_asymptotic: list[float] = []
-    max_drift = 0.0
     max_guard = 0.0
-    outcome: ScatterOutcome | None = None
+    outcome = first
     for t in sc.schedule:
-        if _still_incoming(sc, t):
-            state = _advance(sc.packet, incoming_media, t)
-            rows.append(_row(t, "incoming", "incoming", True, state, incoming_media, sc.hbar))
+        if t not in scattered:
+            state = _advance(sc.packet, incoming_media, t, sp_in)
+            rows.append(_row(t, "incoming", "incoming", True, blocks["input"], state, tags["input"]))
             continue
-        outcome = _scatter_at(sc, t)
-        max_drift = max(max_drift, outcome.resampling_drift)
+        outcome = first if t == first.t_final else first.at(t, allow_partial=True)
         max_guard = max(max_guard, outcome.guard_fraction)
         phase = "scattered" if outcome.asymptotic else "crossing"
         if not outcome.asymptotic:
@@ -257,17 +237,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             ("total", total),
         ):
             rows.append(
-                _row(t, branch, phase, outcome.asymptotic, packet, outgoing_media, sc.hbar)
+                _row(t, branch, phase, outcome.asymptotic, blocks[branch], packet, tags[branch])
             )
-    if outcome is None or sc.schedule[-1] != outcome.t_final:
-        outcome = _scatter_at(sc, sc.schedule[-1])
-        if not outcome.asymptotic:
-            non_asymptotic.append(sc.schedule[-1])
+    if not outcome.asymptotic:
+        non_asymptotic.append(sc.schedule[-1])
     diagnostics = {
-        "resampling_drift": max(max_drift, outcome.resampling_drift),
+        "resampling_drift": outcome.resampling_drift,
         "guard_fraction": max(max_guard, outcome.guard_fraction),
         "non_asymptotic_times": tuple(dict.fromkeys(non_asymptotic)),
     }
     return ScenarioResult(
-        scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics
+        scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics, blocks=blocks
     )

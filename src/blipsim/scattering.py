@@ -20,10 +20,13 @@ reproduces the normal-incidence amplitude table
 
 via the purely imaginary coupling ``Omega(n) = -2 i c_left (sqrt(n) - 1)/(sqrt(n) + 1)``.
 
-The scattering maps are asymptotic: they take an in-packet whose channels
-approach ``x = 0`` (direction ``+1`` from the left, ``-1`` from the right)
-and return the out-branches at a time ``t_final`` by which every branch has
-cleared the scatterer.  Transmission through the boundary rescales
+One map, :func:`interface_scatter`, covers both; the point mirror is its
+case with one medium on both sides and explicit rates.  The map is
+asymptotic: it takes an in-packet whose channels approach ``x = 0``
+(direction ``+1`` from the left, ``-1`` from the right), builds each
+out-branch's momentum amplitudes once, and re-phases them by the free
+evolution ``exp(-i c k t)`` to any time ``t_final`` by which every branch
+has cleared the scatterer.  Transmission through the boundary rescales
 wavenumbers by the index ratio, ``psi~(k) -> psi~(k/n)`` going in and
 ``psi~(n k)`` coming out, with the matching ``1/sqrt(n)`` amplitude factors;
 the sign of ``k`` is never changed.  Wavenumber rescaling is evaluated on
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -47,11 +51,21 @@ from .errors import (
     NotAsymptoticError,
     SupportGuardError,
 )
-from .lattice import BlipWavePacket, Channel, Medium, _support_interval, norm
+from .lattice import (
+    BlipWavePacket,
+    Channel,
+    Medium,
+    _check_inside,
+    _is_positive_real,
+    _support_interval,
+    norm,
+)
 from .spectral import (
     SpectralWavePacket,
+    _advance_spectrum,
     _forward,
     sample_spectrum_scaled,
+    spectral_norm,
     to_position,
 )
 
@@ -203,7 +217,7 @@ def dyson_remainder_bound(mc: MirrorCoupling, order: int, component: str = "t") 
 
 def fresnel_rates(n: float) -> ScatterRates:
     """Normal-incidence boundary amplitudes for speed ratio ``n``."""
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
+    if not _is_positive_real(n):
         raise DomainError(f"refractive index must be positive and finite, got {n!r}")
     rho = (n - 1.0) / (n + 1.0)
     t = 2.0 * math.sqrt(n) / (1.0 + n)
@@ -218,7 +232,7 @@ def omega_from_n(n: float, c0: float = 1.0) -> MirrorCoupling:
     ``Omega(n) = -2 i c0 (sqrt(n) - 1)/(sqrt(n) + 1)``, on the negative
     imaginary axis for ``n > 1``.
     """
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n > 0):
+    if not _is_positive_real(n):
         raise DomainError(f"refractive index must be positive and finite, got {n!r}")
     root = math.sqrt(n)
     return MirrorCoupling(omega=-2j * c0 * (root - 1.0) / (root + 1.0), c_ref=c0)
@@ -226,40 +240,69 @@ def omega_from_n(n: float, c0: float = 1.0) -> MirrorCoupling:
 
 @dataclass(frozen=True)
 class ScatterOutcome:
-    """Out-state of one scattering event, split into its two branches.
+    """Out-state of one scattering event at ``t_final``, split into its two branches.
 
-    ``prob_t``/``prob_r`` are the measured branch weights (probabilities for
-    a unit-norm input).  After the event, direction ``+1`` channels occupy
-    ``right_medium`` and direction ``-1`` channels ``left_medium``.
-    ``asymptotic`` records whether every branch had fully cleared the guard
-    band at ``t_final``; ``resampling_drift`` is the largest relative norm
-    error introduced by wavenumber rescaling and ``guard_fraction`` the
+    After the map each branch depends on time only through ``exp(-i c k t)``:
+    ``spectra`` keeps both branches' momentum amplitudes at ``t = 0`` (keys
+    ``"transmitted"``, ``"reflected"``), :meth:`at` re-phases them to another
+    time, and every quadratic observable except the centroid reads straight
+    from them.  ``prob_t``/``prob_r`` are the branch weights.  After the
+    event, direction ``+1`` channels occupy ``right_medium`` and ``-1``
+    channels ``left_medium``.  ``asymptotic`` records whether every branch
+    had cleared the guard band at ``t_final``; ``guard_fraction`` is the
     largest branch weight fraction still inside the band or on the wrong
-    side.
+    side, and ``resampling_drift`` the largest relative norm error of the
+    wavenumber rescaling (0 at ``n = 1``, where nothing is rescaled).
     """
 
     transmitted: BlipWavePacket
     reflected: BlipWavePacket
     prob_t: float
     prob_r: float
-    scenario_tag: str
     left_medium: Medium
     right_medium: Medium
     rates: ScatterRates
     t_final: float
+    spectra: Mapping[str, SpectralWavePacket]
+    incident: BlipWavePacket
+    tag: str = ""
     asymptotic: bool = True
     resampling_drift: float = 0.0
     guard_fraction: float = 0.0
 
+    @property
+    def scenario_tag(self) -> str:
+        """The caller's tag, or one naming the map (a reflecting coupling in one
+        medium is the point mirror) and the time."""
+        if self.tag:
+            return self.tag
+        if self.left_medium == self.right_medium and self.rates.r_plus != 0:
+            return f"beamsplitter(t={self.t_final:.6g})"
+        n = self.left_medium.c / self.right_medium.c
+        return f"interface(n={n:.6g}, t={self.t_final:.6g})"
 
-def _support_masses(p: BlipWavePacket, ch: Channel, half_width: float) -> tuple[float, float, float]:
-    """Channel weight left of, inside, and right of the guard band."""
+    def at(self, t_final: float, *, allow_partial: bool = False) -> "ScatterOutcome":
+        """The same event at another time: a phase multiply of ``spectra``, then
+        every per-time check (grid edges, guard fraction, asymptotic flag)."""
+        return _outcome_at(t_final, allow_partial, **{f: getattr(self, f) for f in _EVENT_FIELDS})
+
+
+#: The fields of an outcome that do not depend on the report time.
+_EVENT_FIELDS = ("left_medium", "right_medium", "rates", "spectra", "incident", "tag", "resampling_drift")
+
+
+def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
+    """Channel weight left of, inside, and right of the guard band around ``center``.
+
+    Every support guard reads these masses; the band spans ``GUARD_HALF_CELLS`` cells each side.
+    """
+    half = GUARD_HALF_CELLS * p.grid.dx
+    lo, hi = center - half, center + half
     x = p.grid.x
     dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
-    inside = (x >= -half_width) & (x <= half_width)
-    left = float(np.sum(dens[x < -half_width]))
-    mid = float(np.sum(dens[inside]))
-    right = float(np.sum(dens[x > half_width]))
+    left = float(np.sum(dens[x < lo]))
+    mid = float(np.sum(dens[(x >= lo) & (x <= hi)]))
+    right = float(np.sum(dens[x > hi]))
     return left, mid, right
 
 
@@ -269,10 +312,9 @@ def _check_incoming_support(p: BlipWavePacket) -> float:
         raise SupportGuardError("cannot scatter an empty packet")
     if not (p.grid.x_min < 0.0 < p.grid.x_max):
         raise SupportGuardError("the scatterer at x = 0 lies outside the grid")
-    half = GUARD_HALF_CELLS * p.grid.dx
     total = 0.0
     for ch in p.amp:
-        left, mid, right = _support_masses(p, ch, half)
+        left, mid, right = _band_masses(p, ch)
         weight = left + mid + right
         total += weight
         if weight == 0.0:
@@ -282,7 +324,7 @@ def _check_incoming_support(p: BlipWavePacket) -> float:
         if mid > GUARD_TOL * weight:
             raise SupportGuardError(
                 f"channel {ch} has {mid / weight:.3e} of its weight within "
-                f"{half:.3g} of the scatterer"
+                f"{GUARD_HALF_CELLS * p.grid.dx:.3g} of the scatterer"
             )
         if wrong > GUARD_TOL * weight:
             raise SupportGuardError(
@@ -300,10 +342,9 @@ def _branch_guard_fraction(branch: BlipWavePacket, input_weight: float) -> float
     After scattering the correct side is the outgoing one: ``x > 0`` for
     direction ``+1``, ``x < 0`` for ``-1``.
     """
-    half = GUARD_HALF_CELLS * branch.grid.dx
     worst = 0.0
     for ch in branch.amp:
-        left, mid, right = _support_masses(branch, ch, half)
+        left, mid, right = _band_masses(branch, ch)
         weight = left + mid + right
         if weight < NEGLIGIBLE_WEIGHT * input_weight:
             continue
@@ -317,18 +358,16 @@ def _check_branch_domains(
 ) -> None:
     """Reject ``t_final`` values that would carry a branch past a grid edge.
 
-    The map builds branches directly at ``t_final`` from spectral phases,
-    so a branch pushed past an edge would wrap around periodically instead
-    of failing; this transports each incident channel's support through the
-    exact branch kinematics first.  For ``s = +1`` content on ``[a, b]``,
-    the transmitted image is ``[a/n + c_R t, b/n + c_R t]`` and the
-    reflected one ``[-b - c_L t, -a - c_L t]``; mirrored for ``s = -1``.
+    Branches are built at ``t_final`` from spectral phases, so a branch
+    pushed past an edge would wrap around periodically instead of failing;
+    this transports each incident channel's support through the exact
+    branch kinematics first and applies the edge rule of
+    :func:`blipsim.lattice._check_inside`.  For ``s = +1`` content on
+    ``[a, b]``, the transmitted image is ``[a/n + c_R t, b/n + c_R t]`` and
+    the reflected one ``[-b - c_L t, -a - c_L t]``; mirrored for ``s = -1``.
     Branches with exactly zero amplitude are skipped: they carry nothing
     that could wrap.
     """
-    grid = p.grid
-    lo_edge = grid.x_min + grid.dx
-    hi_edge = grid.x_max - 2.0 * grid.dx
     n = left.c / right.c
     for ch in p.amp:
         bounds = _support_interval(p, ch)
@@ -347,33 +386,19 @@ def _check_branch_domains(
             }
         amps = {"transmitted": rates.t(ch.s), "reflected": rates.r(ch.s)}
         for name, (lo, hi) in images.items():
-            if amps[name] == 0:
-                continue
-            if lo < lo_edge or hi > hi_edge:
-                raise DomainExitError(
-                    f"the {name} branch of channel {ch} would span "
-                    f"[{lo:.6g}, {hi:.6g}] at t = {t_final}, outside the grid "
-                    f"[{grid.x_min}, {grid.x_max}); enlarge the grid or "
-                    "shorten the schedule"
-                )
+            if amps[name] != 0:
+                _check_inside(p.grid, lo, hi, f"at t = {t_final:.6g} the {name} branch of channel {ch}")
 
 
-def _finish_outcome(
-    trans_amp: dict[Channel, np.ndarray],
-    refl_amp: dict[Channel, np.ndarray],
-    p: BlipWavePacket,
-    input_weight: float,
-    drift: float,
-    left: Medium,
-    right: Medium,
-    rates: ScatterRates,
-    t_final: float,
-    tag: str,
-    allow_partial: bool,
-) -> ScatterOutcome:
-    grid = p.grid
-    transmitted = to_position(SpectralWavePacket(grid, trans_amp))
-    reflected = to_position(SpectralWavePacket(grid, refl_amp))
+def _outcome_at(t_final: float, allow_partial: bool, **event) -> ScatterOutcome:
+    """Re-phase the ``t = 0`` branch spectra of ``event`` to ``t_final`` and run the per-time checks."""
+    t_final = float(t_final)
+    left, right, spectra = event["left_medium"], event["right_medium"], event["spectra"]
+    _check_branch_domains(event["incident"], left, right, t_final, event["rates"])
+    outgoing = {+1: right, -1: left}
+    transmitted = to_position(_advance_spectrum(spectra["transmitted"], outgoing, t_final))
+    reflected = to_position(_advance_spectrum(spectra["reflected"], outgoing, t_final))
+    input_weight = norm(event["incident"])
     guard_fraction = max(
         _branch_guard_fraction(transmitted, input_weight),
         _branch_guard_fraction(reflected, input_weight),
@@ -387,16 +412,12 @@ def _finish_outcome(
     return ScatterOutcome(
         transmitted=transmitted,
         reflected=reflected,
-        prob_t=norm(transmitted),
-        prob_r=norm(reflected),
-        scenario_tag=tag,
-        left_medium=left,
-        right_medium=right,
-        rates=rates,
-        t_final=float(t_final),
+        prob_t=spectral_norm(spectra["transmitted"]),
+        prob_r=spectral_norm(spectra["reflected"]),
+        t_final=t_final,
         asymptotic=asymptotic,
-        resampling_drift=drift,
         guard_fraction=guard_fraction,
+        **event,
     )
 
 
@@ -411,40 +432,14 @@ def beamsplitter_scatter(
 ) -> ScatterOutcome:
     """Scatter off a point coupling inside a single medium.
 
-    Per incident channel ``(s, pol)`` the out-state is ``t_s`` on the same
-    channel plus ``r_s`` on the mirrored channel ``(-s, pol)``, both freely
-    advanced to ``t_final``; no wavenumber rescaling is involved.  Raises
-    :class:`DomainExitError` if a branch would leave the grid by ``t_final``.
+    The boundary map with medium ``m`` on both sides and explicit ``rates``:
+    per incident channel ``(s, pol)`` the out-state is ``t_s`` on the same
+    channel plus ``r_s`` on the mirrored channel ``(-s, pol)``, with no
+    wavenumber rescaling.
     """
-    input_weight = _check_incoming_support(p)
-    t_final = float(t_final)
-    _check_branch_domains(p, m, m, t_final, rates)
-    grid = p.grid
-    phase = np.exp(-1j * m.c * grid.k * t_final)
-    trans_amp: dict[Channel, np.ndarray] = {}
-    refl_amp: dict[Channel, np.ndarray] = {}
-    for ch, a in p.amp.items():
-        phi = _forward(grid, ch.s, a) * phase
-        mirrored = Channel(-ch.s, ch.pol)
-        _accumulate(trans_amp, ch, rates.t(ch.s) * phi)
-        _accumulate(refl_amp, mirrored, rates.r(ch.s) * phi)
-    return _finish_outcome(
-        trans_amp,
-        refl_amp,
-        p,
-        input_weight,
-        0.0,
-        m,
-        m,
-        rates,
-        t_final,
-        tag or f"beamsplitter(t={t_final:.6g})",
-        allow_partial,
+    return interface_scatter(
+        p, 1.0, t_final, rates=rates, left=m, right=m, tag=tag, allow_partial=allow_partial
     )
-
-
-def _accumulate(amp: dict[Channel, np.ndarray], ch: Channel, values: np.ndarray) -> None:
-    amp[ch] = amp[ch] + values if ch in amp else values
 
 
 def interface_scatter(
@@ -461,20 +456,24 @@ def interface_scatter(
     """Scatter at the boundary with speed ratio ``n = c_left / c_right``.
 
     The reference medium fills ``x < 0`` and the slower one ``x > 0``;
-    ``rates`` defaults to :func:`fresnel_rates`.  Per incident channel:
+    ``rates`` defaults to :func:`fresnel_rates`.  Per incident channel, at
+    ``t = 0``:
 
     * from the left (``s = +1``): transmitted ``(t_+/sqrt(n)) psi~(k/n)``
-      advanced at ``c_right``; reflected ``r_+ psi~(k)`` on ``(-1, pol)``
-      advanced at ``c_left``;
+      on ``(+1, pol)``, later advanced at ``c_right``; reflected
+      ``r_+ psi~(k)`` on ``(-1, pol)``, advanced at ``c_left``;
     * from the right (``s = -1``): transmitted ``sqrt(n) t_- psi~(n k)``
       advanced at ``c_left``; reflected ``r_- psi~(k)`` on ``(+1, pol)``
       advanced at ``c_right``.
 
-    At ``n = 1`` with default rates this reduces exactly to free
-    propagation with an empty reflected branch.  Raises
-    :class:`InterpolationAccuracyError` when the rescaled spectra drift in
-    norm by more than ``1e-8`` relative to the closed-form ``|t_s|^2``, and
-    :class:`DomainExitError` if a branch would leave the grid by ``t_final``.
+    The outcome is then re-phased to ``t_final`` (see
+    :meth:`ScatterOutcome.at`).  At ``n = 1`` with default rates this
+    reduces exactly to free propagation with an empty reflected branch; with
+    explicit rates and one medium on both sides it is the point mirror.
+    Raises :class:`InterpolationAccuracyError` when the rescaled spectra
+    drift in norm by more than ``1e-8`` relative to the closed-form
+    ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
+    grid by ``t_final``.
     """
     n = float(n)
     if not (math.isfinite(n) and n > 0):
@@ -494,51 +493,39 @@ def interface_scatter(
     if rates is None:
         rates = fresnel_rates(n)
 
-    input_weight = _check_incoming_support(p)
-    t_final = float(t_final)
-    _check_branch_domains(p, left, right, t_final, rates)
+    _check_incoming_support(p)
     grid = p.grid
-    phase_left = np.exp(-1j * left.c * grid.k * t_final)
-    phase_right = np.exp(-1j * right.c * grid.k * t_final)
     root_n = math.sqrt(n)
-
     trans_amp: dict[Channel, np.ndarray] = {}
     refl_amp: dict[Channel, np.ndarray] = {}
     drift = 0.0
     for ch, a in p.amp.items():
         phi = _forward(grid, ch.s, a)
-        weight = float(np.sum(np.abs(phi) ** 2)) * grid.dk
         if ch.s > 0:
-            scaled = phi if n == 1.0 else sample_spectrum_scaled(p, ch, 1.0 / n)
-            trans = (rates.t_plus / root_n) * scaled * phase_right
-            refl = rates.r_plus * phi * phase_left
-            refl_ch = Channel(-1, ch.pol)
+            coeff, scale = rates.t_plus / root_n, 1.0 / n
         else:
-            scaled = phi if n == 1.0 else sample_spectrum_scaled(p, ch, n)
-            trans = root_n * rates.t_minus * scaled * phase_left
-            refl = rates.r_minus * phi * phase_right
-            refl_ch = Channel(+1, ch.pol)
-        if weight > 0.0:
-            measured = float(np.sum(np.abs(trans) ** 2)) * grid.dk
-            expected = abs(rates.t(ch.s)) ** 2 * weight
-            drift = max(drift, abs(measured - expected) / weight)
-        _accumulate(trans_amp, ch, trans)
-        _accumulate(refl_amp, refl_ch, refl)
+            coeff, scale = root_n * rates.t_minus, n
+        if n == 1.0:
+            trans = coeff * phi
+        else:
+            trans = coeff * sample_spectrum_scaled(p, ch, scale)
+            weight = float(np.sum(np.abs(phi) ** 2)) * grid.dk
+            if weight > 0.0:
+                measured = float(np.sum(np.abs(trans) ** 2)) * grid.dk
+                expected = abs(rates.t(ch.s)) ** 2 * weight
+                drift = max(drift, abs(measured - expected) / weight)
+        trans_amp[ch] = trans
+        refl_amp[Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    return _finish_outcome(
-        trans_amp,
-        refl_amp,
-        p,
-        input_weight,
-        drift,
-        left,
-        right,
-        rates,
-        t_final,
-        tag or f"interface(n={n:.6g}, t={t_final:.6g})",
-        allow_partial,
+    spectra = {
+        "transmitted": SpectralWavePacket(grid, trans_amp),
+        "reflected": SpectralWavePacket(grid, refl_amp),
+    }
+    return _outcome_at(
+        t_final, allow_partial, left_medium=left, right_medium=right, rates=rates,
+        spectra=spectra, incident=p, tag=tag, resampling_drift=drift,
     )

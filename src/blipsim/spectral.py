@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, _freeze_amp, as_channel
+from .lattice import BlipWavePacket, Channel, Grid, Medium, _freeze_amp, as_channel
 
 __all__ = [
     "SpectralWavePacket",
@@ -100,6 +100,15 @@ def to_position(sp: SpectralWavePacket) -> BlipWavePacket:
     return BlipWavePacket(
         sp.grid, {ch: _inverse(sp.grid, ch.s, a) for ch, a in sp.amp.items()}
     )
+
+
+def _advance_spectrum(
+    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float
+) -> SpectralWavePacket:
+    """Free flight in k: channel ``(s, pol)`` times ``exp(-i c k t)``, ``c`` of ``media_by_direction[s]``."""
+    k = sp.grid.k
+    phases = {s: np.exp(-1j * media_by_direction[s].c * k * t) for s in {ch.s for ch in sp.amp}}
+    return SpectralWavePacket(sp.grid, {ch: a * phases[ch.s] for ch, a in sp.amp.items()})
 
 
 def spectral_norm(sp: SpectralWavePacket) -> float:

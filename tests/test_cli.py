@@ -9,6 +9,7 @@ import csv
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,29 @@ def test_strict_mode_flags_tolerance_breaches(tmp_path):
     assert summary["tolerances"]["energy_ratio"] == 0.0
     rc = cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"])
     assert rc == 1
+
+
+def test_strict_mode_fails_a_run_that_never_became_asymptotic(tmp_path):
+    """With times 0, 10 the reference packet never reaches x = 0: the map's
+    ratios are extrapolated, so strict mode must not pass."""
+    reference = Path(__file__).resolve().parents[1] / "configs" / "air_to_glass.ini"
+    text = reference.read_text()
+    assert "times = 0, 30, 140" in text
+    cfg = tmp_path / "early.ini"
+    cfg.write_text(text.replace("times = 0, 30, 140", "times = 0, 10").replace(
+        "snapshots = true", "snapshots = false"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["asymptotic"] == "fail"
+    assert summary["deviations"]["asymptotic"] == summary["diagnostics"]["guard_fraction"]
+    assert summary["tolerances"]["asymptotic"] == 1e-10
+    assert summary["diagnostics"]["asymptotic_final"] is False
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 1
+    # the check lives in [tolerances] like every other one
+    loose = tmp_path / "loose.ini"
+    loose.write_text(cfg.read_text() + "\n[tolerances]\nasymptotic = 1\n")
+    assert cli.main(["run", "--config", str(loose), "--out", str(out), "--strict"]) == 0
 
 
 def test_check_sweep_passes(tmp_path, capsys):

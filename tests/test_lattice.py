@@ -66,6 +66,17 @@ def test_medium_rejects_nonpositive():
         bs.Medium.from_index(-2.0)
 
 
+def test_medium_rejects_booleans():
+    """bool is an int subclass; True must not pass as a permittivity or index."""
+    for name in ("epsilon", "mu", "area", "c0"):
+        for bad in (True, False):
+            with pytest.raises(bs.DomainError):
+                bs.Medium(**{name: bad})
+    for bad in (True, False):
+        with pytest.raises(bs.DomainError):
+            bs.Medium.from_index(bad)
+
+
 def test_gaussian_packet_moments(rig_grid, rig_packet):
     p = rig_packet
     assert bs.norm(p) == pytest.approx(1.0, abs=1e-12)

@@ -164,3 +164,120 @@ def test_run_scenario_guards_initial_support(rig_grid, ref_medium, glass):
     sc = bs.Scenario(straddler, ref_medium, glass, schedule=(0.0, 140.0))
     with pytest.raises(bs.SupportGuardError):
         bs.run_scenario(sc)
+
+
+# ---------------------------------------------------------------------------
+# map once, evolve by phase: oracle and count checks
+
+
+def _field_route(p, media, hbar=1.0):
+    """Row values the pre-refactor way: transform the state at its own time
+    and take the field momentum from the reconstructed field profiles."""
+    vals = dict(bs.branch_expectations(p, media, hbar))
+    vals["field_momentum"] = vals["abraham_momentum"] = 0.0
+    for ch, a in bs.to_momentum(p).amp.items():
+        m = media[ch.s]
+        fp = bs.field_profile(bs.SpectralWavePacket(p.grid, {ch: a}), m, hbar)
+        p_field = bs.momentum_from_fields(fp, m)
+        vals["field_momentum"] += p_field
+        vals["abraham_momentum"] += bs.abraham_momentum(p_field, m.n)
+    vals["norm"] = vals["photon_number"]
+    vals["centroid"] = bs.centroid(p) if vals["norm"] > 0.0 else None
+    return vals
+
+
+def _old_route_rows(sc, phases):
+    """Free flight per channel for incoming times, a fresh map at every other time."""
+    incoming = {+1: sc.left_medium, -1: sc.right_medium}
+    outgoing = {+1: sc.right_medium, -1: sc.left_medium}
+    rates = None
+    if sc.omega is not None:
+        rates = bs.rates_from_omega(bs.MirrorCoupling(sc.omega, sc.left_medium.c))
+    rows = []
+    for t in sc.schedule:
+        if phases[t] == "incoming":
+            state = bs.combine(
+                *(bs.evolve_free(bs.restrict(sc.packet, [ch]), incoming[ch.s], t) for ch in sc.packet.amp)
+            )
+            rows.append(_field_route(state, incoming, sc.hbar))
+            continue
+        out = bs.interface_scatter(
+            sc.packet, sc.n, t, rates=rates, left=sc.left_medium, right=sc.right_medium,
+            allow_partial=True,
+        )
+        for packet in (out.transmitted, out.reflected, bs.combine(out.transmitted, out.reflected)):
+            rows.append(_field_route(packet, outgoing, sc.hbar))
+    return rows
+
+
+def _mixed_packet(grid):
+    """A right-mover in the reference medium and a left-mover in the glass,
+    both approaching x = 0 on the same polarization, so branches interfere."""
+    right = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
+    left = bs.gaussian_packet(grid, (-1, "H"), x0=30.0, k0=25.0, sigma=2.0)
+    both = bs.combine(right, left)
+    return bs.BlipWavePacket(grid, {ch: a / math.sqrt(2.0) for ch, a in both.amp.items()})
+
+
+def _oracle_cases(rig_grid, rig_packet, ref_medium, glass):
+    lefty = bs.gaussian_packet(rig_grid, (-1, "H"), x0=30.0, k0=30.0, sigma=2.0)
+    mixed = _mixed_packet(rig_grid)
+    return {
+        "fresnel s=+1": bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, 30.0, 140.0)),
+        "fresnel s=-1": bs.Scenario(lefty, ref_medium, glass, schedule=(0.0, 20.0, 150.0, 170.0)),
+        "omega at n=1": bs.Scenario(
+            rig_packet, ref_medium, ref_medium, schedule=(0.0, 120.0, 140.0), omega=-0.6j
+        ),
+        "mixed": bs.Scenario(mixed, ref_medium, glass, schedule=(0.0, 30.0, 140.0)),
+        "crossing": bs.Scenario(rig_packet, ref_medium, glass, schedule=(50.0, 70.0, 140.0)),
+        "mixed crossing": bs.Scenario(mixed, ref_medium, glass, schedule=(55.0, 65.0, 140.0)),
+    }
+
+
+def test_rows_agree_with_the_per_time_map_and_field_route(rig_grid, rig_packet, ref_medium, glass):
+    keys = (
+        "norm", "centroid", "energy", "dyn_hamiltonian", "dyn_momentum",
+        "field_momentum", "abraham_momentum",
+    )
+    for name, sc in _oracle_cases(rig_grid, rig_packet, ref_medium, glass).items():
+        res = bs.run_scenario(sc)
+        phases = {row.time: row.phase for row in res.rows}
+        old = _old_route_rows(sc, phases)
+        assert len(old) == len(res.rows), name
+        # near-zero values are held to 1e-12 of the input's value of the same quantity
+        ref = _field_route(sc.packet, {+1: sc.left_medium, -1: sc.right_medium}, sc.hbar)
+        ref["centroid"] = 1.0
+        for row, want in zip(res.rows, old):
+            for key in keys:
+                got = getattr(row, key)
+                if want[key] is None:
+                    assert got is None, (name, row.time, row.branch, key)
+                    continue
+                bound = 1e-12 * max(abs(want[key]), abs(ref[key]))
+                assert abs(got - want[key]) <= bound, (name, row.time, row.branch, key, got, want[key])
+
+
+def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
+    import blipsim.propagation as propagation
+    import blipsim.scattering as scattering
+
+    calls = {"map": 0, "chirp": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(propagation, "interface_scatter", counting("map", scattering.interface_scatter))
+    monkeypatch.setattr(
+        scattering, "sample_spectrum_scaled", counting("chirp", scattering.sample_spectrum_scaled)
+    )
+    mixed = _mixed_packet(rig_grid)
+    schedules = ((0.0,), (140.0,), (0.0, 30.0, 140.0), (50.0, 70.0, 100.0, 120.0, 140.0, 160.0))
+    for packet, channels in ((rig_packet, 1), (mixed, 2)):
+        for schedule in schedules:
+            calls.update(map=0, chirp=0)
+            bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
+            assert calls == {"map": 1, "chirp": channels}, (channels, schedule)

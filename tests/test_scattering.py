@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,3 +323,49 @@ def test_outcome_records_context(rig_packet, ref_medium):
     assert out.left_medium.n == 1.0
     assert out.right_medium.n == 2.0
     assert out.rates.t_plus == pytest.approx(bs.fresnel_rates(2.0).t_plus, rel=1e-15)
+
+
+def test_rephase_reproduces_a_direct_map(rig_packet):
+    direct = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
+    early = bs.interface_scatter(rig_packet, 2.0, t_final=61.0, allow_partial=True)
+    later = early.at(140.0)
+    assert later.t_final == 140.0 and later.asymptotic and not early.asymptotic
+    assert later.scenario_tag == direct.scenario_tag == "interface(n=2, t=140)"
+    for branch in ("transmitted", "reflected"):
+        for ch, a in getattr(direct, branch).amp.items():
+            assert np.array_equal(getattr(later, branch).amp[ch], a)
+    assert (later.prob_t, later.prob_r) == (direct.prob_t, direct.prob_r)
+    with pytest.raises(bs.NotAsymptoticError):
+        direct.at(61.0)
+    with pytest.raises(bs.DomainExitError):
+        direct.at(400.0)
+
+
+def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
+    """Free flight and the re-phased map apply one edge rule: the same
+    near-edge support passes or fails on both."""
+    grid = rig_packet.grid
+    _, hi = bs.lattice._support_interval(rig_packet, bs.Channel(1, "H"))
+    edge = grid.x_max - grid.dx - bs.lattice.EDGE_MARGIN_CELLS * grid.dx
+    t_ok = edge - hi - 1e-9
+    t_bad = t_ok + 0.5 * grid.dx
+    bs.evolve_free(rig_packet, ref_medium, t_ok)
+    mapped = bs.interface_scatter(rig_packet, 1.0, t_final=t_ok)
+    spans = []
+    for attempt in (
+        lambda: bs.evolve_free(rig_packet, ref_medium, t_bad),
+        lambda: mapped.at(t_bad),
+        lambda: bs.interface_scatter(rig_packet, 1.0, t_final=t_bad),
+    ):
+        with pytest.raises(bs.DomainExitError) as info:
+            attempt()
+        spans.append(re.search(r"would span (\[[^]]*\])", str(info.value)).group(1))
+    assert spans[0] == spans[1] == spans[2]
+
+
+def test_booleans_are_not_indices():
+    for bad in (True, False):
+        with pytest.raises(bs.DomainError):
+            bs.fresnel_rates(bad)
+        with pytest.raises(bs.DomainError):
+            bs.omega_from_n(bad)
