@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from .errors import BlipSimError, ConfigurationError, ZeroNormError
 from .fields import field_profile
-from .lattice import BlipWavePacket, Medium, centroid, combine, gaussian_packet, make_grid
+from .lattice import BlipWavePacket, Medium, combine, gaussian_packet, make_grid
 from .observables import conditional_expectations
-from .propagation import ROW_VALUES, Scenario, ScenarioResult, run_scenario
+from .propagation import Scenario, ScenarioResult, ScenarioRow, run_scenario
 from .scattering import (
     GUARD_TOL,
     REMAINDER_ROUNDING_FLOOR,
@@ -120,12 +121,8 @@ def _write_table(base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]
     else:
         path = base.with_suffix(".json")
         payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(_dump_json([_clean_row(r) for r in payload]) + "\n")
+        path.write_text(_dump_json(payload) + "\n")
     return path
-
-
-def _clean_row(row: dict[str, Any]) -> dict[str, Any]:
-    return {k: (float(v) if isinstance(v, np.floating) else v) for k, v in row.items()}
 
 
 def _assert_finite(obj: Any, path: str = "summary") -> None:
@@ -296,21 +293,16 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
 # ---------------------------------------------------------------------------
 # run
 
-def _observable_block(vals: dict[str, float], p: BlipWavePacket) -> dict[str, Any]:
-    """A stored expectation block plus the centroid of ``p``, the state at the report time."""
-    weight = vals["photon_number"]
-    block = {"norm": weight, "centroid": centroid(p) if weight > 0.0 else None}
-    return block | {name: vals[name] for name in ROW_VALUES}
+#: The entries of a conditional block, read from its expectation record.
+CONDITIONAL_KEYS = ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "medium_tag")
 
 
-def _report_block(report) -> dict[str, Any]:
-    return {
-        "energy": report.energy,
-        "dyn_hamiltonian": report.dyn_hamiltonian,
-        "dyn_momentum": report.dyn_momentum,
-        "field_momentum": report.field_momentum,
-        "medium_tag": report.medium_tag,
-    }
+def _block(row: ScenarioRow) -> dict[str, Any]:
+    """``norm``, ``centroid`` and the expectation values of one row; the
+    summary's input and output blocks and every series row are built from it."""
+    values = asdict(row.values)
+    del values["medium_tag"]
+    return {"norm": values.pop("photon_number"), "centroid": row.centroid} | values
 
 
 def _density(state: BlipWavePacket | SpectralWavePacket) -> np.ndarray:
@@ -352,24 +344,19 @@ def _summarize(
     direction = directions[0] if len(directions) == 1 else 0
     k0 = cfg["packet"]["k0"]
 
-    inp = _observable_block(blocks["input"], sc.packet)
-    total_packet = combine(outcome.transmitted, outcome.reflected)
-    out_blocks = {
-        "transmitted": _observable_block(blocks["transmitted"], outcome.transmitted),
-        "reflected": _observable_block(blocks["reflected"], outcome.reflected),
-        "total": _observable_block(blocks["total"], total_packet),
-    }
+    inp = _block(blocks["input"])
+    out_blocks = {branch: _block(blocks[branch]) for branch in ("transmitted", "reflected", "total")}
     out_blocks["transmitted"]["probability"] = outcome.prob_t
     out_blocks["reflected"]["probability"] = outcome.prob_r
 
     conditional: dict[str, Any] = {}
     for branch in ("transmitted", "reflected"):
         try:
-            conditional[branch] = _report_block(
-                conditional_expectations(outcome, branch, sc.hbar)
-            )
+            report = conditional_expectations(outcome, branch, sc.hbar)
         except ZeroNormError:
             conditional[branch] = None
+        else:
+            conditional[branch] = {key: getattr(report, key) for key in CONDITIONAL_KEYS}
 
     # predictions from the amplitude table; closed forms where the rates are
     # the normal-incidence ones
@@ -495,22 +482,6 @@ SERIES_HEADER = (
 )
 
 
-def _series_rows(result: ScenarioResult) -> list[list[Any]]:
-    return [
-        [
-            row.time,
-            row.branch,
-            row.norm,
-            row.centroid,
-            row.energy,
-            row.dyn_momentum,
-            row.field_momentum,
-            row.abraham_momentum,
-        ]
-        for row in result.rows
-    ]
-
-
 def _field_density(p: BlipWavePacket, media: dict[int, Medium], hbar: float) -> np.ndarray:
     """|E(x)|^2 with every channel reconstructed in its own medium."""
     sp = to_momentum(p)
@@ -576,7 +547,9 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
     summary_path = out / output_cfg.get("summary", "summary.json")
     summary_path.write_text(_dump_json(summary) + "\n")
     series_base = out / Path(output_cfg.get("series", "series.csv")).stem
-    series_path = _write_table(series_base, SERIES_HEADER, _series_rows(result), fmt)
+    series = [{"time": row.time, "branch": row.branch} | _block(row) for row in result.rows]
+    series_rows = [[entry[key] for key in SERIES_HEADER] for entry in series]
+    series_path = _write_table(series_base, SERIES_HEADER, series_rows, fmt)
     written = [summary_path, series_path]
     if output_cfg.get("snapshots", False):
         written.extend(_write_snapshots(out, sc, result, fmt))
@@ -599,6 +572,9 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
 
 # ---------------------------------------------------------------------------
 # check
+
+#: Largest ``check --steps``; each step is one table row held in memory.
+MAX_CHECK_STEPS = 100_000
 
 CHECK_HEADER = (
     "n",
@@ -630,8 +606,8 @@ def cmd_check(
 ) -> int:
     if not (math.isfinite(n_min) and n_min > 0 and math.isfinite(n_max) and n_max >= n_min):
         raise ConfigurationError(f"need 0 < n_min <= n_max, got [{n_min}, {n_max}]")
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_CHECK_STEPS:
+        raise ConfigurationError(f"steps must be in [1, {MAX_CHECK_STEPS}], got {steps}")
     values = np.linspace(n_min, n_max, steps) if steps > 1 else np.array([n_min])
     rows: list[list[Any]] = []
     worst = 0.0
@@ -692,6 +668,9 @@ def cmd_check(
 # ---------------------------------------------------------------------------
 # dyson
 
+#: Largest ``dyson --terms``; each term is one partial sum and one table row.
+MAX_DYSON_TERMS = 10_000
+
 DYSON_HEADER = (
     "order",
     "t_partial",
@@ -715,8 +694,8 @@ def cmd_dyson(
 ) -> int:
     if not (math.isfinite(omega_ratio) and omega_ratio >= 0):
         raise ConfigurationError(f"omega ratio must be >= 0, got {omega_ratio!r}")
-    if n_terms < 1:
-        raise ConfigurationError(f"terms must be >= 1, got {n_terms}")
+    if not 1 <= n_terms <= MAX_DYSON_TERMS:
+        raise ConfigurationError(f"terms must be in [1, {MAX_DYSON_TERMS}], got {n_terms}")
     q = float(omega_ratio)
     mc = MirrorCoupling(omega=-2j * q, c_ref=1.0)
     sums = dyson_partial_sums(mc, n_terms)
@@ -796,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--n-min", type=float, default=1.0)
     p_check.add_argument("--n-max", type=float, default=10.0)
-    p_check.add_argument("--steps", type=int, default=100)
+    p_check.add_argument("--steps", type=int, default=100, help=f"at most {MAX_CHECK_STEPS}")
     p_check.add_argument("--tolerance", type=float, default=1e-12)
 
     p_dyson = sub.add_parser(
@@ -806,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-ratio", type=float, required=True, metavar="Q",
         help="series parameter q = |Omega|/(2c)",
     )
-    p_dyson.add_argument("--terms", type=int, default=12)
+    p_dyson.add_argument("--terms", type=int, default=12, help=f"at most {MAX_DYSON_TERMS}")
     return parser
 
 

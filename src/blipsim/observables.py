@@ -11,7 +11,13 @@ All expectations are diagonal in the momentum representation:
 The signed forms generate the dynamics; the absolute-value forms are what a
 field functional measures.  For spectra confined to one sign of ``k`` the
 two coincide up to that sign.  The field momentum here is the canonical
-(medium-weighted) one; dividing by ``n^2`` gives its kinetic counterpart.
+(medium-weighted) one; dividing by ``n^2`` gives its kinetic (Abraham)
+counterpart.
+
+:func:`spectral_expectations`, :func:`branch_expectations` and
+:func:`conditional_expectations` return an :class:`ObservableReport`, the
+one record of a state's expectation values; scenario rows carry it as
+``values`` and the CLI serializes it.
 
 Position-space forms of the signed observables (via the spectral
 derivative) and field-profile functionals (see :mod:`blipsim.fields`) are
@@ -22,12 +28,11 @@ collapsed into one implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from . import fields as _fields
 from .errors import DomainError, ZeroNormError
 from .lattice import BlipWavePacket, Medium, norm
 from .spectral import (
@@ -46,29 +51,30 @@ __all__ = [
     "expect_energy",
     "expect_dyn_hamiltonian",
     "expect_dyn_momentum",
-    "expect_field_momentum",
     "dyn_momentum_position_form",
     "dyn_hamiltonian_position_form",
     "abraham_momentum",
     "spectral_expectations",
     "branch_expectations",
-    "packet_report",
     "conditional_expectations",
 ]
 
-#: Branch weight below which conditional expectations are refused.
+#: Branch weight, as a fraction of the incident weight, at or below which
+#: conditional expectations are refused.
 CONDITIONAL_MIN_WEIGHT = 1e-12
 
 
 @dataclass(frozen=True)
 class ObservableReport:
-    """One state's expectation values, tagged with the medium they refer to."""
+    """One state's expectation values and the labels of the media its
+    nonzero channels occupy, joined by ``+`` (``-`` if none)."""
 
     photon_number: float
     energy: float
     dyn_hamiltonian: float
     dyn_momentum: float
     field_momentum: float
+    abraham_momentum: float
     medium_tag: str
 
 
@@ -81,16 +87,12 @@ def expect_photon_number(state: BlipWavePacket | SpectralWavePacket) -> float:
 
 def expect_energy(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> float:
     """Positive-definite energy ``sum hbar c_m |k| |psi~|^2 dk``."""
-    k = sp.grid.k
-    acc = sum(float(np.sum(np.abs(k) * np.abs(a) ** 2)) for a in sp.amp.values())
-    return hbar * m.c * acc * sp.grid.dk
+    return spectral_expectations(sp, {+1: m, -1: m}, hbar).energy
 
 
 def expect_dyn_hamiltonian(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> float:
     """Signed generator of time evolution ``sum hbar c_m k |psi~|^2 dk``."""
-    k = sp.grid.k
-    acc = sum(float(np.sum(k * np.abs(a) ** 2)) for a in sp.amp.values())
-    return hbar * m.c * acc * sp.grid.dk
+    return spectral_expectations(sp, {+1: m, -1: m}, hbar).dyn_hamiltonian
 
 
 def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
@@ -100,11 +102,6 @@ def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
         ch.s * float(np.sum(k * np.abs(a) ** 2)) for ch, a in sp.amp.items()
     )
     return hbar * acc * sp.grid.dk
-
-
-def expect_field_momentum(fp: "_fields.FieldProfile", m: Medium) -> float:
-    """Field-profile route; see :func:`blipsim.fields.momentum_from_fields`."""
-    return _fields.momentum_from_fields(fp, m)
 
 
 def dyn_momentum_position_form(p: BlipWavePacket, hbar: float = 1.0) -> float:
@@ -142,25 +139,11 @@ def abraham_momentum(p_field: float, n: float) -> float:
     return p_field / (n * n)
 
 
-def _medium_tag(
-    state: BlipWavePacket | SpectralWavePacket, media_by_direction: Mapping[int, Medium]
-) -> str:
-    """Labels of the media the nonzero channels occupy, joined by ``+`` (``-`` if none)."""
-    tags = sorted({media_by_direction[ch.s].label for ch, a in state.amp.items() if np.any(a)})
-    return "+".join(tags) if tags else "-"
-
-
-def _report(vals: Mapping[str, float], medium_tag: str, weight: float = 1.0) -> ObservableReport:
-    """Record of ``vals`` per unit ``weight``."""
-    names = ("photon_number", "energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum")
-    return ObservableReport(**{name: vals[name] / weight for name in names}, medium_tag=medium_tag)
-
-
 def spectral_expectations(
     sp: SpectralWavePacket,
     media_by_direction: Mapping[int, Medium],
     hbar: float = 1.0,
-) -> dict[str, float]:
+) -> ObservableReport:
     """All expectations of a spectrum whose channels may sit in different media.
 
     ``media_by_direction`` maps the direction ``s`` to the medium that
@@ -177,40 +160,35 @@ def spectral_expectations(
     k = sp.grid.k
     abs_k = np.abs(k)
     dk = sp.grid.dk
-    out = {
-        "photon_number": spectral_norm(sp),
-        "energy": 0.0,
-        "dyn_hamiltonian": 0.0,
-        "dyn_momentum": expect_dyn_momentum(sp, hbar),
-        "field_momentum": 0.0,
-        "abraham_momentum": 0.0,
-    }
+    energy = dyn_hamiltonian = field_momentum = abraham = 0.0
     for ch, a in sp.amp.items():
         m = media_by_direction[ch.s]
         dens = np.abs(a) ** 2
         weighted = float(np.sum(abs_k * dens))
-        out["energy"] += hbar * m.c * weighted * dk
-        out["dyn_hamiltonian"] += hbar * m.c * float(np.sum(k * dens)) * dk
+        energy += hbar * m.c * weighted * dk
+        dyn_hamiltonian += hbar * m.c * float(np.sum(k * dens)) * dk
         p_field = hbar * ch.s * weighted * dk
-        out["field_momentum"] += p_field
-        out["abraham_momentum"] += abraham_momentum(p_field, m.n)
-    return out
+        field_momentum += p_field
+        abraham += abraham_momentum(p_field, m.n)
+    tags = sorted({media_by_direction[ch.s].label for ch, a in sp.amp.items() if np.any(a)})
+    return ObservableReport(
+        photon_number=spectral_norm(sp),
+        energy=energy,
+        dyn_hamiltonian=dyn_hamiltonian,
+        dyn_momentum=expect_dyn_momentum(sp, hbar),
+        field_momentum=field_momentum,
+        abraham_momentum=abraham,
+        medium_tag="+".join(tags) if tags else "-",
+    )
 
 
 def branch_expectations(
     p: BlipWavePacket,
     media_by_direction: Mapping[int, Medium],
     hbar: float = 1.0,
-) -> dict[str, float]:
+) -> ObservableReport:
     """:func:`spectral_expectations` of a position-space packet."""
     return spectral_expectations(to_momentum(p), media_by_direction, hbar)
-
-
-def packet_report(
-    p: BlipWavePacket, m: Medium, hbar: float = 1.0, tag: str | None = None
-) -> ObservableReport:
-    """Report for a packet entirely inside one medium."""
-    return _report(branch_expectations(p, {+1: m, -1: m}, hbar), m.label if tag is None else tag)
 
 
 def conditional_expectations(
@@ -219,19 +197,20 @@ def conditional_expectations(
     """Expectations post-selected on one branch of a scattering outcome.
 
     ``branch`` is ``"transmitted"`` or ``"reflected"``.  The branch is read
-    from the outcome's stored spectrum and renormalized by its own weight;
-    branches with weight below ``1e-12`` (for example the reflected branch
-    at index 1) are refused.
+    from the outcome's stored spectrum and every value is divided by its
+    weight.  Branches whose weight is at or below ``CONDITIONAL_MIN_WEIGHT``
+    times the incident weight (for example the reflected branch at index 1)
+    are refused.
     """
     if branch not in ("transmitted", "reflected"):
         raise DomainError(f"branch must be 'transmitted' or 'reflected', got {branch!r}")
-    sp = outcome.spectra[branch]
     media = {+1: outcome.right_medium, -1: outcome.left_medium}
-    vals = spectral_expectations(sp, media, hbar)
-    weight = vals["photon_number"]
-    if weight < CONDITIONAL_MIN_WEIGHT:
+    report = spectral_expectations(outcome.spectra[branch], media, hbar)
+    weight = report.photon_number
+    if not weight > CONDITIONAL_MIN_WEIGHT * norm(outcome.incident):
         raise ZeroNormError(
-            f"{branch} branch weight {weight:.3e} is below {CONDITIONAL_MIN_WEIGHT:.0e}; "
-            "conditional expectations are undefined"
+            f"{branch} branch weight {weight:.3e} is at or below {CONDITIONAL_MIN_WEIGHT:.0e} "
+            "of the incident weight; conditional expectations are undefined"
         )
-    return _report(vals, _medium_tag(sp, media), weight)
+    values = [f.name for f in fields(report) if f.name != "medium_tag"]
+    return replace(report, **{name: getattr(report, name) / weight for name in values})

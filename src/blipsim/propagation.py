@@ -12,10 +12,11 @@ input is transformed once; an incoming report is one phase multiply and
 one inverse transform.  The map is applied once, at the first report time
 past the crossing, and every later report re-phases its out-spectra (see
 :meth:`blipsim.scattering.ScatterOutcome.at`).  Every quadratic
-observable except the centroid is time independent, so the input and
-branch observables are computed once and shared by all rows; a row adds
-only its centroid.  Reports that fall while a branch still straddles the
-scatterer are flagged ``crossing`` rather than interpolated.
+observable except the centroid is time independent, so the input and each
+branch get one :class:`~blipsim.observables.ObservableReport`, which all
+their rows share as ``values``; a row adds only its centroid.  Reports that
+fall while a branch still straddles the scatterer are flagged ``crossing``
+rather than interpolated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping
 
 from .errors import ConfigurationError
 from .lattice import BlipWavePacket, Medium, _check_inside, _support_interval, centroid, combine
-from .observables import _medium_tag, spectral_expectations
+from .observables import ObservableReport, spectral_expectations
 from .scattering import (
     GUARD_TOL,
     MirrorCoupling,
@@ -114,38 +115,29 @@ class Scenario:
         return self.left_medium.c / self.right_medium.c
 
 
-#: Time-independent expectations a row copies from its shared block.
-ROW_VALUES = ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "abraham_momentum")
-
-
 @dataclass(frozen=True)
 class ScenarioRow:
-    """Observables of one branch at one report time."""
+    """One branch at one report time: its centroid and its expectation record."""
 
     time: float
     branch: str
     phase: str
     asymptotic: bool
-    norm: float
     centroid: float | None
-    energy: float
-    dyn_hamiltonian: float
-    dyn_momentum: float
-    field_momentum: float
-    abraham_momentum: float
-    medium_tag: str
+    values: ObservableReport
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Rows per report time, the final outcome, and the time-independent
-    expectations of the ``input``, ``transmitted``, ``reflected`` and ``total`` blocks."""
+    """Rows per report time, the final outcome, and the ``blocks``: the
+    ``input`` at ``t = 0`` and the ``transmitted``, ``reflected`` and
+    ``total`` branches at the final time."""
 
     scenario: Scenario
     rows: tuple[ScenarioRow, ...]
     outcome: ScatterOutcome
     diagnostics: dict = field(default_factory=dict)
-    blocks: Mapping[str, dict[str, float]] = field(default_factory=dict)
+    blocks: Mapping[str, ScenarioRow] = field(default_factory=dict)
 
 
 def _row(
@@ -153,17 +145,28 @@ def _row(
     branch: str,
     phase: str,
     asymptotic: bool,
-    vals: Mapping[str, float],
+    values: ObservableReport,
     packet: BlipWavePacket,
-    medium_tag: str,
 ) -> ScenarioRow:
-    """A shared expectation block plus the centroid of ``packet``, the state at ``time``."""
-    weight = vals["photon_number"]
+    """A shared expectation record plus the centroid of ``packet``, the state at ``time``."""
     return ScenarioRow(
-        time, branch, phase, asymptotic, norm=weight,
-        centroid=centroid(packet) if weight > 0.0 else None, medium_tag=medium_tag,
-        **{name: vals[name] for name in ROW_VALUES},
+        time, branch, phase, asymptotic,
+        centroid(packet) if values.photon_number > 0.0 else None, values,
     )
+
+
+def _branch_rows(outcome: ScatterOutcome, values: Mapping[str, ObservableReport]) -> list[ScenarioRow]:
+    """The transmitted, reflected and total rows of ``outcome`` at its time."""
+    phase = "scattered" if outcome.asymptotic else "crossing"
+    total = combine(outcome.transmitted, outcome.reflected)
+    return [
+        _row(outcome.t_final, branch, phase, outcome.asymptotic, values[branch], packet)
+        for branch, packet in (
+            ("transmitted", outcome.transmitted),
+            ("reflected", outcome.reflected),
+            ("total", total),
+        )
+    ]
 
 
 def _still_incoming(sc: Scenario, t: float) -> bool:
@@ -210,11 +213,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     sp_in = to_momentum(sc.packet)
     spectra = dict(first.spectra)
     spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
-    blocks = {"input": spectral_expectations(sp_in, incoming_media, sc.hbar)}
-    tags = {"input": _medium_tag(sp_in, incoming_media)}
-    for branch, sp in spectra.items():
-        blocks[branch] = spectral_expectations(sp, outgoing_media, sc.hbar)
-        tags[branch] = _medium_tag(sp, outgoing_media)
+    input_values = spectral_expectations(sp_in, incoming_media, sc.hbar)
+    values = {branch: spectral_expectations(sp, outgoing_media, sc.hbar) for branch, sp in spectra.items()}
 
     rows: list[ScenarioRow] = []
     non_asymptotic: list[float] = []
@@ -223,24 +223,20 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     for t in sc.schedule:
         if t not in scattered:
             state = _advance(sc.packet, incoming_media, t, sp_in)
-            rows.append(_row(t, "incoming", "incoming", True, blocks["input"], state, tags["input"]))
+            rows.append(_row(t, "incoming", "incoming", True, input_values, state))
             continue
         outcome = first if t == first.t_final else first.at(t, allow_partial=True)
         max_guard = max(max_guard, outcome.guard_fraction)
-        phase = "scattered" if outcome.asymptotic else "crossing"
         if not outcome.asymptotic:
             non_asymptotic.append(t)
-        total = combine(outcome.transmitted, outcome.reflected)
-        for branch, packet in (
-            ("transmitted", outcome.transmitted),
-            ("reflected", outcome.reflected),
-            ("total", total),
-        ):
-            rows.append(
-                _row(t, branch, phase, outcome.asymptotic, blocks[branch], packet, tags[branch])
-            )
+        rows.extend(_branch_rows(outcome, values))
     if not outcome.asymptotic:
         non_asymptotic.append(sc.schedule[-1])
+    # the schedule ends past the crossing whenever any report is, so the
+    # last three rows are then the final branches
+    final = rows[-3:] if scattered else _branch_rows(outcome, values)
+    input_row = _row(0.0, "incoming", "incoming", True, input_values, sc.packet)
+    blocks = {"input": input_row, **{row.branch: row for row in final}}
     diagnostics = {
         "resampling_drift": outcome.resampling_drift,
         "guard_fraction": max(max_guard, outcome.guard_fraction),

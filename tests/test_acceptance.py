@@ -72,8 +72,8 @@ def test_c01_energy_conservation(rig_grid, capsys):
         for n in (1.0, 1.5, 2.0):
             for direction in (+1, -1):
                 p, outcome, _ = scatter_case(rig_grid, n, direction)
-                e_in = incident_values(p, outcome)["energy"]
-                e_out = total_out(outcome)["energy"]
+                e_in = incident_values(p, outcome).energy
+                e_out = total_out(outcome).energy
                 assert abs(e_out / e_in - 1.0) <= 1e-9, (n, direction)
 
 
@@ -81,7 +81,7 @@ def test_c02_momentum_ratio_into_denser_medium(rig_grid, capsys):
     with gate(capsys, "C2  momentum ratio in = (3n-1)/(n+1) (tol 1e-6 rel)"):
         for n, quoted in ((1.5, 1.4), (2.0, 5.0 / 3.0)):
             p, outcome, _ = scatter_case(rig_grid, n, +1)
-            ratio = total_out(outcome)["dyn_momentum"] / incident_values(p, outcome)["dyn_momentum"]
+            ratio = total_out(outcome).dyn_momentum / incident_values(p, outcome).dyn_momentum
             closed = (3.0 * n - 1.0) / (n + 1.0)
             assert abs(closed - quoted) < 1e-15
             assert abs(ratio - closed) <= 1e-6 * closed, n
@@ -91,14 +91,14 @@ def test_c03_momentum_ratio_out_of_denser_medium(rig_grid, capsys):
     with gate(capsys, "C3  momentum ratio out = (3-n)/(n+1), zero at n=3 (tol 1e-6)"):
         for n, quoted in ((1.5, 0.6), (2.0, 1.0 / 3.0)):
             p, outcome, _ = scatter_case(rig_grid, n, -1)
-            ratio = total_out(outcome)["dyn_momentum"] / incident_values(p, outcome)["dyn_momentum"]
+            ratio = total_out(outcome).dyn_momentum / incident_values(p, outcome).dyn_momentum
             closed = (3.0 - n) / (n + 1.0)
             assert abs(closed - quoted) < 1e-15
             assert abs(ratio - closed) <= 1e-6 * closed, n
         # the standstill point: outgoing momentum vanishes on the way out at n = 3
         p, outcome, _ = scatter_case(rig_grid, 3.0, -1)
-        p_in = incident_values(p, outcome)["dyn_momentum"]
-        assert abs(total_out(outcome)["dyn_momentum"]) <= 1e-6 * abs(p_in)
+        p_in = incident_values(p, outcome).dyn_momentum
+        assert abs(total_out(outcome).dyn_momentum) <= 1e-6 * abs(p_in)
 
 
 def test_c04_transmitted_branch_postselection(rig_grid, capsys):
@@ -107,7 +107,7 @@ def test_c04_transmitted_branch_postselection(rig_grid, capsys):
         for n in (1.5, 2.0):
             for direction, factor in ((+1, n), (-1, 1.0 / n)):
                 p, outcome, _ = scatter_case(rig_grid, n, direction)
-                p_in = incident_values(p, outcome)["dyn_momentum"]
+                p_in = incident_values(p, outcome).dyn_momentum
                 cond = bs.conditional_expectations(outcome, "transmitted", 1.0)
                 assert abs(cond.dyn_momentum / p_in - factor) <= 1e-6, (n, direction)
                 dens = np.zeros(rig_grid.n_points)
@@ -232,9 +232,9 @@ def test_c10_free_flight_conservation_and_speed(rig_grid, capsys):
                 p1 = bs.evolve_free(p0, m, 100.0)
                 v0 = bs.branch_expectations(p0, media, 1.0)
                 v1 = bs.branch_expectations(p1, media, 1.0)
-                assert abs(v1["photon_number"] - v0["photon_number"]) <= 1e-12
-                assert abs(v1["energy"] - v0["energy"]) <= 1e-12 * v0["energy"]
-                assert abs(v1["dyn_momentum"] - v0["dyn_momentum"]) <= 1e-12 * abs(v0["dyn_momentum"])
+                assert abs(v1.photon_number - v0.photon_number) <= 1e-12
+                assert abs(v1.energy - v0.energy) <= 1e-12 * v0.energy
+                assert abs(v1.dyn_momentum - v0.dyn_momentum) <= 1e-12 * abs(v0.dyn_momentum)
                 drift = bs.centroid(p1) - bs.centroid(p0) - s * m.c * 100.0
                 assert abs(drift) < rig_grid.dx, (m.label, s)
 

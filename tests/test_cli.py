@@ -236,6 +236,18 @@ def test_dyson_rejects_bad_arguments(tmp_path):
     assert cli.main(["dyson", "--omega-ratio", "0.5", "--terms", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_loop_caps_reject_one_past_the_cap(tmp_path):
+    """Only the rejection path: no sweep or series near the cap is ever started."""
+    out = tmp_path / "out"
+    argvs = (
+        ["check", "--steps", str(cli.MAX_CHECK_STEPS + 1)],
+        ["dyson", "--omega-ratio", "0.5", "--terms", str(cli.MAX_DYSON_TERMS + 1)],
+    )
+    for argv in argvs:
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         cli.main([])
@@ -254,3 +266,65 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
     assert (tmp_path / "check.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the reference config
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "data" / "air_to_glass"
+#: Rounding residues held only to their tolerance: (block, key) -> tolerance key.
+RESIDUES = {
+    ("deviations", "resample_drift"): "resample_drift",
+    ("deviations", "asymptotic"): "asymptotic",
+    ("diagnostics", "resampling_drift"): "resample_drift",
+    ("diagnostics", "guard_fraction"): "asymptotic",
+}
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def assert_matches(got, want, scales, where=()):
+    """Same keys in the same order; strings, booleans and nulls equal; numbers
+    within 1e-12 relative, near zero within 1e-12 of the input block's value
+    of the same quantity (``scales``)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_matches(got[key], want[key], scales, (*where, key))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, scales, (*where, i))
+    elif _number(want):
+        assert _number(got), where
+        bound = 1e-12 * max(abs(want), abs(scales.get(where[-1], 0.0)))
+        assert abs(got - want) <= bound, (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+def test_reference_run_matches_the_golden_outputs(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(out)]) == 0
+    want = json.loads((GOLDEN / "summary.json").read_text())
+    got = json.loads((out / "summary.json").read_text())
+    for (block, key), tol in RESIDUES.items():
+        assert 0.0 <= got[block][key] <= want["tolerances"][tol], (block, key)
+        got[block][key] = want[block][key]
+    scales = {key: val for key, val in want["input"].items() if _number(val)}
+    assert_matches(got, want, scales)
+
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    def table(path):
+        header, rows = read_csv(path)
+        return [dict(zip(header, map(cell, row))) for row in rows]
+
+    assert_matches(table(out / "series.csv"), table(GOLDEN / "series.csv"), scales)

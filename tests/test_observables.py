@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import blipsim as bs
+from blipsim.observables import CONDITIONAL_MIN_WEIGHT
 
 from test_spectral import plane_wave
 
@@ -97,7 +98,7 @@ def test_field_momentum_route_matches_number_basis(rig_grid, glass):
     k = rig_grid.k
     number_basis = float(np.sum(np.abs(k) * np.abs(sp.amp[bs.Channel(1, "H")]) ** 2)) * rig_grid.dk
     fp = bs.field_profile(sp, glass)
-    assert bs.expect_field_momentum(fp, glass) == pytest.approx(number_basis, rel=1e-12)
+    assert bs.momentum_from_fields(fp, glass) == pytest.approx(number_basis, rel=1e-12)
 
 
 def test_abraham_momentum_scaling():
@@ -118,16 +119,16 @@ def test_branch_expectations_routes_channels_to_their_media(rig_grid, ref_medium
     sp_r = bs.to_momentum(right_mover)
     sp_l = bs.to_momentum(left_mover)
     expected_energy = bs.expect_energy(sp_r, glass) + bs.expect_energy(sp_l, ref_medium)
-    assert vals["photon_number"] == pytest.approx(2.0, rel=1e-12)
-    assert vals["energy"] == pytest.approx(expected_energy, rel=1e-12)
-    assert vals["dyn_momentum"] == pytest.approx(20.0 - 20.0, abs=1e-9)
+    assert vals.photon_number == pytest.approx(2.0, rel=1e-12)
+    assert vals.energy == pytest.approx(expected_energy, rel=1e-12)
+    assert vals.dyn_momentum == pytest.approx(20.0 - 20.0, abs=1e-9)
     # field momentum: +20 in glass and -20 in vacuum; Abraham divides by n^2
-    assert vals["field_momentum"] == pytest.approx(0.0, abs=1e-8)
-    assert vals["abraham_momentum"] == pytest.approx(20.0 / 4.0 - 20.0, rel=1e-9)
+    assert vals.field_momentum == pytest.approx(0.0, abs=1e-8)
+    assert vals.abraham_momentum == pytest.approx(20.0 / 4.0 - 20.0, rel=1e-9)
 
 
 def test_packet_report_tags_and_values(rig_packet, glass):
-    rep = bs.packet_report(rig_packet, glass)
+    rep = bs.branch_expectations(rig_packet, {+1: glass, -1: glass})
     assert rep.medium_tag == "n=2"
     assert rep.photon_number == pytest.approx(1.0, abs=1e-12)
     assert rep.energy == pytest.approx(15.0, abs=1e-9)  # c = 1/2
@@ -153,6 +154,21 @@ def test_conditional_rejects_empty_branch(rig_packet):
     assert out.prob_r == 0.0
     with pytest.raises(bs.ZeroNormError):
         bs.conditional_expectations(out, "reflected")
+
+
+def test_conditional_weight_is_relative_to_the_incident_weight(rig_packet):
+    """A packet of norm 1e-14: its transmitted branch holds 89 % of the state."""
+    faint = bs.BlipWavePacket(rig_packet.grid, {ch: 1e-7 * a for ch, a in rig_packet.amp.items()})
+    out = bs.interface_scatter(faint, 2.0, t_final=140.0)
+    assert out.prob_t < CONDITIONAL_MIN_WEIGHT
+    incident = bs.branch_expectations(faint, {+1: bs.Medium.reference()})
+    p_in = incident.dyn_momentum / incident.photon_number  # per photon, as the conditional
+    cond = bs.conditional_expectations(out, "transmitted")
+    assert abs(cond.dyn_momentum / p_in - 2.0) <= 1e-9
+    lossless = bs.interface_scatter(faint, 1.0, t_final=140.0)
+    assert lossless.prob_r == 0.0
+    with pytest.raises(bs.ZeroNormError):
+        bs.conditional_expectations(lossless, "reflected")
 
 
 def test_hbar_rescales_dimensionful_observables(rig_packet, ref_medium):

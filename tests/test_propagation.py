@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -97,19 +98,40 @@ def test_run_scenario_phases_and_ratios(rig_packet, ref_medium, glass):
     assert {r.phase for r in res.rows[2:]} == {"scattered"}
     assert all(r.asymptotic for r in res.rows)
     incoming0 = res.rows[0]
-    assert incoming0.norm == pytest.approx(1.0, abs=1e-9)
+    assert incoming0.values.photon_number == pytest.approx(1.0, abs=1e-9)
     assert incoming0.centroid == pytest.approx(-60.0, abs=1e-6)
-    assert incoming0.medium_tag == "n=1"
+    assert incoming0.values.medium_tag == "n=1"
     total = res.rows[-1]
-    assert total.energy == pytest.approx(incoming0.energy, rel=1e-9)
-    assert total.dyn_momentum == pytest.approx(30.0 * 5.0 / 3.0, rel=1e-9)
-    assert total.field_momentum == pytest.approx(total.dyn_momentum, rel=1e-8)
+    assert total.values.energy == pytest.approx(incoming0.values.energy, rel=1e-9)
+    assert total.values.dyn_momentum == pytest.approx(30.0 * 5.0 / 3.0, rel=1e-9)
+    assert total.values.field_momentum == pytest.approx(total.values.dyn_momentum, rel=1e-8)
     trans = res.rows[2]
-    assert trans.medium_tag == "n=2"
-    assert trans.abraham_momentum == pytest.approx(trans.field_momentum / 4.0, rel=1e-12)
+    assert trans.values.medium_tag == "n=2"
+    assert trans.values.abraham_momentum == pytest.approx(trans.values.field_momentum / 4.0, rel=1e-12)
     assert res.outcome.t_final == 140.0
     assert res.diagnostics["non_asymptotic_times"] == ()
     assert res.diagnostics["resampling_drift"] < 1e-12
+
+
+def test_blocks_are_the_input_and_the_final_branches(rig_packet, ref_medium, glass):
+    """All rows of a branch share one record; the blocks reuse the final rows
+    or, when every report is still incoming, the outcome at the final time."""
+    res = bs.run_scenario(bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, 30.0, 140.0)))
+    assert res.blocks["input"] == res.rows[0]
+    assert res.rows[1].values is res.blocks["input"].values
+    assert [res.blocks[b] for b in ("transmitted", "reflected", "total")] == list(res.rows[2:])
+    early = bs.run_scenario(bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, 10.0)))
+    assert {r.branch for r in early.rows} == {"incoming"}
+    out = early.outcome
+    for branch, packet in (
+        ("transmitted", out.transmitted),
+        ("reflected", out.reflected),
+        ("total", bs.combine(out.transmitted, out.reflected)),
+    ):
+        block = early.blocks[branch]
+        assert (block.time, block.branch, block.phase) == (10.0, branch, "crossing")
+        assert block.centroid == bs.centroid(packet)
+        assert block.values == res.blocks[branch].values
 
 
 def test_run_scenario_crossing_phase(rig_packet, ref_medium, glass):
@@ -126,7 +148,7 @@ def test_run_scenario_crossing_phase(rig_packet, ref_medium, glass):
     assert res.outcome.asymptotic  # the final outcome did clear the band
     # norms are branch norms even mid-crossing
     mid = [r for r in res.rows if r.time == 70.0 and r.branch == "total"]
-    assert mid[0].norm == pytest.approx(1.0, abs=1e-9)
+    assert mid[0].values.photon_number == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_scenario_probabilities_time_independent(rig_packet, ref_medium, glass):
@@ -150,7 +172,7 @@ def test_run_scenario_point_coupling(rig_packet, ref_medium):
     assert res.outcome.prob_r == pytest.approx(want_r, rel=1e-9)
     assert res.outcome.prob_t + res.outcome.prob_r == pytest.approx(1.0, abs=1e-9)
     refl = [r for r in res.rows if r.branch == "reflected"][0]
-    assert refl.dyn_momentum == pytest.approx(-30.0 * want_r, rel=1e-9)
+    assert refl.values.dyn_momentum == pytest.approx(-30.0 * want_r, rel=1e-9)
 
 
 def test_run_scenario_domain_exit(rig_packet, ref_medium, glass):
@@ -173,7 +195,7 @@ def test_run_scenario_guards_initial_support(rig_grid, ref_medium, glass):
 def _field_route(p, media, hbar=1.0):
     """Row values the pre-refactor way: transform the state at its own time
     and take the field momentum from the reconstructed field profiles."""
-    vals = dict(bs.branch_expectations(p, media, hbar))
+    vals = asdict(bs.branch_expectations(p, media, hbar))
     vals["field_momentum"] = vals["abraham_momentum"] = 0.0
     for ch, a in bs.to_momentum(p).amp.items():
         m = media[ch.s]
@@ -249,7 +271,8 @@ def test_rows_agree_with_the_per_time_map_and_field_route(rig_grid, rig_packet, 
         ref["centroid"] = 1.0
         for row, want in zip(res.rows, old):
             for key in keys:
-                got = getattr(row, key)
+                attr = "photon_number" if key == "norm" else key
+                got = row.centroid if key == "centroid" else getattr(row.values, attr)
                 if want[key] is None:
                     assert got is None, (name, row.time, row.branch, key)
                     continue

@@ -190,8 +190,8 @@ def test_interface_air_to_medium_expectations(rig_packet, ref_medium, glass):
     media = {+1: glass, -1: ref_medium}
     total = bs.combine(out.transmitted, out.reflected)
     vals = bs.branch_expectations(total, media)
-    assert vals["energy"] == pytest.approx(30.0, rel=1e-9)
-    assert vals["dyn_momentum"] == pytest.approx(30.0 * (3 * n - 1) / (n + 1), rel=1e-9)
+    assert vals.energy == pytest.approx(30.0, rel=1e-9)
+    assert vals.dyn_momentum == pytest.approx(30.0 * (3 * n - 1) / (n + 1), rel=1e-9)
     # transmitted spectral peak sits at n*k0 within one bin
     phi_t = bs.to_momentum(out.transmitted).amp[bs.Channel(1, "H")]
     k_peak = rig_packet.grid.k[int(np.argmax(np.abs(phi_t)))]
@@ -206,9 +206,9 @@ def test_interface_medium_to_air_expectations(rig_grid, ref_medium, glass):
     media = {+1: glass, -1: ref_medium}
     total = bs.combine(out.transmitted, out.reflected)
     vals = bs.branch_expectations(total, media)
-    assert vals["energy"] == pytest.approx(15.0, rel=1e-9)  # hbar c_glass k0
+    assert vals.energy == pytest.approx(15.0, rel=1e-9)  # hbar c_glass k0
     p_in = -30.0  # s = -1 carrier
-    assert vals["dyn_momentum"] == pytest.approx(p_in * (3 - n) / (n + 1), rel=1e-9)
+    assert vals.dyn_momentum == pytest.approx(p_in * (3 - n) / (n + 1), rel=1e-9)
     # transmitted (still s = -1, now in the fast medium) peaks at k0/n
     phi_t = bs.to_momentum(out.transmitted).amp[bs.Channel(-1, "H")]
     k_peak = rig_grid.k[int(np.argmax(np.abs(phi_t)))]
@@ -233,7 +233,7 @@ def test_interface_keeps_wavenumber_sign(rig_grid):
         bs.combine(out.transmitted, out.reflected),
         {+1: bs.Medium.from_index(2.0), -1: bs.Medium.reference()},
     )
-    assert vals["dyn_momentum"] == pytest.approx(-30.0 * 5.0 / 3.0, rel=1e-9)
+    assert vals.dyn_momentum == pytest.approx(-30.0 * 5.0 / 3.0, rel=1e-9)
 
 
 def test_interface_unit_index_is_free_flight(rig_packet):
