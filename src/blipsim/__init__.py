@@ -8,152 +8,20 @@ their quadratic functionals, scattering maps for point mirrors and
 dielectric boundaries, free propagation, scripted scenarios, and a CLI.
 """
 
-from .errors import (
-    BlipSimError,
-    ConfigurationError,
-    ConsistencyError,
-    DivergenceError,
-    DomainError,
-    DomainExitError,
-    FixtureError,
-    InterpolationAccuracyError,
-    NotAsymptoticError,
-    SupportGuardError,
-    ZeroNormError,
-)
-from .lattice import (
-    CHANNELS,
-    BlipWavePacket,
-    Channel,
-    Grid,
-    Medium,
-    as_channel,
-    centroid,
-    combine,
-    gaussian_packet,
-    is_normalized,
-    make_grid,
-    norm,
-    restrict,
-)
-from .spectral import (
-    SpectralWavePacket,
-    sample_position_affine,
-    sample_spectrum_scaled,
-    spectral_derivative,
-    spectral_norm,
-    to_momentum,
-    to_position,
-)
-from .observables import (
-    ObservableReport,
-    abraham_momentum,
-    branch_expectations,
-    conditional_expectations,
-    dyn_hamiltonian_position_form,
-    dyn_momentum_position_form,
-    expect_dyn_hamiltonian,
-    expect_dyn_momentum,
-    expect_energy,
-    expect_photon_number,
-    spectral_expectations,
-)
-from .fields import (
-    FieldProfile,
-    energy_from_fields,
-    field_profile,
-    momentum_from_fields,
-    momentum_imaginary_residual,
-    position_kernel_R,
-    zeta,
-)
-from .scattering import (
-    MirrorCoupling,
-    ScatterOutcome,
-    ScatterRates,
-    beamsplitter_scatter,
-    dyson_partial_sums,
-    dyson_remainder_bound,
-    fresnel_rates,
-    interface_scatter,
-    omega_from_n,
-    rates_from_omega,
-    stokes_residuals,
-)
-from .propagation import (
-    Scenario,
-    ScenarioResult,
-    ScenarioRow,
-    evolve_free,
-    run_scenario,
-)
+from . import errors, fields, lattice, observables, propagation, scattering, spectral
+from .errors import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .observables import *  # noqa: F401,F403
+from .fields import *  # noqa: F401,F403
+from .scattering import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+#: The public names of the submodules, in import order.
 __all__ = [
-    "BlipSimError",
-    "ConfigurationError",
-    "ConsistencyError",
-    "DivergenceError",
-    "DomainError",
-    "DomainExitError",
-    "FixtureError",
-    "InterpolationAccuracyError",
-    "NotAsymptoticError",
-    "SupportGuardError",
-    "ZeroNormError",
-    "CHANNELS",
-    "BlipWavePacket",
-    "Channel",
-    "Grid",
-    "Medium",
-    "as_channel",
-    "centroid",
-    "combine",
-    "gaussian_packet",
-    "is_normalized",
-    "make_grid",
-    "norm",
-    "restrict",
-    "SpectralWavePacket",
-    "sample_position_affine",
-    "sample_spectrum_scaled",
-    "spectral_derivative",
-    "spectral_norm",
-    "to_momentum",
-    "to_position",
-    "ObservableReport",
-    "abraham_momentum",
-    "branch_expectations",
-    "conditional_expectations",
-    "dyn_hamiltonian_position_form",
-    "dyn_momentum_position_form",
-    "expect_dyn_hamiltonian",
-    "expect_dyn_momentum",
-    "expect_energy",
-    "expect_photon_number",
-    "spectral_expectations",
-    "FieldProfile",
-    "energy_from_fields",
-    "field_profile",
-    "momentum_from_fields",
-    "momentum_imaginary_residual",
-    "position_kernel_R",
-    "zeta",
-    "MirrorCoupling",
-    "ScatterOutcome",
-    "ScatterRates",
-    "beamsplitter_scatter",
-    "dyson_partial_sums",
-    "dyson_remainder_bound",
-    "fresnel_rates",
-    "interface_scatter",
-    "omega_from_n",
-    "rates_from_omega",
-    "stokes_residuals",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRow",
-    "evolve_free",
-    "run_scenario",
+    name
+    for module in (errors, lattice, spectral, observables, fields, scattering, propagation)
+    for name in module.__all__
 ]

@@ -8,33 +8,42 @@ the partial sums of the point-scatterer Born series for a coupling ratio
 amplitudes are real).
 
 Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2
-configuration error, 3 runtime error.  All floats are written with 17
-significant digits; identical configs produce byte-identical outputs.
+configuration error (including a ``check --tolerance`` that is not finite
+and >= 0, and ``[output]`` names that are not bare file names), 3 runtime
+error, also an output that cannot be written.  Only finite floats are
+written, with 17 significant digits; identical configs produce
+byte-identical outputs.  A command writes all of its files or none: they
+are staged inside ``--out`` and moved into it together at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BlipSimError, ConfigurationError, ZeroNormError
 from .fields import field_profile
-from .lattice import BlipWavePacket, Medium, combine, gaussian_packet, make_grid
+from .lattice import BlipWavePacket, Medium, gaussian_packet, make_grid
 from .observables import conditional_expectations
 from .propagation import Scenario, ScenarioResult, ScenarioRow, run_scenario
 from .scattering import (
     GUARD_TOL,
     REMAINDER_ROUNDING_FLOOR,
     MirrorCoupling,
+    ScatterRates,
     dyson_partial_sums,
     dyson_remainder_bound,
     fresnel_rates,
@@ -66,7 +75,27 @@ _BOOLEAN_STATES = {
 # deterministic serialization
 
 def _fmt_float(v: float) -> str:
+    """A float at 17 significant digits, for the lines printed to stdout."""
     return format(float(v), ".17g")
+
+
+def _text(v: Any, null: str) -> str:
+    """The text of one scalar in an output file; the only formatter of written values.
+
+    Floats are written at 17 significant digits and must be finite.  ``None``
+    becomes ``null``.  Floats are tested first: this runs once per table cell.
+    """
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise BlipSimError(f"cannot write the non-finite value {v}")
+        return format(v, ".17g")
+    if v is None:
+        return null
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, str)):
+        return str(v)
+    raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def _dump_json(obj: Any, indent: int = 0) -> str:
@@ -86,27 +115,11 @@ def _dump_json(obj: Any, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{_dump_json(val, indent + 1)}" for val in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _cell(v: Any) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
+    if isinstance(obj, complex):
+        return _dump_json({"real": obj.real, "imag": obj.imag}, indent)
+    return _text(obj, "null")
 
 
 def _write_table(base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]], fmt: str) -> Path:
@@ -116,27 +129,31 @@ def _write_table(base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows([_text(v, "") for v in row] for row in rows)
     else:
         path = base.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(_dump_json(payload) + "\n")
+        path.write_text(_dump_json([dict(zip(header, row)) for row in rows]) + "\n")
     return path
 
 
-def _assert_finite(obj: Any, path: str = "summary") -> None:
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            _assert_finite(val, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, val in enumerate(obj):
-            _assert_finite(val, f"{path}[{i}]")
-    elif isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return
-    elif isinstance(obj, (float, np.floating)):
-        if not math.isfinite(float(obj)):
-            raise BlipSimError(f"non-finite value at {path}")
+@contextlib.contextmanager
+def _output_set(out_dir: str) -> Iterator[Path]:
+    """Stage one command's files and place them in ``out_dir`` all together.
+
+    Yields a fresh ``.blipsim-*`` directory inside ``out_dir``.  When the
+    block completes, every file in it is moved into ``out_dir``.  The
+    staging directory is removed either way, so a command that fails while
+    writing leaves none of its files behind.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".blipsim-", dir=out))
+    try:
+        yield stage
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +178,13 @@ def _parse_times(text: str) -> tuple[float, ...]:
     if not items:
         raise ConfigurationError("schedule times must contain at least one value")
     return tuple(float(tok) for tok in items)
+
+
+def _parse_file_name(text: str) -> str:
+    """An output name: a bare file name, placed inside ``--out``."""
+    if text in ("", "..") or Path(text).name != text:
+        raise ConfigurationError(f"output names must be bare file names, got {text!r}")
+    return text
 
 
 def _parse_direction(text: str) -> int:
@@ -191,7 +215,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     },
     "coupling": {"source": str, "omega": _parse_complex},
     "schedule": {"times": _parse_times},
-    "output": {"summary": str, "series": str, "snapshots": _parse_bool},
+    "output": {"summary": _parse_file_name, "series": _parse_file_name, "snapshots": _parse_bool},
     "units": {"hbar": float},
     "tolerances": {key: float for key in DEFAULT_TOLERANCES},
 }
@@ -320,6 +344,15 @@ def _spectral_peak(sp: SpectralWavePacket) -> float | None:
     return float(sp.grid.k[int(np.argmax(dens))])
 
 
+def _momentum_ratios(rates: ScatterRates, n: float, s: int) -> tuple[float, float, float]:
+    """The paper's momentum ratios for a packet entering (``s = +1``) or leaving
+    (``s = -1``) the medium of speed ratio ``n``: from the amplitude table, in
+    closed form at the normal-incidence rates, and post-selected on transmission."""
+    if s > 0:
+        return n * abs(rates.t_plus) ** 2 - abs(rates.r_plus) ** 2, (3.0 * n - 1.0) / (n + 1.0), n
+    return abs(rates.t_minus) ** 2 / n - abs(rates.r_minus) ** 2, (3.0 - n) / (n + 1.0), 1.0 / n
+
+
 def _ratio(numer: float, denom: float) -> float | None:
     if abs(denom) < 1e-12 * max(1.0, abs(numer)):
         return None
@@ -361,21 +394,11 @@ def _summarize(
     # predictions from the amplitude table; closed forms where the rates are
     # the normal-incidence ones
     fresnel = sc.omega is None
-    if direction == +1:
-        pred_momentum = n * abs(rates.t_plus) ** 2 - abs(rates.r_plus) ** 2
-        closed = (3.0 * n - 1.0) / (n + 1.0) if fresnel else None
-        pred_conditional = n
-        pred_peak = n * k0
-    elif direction == -1:
-        pred_momentum = abs(rates.t_minus) ** 2 / n - abs(rates.r_minus) ** 2
-        closed = (3.0 - n) / (n + 1.0) if fresnel else None
-        pred_conditional = 1.0 / n
-        pred_peak = k0 / n
-    else:
-        pred_momentum = None
-        closed = None
-        pred_conditional = None
-        pred_peak = None
+    pred_momentum = closed = pred_conditional = pred_peak = None
+    if direction:
+        pred_momentum, closed, pred_conditional = _momentum_ratios(rates, n, direction)
+        closed = closed if fresnel else None
+        pred_peak = n * k0 if direction > 0 else k0 / n
 
     measured_energy = _ratio(out_blocks["total"]["energy"], inp["energy"])
     measured_momentum = _ratio(out_blocks["total"]["dyn_momentum"], inp["dyn_momentum"])
@@ -412,16 +435,14 @@ def _summarize(
 
     summary = {
         "command": "run",
-        "config": cfg_echo(cfg),
+        "config": {section: dict(sorted(cfg[section].items())) for section in sorted(cfg)},
         "scenario": {
             "n": n,
             "direction": direction if direction else "mixed",
             "coupling": "from_n" if fresnel else "explicit",
-            "omega": None
-            if sc.omega is None
-            else {"real": sc.omega.real, "imag": sc.omega.imag},
+            "omega": sc.omega,
             "t_final": outcome.t_final,
-            "schedule": list(sc.schedule),
+            "schedule": sc.schedule,
             "tag": outcome.scenario_tag,
         },
         "input": inp,
@@ -448,26 +469,11 @@ def _summarize(
         "diagnostics": {
             "resampling_drift": result.diagnostics["resampling_drift"],
             "guard_fraction": result.diagnostics["guard_fraction"],
-            "non_asymptotic_times": list(result.diagnostics["non_asymptotic_times"]),
+            "non_asymptotic_times": result.diagnostics["non_asymptotic_times"],
             "asymptotic_final": outcome.asymptotic,
         },
     }
-    _assert_finite(summary)
     return summary, breaches
-
-
-def cfg_echo(cfg: dict[str, dict[str, Any]]) -> dict[str, Any]:
-    echo: dict[str, Any] = {}
-    for section in sorted(cfg):
-        echo[section] = {}
-        for key in sorted(cfg[section]):
-            val = cfg[section][key]
-            if isinstance(val, complex):
-                val = {"real": val.real, "imag": val.imag}
-            elif isinstance(val, tuple):
-                val = list(val)
-            echo[section][key] = val
-    return echo
 
 
 SERIES_HEADER = (
@@ -497,42 +503,28 @@ def _field_density(p: BlipWavePacket, media: dict[int, Medium], hbar: float) -> 
 def _write_snapshots(
     out_dir: Path, sc: Scenario, result: ScenarioResult, fmt: str
 ) -> list[Path]:
+    """Position, spectrum and field-density tables of the final state."""
     outcome = result.outcome
+    grid = outcome.total.grid
     outgoing = {+1: sc.right_medium, -1: sc.left_medium}
-    total = combine(outcome.transmitted, outcome.reflected)
-    grid = total.grid
-
-    written = []
-    pos = [
-        [x, t, r, tot]
-        for x, t, r, tot in zip(
-            grid.x, _density(outcome.transmitted), _density(outcome.reflected), _density(total)
-        )
+    tables = {
+        "snapshot_position": {
+            "x": grid.x,
+            "transmitted": _density(outcome.transmitted),
+            "reflected": _density(outcome.reflected),
+            "total": _density(outcome.total),
+        },
+        "snapshot_spectrum": {
+            "k": grid.k,
+            "transmitted": _density(outcome.spectra["transmitted"]),
+            "reflected": _density(outcome.spectra["reflected"]),
+        },
+        "snapshot_field": {"x": grid.x, "e_density": _field_density(outcome.total, outgoing, sc.hbar)},
+    }
+    return [
+        _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())).tolist(), fmt)
+        for name, cols in tables.items()
     ]
-    written.append(
-        _write_table(out_dir / "snapshot_position", ("x", "transmitted", "reflected", "total"), pos, fmt)
-    )
-    spectrum_rows = [
-        [k, t, r]
-        for k, t, r in zip(
-            grid.k, _density(outcome.spectra["transmitted"]), _density(outcome.spectra["reflected"])
-        )
-    ]
-    written.append(
-        _write_table(
-            out_dir / "snapshot_spectrum", ("k", "transmitted", "reflected"), spectrum_rows, fmt
-        )
-    )
-    fld = _field_density(total, outgoing, sc.hbar)
-    written.append(
-        _write_table(
-            out_dir / "snapshot_field",
-            ("x", "e_density"),
-            [[x, v] for x, v in zip(grid.x, fld)],
-            fmt,
-        )
-    )
-    return written
 
 
 def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool = False) -> int:
@@ -541,18 +533,16 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
     result = run_scenario(sc)
     summary, breaches = _summarize(cfg, sc, result)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     output_cfg = cfg.get("output", {})
-    summary_path = out / output_cfg.get("summary", "summary.json")
-    summary_path.write_text(_dump_json(summary) + "\n")
-    series_base = out / Path(output_cfg.get("series", "series.csv")).stem
     series = [{"time": row.time, "branch": row.branch} | _block(row) for row in result.rows]
     series_rows = [[entry[key] for key in SERIES_HEADER] for entry in series]
-    series_path = _write_table(series_base, SERIES_HEADER, series_rows, fmt)
-    written = [summary_path, series_path]
-    if output_cfg.get("snapshots", False):
-        written.extend(_write_snapshots(out, sc, result, fmt))
+    with _output_set(out_dir) as stage:
+        summary_path = stage / output_cfg.get("summary", "summary.json")
+        summary_path.write_text(_dump_json(summary) + "\n")
+        series_base = stage / Path(output_cfg.get("series", "series.csv")).stem
+        written = [summary_path, _write_table(series_base, SERIES_HEADER, series_rows, fmt)]
+        if output_cfg.get("snapshots", False):
+            written.extend(_write_snapshots(stage, sc, result, fmt))
 
     print(f"scenario: {summary['scenario']['tag']}")
     for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins",
@@ -563,7 +553,7 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
     print(f"  resample_drift     {_fmt_float(summary['diagnostics']['resampling_drift'])}"
           f"                [{summary['checks']['resample_drift']}]")
     for path in written:
-        print(f"wrote {path}")
+        print(f"wrote {Path(out_dir, path.name)}")
     if strict and breaches:
         print(f"strict mode: {breaches} tolerance breach(es)", file=sys.stderr)
         return 1
@@ -608,6 +598,8 @@ def cmd_check(
         raise ConfigurationError(f"need 0 < n_min <= n_max, got [{n_min}, {n_max}]")
     if not 1 <= steps <= MAX_CHECK_STEPS:
         raise ConfigurationError(f"steps must be in [1, {MAX_CHECK_STEPS}], got {steps}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     values = np.linspace(n_min, n_max, steps) if steps > 1 else np.array([n_min])
     rows: list[list[Any]] = []
     worst = 0.0
@@ -623,10 +615,8 @@ def cmd_check(
             abs(recovered.r_minus - rates.r_minus),
             abs(recovered.r_plus - rates.r_plus),
         )
-        ratio_in = n * abs(rates.t_plus) ** 2 - abs(rates.r_plus) ** 2
-        closed_in = (3.0 * n - 1.0) / (n + 1.0)
-        ratio_out = abs(rates.t_minus) ** 2 / n - abs(rates.r_minus) ** 2
-        closed_out = (3.0 - n) / (n + 1.0)
+        ratio_in, closed_in, post_in = _momentum_ratios(rates, n, +1)
+        ratio_out, closed_out, post_out = _momentum_ratios(rates, n, -1)
         dev = max(
             cross, d_minus, d_plus, roundtrip,
             abs(ratio_in - closed_in), abs(ratio_out - closed_out),
@@ -634,34 +624,18 @@ def cmd_check(
         worst = max(worst, dev)
         ok = dev <= tolerance
         failures += 0 if ok else 1
-        rows.append(
-            [
-                n,
-                rates.t_plus.real,
-                rates.r_minus.real,
-                rates.r_plus.real,
-                cross,
-                d_minus,
-                d_plus,
-                roundtrip,
-                ratio_in,
-                closed_in,
-                ratio_out,
-                closed_out,
-                n,
-                1.0 / n,
-                ok,
-            ]
-        )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = _write_table(out / "check", CHECK_HEADER, rows, fmt)
+        rows.append([
+            n, rates.t_plus.real, rates.r_minus.real, rates.r_plus.real, cross, d_minus, d_plus,
+            roundtrip, ratio_in, closed_in, ratio_out, closed_out, post_in, post_out, ok,
+        ])
+    with _output_set(out_dir) as stage:
+        path = _write_table(stage / "check", CHECK_HEADER, rows, fmt)
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} indices)"
     print(
         f"check: {len(rows)} indices in [{_fmt_float(n_min)}, {_fmt_float(n_max)}], "
         f"max deviation {_fmt_float(worst)} (tolerance {_fmt_float(tolerance)}): {verdict}"
     )
-    print(f"wrote {path}")
+    print(f"wrote {Path(out_dir, path.name)}")
     return 1 if strict and failures else 0
 
 
@@ -702,38 +676,23 @@ def cmd_dyson(
     divergent = q >= 1.0
     rows: list[list[Any]] = []
     breaches = 0
-    if divergent:
-        for order, (t_part, r_part) in enumerate(sums):
-            rows.append(
-                [order, t_part.real, r_part.real, None, None, None, None, None, None, True]
-            )
-    else:
-        exact = rates_from_omega(mc)
-        for order, (t_part, r_part) in enumerate(sums):
-            err_t = abs(t_part - exact.t_plus)
-            err_r = abs(r_part - exact.r_plus)
-            bound_t = dyson_remainder_bound(mc, order, "t")
-            bound_r = dyson_remainder_bound(mc, order, "r")
-            within_t = err_t <= bound_t + REMAINDER_ROUNDING_FLOOR
-            within_r = err_r <= bound_r + REMAINDER_ROUNDING_FLOOR
-            breaches += 0 if (within_t and within_r) else 1
-            rows.append(
-                [
-                    order,
-                    t_part.real,
-                    r_part.real,
-                    err_t,
-                    bound_t,
-                    within_t,
-                    err_r,
-                    bound_r,
-                    within_r,
-                    False,
-                ]
-            )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = _write_table(out / "dyson", DYSON_HEADER, rows, fmt)
+    exact = None if divergent else rates_from_omega(mc)
+    for order, (t_part, r_part) in enumerate(sums):
+        if exact is None:
+            rows.append([order, t_part.real, r_part.real, None, None, None, None, None, None, True])
+            continue
+        err_t = abs(t_part - exact.t_plus)
+        err_r = abs(r_part - exact.r_plus)
+        bound_t = dyson_remainder_bound(mc, order, "t")
+        bound_r = dyson_remainder_bound(mc, order, "r")
+        within_t = err_t <= bound_t + REMAINDER_ROUNDING_FLOOR
+        within_r = err_r <= bound_r + REMAINDER_ROUNDING_FLOOR
+        breaches += 0 if (within_t and within_r) else 1
+        rows.append([
+            order, t_part.real, r_part.real, err_t, bound_t, within_t, err_r, bound_r, within_r, False,
+        ])
+    with _output_set(out_dir) as stage:
+        path = _write_table(stage / "dyson", DYSON_HEADER, rows, fmt)
     if divergent:
         print(
             f"dyson: q = {_fmt_float(q)} >= 1, series divergent; partial sums do not settle"
@@ -743,7 +702,7 @@ def cmd_dyson(
         print(
             f"dyson: q = {_fmt_float(q)}, {len(rows)} orders, geometric tail bound: {verdict}"
         )
-    print(f"wrote {path}")
+    print(f"wrote {Path(out_dir, path.name)}")
     return 1 if strict and breaches else 0
 
 
@@ -803,7 +762,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except BlipSimError as exc:
+    except (BlipSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -5,6 +5,20 @@ Every error raised deliberately by this package derives from
 :class:`ConfigurationError` to exit code 2 and every other subclass to 3.
 """
 
+__all__ = [
+    "BlipSimError",
+    "ConfigurationError",
+    "ConsistencyError",
+    "DivergenceError",
+    "DomainError",
+    "DomainExitError",
+    "FixtureError",
+    "InterpolationAccuracyError",
+    "NotAsymptoticError",
+    "SupportGuardError",
+    "ZeroNormError",
+]
+
 
 class BlipSimError(Exception):
     """Base class for all errors raised by this package."""

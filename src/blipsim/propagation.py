@@ -158,14 +158,9 @@ def _row(
 def _branch_rows(outcome: ScatterOutcome, values: Mapping[str, ObservableReport]) -> list[ScenarioRow]:
     """The transmitted, reflected and total rows of ``outcome`` at its time."""
     phase = "scattered" if outcome.asymptotic else "crossing"
-    total = combine(outcome.transmitted, outcome.reflected)
     return [
-        _row(outcome.t_final, branch, phase, outcome.asymptotic, values[branch], packet)
-        for branch, packet in (
-            ("transmitted", outcome.transmitted),
-            ("reflected", outcome.reflected),
-            ("total", total),
-        )
+        _row(outcome.t_final, branch, phase, outcome.asymptotic, values[branch], getattr(outcome, branch))
+        for branch in ("transmitted", "reflected", "total")
     ]
 
 
@@ -198,7 +193,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     rates = None
     if sc.omega is not None:
         rates = rates_from_omega(MirrorCoupling(omega=sc.omega, c_ref=sc.left_medium.c))
-    first = interface_scatter(
+    outcome = interface_scatter(
         sc.packet,
         sc.n,
         scattered[0] if scattered else sc.schedule[-1],
@@ -211,7 +206,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
     sp_in = to_momentum(sc.packet)
-    spectra = dict(first.spectra)
+    spectra = dict(outcome.spectra)
     spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
     input_values = spectral_expectations(sp_in, incoming_media, sc.hbar)
     values = {branch: spectral_expectations(sp, outgoing_media, sc.hbar) for branch, sp in spectra.items()}
@@ -219,13 +214,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     rows: list[ScenarioRow] = []
     non_asymptotic: list[float] = []
     max_guard = 0.0
-    outcome = first
     for t in sc.schedule:
         if t not in scattered:
             state = _advance(sc.packet, incoming_media, t, sp_in)
             rows.append(_row(t, "incoming", "incoming", True, input_values, state))
             continue
-        outcome = first if t == first.t_final else first.at(t, allow_partial=True)
+        if t != outcome.t_final:
+            # every outcome re-phases the same event; replacing the last one
+            # keeps a single outcome (with its total) alive
+            outcome = outcome.at(t, allow_partial=True)
         max_guard = max(max_guard, outcome.guard_fraction)
         if not outcome.asymptotic:
             non_asymptotic.append(t)

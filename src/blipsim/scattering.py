@@ -58,6 +58,7 @@ from .lattice import (
     _check_inside,
     _is_positive_real,
     _support_interval,
+    combine,
     norm,
 )
 from .spectral import (
@@ -246,7 +247,8 @@ class ScatterOutcome:
     ``spectra`` keeps both branches' momentum amplitudes at ``t = 0`` (keys
     ``"transmitted"``, ``"reflected"``), :meth:`at` re-phases them to another
     time, and every quadratic observable except the centroid reads straight
-    from them.  ``prob_t``/``prob_r`` are the branch weights.  After the
+    from them.  ``total`` is the coherent sum of the branches at ``t_final``
+    and ``prob_t``/``prob_r`` are the branch weights.  After the
     event, direction ``+1`` channels occupy ``right_medium`` and ``-1``
     channels ``left_medium``.  ``asymptotic`` records whether every branch
     had cleared the guard band at ``t_final``; ``guard_fraction`` is the
@@ -257,6 +259,7 @@ class ScatterOutcome:
 
     transmitted: BlipWavePacket
     reflected: BlipWavePacket
+    total: BlipWavePacket
     prob_t: float
     prob_r: float
     left_medium: Medium
@@ -412,6 +415,7 @@ def _outcome_at(t_final: float, allow_partial: bool, **event) -> ScatterOutcome:
     return ScatterOutcome(
         transmitted=transmitted,
         reflected=reflected,
+        total=combine(transmitted, reflected),
         prob_t=spectral_norm(spectra["transmitted"]),
         prob_r=spectral_norm(spectra["reflected"]),
         t_final=t_final,

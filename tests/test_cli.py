@@ -11,6 +11,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blipsim import cli
@@ -246,6 +247,95 @@ def test_loop_caps_reject_one_past_the_cap(tmp_path):
     for argv in argvs:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_output_names_must_be_bare_file_names(tmp_path):
+    out = tmp_path / "out"
+    names = {
+        "summary": ("sub/summary.json", "../escaped.json", str(tmp_path / "absolute.json"), "..", ""),
+        "series": ("sub/series.csv", "../escaped.csv"),
+    }
+    for key, bad in names.items():
+        for name in bad:
+            cfg = write_config(tmp_path / "scenario.ini", {"output": {key: name}})
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2, (key, name)
+            assert not out.exists(), (key, name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
+
+
+def test_out_naming_a_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    cfg = write_config(tmp_path / "scenario.ini")
+    argvs = (
+        ["run", "--config", str(cfg)],
+        ["check", "--steps", "3"],
+        ["dyson", "--omega-ratio", "0.5"],
+    )
+    for argv in argvs:
+        assert cli.main([*argv, "--out", str(taken)]) == 3, argv
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini", "taken"]
+
+
+def test_check_tolerance_must_be_finite_and_nonnegative(tmp_path):
+    out = tmp_path / "out"
+    for tolerance in ("nan", "inf", "-1e-12"):
+        assert cli.main(["check", "--steps", "3", f"--tolerance={tolerance}", "--out", str(out)]) == 2
+        assert not out.exists(), tolerance
+    assert cli.main(["check", "--steps", "3", "--tolerance=0", "--out", str(out)]) == 0
+
+
+def test_divergent_dyson_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
+    """Partial sums at q = 1.2 overflow to inf and nan long before 10 000 terms."""
+    out = tmp_path / "out"
+    assert cli.main(["dyson", "--omega-ratio", "1.2", "--terms", "10000", "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_snapshot_writing_leaves_no_partial_set(tmp_path, monkeypatch):
+    def fail(*args):
+        raise cli.BlipSimError("snapshot writing failed")
+
+    monkeypatch.setattr(cli, "_write_snapshots", fail)
+    cfg = write_config(tmp_path / "scenario.ini", {"output": {"snapshots": "true"}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_snapshot_contents_integrate_to_the_summary(tmp_path):
+    cfg = write_config(tmp_path / "scenario.ini", {"output": {"snapshots": "true"}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    sc = cli._scenario_from_config(cli._load_config(str(cfg)))
+    dx, dk = sc.packet.grid.dx, sc.packet.grid.dk
+
+    def columns(name):
+        header, rows = read_csv(out / name)
+        return dict(zip(header, np.array(rows, dtype=float).T))
+
+    close = dict(rel=1e-12, abs=1e-12)
+    pos = columns("snapshot_position.csv")
+    for branch in ("transmitted", "reflected", "total"):
+        block = summary["output"][branch]
+        norm = np.sum(pos[branch]) * dx
+        assert norm == pytest.approx(block["norm"], **close), branch
+        if block["centroid"] is not None:
+            centroid = np.sum(pos["x"] * pos[branch]) * dx / norm
+            assert centroid == pytest.approx(block["centroid"], **close), branch
+    spec = columns("snapshot_spectrum.csv")
+    for branch in ("transmitted", "reflected"):
+        prob = np.sum(spec[branch]) * dk
+        assert prob == pytest.approx(summary["output"][branch]["probability"], **close), branch
+    assert spec["k"][np.argmax(spec["transmitted"])] == summary["measured"]["transmitted_peak_k"]
+    fld = columns("snapshot_field.csv")
+    eps = np.where(fld["x"] > 0, sc.right_medium.epsilon, sc.left_medium.epsilon)
+    energy = 0.5 * sc.right_medium.area * np.sum(eps * fld["e_density"]) * dx
+    assert energy == pytest.approx(summary["output"]["total"]["energy"], rel=1e-10)
 
 
 def test_missing_subcommand_is_usage_error():
