@@ -30,7 +30,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -74,21 +74,25 @@ _BOOLEAN_STATES = {
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt_float(v: float) -> str:
-    """A float at 17 significant digits, for the lines printed to stdout."""
-    return format(float(v), ".17g")
+#: Every written or printed float: 17 significant digits round-trip a float64.
+FLOAT = "%.17g"
+
+
+def _refuse_non_finite(v: float) -> NoReturn:
+    """No output file may hold a NaN or infinity: the command fails with exit 3."""
+    raise BlipSimError(f"cannot write the non-finite value {v}")
 
 
 def _text(v: Any, null: str) -> str:
-    """The text of one scalar in an output file; the only formatter of written values.
+    """The text of one scalar in a summary or a mixed table row.
 
-    Floats are written at 17 significant digits and must be finite.  ``None``
-    becomes ``null``.  Floats are tested first: this runs once per table cell.
+    Floats are written as ``FLOAT`` and must be finite.  ``None`` becomes
+    ``null``.  Floats are tested first: this runs once per table cell.
     """
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise BlipSimError(f"cannot write the non-finite value {v}")
-        return format(v, ".17g")
+            _refuse_non_finite(v)
+        return FLOAT % v
     if v is None:
         return null
     if isinstance(v, bool):
@@ -122,17 +126,30 @@ def _dump_json(obj: Any, indent: int = 0) -> str:
     return _text(obj, "null")
 
 
-def _write_table(base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]], fmt: str) -> Path:
-    """Write one table as ``base.csv`` or ``base.json``; returns the path."""
-    if fmt == "csv":
-        path = base.with_suffix(".csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([_text(v, "") for v in row] for row in rows)
-    else:
+def _write_table(
+    base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]] | np.ndarray, fmt: str
+) -> Path:
+    """Write one table as ``base.csv`` or ``base.json``; returns the path.
+
+    ``rows`` holds mixed rows, or is one 2-D float64 array: checked once for
+    finiteness, its CSV rows formatted by one ``FLOAT`` template (as ``_text``)."""
+    array = isinstance(rows, np.ndarray)
+    if array and not np.isfinite(rows).all():
+        _refuse_non_finite(rows[~np.isfinite(rows)][0])
+    if fmt != "csv":
         path = base.with_suffix(".json")
-        path.write_text(_dump_json([dict(zip(header, row)) for row in rows]) + "\n")
+        table = rows.tolist() if array else rows
+        path.write_text(_dump_json([dict(zip(header, row)) for row in table]) + "\n")
+        return path
+    path = base.with_suffix(".csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if array:
+            line = ",".join([FLOAT] * rows.shape[1]) + writer.dialect.lineterminator
+            fh.writelines(map(line.__mod__, map(tuple, rows.tolist())))
+        else:
+            writer.writerows([_text(v, "") for v in row] for row in rows)
     return path
 
 
@@ -141,15 +158,19 @@ def _output_set(out_dir: str) -> Iterator[Path]:
     """Stage one command's files and place them in ``out_dir`` all together.
 
     Yields a fresh ``.blipsim-*`` directory inside ``out_dir``.  When the
-    block completes, every file in it is moved into ``out_dir``.  The
-    staging directory is removed either way, so a command that fails while
-    writing leaves none of its files behind.
+    block completes and no destination is a directory, every file in it is
+    moved into ``out_dir``.  The staging directory is removed either way,
+    so a failed command leaves none of its files behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".blipsim-", dir=out))
     try:
         yield stage
+        blocked = sorted(p.name for p in stage.iterdir() if (out / p.name).is_dir())
+        if blocked:
+            raise BlipSimError(
+                f"cannot place {', '.join(blocked)} in {out}: a directory of that name is in the way")
         for path in stage.iterdir():
             os.replace(path, out / path.name)
     finally:
@@ -522,7 +543,7 @@ def _write_snapshots(
         "snapshot_field": {"x": grid.x, "e_density": _field_density(outcome.total, outgoing, sc.hbar)},
     }
     return [
-        _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())).tolist(), fmt)
+        _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
         for name, cols in tables.items()
     ]
 
@@ -548,9 +569,9 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
     for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins",
                 "asymptotic"):
         dev = summary["deviations"][key]
-        shown = "n/a" if dev is None else _fmt_float(dev)
+        shown = "n/a" if dev is None else FLOAT % dev
         print(f"  {key:<18} deviation {shown:<24} [{summary['checks'][key]}]")
-    print(f"  resample_drift     {_fmt_float(summary['diagnostics']['resampling_drift'])}"
+    print(f"  resample_drift     {FLOAT % summary['diagnostics']['resampling_drift']}"
           f"                [{summary['checks']['resample_drift']}]")
     for path in written:
         print(f"wrote {Path(out_dir, path.name)}")
@@ -632,8 +653,8 @@ def cmd_check(
         path = _write_table(stage / "check", CHECK_HEADER, rows, fmt)
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} indices)"
     print(
-        f"check: {len(rows)} indices in [{_fmt_float(n_min)}, {_fmt_float(n_max)}], "
-        f"max deviation {_fmt_float(worst)} (tolerance {_fmt_float(tolerance)}): {verdict}"
+        f"check: {len(rows)} indices in [{FLOAT % n_min}, {FLOAT % n_max}], "
+        f"max deviation {FLOAT % worst} (tolerance {FLOAT % tolerance}): {verdict}"
     )
     print(f"wrote {Path(out_dir, path.name)}")
     return 1 if strict and failures else 0
@@ -695,12 +716,12 @@ def cmd_dyson(
         path = _write_table(stage / "dyson", DYSON_HEADER, rows, fmt)
     if divergent:
         print(
-            f"dyson: q = {_fmt_float(q)} >= 1, series divergent; partial sums do not settle"
+            f"dyson: q = {FLOAT % q} >= 1, series divergent; partial sums do not settle"
         )
     else:
         verdict = "PASS" if breaches == 0 else f"FAIL ({breaches} orders outside bound)"
         print(
-            f"dyson: q = {_fmt_float(q)}, {len(rows)} orders, geometric tail bound: {verdict}"
+            f"dyson: q = {FLOAT % q}, {len(rows)} orders, geometric tail bound: {verdict}"
         )
     print(f"wrote {Path(out_dir, path.name)}")
     return 1 if strict and breaches else 0

@@ -6,13 +6,18 @@ the whole file stays fast.
 """
 
 import csv
+import io
 import json
+import re
 import shutil
 import subprocess
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blipsim import cli
 
@@ -418,3 +423,101 @@ def test_reference_run_matches_the_golden_outputs(tmp_path):
         return [dict(zip(header, map(cell, row))) for row in rows]
 
     assert_matches(table(out / "series.csv"), table(GOLDEN / "series.csv"), scales)
+
+
+# ---------------------------------------------------------------------------
+# table writing and placement
+
+def cell_oracle(header, rows):
+    """Test oracle, the per-cell route: ``csv.writer`` with ``cli._text`` on every cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cli._text(v, "") for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+#: Edge values of float64: signed zeros, the smallest subnormal and normal,
+#: the largest finite value and tiny tails like those of a spectrum.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1e-30, -1.2345678901234567e-30, 0.1, 1e16, 123456789.0,
+)
+finite_floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats(min_value=-1e-29, max_value=1e-29)
+)
+float_tables = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=finite_floats
+)
+
+
+def header_of(table):
+    return tuple(f"c{i}" for i in range(table.shape[1]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(table=float_tables)
+def test_float_table_csv_matches_the_cell_oracle(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "csv")
+        assert path.read_bytes() == cell_oracle(header_of(table), table.tolist())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    table=float_tables,
+    bad=st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+    where=st.integers(min_value=0),
+    fmt=st.sampled_from(("csv", "json")),
+)
+def test_non_finite_float_table_fails_and_places_nothing(table, bad, where, fmt):
+    table.flat[where % table.size] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with pytest.raises(cli.BlipSimError, match="non-finite"):
+            with cli._output_set(str(out)) as stage:
+                cli._write_table(stage / "t", header_of(table), table, fmt)
+        assert list(out.iterdir()) == []
+
+
+def test_reference_snapshots_match_the_cell_oracle(tmp_path, monkeypatch):
+    tables = {}
+    write = cli._write_table
+
+    def capture(base, header, rows, fmt):
+        tables[base.name] = (header, rows)
+        return write(base, header, rows, fmt)
+
+    monkeypatch.setattr(cli, "_write_table", capture)
+    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
+    names = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
+    assert set(names) <= set(tables)
+    for name in names:
+        header, rows = tables[name]
+        assert isinstance(rows, np.ndarray) and rows.shape == (16384, len(header)), name
+        assert (tmp_path / f"{name}.csv").read_bytes() == cell_oracle(header, rows.tolist()), name
+
+
+def test_a_directory_in_the_way_places_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "scenario.ini", {"output": {"snapshots": "true"}})
+    names = ("summary.json", "series.csv", "snapshot_position.csv", "snapshot_spectrum.csv",
+             "snapshot_field.csv")
+    for name in names:
+        out = tmp_path / f"out_{name}"
+        (out / name).mkdir(parents=True)
+        (out / name / "keep.txt").write_text("keep")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3, name
+        assert "a directory of that name is in the way" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert [p.name for p in (out / name).iterdir()] == ["keep.txt"]
+        assert (out / name / "keep.txt").read_text() == "keep"
+
+
+def test_readme_example_config_runs_strict(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
