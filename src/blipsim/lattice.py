@@ -13,6 +13,8 @@ Design notes
   of two so transforms stay exact-roundtrip fast paths.
 * The conjugate wavenumber lattice is stored in ascending order,
   ``k_m = -pi/dx + m*dk`` with ``dk = 2*pi/(n_points*dx)``.
+* A grid is a value too: its axes and the origin phase of the channel
+  transforms are built once per instance, on first use, and are read-only.
 * All sums over the grid are plain Riemann sums weighted by ``dx`` (or
   ``dk``); for the smooth, edge-decaying states this package handles these
   are spectrally accurate.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -54,6 +57,19 @@ SUPPORT_QUANTILE = 1e-12
 
 #: Cells a transported support keeps clear of both ends of ``[x_min, x_max - dx]``.
 EDGE_MARGIN_CELLS = 1
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """``exp(i theta)`` for real angles: cos and sin written into one complex array."""
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _is_positive_real(v: object) -> bool:
@@ -89,7 +105,13 @@ def as_channel(ch: Channel | tuple[int, str]) -> Channel:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform position lattice and its conjugate wavenumber lattice."""
+    """Uniform position lattice and its conjugate wavenumber lattice.
+
+    ``x``, ``k`` and ``origin_phase`` depend only on the three fields.  Each
+    is built on first access, cached on the instance and read-only; the
+    cache takes no part in equality or the hash, and
+    :func:`dataclasses.replace` gives a new grid that builds its own.
+    """
 
     x_min: float
     dx: float
@@ -108,14 +130,21 @@ class Grid:
         """Band edge ``pi/dx``; the lattice spans ``[-k_max, k_max - dk]``."""
         return math.pi / self.dx
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        """Ascending position lattice ``x_min + j*dx``."""
+        return _read_only(self.x_min + self.dx * np.arange(self.n_points))
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
         """Ascending wavenumber lattice ``-k_max + m*dk``."""
-        return -self.k_max + self.dk * np.arange(self.n_points)
+        return _read_only(-self.k_max + self.dk * np.arange(self.n_points))
+
+    @cached_property
+    def origin_phase(self) -> np.ndarray:
+        """``exp(i k x_min)``: the lattice origin's phase in the channel transforms
+        (:mod:`blipsim.spectral` takes it or its conjugate, by direction)."""
+        return _read_only(_cis(self.k * self.x_min))
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:

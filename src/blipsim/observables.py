@@ -207,7 +207,7 @@ def conditional_expectations(
     media = {+1: outcome.right_medium, -1: outcome.left_medium}
     report = spectral_expectations(outcome.spectra[branch], media, hbar)
     weight = report.photon_number
-    if not weight > CONDITIONAL_MIN_WEIGHT * norm(outcome.incident):
+    if not weight > CONDITIONAL_MIN_WEIGHT * outcome.incident_weight:
         raise ZeroNormError(
             f"{branch} branch weight {weight:.3e} is at or below {CONDITIONAL_MIN_WEIGHT:.0e} "
             "of the incident weight; conditional expectations are undefined"

@@ -54,6 +54,7 @@ from .errors import (
 from .lattice import (
     BlipWavePacket,
     Channel,
+    Grid,
     Medium,
     _check_inside,
     _is_positive_real,
@@ -248,7 +249,10 @@ class ScatterOutcome:
     ``"transmitted"``, ``"reflected"``), :meth:`at` re-phases them to another
     time, and every quadratic observable except the centroid reads straight
     from them.  ``total`` is the coherent sum of the branches at ``t_final``
-    and ``prob_t``/``prob_r`` are the branch weights.  After the
+    and ``prob_t``/``prob_r`` are the branch weights.  ``incident_weight``
+    and ``incident_supports`` (per incident channel, the interval of
+    :func:`blipsim.lattice._support_interval`) are measured on ``incident``
+    once per event, for the per-time checks.  After the
     event, direction ``+1`` channels occupy ``right_medium`` and ``-1``
     channels ``left_medium``.  ``asymptotic`` records whether every branch
     had cleared the guard band at ``t_final``; ``guard_fraction`` is the
@@ -268,6 +272,8 @@ class ScatterOutcome:
     t_final: float
     spectra: Mapping[str, SpectralWavePacket]
     incident: BlipWavePacket
+    incident_weight: float
+    incident_supports: Mapping[Channel, tuple[float, float] | None]
     tag: str = ""
     asymptotic: bool = True
     resampling_drift: float = 0.0
@@ -291,7 +297,10 @@ class ScatterOutcome:
 
 
 #: The fields of an outcome that do not depend on the report time.
-_EVENT_FIELDS = ("left_medium", "right_medium", "rates", "spectra", "incident", "tag", "resampling_drift")
+_EVENT_FIELDS = (
+    "left_medium", "right_medium", "rates", "spectra", "incident",
+    "incident_weight", "incident_supports", "tag", "resampling_drift",
+)
 
 
 def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
@@ -300,13 +309,11 @@ def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[f
     Every support guard reads these masses; the band spans ``GUARD_HALF_CELLS`` cells each side.
     """
     half = GUARD_HALF_CELLS * p.grid.dx
-    lo, hi = center - half, center + half
-    x = p.grid.x
+    # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
+    i = int(np.searchsorted(p.grid.x, center - half, side="left"))
+    j = int(np.searchsorted(p.grid.x, center + half, side="right"))
     dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
-    left = float(np.sum(dens[x < lo]))
-    mid = float(np.sum(dens[(x >= lo) & (x <= hi)]))
-    right = float(np.sum(dens[x > hi]))
-    return left, mid, right
+    return float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
 
 
 def _check_incoming_support(p: BlipWavePacket) -> float:
@@ -357,14 +364,20 @@ def _branch_guard_fraction(branch: BlipWavePacket, input_weight: float) -> float
 
 
 def _check_branch_domains(
-    p: BlipWavePacket, left: Medium, right: Medium, t_final: float, rates: ScatterRates
+    grid: Grid,
+    supports: Mapping[Channel, tuple[float, float] | None],
+    left: Medium,
+    right: Medium,
+    t_final: float,
+    rates: ScatterRates,
 ) -> None:
     """Reject ``t_final`` values that would carry a branch past a grid edge.
 
     Branches are built at ``t_final`` from spectral phases, so a branch
     pushed past an edge would wrap around periodically instead of failing;
-    this transports each incident channel's support through the exact
-    branch kinematics first and applies the edge rule of
+    this transports each incident channel's support (``supports``, from
+    :func:`blipsim.lattice._support_interval`) through the exact branch
+    kinematics first and applies the edge rule of
     :func:`blipsim.lattice._check_inside`.  For ``s = +1`` content on
     ``[a, b]``, the transmitted image is ``[a/n + c_R t, b/n + c_R t]`` and
     the reflected one ``[-b - c_L t, -a - c_L t]``; mirrored for ``s = -1``.
@@ -372,8 +385,7 @@ def _check_branch_domains(
     that could wrap.
     """
     n = left.c / right.c
-    for ch in p.amp:
-        bounds = _support_interval(p, ch)
+    for ch, bounds in supports.items():
         if bounds is None:
             continue
         a, b = bounds
@@ -390,21 +402,22 @@ def _check_branch_domains(
         amps = {"transmitted": rates.t(ch.s), "reflected": rates.r(ch.s)}
         for name, (lo, hi) in images.items():
             if amps[name] != 0:
-                _check_inside(p.grid, lo, hi, f"at t = {t_final:.6g} the {name} branch of channel {ch}")
+                _check_inside(grid, lo, hi, f"at t = {t_final:.6g} the {name} branch of channel {ch}")
 
 
 def _outcome_at(t_final: float, allow_partial: bool, **event) -> ScatterOutcome:
     """Re-phase the ``t = 0`` branch spectra of ``event`` to ``t_final`` and run the per-time checks."""
     t_final = float(t_final)
     left, right, spectra = event["left_medium"], event["right_medium"], event["spectra"]
-    _check_branch_domains(event["incident"], left, right, t_final, event["rates"])
+    _check_branch_domains(
+        event["incident"].grid, event["incident_supports"], left, right, t_final, event["rates"]
+    )
     outgoing = {+1: right, -1: left}
     transmitted = to_position(_advance_spectrum(spectra["transmitted"], outgoing, t_final))
     reflected = to_position(_advance_spectrum(spectra["reflected"], outgoing, t_final))
-    input_weight = norm(event["incident"])
     guard_fraction = max(
-        _branch_guard_fraction(transmitted, input_weight),
-        _branch_guard_fraction(reflected, input_weight),
+        _branch_guard_fraction(transmitted, event["incident_weight"]),
+        _branch_guard_fraction(reflected, event["incident_weight"]),
     )
     asymptotic = guard_fraction <= GUARD_TOL
     if not asymptotic and not allow_partial:
@@ -531,5 +544,7 @@ def interface_scatter(
     }
     return _outcome_at(
         t_final, allow_partial, left_medium=left, right_medium=right, rates=rates,
-        spectra=spectra, incident=p, tag=tag, resampling_drift=drift,
+        spectra=spectra, incident=p, incident_weight=norm(p),
+        incident_supports={ch: _support_interval(p, ch) for ch in p.amp},
+        tag=tag, resampling_drift=drift,
     )

@@ -17,6 +17,19 @@ grid samples, which is exact for band-limited data.  They are evaluated
 with a Bluestein chirp transform whose chirp angles are accumulated in
 extended precision before reduction mod 2*pi; without that, the quadratic
 phases (~1e5 rad at n_points = 16384) cost six digits.
+
+Where each phase comes from:
+
+* the lattice origin ``exp(i s k x_min)`` of both transforms is
+  ``grid.origin_phase`` (``s = +1``) or its conjugate (``s = -1``), built
+  once per grid;
+* free flight ``exp(-i c k t)``, the prefactor of the scaled samples and
+  the chirps are computed per call from real angles by one helper,
+  :func:`blipsim.lattice._cis`, which writes cos and sin into one complex
+  array instead of exponentiating a complex one;
+* the chirp angles are reduced mod 2*pi in longdouble before that helper
+  sees them, and the Bluestein kernel, even in its index, is built from its
+  ``m >= 0`` half.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, Medium, _freeze_amp, as_channel
+from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _freeze_amp, as_channel
 
 __all__ = [
     "SpectralWavePacket",
@@ -72,17 +85,22 @@ def _reverse_bins(a: np.ndarray) -> np.ndarray:
     return np.roll(a[::-1], 1)
 
 
+def _origin_phase(grid: Grid, s: int) -> np.ndarray:
+    """``exp(i s k x_min)`` from the grid's cached phase."""
+    return grid.origin_phase if s > 0 else np.conj(grid.origin_phase)
+
+
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
     """Channel transform x -> k on the ascending lattice."""
     raw = np.fft.fft(values)
     if s < 0:
         raw = _reverse_bins(raw)
-    return (grid.dx / _SQRT_2PI) * np.exp(-1j * s * grid.k * grid.x_min) * np.fft.fftshift(raw)
+    return (grid.dx / _SQRT_2PI) * _origin_phase(grid, -s) * np.fft.fftshift(raw)
 
 
 def _inverse(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
     """Channel transform k -> x; exact inverse of :func:`_forward`."""
-    b = np.fft.ifftshift(np.exp(1j * s * grid.k * grid.x_min) * values)
+    b = np.fft.ifftshift(_origin_phase(grid, s) * values)
     if s < 0:
         b = _reverse_bins(b)
     return (grid.n_points * grid.dk / _SQRT_2PI) * np.fft.ifft(b)
@@ -107,7 +125,7 @@ def _advance_spectrum(
 ) -> SpectralWavePacket:
     """Free flight in k: channel ``(s, pol)`` times ``exp(-i c k t)``, ``c`` of ``media_by_direction[s]``."""
     k = sp.grid.k
-    phases = {s: np.exp(-1j * media_by_direction[s].c * k * t) for s in {ch.s for ch in sp.amp}}
+    phases = {s: _cis(-media_by_direction[s].c * k * t) for s in {ch.s for ch in sp.amp}}
     return SpectralWavePacket(sp.grid, {ch: a * phases[ch.s] for ch, a in sp.amp.items()})
 
 
@@ -129,8 +147,7 @@ def spectral_derivative(p: BlipWavePacket, ch: Channel | tuple[int, str]) -> np.
 
 def _unit_phase(theta: np.ndarray) -> np.ndarray:
     """``exp(i theta)`` for longdouble angles, reduced mod 2*pi first."""
-    t = np.mod(theta, 2 * _PI_LD).astype(np.float64)
-    return np.cos(t) + 1j * np.sin(t)
+    return _cis(np.mod(theta, 2 * _PI_LD).astype(np.float64))
 
 
 def _chirp_sum(values: np.ndarray, phi0: np.longdouble, dphi: np.longdouble) -> np.ndarray:
@@ -139,18 +156,19 @@ def _chirp_sum(values: np.ndarray, phi0: np.longdouble, dphi: np.longdouble) -> 
     Bluestein factorization ``mj = (m^2 + j^2 - (m-j)^2)/2`` turns the sum
     into one linear convolution, done with zero-padded FFTs.  All chirp
     angles are formed in longdouble so the quadratic terms keep ~1e-15
-    absolute phase accuracy.
+    absolute phase accuracy.  The kernel ``exp(-i dphi m^2 / 2)`` for
+    ``|m| < N`` is even in ``m``: its ``m >= 0`` half fills the first ``N``
+    slots of the circular pad and, reversed, the last ``N - 1``.
     """
     n = values.size
     j = np.arange(n, dtype=np.longdouble)
     half = np.longdouble(0.5) * dphi
     u = values * _unit_phase(phi0 * j + half * j * j)
     pad = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    m = np.arange(-(n - 1), n, dtype=np.longdouble)
-    v = _unit_phase(-half * m * m)
+    v = _unit_phase(-half * j * j)
     kernel = np.zeros(pad, dtype=np.complex128)
-    kernel[: v.size] = v
-    kernel = np.roll(kernel, -(n - 1))
+    kernel[:n] = v
+    kernel[pad - n + 1 :] = v[:0:-1]
     conv = np.fft.ifft(np.fft.fft(u, pad) * np.fft.fft(kernel))[:n]
     return _unit_phase(half * j * j) * conv
 
@@ -176,8 +194,8 @@ def sample_spectrum_scaled(
     s_ld = np.longdouble(ch.s) * np.longdouble(scale)
     phi0 = s_ld * _PI_LD
     dphi = -s_ld * 2 * _PI_LD / np.longdouble(n)
-    raw = _chirp_sum(p.amplitude(ch).astype(np.complex128), phi0, dphi)
-    out = (grid.dx / _SQRT_2PI) * np.exp(-1j * ch.s * targets * grid.x_min) * raw
+    raw = _chirp_sum(p.amplitude(ch), phi0, dphi)
+    out = (grid.dx / _SQRT_2PI) * _cis(-ch.s * targets * grid.x_min) * raw
     out[np.abs(targets) > grid.k_max] = 0.0
     return out
 
@@ -202,10 +220,10 @@ def sample_position_affine(
     # fold the (beta + alpha x_min) offset into the coefficients, leaving a
     # chirp sum over m with step angle s*alpha*dk*dx and a j-dependent
     # prefactor from the lattice origin -k_max.
-    coeff = sp.amplitude(ch) * np.exp(1j * ch.s * grid.k * (beta + alpha * grid.x_min))
+    coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * (beta + alpha * grid.x_min))
     a_ld = np.longdouble(alpha)
     dphi = np.longdouble(ch.s) * a_ld * 2 * _PI_LD / np.longdouble(n)
-    raw = _chirp_sum(coeff.astype(np.complex128), np.longdouble(0.0), dphi)
+    raw = _chirp_sum(coeff, np.longdouble(0.0), dphi)
     j = np.arange(n, dtype=np.longdouble)
     # prefactor exp(i s k_0 alpha dx j) with k_0 = -k_max: angle = -s*alpha*pi*j
     pref = _unit_phase(-np.longdouble(ch.s) * a_ld * _PI_LD * j)

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import blipsim as bs
+from blipsim.lattice import _cis
 
 
 def test_grid_lattice_relations(rig_grid):
@@ -19,6 +23,37 @@ def test_grid_lattice_relations(rig_grid):
     assert k[0] == -g.k_max
     assert np.all(np.diff(x) > 0) and np.all(np.diff(k) > 0)
     assert k[g.n_points // 2] == 0.0
+
+
+def test_grid_arrays_are_cached_read_only_and_outside_equality():
+    g = bs.make_grid(-3.0, 5.0, 64)
+    twin = bs.make_grid(-3.0, 5.0, 64)
+    assert g == twin and hash(g) == hash(twin)
+    for name in ("x", "k", "origin_phase"):
+        a = getattr(g, name)
+        assert getattr(g, name) is a, name
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # g has filled its cache and twin has not
+    assert g == twin and hash(g) == hash(twin) and "x" not in vars(twin)
+    assert np.allclose(g.origin_phase, np.exp(1j * g.k * g.x_min), rtol=0.0, atol=1e-15)
+    moved = dataclasses.replace(g, x_min=-4.0)
+    assert moved.x is not g.x and moved.x[0] == -4.0
+    assert not np.array_equal(moved.origin_phase, g.origin_phase)
+    copy = dataclasses.replace(g)
+    assert copy == g and copy.x is not g.x and copy.k is not g.k
+    assert np.array_equal(copy.x, g.x) and np.array_equal(copy.k, g.k)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(theta=hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(-1e6, 1e6)))
+@example(theta=np.array([0.0, -0.0, 1e6, -1e6, np.pi, -np.pi / 2, 5e-324]))
+def test_cis_is_the_complex_exponential_within_one_ulp(theta):
+    got, want = _cis(theta), np.exp(1j * theta)
+    assert got.dtype == np.complex128 and got.shape == theta.shape
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert np.all(np.abs(g - w) <= np.spacing(np.abs(w))), part
 
 
 def test_make_grid_rejects_bad_shapes():

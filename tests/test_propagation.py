@@ -304,3 +304,25 @@ def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_p
             calls.update(map=0, chirp=0)
             bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
             assert calls == {"map": 1, "chirp": channels}, (channels, schedule)
+
+
+def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypatch, ref_medium, glass):
+    grid = bs.make_grid(-200.0, 200.0, 16384)
+    packet = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
+    builds = []
+    cached = bs.Grid.__dict__["origin_phase"]
+    build = cached.func
+    monkeypatch.setattr(cached, "func", lambda g: builds.append(g) or build(g))
+    exps = []
+    exp = np.exp
+
+    def counting_exp(z, *args, **kwargs):
+        if np.iscomplexobj(z) and np.size(z) == grid.n_points:
+            exps.append(z)
+        return exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for schedule in ((0.0, 140.0), (0.0, 30.0, 100.0, 120.0, 140.0, 160.0)):
+        bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
+        assert len(builds) == 1 and builds[0] is grid, schedule
+        assert exps == [], schedule

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
+from blipsim.scattering import GUARD_HALF_CELLS, _band_masses
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,50 @@ def test_outcome_records_context(rig_packet, ref_medium):
     assert out.left_medium.n == 1.0
     assert out.right_medium.n == 2.0
     assert out.rates.t_plus == pytest.approx(bs.fresnel_rates(2.0).t_plus, rel=1e-15)
+    assert out.incident_weight == bs.norm(rig_packet)
+    ch = bs.Channel(1, "H")
+    assert out.incident_supports == {ch: bs.lattice._support_interval(rig_packet, ch)}
+
+
+def band_masses_oracle(p, ch, center):
+    """Test oracle: the guard-band masses from three boolean masks over ``x``."""
+    half = GUARD_HALF_CELLS * p.grid.dx
+    lo, hi = center - half, center + half
+    x = p.grid.x
+    dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
+    return (
+        float(np.sum(dens[x < lo])),
+        float(np.sum(dens[(x >= lo) & (x <= hi)])),
+        float(np.sum(dens[x > hi])),
+    )
+
+
+_MASS_GRID = bs.make_grid(-10.0, 10.0, 1024)
+_MASS_RNG = np.random.default_rng(5)
+_MASS_PACKET = bs.BlipWavePacket(
+    _MASS_GRID, {(1, "H"): _MASS_RNG.standard_normal(1024) + 1j * _MASS_RNG.standard_normal(1024)}
+)
+_LATTICE_INDEX = st.integers(0, _MASS_GRID.n_points - 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    center=st.one_of(
+        _LATTICE_INDEX.map(lambda i: float(_MASS_GRID.x[i])),
+        st.builds(
+            lambda i, f: float(_MASS_GRID.x[i] + f * _MASS_GRID.dx),
+            _LATTICE_INDEX,
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        st.floats(-1e3, -10.0),
+        st.floats(10.0, 1e3),
+    )
+)
+def test_band_masses_match_the_mask_oracle_bit_for_bit(center):
+    ch = bs.Channel(1, "H")
+    got = _band_masses(_MASS_PACKET, ch, center)
+    want = band_masses_oracle(_MASS_PACKET, ch, center)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_rephase_reproduces_a_direct_map(rig_packet):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blipsim as bs
+from blipsim.spectral import _PI_LD, _chirp_sum
 
 
 def plane_wave(grid, ch, m):
@@ -127,6 +128,43 @@ def test_scaled_sampling_matches_dense_evaluation(small_grid):
         scale_ref = np.max(np.abs(dense))
         assert np.max(np.abs(sampled[inside] - dense)) < 1e-12 * scale_ref
         assert np.all(sampled[~inside] == 0.0)
+
+
+def chirp_sum_oracle(values, phi0, dphi):
+    """Test oracle: the chirp sum with its kernel built over all 2N - 1 indices
+    m = -(N-1) .. N-1 and rotated into the circular pad with ``np.roll``."""
+
+    def unit_phase(theta):
+        t = np.mod(theta, 2 * _PI_LD).astype(np.float64)
+        return np.cos(t) + 1j * np.sin(t)
+
+    n = values.size
+    j = np.arange(n, dtype=np.longdouble)
+    half = np.longdouble(0.5) * dphi
+    u = values * unit_phase(phi0 * j + half * j * j)
+    pad = 1 << int(np.ceil(np.log2(2 * n - 1)))
+    m = np.arange(-(n - 1), n, dtype=np.longdouble)
+    v = unit_phase(-half * m * m)
+    kernel = np.zeros(pad, dtype=np.complex128)
+    kernel[: v.size] = v
+    kernel = np.roll(kernel, -(n - 1))
+    conv = np.fft.ifft(np.fft.fft(u, pad) * np.fft.fft(kernel))[:n]
+    return unit_phase(half * j * j) * conv
+
+
+def test_half_built_chirp_kernel_matches_the_rolled_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for log_n in range(3, 13):
+        n = 1 << log_n
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for s in (+1, -1):
+            for scale in (0.5, 1.0 / 1.7, 2.9):
+                # the angles of sample_spectrum_scaled
+                s_ld = np.longdouble(s) * np.longdouble(scale)
+                phi0, dphi = s_ld * _PI_LD, -s_ld * 2 * _PI_LD / np.longdouble(n)
+                got = _chirp_sum(values, phi0, dphi)
+                want = chirp_sum_oracle(values, phi0, dphi)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s, scale)
 
 
 def test_scaled_sampling_norm_ratio(rig_packet, rig_grid):
