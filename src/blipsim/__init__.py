@@ -2,10 +2,11 @@
 
 The state of one photon lives on a position lattice with four channels
 (direction x polarization).  The package provides the exact lattice
-Fourier pair between position and momentum amplitudes, observable
-functionals in both representations, electromagnetic field profiles and
-their quadratic functionals, scattering maps for point mirrors and
-dielectric boundaries, free propagation, scripted scenarios, and a CLI.
+Fourier pair between position and momentum amplitudes, observables as
+sums in momentum space, electromagnetic field profiles, scattering maps for
+point mirrors and dielectric boundaries, free propagation, scripted
+scenarios, and a CLI.  The independent routes that the tests compare
+against live in :mod:`blipsim.oracles`, which is not imported here.
 """
 
 from . import errors, fields, lattice, observables, propagation, scattering, spectral

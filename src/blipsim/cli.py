@@ -8,12 +8,13 @@ the partial sums of the point-scatterer Born series for a coupling ratio
 amplitudes are real).
 
 Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2
-configuration error (including a ``check --tolerance`` that is not finite
-and >= 0, and ``[output]`` names that are not bare file names), 3 runtime
-error, also an output that cannot be written.  Only finite floats are
-written, with 17 significant digits; identical configs produce
-byte-identical outputs.  A command writes all of its files or none: they
-are staged inside ``--out`` and moved into it together at the end.
+configuration error (including a tolerance, in ``[tolerances]`` or
+``check --tolerance``, that is not finite and >= 0, and ``[output]`` names
+that are not bare file names), 3 runtime error, also an output that cannot
+be written.  Only finite floats are written, with 17 significant digits;
+identical configs produce byte-identical outputs.  A command writes all
+of its files or none: they are staged inside ``--out`` and moved into it
+together at the end.
 """
 
 from __future__ import annotations
@@ -201,6 +202,14 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in items)
 
 
+def _parse_tolerance(text: str | float) -> float:
+    """A tolerance, from ``[tolerances]`` or ``check --tolerance``: finite and >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _parse_file_name(text: str) -> str:
     """An output name: a bare file name, placed inside ``--out``."""
     if text in ("", "..") or Path(text).name != text:
@@ -238,7 +247,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     "schedule": {"times": _parse_times},
     "output": {"summary": _parse_file_name, "series": _parse_file_name, "snapshots": _parse_bool},
     "units": {"hbar": float},
-    "tolerances": {key: float for key in DEFAULT_TOLERANCES},
+    "tolerances": {key: _parse_tolerance for key in DEFAULT_TOLERANCES},
 }
 
 _REQUIRED = {
@@ -619,8 +628,10 @@ def cmd_check(
         raise ConfigurationError(f"need 0 < n_min <= n_max, got [{n_min}, {n_max}]")
     if not 1 <= steps <= MAX_CHECK_STEPS:
         raise ConfigurationError(f"steps must be in [1, {MAX_CHECK_STEPS}], got {steps}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    try:
+        tolerance = _parse_tolerance(tolerance)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     values = np.linspace(n_min, n_max, steps) if steps > 1 else np.array([n_min])
     rows: list[list[Any]] = []
     worst = 0.0

@@ -12,19 +12,12 @@ table is
     E_y = sum_s W_s,H          B_z = sum_s (s/c) W_s,H
     E_z = sum_s W_s,V          B_y = -sum_s (s/c) W_s,V
 
-Quadratic functionals of these profiles reproduce the number-basis sums
-with the ``|k|`` weight: the energy functional equals
-``sum hbar c |k| |psi~|^2 dk`` and the momentum functional equals
-``sum hbar s |k| |psi~|^2 dk``.  Opposite-direction cross terms cancel
-pointwise between the electric and magnetic halves (``epsilon = 1/(mu c^2)``),
-so the summed profiles carry no interference residue in either functional.
-
-The real-space pair-correlation kernel behind ``zeta`` is the power law
-``R(xi) = -sqrt(hbar c / (4 pi epsilon A)) |xi|^(-3/2)``; it is exposed with
-a plateau clamp below a caller-chosen cutoff for diagnostic convolution
-studies.  The closed form above is what the package computes with; the
-clamped kernel does not reproduce zeta's normalization (its transform
-carries a cutoff-dependent offset) and is a shape diagnostic only.
+The snapshot field density of ``blipsim run`` is built from these
+profiles.  The package computes energy and momentum in k-space
+(:func:`blipsim.observables.spectral_expectations`); the quadratic field
+functionals, which reproduce those ``|k|``-weighted sums, and the clamped
+real-space kernel behind ``zeta`` are independent routes and live in
+:mod:`blipsim.oracles`.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .lattice import Grid, Medium
 from .spectral import SpectralWavePacket, _inverse
 
@@ -41,10 +34,6 @@ __all__ = [
     "FieldProfile",
     "zeta",
     "field_profile",
-    "energy_from_fields",
-    "momentum_from_fields",
-    "momentum_imaginary_residual",
-    "position_kernel_R",
 ]
 
 
@@ -96,57 +85,3 @@ def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> Field
             e_z += profile
             b_y += -(ch.s / m.c) * profile
     return FieldProfile(grid, e_y, e_z, b_y, b_z, medium_tag=m.label)
-
-
-def _check_profile(fp: FieldProfile, m: Medium) -> None:
-    if fp.medium_tag != m.label:
-        raise ConsistencyError(
-            f"profile was built for medium {fp.medium_tag!r}, got {m.label!r}"
-        )
-
-
-def energy_from_fields(fp: FieldProfile, m: Medium) -> float:
-    """``(A/4) integral dx [epsilon |E|^2 + |B|^2 / mu]``."""
-    _check_profile(fp, m)
-    dens = m.epsilon * (np.abs(fp.e_y) ** 2 + np.abs(fp.e_z) ** 2)
-    dens = dens + (np.abs(fp.b_y) ** 2 + np.abs(fp.b_z) ** 2) / m.mu
-    return 0.25 * m.area * float(np.sum(dens)) * fp.grid.dx
-
-
-def _momentum_integral(fp: FieldProfile, m: Medium) -> complex:
-    # x-component of E* x B - B* x E, integrated
-    cross = np.conj(fp.e_y) * fp.b_z - np.conj(fp.e_z) * fp.b_y
-    cross = cross - (np.conj(fp.b_y) * fp.e_z - np.conj(fp.b_z) * fp.e_y)
-    return 0.25 * m.epsilon * m.area * complex(np.sum(cross)) * fp.grid.dx
-
-
-def momentum_from_fields(fp: FieldProfile, m: Medium) -> float:
-    """``(epsilon A/4) integral dx [E* x B - B* x E] . x_hat`` (real part).
-
-    The imaginary part is a rounding residual; inspect it with
-    :func:`momentum_imaginary_residual`.
-    """
-    _check_profile(fp, m)
-    return _momentum_integral(fp, m).real
-
-
-def momentum_imaginary_residual(fp: FieldProfile, m: Medium) -> float:
-    """|imaginary part| of the momentum functional (must sit at rounding level)."""
-    _check_profile(fp, m)
-    return abs(_momentum_integral(fp, m).imag)
-
-
-def position_kernel_R(
-    x_offset: np.ndarray | float, m: Medium, cutoff: float, hbar: float = 1.0
-) -> np.ndarray | float:
-    """Pair-correlation kernel ``-sqrt(hbar c/(4 pi epsilon A)) |xi|^(-3/2)``.
-
-    The inverse-power divergence at ``xi = 0`` is clamped to its value at
-    ``|xi| = cutoff`` (a plateau), so the kernel can be tabulated on a grid.
-    ``cutoff`` must be positive.
-    """
-    cutoff = float(cutoff)
-    if not (np.isfinite(cutoff) and cutoff > 0):
-        raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
-    coeff = np.sqrt(hbar * m.c / (4.0 * np.pi * m.epsilon * m.area))
-    return -coeff * np.maximum(np.abs(x_offset), cutoff) ** -1.5

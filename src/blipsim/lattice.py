@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -44,9 +44,7 @@ __all__ = [
     "gaussian_packet",
     "norm",
     "centroid",
-    "is_normalized",
     "combine",
-    "restrict",
 ]
 
 #: Fraction of norm a fixture may leave outside the grid or the band.
@@ -236,8 +234,8 @@ def _freeze_amp(
 
 
 @dataclass(frozen=True)
-class BlipWavePacket:
-    """Position-space amplitudes per channel on a shared grid.
+class _Packet:
+    """Amplitudes per channel on a shared grid: the body of both packet types.
 
     ``amp`` maps channels to complex arrays of length ``grid.n_points``.
     Channels that are absent are identically zero.  Arrays are copied on
@@ -261,6 +259,10 @@ class BlipWavePacket:
         zeros = np.zeros(self.grid.n_points, dtype=np.complex128)
         zeros.flags.writeable = False
         return zeros
+
+
+class BlipWavePacket(_Packet):
+    """Position-space amplitudes per channel, on the ascending ``grid.x`` lattice."""
 
 
 def gaussian_packet(
@@ -318,10 +320,6 @@ def norm(p: BlipWavePacket) -> float:
     return float(sum(np.sum(np.abs(a) ** 2) for a in p.amp.values()) * p.grid.dx)
 
 
-def is_normalized(p: BlipWavePacket, tol: float = 1e-9) -> bool:
-    return abs(norm(p) - 1.0) <= tol
-
-
 def centroid(p: BlipWavePacket) -> float:
     """Mean position of the total density; undefined for zero packets."""
     total = norm(p)
@@ -375,9 +373,3 @@ def combine(*packets: BlipWavePacket) -> BlipWavePacket:
         for ch, a in p.amp.items():
             acc[ch] = acc[ch] + a if ch in acc else np.array(a)
     return type(packets[0])(grid, acc)
-
-
-def restrict(p: BlipWavePacket, channels: Iterable[Channel | tuple[int, str]]) -> BlipWavePacket:
-    """Packet containing only the requested channels (missing ones drop out)."""
-    wanted = {as_channel(c) for c in channels}
-    return BlipWavePacket(p.grid, {ch: a for ch, a in p.amp.items() if ch in wanted})

@@ -14,16 +14,16 @@ two coincide up to that sign.  The field momentum here is the canonical
 (medium-weighted) one; dividing by ``n^2`` gives its kinetic (Abraham)
 counterpart.
 
-:func:`spectral_expectations`, :func:`branch_expectations` and
+:func:`spectral_expectations` is the one route to these values; it and
 :func:`conditional_expectations` return an :class:`ObservableReport`, the
-one record of a state's expectation values; scenario rows carry it as
-``values`` and the CLI serializes it.
+one record of a state's expectation values.  Scenario rows carry it as
+``values`` and the CLI serializes it.  The photon number of a position
+packet is :func:`blipsim.lattice.norm`.
 
 Position-space forms of the signed observables (via the spectral
-derivative) and field-profile functionals (see :mod:`blipsim.fields`) are
-provided as independent evaluation routes; they must agree with the
-momentum-space sums and are cross-checked in the test suite rather than
-collapsed into one implementation.
+derivative) and field-profile functionals are independent evaluation
+routes in :mod:`blipsim.oracles`; the test suite checks that they agree
+with the momentum-space sums.
 """
 
 from __future__ import annotations
@@ -34,28 +34,17 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import BlipWavePacket, Medium, norm
-from .spectral import (
-    SpectralWavePacket,
-    spectral_derivative,
-    spectral_norm,
-    to_momentum,
-)
+from .lattice import Medium
+from .spectral import SpectralWavePacket, spectral_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scattering import ScatterOutcome
 
 __all__ = [
     "ObservableReport",
-    "expect_photon_number",
-    "expect_energy",
-    "expect_dyn_hamiltonian",
     "expect_dyn_momentum",
-    "dyn_momentum_position_form",
-    "dyn_hamiltonian_position_form",
     "abraham_momentum",
     "spectral_expectations",
-    "branch_expectations",
     "conditional_expectations",
 ]
 
@@ -78,23 +67,6 @@ class ObservableReport:
     medium_tag: str
 
 
-def expect_photon_number(state: BlipWavePacket | SpectralWavePacket) -> float:
-    """Total excitation weight, in whichever representation is given."""
-    if isinstance(state, BlipWavePacket):
-        return norm(state)
-    return spectral_norm(state)
-
-
-def expect_energy(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> float:
-    """Positive-definite energy ``sum hbar c_m |k| |psi~|^2 dk``."""
-    return spectral_expectations(sp, {+1: m, -1: m}, hbar).energy
-
-
-def expect_dyn_hamiltonian(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> float:
-    """Signed generator of time evolution ``sum hbar c_m k |psi~|^2 dk``."""
-    return spectral_expectations(sp, {+1: m, -1: m}, hbar).dyn_hamiltonian
-
-
 def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
     """Generator of translations ``sum hbar s k |psi~|^2 dk``."""
     k = sp.grid.k
@@ -102,34 +74,6 @@ def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
         ch.s * float(np.sum(k * np.abs(a) ** 2)) for ch, a in sp.amp.items()
     )
     return hbar * acc * sp.grid.dk
-
-
-def dyn_momentum_position_form(p: BlipWavePacket, hbar: float = 1.0) -> float:
-    """Position-space evaluation ``sum_ch integral psi* (-i hbar d/dx) psi dx``.
-
-    The translation generator is ``-i hbar d/dx`` on every channel alike;
-    per channel the integral already equals ``hbar s integral k |psi~|^2 dk``.
-    Independent route for cross-checking :func:`expect_dyn_momentum`; the
-    imaginary residual of the integral is discarded (it vanishes to rounding).
-    """
-    acc = 0.0
-    for ch, a in p.amp.items():
-        dpsi = spectral_derivative(p, ch)
-        acc += float(np.sum(np.conj(a) * (-1j * hbar) * dpsi).real)
-    return acc * p.grid.dx
-
-
-def dyn_hamiltonian_position_form(p: BlipWavePacket, m: Medium, hbar: float = 1.0) -> float:
-    """Position-space evaluation ``sum_ch s c_m integral psi* (-i hbar d/dx) psi dx``.
-
-    Here the extra ``s`` undoes the direction sign of the channel kernel,
-    leaving ``hbar c_m integral k |psi~|^2 dk`` per channel.
-    """
-    acc = 0.0
-    for ch, a in p.amp.items():
-        dpsi = spectral_derivative(p, ch)
-        acc += ch.s * float(np.sum(np.conj(a) * (-1j * hbar) * dpsi).real)
-    return m.c * acc * p.grid.dx
 
 
 def abraham_momentum(p_field: float, n: float) -> float:
@@ -151,8 +95,7 @@ def spectral_expectations(
     ``-1`` movers on the left; before, the opposite).  Energy and field
     quantities are evaluated channel by channel in that channel's medium.
     The field momentum is the sum ``hbar s |k| |psi~|^2 dk`` that the
-    field-profile functional reproduces; :mod:`blipsim.fields` stays the
-    independent route the tests compare against.
+    field-profile functional of :mod:`blipsim.oracles` reproduces.
     """
     missing = {ch.s for ch in sp.amp} - set(media_by_direction)
     if missing:
@@ -180,15 +123,6 @@ def spectral_expectations(
         abraham_momentum=abraham,
         medium_tag="+".join(tags) if tags else "-",
     )
-
-
-def branch_expectations(
-    p: BlipWavePacket,
-    media_by_direction: Mapping[int, Medium],
-    hbar: float = 1.0,
-) -> ObservableReport:
-    """:func:`spectral_expectations` of a position-space packet."""
-    return spectral_expectations(to_momentum(p), media_by_direction, hbar)
 
 
 def conditional_expectations(

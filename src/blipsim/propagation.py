@@ -205,7 +205,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     )
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
-    sp_in = to_momentum(sc.packet)
+    sp_in = outcome.incident
     spectra = dict(outcome.spectra)
     spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
     input_values = spectral_expectations(sp_in, incoming_media, sc.hbar)

@@ -81,7 +81,6 @@ __all__ = [
     "dyson_remainder_bound",
     "fresnel_rates",
     "omega_from_n",
-    "beamsplitter_scatter",
     "interface_scatter",
 ]
 
@@ -251,8 +250,10 @@ class ScatterOutcome:
     from them.  ``total`` is the coherent sum of the branches at ``t_final``
     and ``prob_t``/``prob_r`` are the branch weights.  ``incident_weight``
     and ``incident_supports`` (per incident channel, the interval of
-    :func:`blipsim.lattice._support_interval`) are measured on ``incident``
-    once per event, for the per-time checks.  After the
+    :func:`blipsim.lattice._support_interval`) are measured on the in-packet
+    once per event, for the per-time checks.  ``incident`` holds the
+    in-packet's momentum amplitudes: the map's own forward transform of each
+    incident channel, so the input is transformed once per event.  After the
     event, direction ``+1`` channels occupy ``right_medium`` and ``-1``
     channels ``left_medium``.  ``asymptotic`` records whether every branch
     had cleared the guard band at ``t_final``; ``guard_fraction`` is the
@@ -271,7 +272,7 @@ class ScatterOutcome:
     rates: ScatterRates
     t_final: float
     spectra: Mapping[str, SpectralWavePacket]
-    incident: BlipWavePacket
+    incident: SpectralWavePacket
     incident_weight: float
     incident_supports: Mapping[Channel, tuple[float, float] | None]
     tag: str = ""
@@ -438,27 +439,6 @@ def _outcome_at(t_final: float, allow_partial: bool, **event) -> ScatterOutcome:
     )
 
 
-def beamsplitter_scatter(
-    p: BlipWavePacket,
-    rates: ScatterRates,
-    m: Medium,
-    t_final: float,
-    *,
-    tag: str = "",
-    allow_partial: bool = False,
-) -> ScatterOutcome:
-    """Scatter off a point coupling inside a single medium.
-
-    The boundary map with medium ``m`` on both sides and explicit ``rates``:
-    per incident channel ``(s, pol)`` the out-state is ``t_s`` on the same
-    channel plus ``r_s`` on the mirrored channel ``(-s, pol)``, with no
-    wavenumber rescaling.
-    """
-    return interface_scatter(
-        p, 1.0, t_final, rates=rates, left=m, right=m, tag=tag, allow_partial=allow_partial
-    )
-
-
 def interface_scatter(
     p: BlipWavePacket,
     n: float,
@@ -513,11 +493,12 @@ def interface_scatter(
     _check_incoming_support(p)
     grid = p.grid
     root_n = math.sqrt(n)
+    in_amp: dict[Channel, np.ndarray] = {}
     trans_amp: dict[Channel, np.ndarray] = {}
     refl_amp: dict[Channel, np.ndarray] = {}
     drift = 0.0
     for ch, a in p.amp.items():
-        phi = _forward(grid, ch.s, a)
+        phi = in_amp[ch] = _forward(grid, ch.s, a)
         if ch.s > 0:
             coeff, scale = rates.t_plus / root_n, 1.0 / n
         else:
@@ -544,7 +525,7 @@ def interface_scatter(
     }
     return _outcome_at(
         t_final, allow_partial, left_medium=left, right_medium=right, rates=rates,
-        spectra=spectra, incident=p, incident_weight=norm(p),
+        spectra=spectra, incident=SpectralWavePacket(grid, in_amp), incident_weight=norm(p),
         incident_supports={ch: _support_interval(p, ch) for ch in p.amp},
         tag=tag, resampling_drift=drift,
     )

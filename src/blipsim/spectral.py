@@ -34,22 +34,19 @@ Where each phase comes from:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _freeze_amp, as_channel
+from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, as_channel
 
 __all__ = [
     "SpectralWavePacket",
     "to_momentum",
     "to_position",
-    "spectral_derivative",
     "spectral_norm",
     "sample_spectrum_scaled",
-    "sample_position_affine",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -58,26 +55,8 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _PI_LD = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)
 
 
-@dataclass(frozen=True)
-class SpectralWavePacket:
+class SpectralWavePacket(_Packet):
     """Momentum-space amplitudes per channel, on the ascending ``grid.k`` lattice."""
-
-    grid: Grid
-    amp: Mapping[Channel | tuple[int, str], np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _freeze_amp(self.grid, self.amp))
-
-    def channels(self) -> tuple[Channel, ...]:
-        return tuple(self.amp)
-
-    def amplitude(self, ch: Channel | tuple[int, str]) -> np.ndarray:
-        ch = as_channel(ch)
-        if ch in self.amp:
-            return self.amp[ch]
-        zeros = np.zeros(self.grid.n_points, dtype=np.complex128)
-        zeros.flags.writeable = False
-        return zeros
 
 
 def _reverse_bins(a: np.ndarray) -> np.ndarray:
@@ -134,17 +113,6 @@ def spectral_norm(sp: SpectralWavePacket) -> float:
     return float(sum(np.sum(np.abs(a) ** 2) for a in sp.amp.values()) * sp.grid.dk)
 
 
-def spectral_derivative(p: BlipWavePacket, ch: Channel | tuple[int, str]) -> np.ndarray:
-    """d/dx of one channel, evaluated as ``i s k`` in momentum space.
-
-    This is the authoritative derivative for all position-space functionals
-    (finite differences are only used as a test oracle against it).
-    """
-    ch = as_channel(ch)
-    phi = _forward(p.grid, ch.s, p.amplitude(ch))
-    return _inverse(p.grid, ch.s, 1j * ch.s * p.grid.k * phi)
-
-
 def _unit_phase(theta: np.ndarray) -> np.ndarray:
     """``exp(i theta)`` for longdouble angles, reduced mod 2*pi first."""
     return _cis(np.mod(theta, 2 * _PI_LD).astype(np.float64))
@@ -198,33 +166,3 @@ def sample_spectrum_scaled(
     out = (grid.dx / _SQRT_2PI) * _cis(-ch.s * targets * grid.x_min) * raw
     out[np.abs(targets) > grid.k_max] = 0.0
     return out
-
-
-def sample_position_affine(
-    sp: SpectralWavePacket, ch: Channel | tuple[int, str], alpha: float, beta: float
-) -> np.ndarray:
-    """``psi(alpha * x_j + beta)`` for one channel, from the same interpolant.
-
-    Cross-check route for interface maps expressed in position space; points
-    mapped outside ``[x_min, x_max)`` sample the periodic continuation and
-    are the caller's responsibility.
-    """
-    ch = as_channel(ch)
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta)):
-        raise DomainError(f"need finite alpha > 0 and finite beta, got {alpha!r}, {beta!r}")
-    grid = sp.grid
-    n = grid.n_points
-    # psi(y) = (2 pi)^(-1/2) dk sum_m psi~_m exp(i s k_m y) at y_j = alpha x_j + beta:
-    # fold the (beta + alpha x_min) offset into the coefficients, leaving a
-    # chirp sum over m with step angle s*alpha*dk*dx and a j-dependent
-    # prefactor from the lattice origin -k_max.
-    coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * (beta + alpha * grid.x_min))
-    a_ld = np.longdouble(alpha)
-    dphi = np.longdouble(ch.s) * a_ld * 2 * _PI_LD / np.longdouble(n)
-    raw = _chirp_sum(coeff, np.longdouble(0.0), dphi)
-    j = np.arange(n, dtype=np.longdouble)
-    # prefactor exp(i s k_0 alpha dx j) with k_0 = -k_max: angle = -s*alpha*pi*j
-    pref = _unit_phase(-np.longdouble(ch.s) * a_ld * _PI_LD * j)
-    return (grid.dk / _SQRT_2PI) * pref * raw

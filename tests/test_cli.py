@@ -292,6 +292,18 @@ def test_check_tolerance_must_be_finite_and_nonnegative(tmp_path):
     assert cli.main(["check", "--steps", "3", "--tolerance=0", "--out", str(out)]) == 0
 
 
+def test_run_tolerances_must_be_finite_and_nonnegative(tmp_path):
+    """``[tolerances]`` follows the rule of ``check --tolerance``: refused
+    before the scenario runs, with exit 2 and no output."""
+    for value in ("nan", "inf", "-1"):
+        cfg = write_config(tmp_path / "scenario.ini", {"tolerances": {"energy_ratio": value}})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2, value
+        assert not out.exists(), value
+    cfg = write_config(tmp_path / "scenario.ini", {"tolerances": {"energy_ratio": "0"}})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_divergent_dyson_that_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
     """Partial sums at q = 1.2 overflow to inf and nan long before 10 000 terms."""
     out = tmp_path / "out"

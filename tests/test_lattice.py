@@ -115,7 +115,6 @@ def test_medium_rejects_booleans():
 def test_gaussian_packet_moments(rig_grid, rig_packet):
     p = rig_packet
     assert bs.norm(p) == pytest.approx(1.0, abs=1e-12)
-    assert bs.is_normalized(p)
     assert bs.centroid(p) == pytest.approx(-60.0, abs=1e-9)
     x = rig_grid.x
     dens = np.abs(p.amplitude((+1, "H"))) ** 2 * rig_grid.dx
@@ -182,16 +181,6 @@ def test_combine_channels_and_coherence(rig_grid):
         bs.combine()
 
 
-def test_restrict_drops_other_channels(rig_grid):
-    a = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-30.0, k0=20.0, sigma=2.0)
-    b = bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=20.0, sigma=2.0)
-    both = bs.combine(a, b)
-    only = bs.restrict(both, [(+1, "H")])
-    assert only.channels() == (bs.Channel(1, "H"),)
-    assert bs.norm(only) == pytest.approx(1.0, rel=1e-12)
-    assert bs.restrict(both, [(+1, "V")]).channels() == ()
-
-
 def test_packets_are_value_objects(rig_grid):
     src = np.ones(rig_grid.n_points, dtype=complex)
     p = bs.BlipWavePacket(rig_grid, {(+1, "H"): src})
@@ -214,3 +203,20 @@ def test_duplicate_and_malformed_amplitudes_rejected(rig_grid):
     bad[7] = math.nan
     with pytest.raises(bs.ConfigurationError):
         bs.BlipWavePacket(rig_grid, {(+1, "H"): bad})
+
+
+def test_both_packet_types_share_one_body_but_stay_distinct(small_grid):
+    """Position and momentum packets differ only in name: a packet equals
+    itself, never a packet of the other type, and ``combine`` keeps the type
+    of its first argument."""
+    values = {(+1, "H"): np.arange(small_grid.n_points, dtype=complex)}
+    x_a, x_b = bs.BlipWavePacket(small_grid, values), bs.BlipWavePacket(small_grid, values)
+    k_a = bs.SpectralWavePacket(small_grid, values)
+    assert x_a.channels() == k_a.channels() == (bs.Channel(1, "H"),)
+    assert x_a == x_a and k_a == k_a
+    assert x_a != k_a and k_a != x_a
+    assert type(bs.combine(x_a, x_b)) is bs.BlipWavePacket
+    assert type(bs.combine(k_a, k_a)) is bs.SpectralWavePacket
+    with pytest.raises(ValueError):
+        k_a.amplitude((-1, "V"))[0] = 1.0
+    assert repr(k_a).startswith("SpectralWavePacket(grid=")

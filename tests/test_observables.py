@@ -5,9 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 import blipsim as bs
+from blipsim import oracles
 from blipsim.observables import CONDITIONAL_MIN_WEIGHT
 
 from test_spectral import plane_wave
+
+
+def in_medium(sp, m, hbar=1.0):
+    """The observables of a spectrum whose channels all sit in medium ``m``."""
+    return bs.spectral_expectations(sp, {+1: m, -1: m}, hbar)
 
 
 def test_energy_against_quadrature_oracle(rig_packet, ref_medium):
@@ -29,7 +35,7 @@ def test_energy_against_quadrature_oracle(rig_packet, ref_medium):
     assert oracle == pytest.approx(30.0, abs=1e-10)
 
     sp = bs.to_momentum(rig_packet)
-    energy = bs.expect_energy(sp, ref_medium)
+    energy = in_medium(sp, ref_medium).energy
     assert energy == pytest.approx(oracle, abs=1e-9)
     rms = math.sqrt(k0**2 + (0.5 / sigma) ** 2)
     assert rms == pytest.approx(30.001041648582802, rel=1e-15)
@@ -38,11 +44,11 @@ def test_energy_against_quadrature_oracle(rig_packet, ref_medium):
 
 def test_energy_scales_with_medium_speed(rig_packet, ref_medium, glass):
     sp = bs.to_momentum(rig_packet)
-    assert bs.expect_energy(sp, glass) == pytest.approx(
-        0.5 * bs.expect_energy(sp, ref_medium), rel=1e-14
+    assert in_medium(sp, glass).energy == pytest.approx(
+        0.5 * in_medium(sp, ref_medium).energy, rel=1e-14
     )
-    assert bs.expect_energy(sp, ref_medium, hbar=2.0) == pytest.approx(
-        2.0 * bs.expect_energy(sp, ref_medium), rel=1e-14
+    assert in_medium(sp, ref_medium, hbar=2.0).energy == pytest.approx(
+        2.0 * in_medium(sp, ref_medium).energy, rel=1e-14
     )
 
 
@@ -61,16 +67,16 @@ def test_sign_structure_of_the_three_generators(rig_grid, ref_medium):
     for s, k0, want_e, want_h, want_p in cases:
         p = bs.gaussian_packet(rig_grid, (s, "H"), x0=0.0, k0=k0, sigma=2.0)
         sp = bs.to_momentum(p)
-        assert bs.expect_energy(sp, ref_medium) == pytest.approx(want_e, abs=1e-9)
-        assert bs.expect_dyn_hamiltonian(sp, ref_medium) == pytest.approx(want_h, abs=1e-9)
+        assert in_medium(sp, ref_medium).energy == pytest.approx(want_e, abs=1e-9)
+        assert in_medium(sp, ref_medium).dyn_hamiltonian == pytest.approx(want_h, abs=1e-9)
         assert bs.expect_dyn_momentum(sp) == pytest.approx(want_p, abs=1e-9)
 
 
-def test_photon_number_both_representations(rig_packet):
-    assert bs.expect_photon_number(rig_packet) == pytest.approx(1.0, abs=1e-12)
-    assert bs.expect_photon_number(bs.to_momentum(rig_packet)) == pytest.approx(
-        bs.expect_photon_number(rig_packet), abs=1e-13
-    )
+def test_photon_number_both_representations(rig_packet, ref_medium):
+    sp = bs.to_momentum(rig_packet)
+    assert bs.norm(rig_packet) == pytest.approx(1.0, abs=1e-12)
+    assert bs.spectral_norm(sp) == pytest.approx(bs.norm(rig_packet), abs=1e-13)
+    assert in_medium(sp, ref_medium).photon_number == bs.spectral_norm(sp)
 
 
 def test_position_form_agrees_with_spectral_form(rig_grid, glass):
@@ -85,10 +91,10 @@ def test_position_form_agrees_with_spectral_form(rig_grid, glass):
     p = bs.combine(*packets)
     sp = bs.to_momentum(p)
     p_spec = bs.expect_dyn_momentum(sp)
-    p_pos = bs.dyn_momentum_position_form(p)
+    p_pos = oracles.dyn_momentum_position_form(p)
     assert abs(p_pos - p_spec) < 1e-10 * max(1.0, abs(p_spec))
-    h_spec = bs.expect_dyn_hamiltonian(sp, glass)
-    h_pos = bs.dyn_hamiltonian_position_form(p, glass)
+    h_spec = in_medium(sp, glass).dyn_hamiltonian
+    h_pos = oracles.dyn_hamiltonian_position_form(p, glass)
     assert abs(h_pos - h_spec) < 1e-10 * max(1.0, abs(h_spec))
 
 
@@ -98,7 +104,7 @@ def test_field_momentum_route_matches_number_basis(rig_grid, glass):
     k = rig_grid.k
     number_basis = float(np.sum(np.abs(k) * np.abs(sp.amp[bs.Channel(1, "H")]) ** 2)) * rig_grid.dk
     fp = bs.field_profile(sp, glass)
-    assert bs.momentum_from_fields(fp, glass) == pytest.approx(number_basis, rel=1e-12)
+    assert oracles.momentum_from_fields(fp, glass) == pytest.approx(number_basis, rel=1e-12)
 
 
 def test_abraham_momentum_scaling():
@@ -108,17 +114,17 @@ def test_abraham_momentum_scaling():
         bs.abraham_momentum(1.0, 0.0)
 
 
-def test_branch_expectations_routes_channels_to_their_media(rig_grid, ref_medium, glass):
+def test_expectations_route_channels_to_their_media(rig_grid, ref_medium, glass):
     """A two-direction packet: each channel is measured in its own medium."""
     right_mover = bs.gaussian_packet(rig_grid, (+1, "H"), x0=40.0, k0=20.0, sigma=2.0)
     left_mover = bs.gaussian_packet(rig_grid, (-1, "V"), x0=-40.0, k0=20.0, sigma=2.0)
     p = bs.combine(right_mover, left_mover)
     media = {+1: glass, -1: ref_medium}  # post-scatter layout
-    vals = bs.branch_expectations(p, media)
+    vals = bs.spectral_expectations(bs.to_momentum(p), media)
 
     sp_r = bs.to_momentum(right_mover)
     sp_l = bs.to_momentum(left_mover)
-    expected_energy = bs.expect_energy(sp_r, glass) + bs.expect_energy(sp_l, ref_medium)
+    expected_energy = in_medium(sp_r, glass).energy + in_medium(sp_l, ref_medium).energy
     assert vals.photon_number == pytest.approx(2.0, rel=1e-12)
     assert vals.energy == pytest.approx(expected_energy, rel=1e-12)
     assert vals.dyn_momentum == pytest.approx(20.0 - 20.0, abs=1e-9)
@@ -128,7 +134,7 @@ def test_branch_expectations_routes_channels_to_their_media(rig_grid, ref_medium
 
 
 def test_packet_report_tags_and_values(rig_packet, glass):
-    rep = bs.branch_expectations(rig_packet, {+1: glass, -1: glass})
+    rep = bs.spectral_expectations(bs.to_momentum(rig_packet), {+1: glass, -1: glass})
     assert rep.medium_tag == "n=2"
     assert rep.photon_number == pytest.approx(1.0, abs=1e-12)
     assert rep.energy == pytest.approx(15.0, abs=1e-9)  # c = 1/2
@@ -161,7 +167,7 @@ def test_conditional_weight_is_relative_to_the_incident_weight(rig_packet):
     faint = bs.BlipWavePacket(rig_packet.grid, {ch: 1e-7 * a for ch, a in rig_packet.amp.items()})
     out = bs.interface_scatter(faint, 2.0, t_final=140.0)
     assert out.prob_t < CONDITIONAL_MIN_WEIGHT
-    incident = bs.branch_expectations(faint, {+1: bs.Medium.reference()})
+    incident = bs.spectral_expectations(bs.to_momentum(faint), {+1: bs.Medium.reference()})
     p_in = incident.dyn_momentum / incident.photon_number  # per photon, as the conditional
     cond = bs.conditional_expectations(out, "transmitted")
     assert abs(cond.dyn_momentum / p_in - 2.0) <= 1e-9
@@ -175,7 +181,7 @@ def test_hbar_rescales_dimensionful_observables(rig_packet, ref_medium):
     sp = bs.to_momentum(rig_packet)
     base = bs.expect_dyn_momentum(sp)
     assert bs.expect_dyn_momentum(sp, hbar=3.0) == pytest.approx(3.0 * base, rel=1e-14)
-    assert bs.dyn_momentum_position_form(rig_packet, hbar=3.0) == pytest.approx(
+    assert oracles.dyn_momentum_position_form(rig_packet, hbar=3.0) == pytest.approx(
         3.0 * base, rel=1e-10
     )
 
@@ -185,6 +191,6 @@ def test_single_bin_generators_are_sharp(rig_grid, ref_medium):
     k_m = rig_grid.k[m]
     for s in (+1, -1):
         sp = bs.to_momentum(plane_wave(rig_grid, (s, "H"), m))
-        assert bs.expect_energy(sp, ref_medium) == pytest.approx(abs(k_m), rel=1e-13)
-        assert bs.expect_dyn_hamiltonian(sp, ref_medium) == pytest.approx(k_m, rel=1e-13)
+        assert in_medium(sp, ref_medium).energy == pytest.approx(abs(k_m), rel=1e-13)
+        assert in_medium(sp, ref_medium).dyn_hamiltonian == pytest.approx(k_m, rel=1e-13)
         assert bs.expect_dyn_momentum(sp) == pytest.approx(s * k_m, rel=1e-13)

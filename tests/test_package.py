@@ -1,8 +1,19 @@
-"""The package namespace: one list of public names, built from the submodules' lists."""
+"""The package namespace: one list of public names, built from the submodules'
+lists, with the test oracles kept apart."""
 
+import dataclasses
 import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import blipsim
+from blipsim import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 SUBMODULES = ("errors", "lattice", "spectral", "observables", "fields", "scattering", "propagation")
 
@@ -15,3 +26,44 @@ def test_public_names_are_the_union_of_the_submodules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(blipsim, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_importing_the_cli_leaves_the_oracles_unloaded():
+    """No production module imports the oracles: a fresh ``import blipsim.cli``
+    leaves ``blipsim.oracles`` out of ``sys.modules``."""
+    code = "import sys, blipsim.cli; print('blipsim.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_oracles_are_not_public_names_of_the_package():
+    assert not set(blipsim.__all__) & set(oracles.__all__)
+    for name in oracles.__all__:
+        assert callable(getattr(oracles, name)), name
+
+
+def _resolves(dotted):
+    """``name``, ``Class.attr`` or ``bs.name`` in ``blipsim`` or ``blipsim.oracles``;
+    a dataclass field counts as an attribute of its class."""
+    head, *attrs = re.sub(r"^(bs|blipsim)\.", "", dotted).split(".")
+    for module in (blipsim, oracles):
+        obj = getattr(module, head, None)
+        for attr in attrs:
+            fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+            obj = getattr(obj, attr, None) if attr not in fields else attr
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_entry_points_name_only_existing_functions():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = [
+        span for span in re.findall(r"`([^`]+)`", section)
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span)
+    ]
+    assert "blipsim.oracles" in names and "spectral_expectations" in names
+    assert [name for name in names if not _resolves(name)] == []

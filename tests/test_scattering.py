@@ -154,7 +154,7 @@ def test_dyson_remainder_bound_guards():
 
 def test_beamsplitter_splits_and_conserves(rig_packet, ref_medium):
     rates = bs.rates_from_omega(bs.MirrorCoupling(omega=-2j * 0.3))
-    out = bs.beamsplitter_scatter(rig_packet, rates, ref_medium, t_final=140.0)
+    out = bs.interface_scatter(rig_packet, 1.0, 140.0, rates=rates, left=ref_medium, right=ref_medium)
     assert out.prob_t == pytest.approx(abs(rates.t_plus) ** 2, rel=1e-9)
     assert out.prob_r == pytest.approx(abs(rates.r_plus) ** 2, rel=1e-9)
     assert out.prob_t + out.prob_r == pytest.approx(1.0, abs=1e-9)
@@ -170,7 +170,8 @@ def test_beamsplitter_spectrum_untouched(rig_grid, rig_packet):
     """No wavenumber rescaling at a point coupling: |psi~| is preserved
     branchwise up to the constant amplitudes."""
     rates = bs.rates_from_omega(bs.MirrorCoupling(omega=-2j * 0.3))
-    out = bs.beamsplitter_scatter(rig_packet, rates, bs.Medium.reference(), t_final=140.0)
+    m = bs.Medium.reference()
+    out = bs.interface_scatter(rig_packet, 1.0, 140.0, rates=rates, left=m, right=m)
     phi_in = np.abs(bs.to_momentum(rig_packet).amp[bs.Channel(1, "H")])
     phi_t = np.abs(bs.to_momentum(out.transmitted).amp[bs.Channel(1, "H")])
     phi_r = np.abs(bs.to_momentum(out.reflected).amp[bs.Channel(-1, "H")])
@@ -191,7 +192,7 @@ def test_interface_air_to_medium_expectations(rig_packet, ref_medium, glass):
 
     media = {+1: glass, -1: ref_medium}
     total = bs.combine(out.transmitted, out.reflected)
-    vals = bs.branch_expectations(total, media)
+    vals = bs.spectral_expectations(bs.to_momentum(total), media)
     assert vals.energy == pytest.approx(30.0, rel=1e-9)
     assert vals.dyn_momentum == pytest.approx(30.0 * (3 * n - 1) / (n + 1), rel=1e-9)
     # transmitted spectral peak sits at n*k0 within one bin
@@ -207,7 +208,7 @@ def test_interface_medium_to_air_expectations(rig_grid, ref_medium, glass):
     assert out.prob_t + out.prob_r == pytest.approx(1.0, abs=1e-9)
     media = {+1: glass, -1: ref_medium}
     total = bs.combine(out.transmitted, out.reflected)
-    vals = bs.branch_expectations(total, media)
+    vals = bs.spectral_expectations(bs.to_momentum(total), media)
     assert vals.energy == pytest.approx(15.0, rel=1e-9)  # hbar c_glass k0
     p_in = -30.0  # s = -1 carrier
     assert vals.dyn_momentum == pytest.approx(p_in * (3 - n) / (n + 1), rel=1e-9)
@@ -231,11 +232,25 @@ def test_interface_keeps_wavenumber_sign(rig_grid):
     assert pos_mass < 1e-20
     k_peak = grid.k[int(np.argmax(np.abs(phi_t)))]
     assert abs(k_peak - (-60.0)) <= grid.dk
-    vals = bs.branch_expectations(
-        bs.combine(out.transmitted, out.reflected),
+    vals = bs.spectral_expectations(
+        bs.to_momentum(bs.combine(out.transmitted, out.reflected)),
         {+1: bs.Medium.from_index(2.0), -1: bs.Medium.reference()},
     )
     assert vals.dyn_momentum == pytest.approx(-30.0 * 5.0 / 3.0, rel=1e-9)
+
+
+def test_outcome_incident_is_the_spectrum_of_the_in_packet(rig_grid):
+    """The map's own forward transform of each incident channel, bit for bit."""
+    right = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
+    left = bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=25.0, sigma=2.0)
+    p = bs.combine(right, left)
+    out = bs.interface_scatter(p, 2.0, t_final=140.0)
+    assert isinstance(out.incident, bs.SpectralWavePacket)
+    want = bs.to_momentum(p)
+    assert out.incident.channels() == want.channels()
+    for ch in want.channels():
+        assert np.array_equal(out.incident.amp[ch], want.amp[ch]), ch
+    assert out.at(150.0).incident is out.incident
 
 
 def test_interface_unit_index_is_free_flight(rig_packet):
