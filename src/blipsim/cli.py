@@ -9,9 +9,11 @@ amplitudes are real).
 
 Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2
 configuration error (including a tolerance, in ``[tolerances]`` or
-``check --tolerance``, that is not finite and >= 0, and ``[output]`` names
-that are not bare file names), 3 runtime error, also an output that cannot
-be written.  Only finite floats are written, with 17 significant digits;
+``check --tolerance``, that is not finite and >= 0, a ``[media]`` value
+that is not finite and > 0, an explicit ``[coupling]`` omega that is not
+finite or whose Born series diverges, and ``[output]`` names that are not
+bare file names), 3 runtime error, also an output that cannot be
+written.  Only finite floats are written, with 17 significant digits;
 identical configs produce byte-identical outputs.  A command writes all
 of its files or none: they are staged inside ``--out`` and moved into it
 together at the end.
@@ -35,7 +37,7 @@ from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import BlipSimError, ConfigurationError, ZeroNormError
+from .errors import BlipSimError, ConfigurationError, DivergenceError, DomainError, ZeroNormError
 from .fields import field_profile
 from .lattice import BlipWavePacket, Medium, gaussian_packet, make_grid
 from .observables import conditional_expectations
@@ -52,7 +54,7 @@ from .scattering import (
     rates_from_omega,
     stokes_residuals,
 )
-from .spectral import SpectralWavePacket, to_momentum
+from .spectral import SpectralWavePacket, _advance_spectrum
 
 __all__ = ["main", "cmd_run", "cmd_check", "cmd_dyson"]
 
@@ -210,6 +212,14 @@ def _parse_tolerance(text: str | float) -> float:
     return value
 
 
+def _parse_positive(text: str) -> float:
+    """A ``[media]`` value: finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return value
+
+
 def _parse_file_name(text: str) -> str:
     """An output name: a bare file name, placed inside ``--out``."""
     if text in ("", "..") or Path(text).name != text:
@@ -235,13 +245,8 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
         "sigma": float,
     },
     "media": {
-        "n": float,
-        "left_epsilon": float,
-        "left_mu": float,
-        "right_epsilon": float,
-        "right_mu": float,
-        "area": float,
-        "c0": float,
+        key: _parse_positive
+        for key in ("n", "left_epsilon", "left_mu", "right_epsilon", "right_mu", "area", "c0")
     },
     "coupling": {"source": str, "omega": _parse_complex},
     "schedule": {"times": _parse_times},
@@ -311,15 +316,19 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
     explicit = [key for key in ("left_epsilon", "left_mu", "right_epsilon", "right_mu") if key in media]
     if "n" in media and explicit:
         raise ConfigurationError("give either media.n or explicit epsilon/mu pairs, not both")
-    if explicit:
-        for key in ("left_epsilon", "left_mu", "right_epsilon", "right_mu"):
-            if key not in media:
-                raise ConfigurationError(f"explicit media need all four pairs; missing {key!r}")
-        left = Medium(media["left_epsilon"], media["left_mu"], area, c0)
-        right = Medium(media["right_epsilon"], media["right_mu"], area, c0)
-    else:
-        left = Medium.reference(area=area, c0=c0)
-        right = Medium.from_index(media.get("n", 1.0), area=area, c0=c0)
+    try:
+        if explicit:
+            for key in ("left_epsilon", "left_mu", "right_epsilon", "right_mu"):
+                if key not in media:
+                    raise ConfigurationError(f"explicit media need all four pairs; missing {key!r}")
+            left = Medium(media["left_epsilon"], media["left_mu"], area, c0)
+            right = Medium(media["right_epsilon"], media["right_mu"], area, c0)
+        else:
+            left = Medium.reference(area=area, c0=c0)
+            right = Medium.from_index(media.get("n", 1.0), area=area, c0=c0)
+    except (DomainError, OverflowError) as exc:
+        # each value is in range, but together they leave epsilon or the speed out of range
+        raise ConfigurationError(f"[media] values give no valid medium: {exc}") from None
 
     coupling = cfg.get("coupling", {})
     source = coupling.get("source", "from_n")
@@ -330,6 +339,10 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
         if "omega" not in coupling:
             raise ConfigurationError("coupling source 'explicit' needs an omega value")
         omega = coupling["omega"]
+        try:
+            rates_from_omega(MirrorCoupling(omega=omega, c_ref=left.c))
+        except (DomainError, DivergenceError) as exc:
+            raise ConfigurationError(f"bad value for 'omega' in [coupling]: {exc}") from None
     elif "omega" in coupling:
         raise ConfigurationError("coupling omega given but source is from_n")
 
@@ -403,8 +416,7 @@ def _summarize(
     n = sc.n
     rates = outcome.rates
 
-    directions = sorted({ch.s for ch in sc.packet.amp})
-    direction = directions[0] if len(directions) == 1 else 0
+    direction = cfg["packet"]["direction"]
     k0 = cfg["packet"]["k0"]
 
     inp = _block(blocks["input"])
@@ -424,11 +436,9 @@ def _summarize(
     # predictions from the amplitude table; closed forms where the rates are
     # the normal-incidence ones
     fresnel = sc.omega is None
-    pred_momentum = closed = pred_conditional = pred_peak = None
-    if direction:
-        pred_momentum, closed, pred_conditional = _momentum_ratios(rates, n, direction)
-        closed = closed if fresnel else None
-        pred_peak = n * k0 if direction > 0 else k0 / n
+    pred_momentum, closed, pred_conditional = _momentum_ratios(rates, n, direction)
+    closed = closed if fresnel else None
+    pred_peak = n * k0 if direction > 0 else k0 / n
 
     measured_energy = _ratio(out_blocks["total"]["energy"], inp["energy"])
     measured_momentum = _ratio(out_blocks["total"]["dyn_momentum"], inp["dyn_momentum"])
@@ -468,7 +478,7 @@ def _summarize(
         "config": {section: dict(sorted(cfg[section].items())) for section in sorted(cfg)},
         "scenario": {
             "n": n,
-            "direction": direction if direction else "mixed",
+            "direction": direction,
             "coupling": "from_n" if fresnel else "explicit",
             "omega": sc.omega,
             "t_final": outcome.t_final,
@@ -518,13 +528,12 @@ SERIES_HEADER = (
 )
 
 
-def _field_density(p: BlipWavePacket, media: dict[int, Medium], hbar: float) -> np.ndarray:
+def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float) -> np.ndarray:
     """|E(x)|^2 with every channel reconstructed in its own medium."""
-    sp = to_momentum(p)
-    e_y = np.zeros(p.grid.n_points, dtype=np.complex128)
-    e_z = np.zeros(p.grid.n_points, dtype=np.complex128)
+    e_y = np.zeros(sp.grid.n_points, dtype=np.complex128)
+    e_z = np.zeros(sp.grid.n_points, dtype=np.complex128)
     for ch, a in sp.amp.items():
-        fp = field_profile(SpectralWavePacket(p.grid, {ch: a}), media[ch.s], hbar)
+        fp = field_profile(SpectralWavePacket(sp.grid, {ch: a}), media[ch.s], hbar)
         e_y += fp.e_y
         e_z += fp.e_z
     return np.abs(e_y) ** 2 + np.abs(e_z) ** 2
@@ -533,10 +542,12 @@ def _field_density(p: BlipWavePacket, media: dict[int, Medium], hbar: float) -> 
 def _write_snapshots(
     out_dir: Path, sc: Scenario, result: ScenarioResult, fmt: str
 ) -> list[Path]:
-    """Position, spectrum and field-density tables of the final state."""
+    """Position, spectrum and field-density tables of the final state; the
+    field density re-phases the map's total spectrum to the final time."""
     outcome = result.outcome
     grid = outcome.total.grid
     outgoing = {+1: sc.right_medium, -1: sc.left_medium}
+    final_total = _advance_spectrum(outcome.spectra["total"], outgoing, outcome.t_final)
     tables = {
         "snapshot_position": {
             "x": grid.x,
@@ -549,7 +560,7 @@ def _write_snapshots(
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        "snapshot_field": {"x": grid.x, "e_density": _field_density(outcome.total, outgoing, sc.hbar)},
+        "snapshot_field": {"x": grid.x, "e_density": _field_density(final_total, outgoing, sc.hbar)},
     }
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)

@@ -175,13 +175,14 @@ class Medium:
     mu: float = 1.0
     area: float = 1.0
     c0: float = 1.0
-    tag: str = ""
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "mu", "area", "c0"):
             v = getattr(self, name)
             if not _is_positive_real(v):
                 raise DomainError(f"medium {name} must be a positive finite number, got {v!r}")
+        if not _is_positive_real(self.epsilon * self.mu):
+            raise DomainError(f"medium epsilon*mu = {self.epsilon * self.mu!r} gives no finite, nonzero speed")
 
     @property
     def c(self) -> float:
@@ -193,19 +194,19 @@ class Medium:
 
     @property
     def label(self) -> str:
-        return self.tag or f"n={self.n:.6g}"
+        return f"n={self.n:.6g}"
 
     @classmethod
-    def from_index(cls, n: float, *, area: float = 1.0, c0: float = 1.0, tag: str = "") -> "Medium":
+    def from_index(cls, n: float, *, area: float = 1.0, c0: float = 1.0) -> "Medium":
         """Non-magnetic medium (``mu = 1``) with refractive index ``n``."""
         if not _is_positive_real(n):
             raise DomainError(f"refractive index must be positive and finite, got {n!r}")
-        return cls(epsilon=(n / c0) ** 2, mu=1.0, area=area, c0=c0, tag=tag)
+        return cls(epsilon=(n / c0) ** 2, mu=1.0, area=area, c0=c0)
 
     @classmethod
-    def reference(cls, *, area: float = 1.0, c0: float = 1.0, tag: str = "") -> "Medium":
+    def reference(cls, *, area: float = 1.0, c0: float = 1.0) -> "Medium":
         """The reference (index 1) medium for the given ``c0``."""
-        return cls.from_index(1.0, area=area, c0=c0, tag=tag)
+        return cls.from_index(1.0, area=area, c0=c0)
 
 
 def _freeze_amp(
@@ -344,20 +345,33 @@ def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | N
     return float(lo), float(hi)
 
 
-def _check_inside(grid: Grid, lo: float, hi: float, what: str) -> None:
-    """The one edge rule for transported supports, incoming or scattered.
+def _check_inside(
+    grid: Grid,
+    t0_supports: Mapping[Channel, tuple[float, float] | None],
+    media_by_direction: Mapping[int, Medium],
+    t: float,
+    what: str,
+) -> None:
+    """The one edge rule for transported supports: free flight, incoming or scattered.
 
-    Raises :class:`DomainExitError` unless ``[lo, hi]`` keeps
+    Each channel's ``t = 0`` support ``[lo, hi]`` (``None``: nothing to
+    check) moves by ``s c t`` at the speed of ``media_by_direction[s]``.
+    Raises :class:`DomainExitError` unless the moved support keeps
     ``EDGE_MARGIN_CELLS`` cells from both ends of the sample range, beyond
-    which the periodic transform would wrap the support around.
+    which the periodic transform would wrap it around.
     """
     margin = EDGE_MARGIN_CELLS * grid.dx
     lo_edge, hi_edge = grid.x_min + margin, grid.x_max - grid.dx - margin
-    if lo < lo_edge or hi > hi_edge:
-        raise DomainExitError(
-            f"{what} would span [{lo:.6g}, {hi:.6g}], outside the usable grid "
-            f"[{lo_edge:.6g}, {hi_edge:.6g}]; enlarge the grid or shorten the schedule"
-        )
+    for ch, bounds in t0_supports.items():
+        if bounds is None:
+            continue
+        shift = ch.s * media_by_direction[ch.s].c * t
+        lo, hi = bounds[0] + shift, bounds[1] + shift
+        if lo < lo_edge or hi > hi_edge:
+            raise DomainExitError(
+                f"at t = {t:.6g} channel {ch} of {what} would span [{lo:.6g}, {hi:.6g}], outside "
+                f"the usable grid [{lo_edge:.6g}, {hi_edge:.6g}]; enlarge the grid or shorten the schedule"
+            )
 
 
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:

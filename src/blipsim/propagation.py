@@ -8,7 +8,9 @@ A scenario is one packet launched toward the scatterer at ``x = 0``
 (reference medium on the left, the other medium on the right) with a list
 of report times.  The boundary map is asymptotic and transport is
 dispersionless, so a scenario scatters once and evolves by phase.  The
-input is transformed once; an incoming report is one phase multiply and
+input is transformed once and its supports are measured once, both by the
+map; an incoming report moves those supports through the edge rule of
+:func:`blipsim.lattice._check_inside`, then makes one phase multiply and
 one inverse transform.  The map is applied once, at the first report time
 past the crossing, and every later report re-phases its out-spectra (see
 :meth:`blipsim.scattering.ScatterOutcome.at`).  Every quadratic
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigurationError
-from .lattice import BlipWavePacket, Medium, _check_inside, _support_interval, centroid, combine
+from .lattice import BlipWavePacket, Medium, _check_inside, _support_interval, centroid
 from .observables import ObservableReport, spectral_expectations
 from .scattering import (
     GUARD_TOL,
@@ -36,7 +38,7 @@ from .scattering import (
     interface_scatter,
     rates_from_omega,
 )
-from .spectral import SpectralWavePacket, _advance_spectrum, to_momentum, to_position
+from .spectral import _advance_spectrum, to_momentum, to_position
 
 __all__ = [
     "evolve_free",
@@ -47,34 +49,16 @@ __all__ = [
 ]
 
 
-def _advance(
-    p: BlipWavePacket,
-    media_by_direction: Mapping[int, Medium],
-    t: float,
-    spectrum: SpectralWavePacket | None = None,
-) -> BlipWavePacket:
-    """Advance every channel at its own medium's speed; guards the grid edges.
-
-    ``spectrum`` is ``to_momentum(p)`` when the caller already has it."""
-    t = float(t)
-    for ch in p.amp:
-        bounds = _support_interval(p, ch)
-        if bounds is not None:
-            shift = ch.s * media_by_direction[ch.s].c * t
-            _check_inside(p.grid, bounds[0] + shift, bounds[1] + shift, f"at t = {t:.6g} channel {ch}")
-    if t == 0.0:
-        return p
-    sp = to_momentum(p) if spectrum is None else spectrum
-    return to_position(_advance_spectrum(sp, media_by_direction, t))
-
-
 def evolve_free(p: BlipWavePacket, m: Medium, t: float) -> BlipWavePacket:
     """Free flight for time ``t`` inside medium ``m`` (any sign of ``t``).
 
     Raises :class:`DomainExitError` if the translated support would leave
     the grid (the discrete transform would wrap it around periodically).
     """
-    return _advance(p, {+1: m, -1: m}, t)
+    t = float(t)
+    media = {+1: m, -1: m}
+    _check_inside(p.grid, {ch: _support_interval(p, ch) for ch in p.amp}, media, t, "the packet")
+    return p if t == 0.0 else to_position(_advance_spectrum(to_momentum(p), media, t))
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,6 @@ class Scenario:
     right_medium: Medium
     schedule: tuple[float, ...]
     omega: complex | None = None
-    tag: str = ""
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
@@ -200,23 +183,23 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         rates=rates,
         left=sc.left_medium,
         right=sc.right_medium,
-        tag=sc.tag,
         allow_partial=True,
     )
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
     sp_in = outcome.incident
-    spectra = dict(outcome.spectra)
-    spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
     input_values = spectral_expectations(sp_in, incoming_media, sc.hbar)
-    values = {branch: spectral_expectations(sp, outgoing_media, sc.hbar) for branch, sp in spectra.items()}
+    values = {
+        branch: spectral_expectations(sp, outgoing_media, sc.hbar) for branch, sp in outcome.spectra.items()
+    }
 
     rows: list[ScenarioRow] = []
     non_asymptotic: list[float] = []
     max_guard = 0.0
     for t in sc.schedule:
         if t not in scattered:
-            state = _advance(sc.packet, incoming_media, t, sp_in)
+            _check_inside(sc.packet.grid, outcome.incident_supports, incoming_media, t, "the incoming packet")
+            state = to_position(_advance_spectrum(sp_in, incoming_media, t)) if t else sc.packet
             rows.append(_row(t, "incoming", "incoming", True, input_values, state))
             continue
         if t != outcome.t_final:

@@ -23,21 +23,23 @@ via the purely imaginary coupling ``Omega(n) = -2 i c_left (sqrt(n) - 1)/(sqrt(n
 One map, :func:`interface_scatter`, covers both; the point mirror is its
 case with one medium on both sides and explicit rates.  The map is
 asymptotic: it takes an in-packet whose channels approach ``x = 0``
-(direction ``+1`` from the left, ``-1`` from the right), builds each
-out-branch's momentum amplitudes once, and re-phases them by the free
-evolution ``exp(-i c k t)`` to any time ``t_final`` by which every branch
-has cleared the scatterer.  Transmission through the boundary rescales
-wavenumbers by the index ratio, ``psi~(k) -> psi~(k/n)`` going in and
-``psi~(n k)`` coming out, with the matching ``1/sqrt(n)`` amplitude factors;
-the sign of ``k`` is never changed.  Wavenumber rescaling is evaluated on
-the band-limited interpolant (see :mod:`blipsim.spectral`) and its norm
-drift is measured and bounded.
+(direction ``+1`` from the left, ``-1`` from the right) and builds the
+event's ``t = 0`` state once: each out-branch's momentum amplitudes, their
+sum, and each branch channel's support.  It then re-phases the amplitudes by
+the free evolution ``exp(-i c k t)`` to any time ``t_final`` by which every
+branch has cleared the scatterer, after moving the supports by ``s c t``
+through the edge rule of :func:`blipsim.lattice._check_inside`.
+Transmission through the boundary rescales wavenumbers by the index ratio,
+``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
+matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
+changed.  Wavenumber rescaling is evaluated on the band-limited interpolant
+(see :mod:`blipsim.spectral`) and its norm drift is measured and bounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +48,6 @@ from .errors import (
     ConsistencyError,
     DivergenceError,
     DomainError,
-    DomainExitError,
     InterpolationAccuracyError,
     NotAsymptoticError,
     SupportGuardError,
@@ -54,7 +55,6 @@ from .errors import (
 from .lattice import (
     BlipWavePacket,
     Channel,
-    Grid,
     Medium,
     _check_inside,
     _is_positive_real,
@@ -243,23 +243,29 @@ def omega_from_n(n: float, c0: float = 1.0) -> MirrorCoupling:
 class ScatterOutcome:
     """Out-state of one scattering event at ``t_final``, split into its two branches.
 
-    After the map each branch depends on time only through ``exp(-i c k t)``:
-    ``spectra`` keeps both branches' momentum amplitudes at ``t = 0`` (keys
-    ``"transmitted"``, ``"reflected"``), :meth:`at` re-phases them to another
-    time, and every quadratic observable except the centroid reads straight
-    from them.  ``total`` is the coherent sum of the branches at ``t_final``
-    and ``prob_t``/``prob_r`` are the branch weights.  ``incident_weight``
-    and ``incident_supports`` (per incident channel, the interval of
-    :func:`blipsim.lattice._support_interval`) are measured on the in-packet
-    once per event, for the per-time checks.  ``incident`` holds the
-    in-packet's momentum amplitudes: the map's own forward transform of each
-    incident channel, so the input is transformed once per event.  After the
-    event, direction ``+1`` channels occupy ``right_medium`` and ``-1``
-    channels ``left_medium``.  ``asymptotic`` records whether every branch
-    had cleared the guard band at ``t_final``; ``guard_fraction`` is the
-    largest branch weight fraction still inside the band or on the wrong
-    side, and ``resampling_drift`` the largest relative norm error of the
-    wavenumber rescaling (0 at ``n = 1``, where nothing is rescaled).
+    :func:`interface_scatter` builds the event's ``t = 0`` state once; after
+    the map each branch depends on time only through ``exp(-i c k t)``.
+    ``spectra`` holds the momentum amplitudes at ``t = 0`` of the
+    ``"transmitted"`` and ``"reflected"`` branches and of their per-channel
+    sum ``"total"``; every quadratic observable except the centroid reads
+    straight from them.  ``supports`` holds, per branch, each channel's
+    ``t = 0`` support, mapped from ``incident_supports`` (per incident
+    channel, the interval of :func:`blipsim.lattice._support_interval`):
+    ``[a/n, b/n]`` (``s = +1``) or ``[n a, n b]`` (``s = -1``) on
+    transmission, ``[-b, -a]`` on reflection, and ``None`` where the rate
+    is 0.  ``prob_t``/``prob_r`` are the branch weights, ``incident_weight``
+    the in-packet's, and ``incident`` the in-packet's momentum amplitudes
+    from the map's own forward transform, so the input is transformed once
+    per event.  After the event, direction ``+1`` channels occupy
+    ``right_medium`` and ``-1`` channels ``left_medium``.
+
+    The rest is per time, set by :meth:`at`: the position branches
+    ``transmitted`` and ``reflected`` and their coherent sum ``total`` at
+    ``t_final``; ``asymptotic`` records whether every branch had cleared the
+    guard band, and ``guard_fraction`` is the largest branch weight fraction
+    still inside the band or on the wrong side.  ``resampling_drift`` is the
+    largest relative norm error of the wavenumber rescaling (0 at ``n = 1``,
+    where nothing is rescaled).
     """
 
     transmitted: BlipWavePacket
@@ -272,36 +278,48 @@ class ScatterOutcome:
     rates: ScatterRates
     t_final: float
     spectra: Mapping[str, SpectralWavePacket]
+    supports: Mapping[str, Mapping[Channel, tuple[float, float] | None]]
     incident: SpectralWavePacket
     incident_weight: float
     incident_supports: Mapping[Channel, tuple[float, float] | None]
-    tag: str = ""
     asymptotic: bool = True
     resampling_drift: float = 0.0
     guard_fraction: float = 0.0
 
     @property
     def scenario_tag(self) -> str:
-        """The caller's tag, or one naming the map (a reflecting coupling in one
-        medium is the point mirror) and the time."""
-        if self.tag:
-            return self.tag
+        """A tag naming the map (a reflecting coupling in one medium is the
+        point mirror) and the time."""
         if self.left_medium == self.right_medium and self.rates.r_plus != 0:
             return f"beamsplitter(t={self.t_final:.6g})"
         n = self.left_medium.c / self.right_medium.c
         return f"interface(n={n:.6g}, t={self.t_final:.6g})"
 
     def at(self, t_final: float, *, allow_partial: bool = False) -> "ScatterOutcome":
-        """The same event at another time: a phase multiply of ``spectra``, then
-        every per-time check (grid edges, guard fraction, asymptotic flag)."""
-        return _outcome_at(t_final, allow_partial, **{f: getattr(self, f) for f in _EVENT_FIELDS})
+        """The same event at another time: the branch supports pass the edge
+        rule, ``spectra`` are re-phased, and the guard band is checked.
 
-
-#: The fields of an outcome that do not depend on the report time.
-_EVENT_FIELDS = (
-    "left_medium", "right_medium", "rates", "spectra", "incident",
-    "incident_weight", "incident_supports", "tag", "resampling_drift",
-)
+        Raises :class:`DomainExitError` if a branch would leave the grid and,
+        unless ``allow_partial``, :class:`NotAsymptoticError` if one still
+        straddles the scatterer.
+        """
+        t_final = float(t_final)
+        outgoing = {+1: self.right_medium, -1: self.left_medium}
+        names = ("transmitted", "reflected")
+        for name in names:
+            _check_inside(self.incident.grid, self.supports[name], outgoing, t_final, f"the {name} branch")
+        branches = {name: to_position(_advance_spectrum(self.spectra[name], outgoing, t_final)) for name in names}
+        guard_fraction = max(_branch_guard_fraction(b, self.incident_weight) for b in branches.values())
+        asymptotic = guard_fraction <= GUARD_TOL
+        if not asymptotic and not allow_partial:
+            raise NotAsymptoticError(
+                f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
+                "fraction at the scatterer; increase t_final"
+            )
+        return replace(
+            self, **branches, total=combine(*branches.values()), t_final=t_final,
+            asymptotic=asymptotic, guard_fraction=guard_fraction,
+        )
 
 
 def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
@@ -317,8 +335,8 @@ def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[f
     return float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
 
 
-def _check_incoming_support(p: BlipWavePacket) -> float:
-    """Enforce the in-state guard; returns the total input weight."""
+def _check_incoming_support(p: BlipWavePacket) -> None:
+    """Enforce the in-state guard."""
     if not p.amp:
         raise SupportGuardError("cannot scatter an empty packet")
     if not (p.grid.x_min < 0.0 < p.grid.x_max):
@@ -344,7 +362,6 @@ def _check_incoming_support(p: BlipWavePacket) -> float:
             )
     if total == 0.0:
         raise SupportGuardError("cannot scatter a zero-weight packet")
-    return total
 
 
 def _branch_guard_fraction(branch: BlipWavePacket, input_weight: float) -> float:
@@ -364,81 +381,6 @@ def _branch_guard_fraction(branch: BlipWavePacket, input_weight: float) -> float
     return worst
 
 
-def _check_branch_domains(
-    grid: Grid,
-    supports: Mapping[Channel, tuple[float, float] | None],
-    left: Medium,
-    right: Medium,
-    t_final: float,
-    rates: ScatterRates,
-) -> None:
-    """Reject ``t_final`` values that would carry a branch past a grid edge.
-
-    Branches are built at ``t_final`` from spectral phases, so a branch
-    pushed past an edge would wrap around periodically instead of failing;
-    this transports each incident channel's support (``supports``, from
-    :func:`blipsim.lattice._support_interval`) through the exact branch
-    kinematics first and applies the edge rule of
-    :func:`blipsim.lattice._check_inside`.  For ``s = +1`` content on
-    ``[a, b]``, the transmitted image is ``[a/n + c_R t, b/n + c_R t]`` and
-    the reflected one ``[-b - c_L t, -a - c_L t]``; mirrored for ``s = -1``.
-    Branches with exactly zero amplitude are skipped: they carry nothing
-    that could wrap.
-    """
-    n = left.c / right.c
-    for ch, bounds in supports.items():
-        if bounds is None:
-            continue
-        a, b = bounds
-        if ch.s > 0:
-            images = {
-                "transmitted": (a / n + right.c * t_final, b / n + right.c * t_final),
-                "reflected": (-b - left.c * t_final, -a - left.c * t_final),
-            }
-        else:
-            images = {
-                "transmitted": (n * a - left.c * t_final, n * b - left.c * t_final),
-                "reflected": (right.c * t_final - b, right.c * t_final - a),
-            }
-        amps = {"transmitted": rates.t(ch.s), "reflected": rates.r(ch.s)}
-        for name, (lo, hi) in images.items():
-            if amps[name] != 0:
-                _check_inside(grid, lo, hi, f"at t = {t_final:.6g} the {name} branch of channel {ch}")
-
-
-def _outcome_at(t_final: float, allow_partial: bool, **event) -> ScatterOutcome:
-    """Re-phase the ``t = 0`` branch spectra of ``event`` to ``t_final`` and run the per-time checks."""
-    t_final = float(t_final)
-    left, right, spectra = event["left_medium"], event["right_medium"], event["spectra"]
-    _check_branch_domains(
-        event["incident"].grid, event["incident_supports"], left, right, t_final, event["rates"]
-    )
-    outgoing = {+1: right, -1: left}
-    transmitted = to_position(_advance_spectrum(spectra["transmitted"], outgoing, t_final))
-    reflected = to_position(_advance_spectrum(spectra["reflected"], outgoing, t_final))
-    guard_fraction = max(
-        _branch_guard_fraction(transmitted, event["incident_weight"]),
-        _branch_guard_fraction(reflected, event["incident_weight"]),
-    )
-    asymptotic = guard_fraction <= GUARD_TOL
-    if not asymptotic and not allow_partial:
-        raise NotAsymptoticError(
-            f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
-            "fraction at the scatterer; increase t_final"
-        )
-    return ScatterOutcome(
-        transmitted=transmitted,
-        reflected=reflected,
-        total=combine(transmitted, reflected),
-        prob_t=spectral_norm(spectra["transmitted"]),
-        prob_r=spectral_norm(spectra["reflected"]),
-        t_final=t_final,
-        asymptotic=asymptotic,
-        guard_fraction=guard_fraction,
-        **event,
-    )
-
-
 def interface_scatter(
     p: BlipWavePacket,
     n: float,
@@ -447,7 +389,6 @@ def interface_scatter(
     rates: ScatterRates | None = None,
     left: Medium | None = None,
     right: Medium | None = None,
-    tag: str = "",
     allow_partial: bool = False,
 ) -> ScatterOutcome:
     """Scatter at the boundary with speed ratio ``n = c_left / c_right``.
@@ -463,10 +404,12 @@ def interface_scatter(
       advanced at ``c_left``; reflected ``r_- psi~(k)`` on ``(+1, pol)``
       advanced at ``c_right``.
 
-    The outcome is then re-phased to ``t_final`` (see
-    :meth:`ScatterOutcome.at`).  At ``n = 1`` with default rates this
-    reduces exactly to free propagation with an empty reflected branch; with
-    explicit rates and one medium on both sides it is the point mirror.
+    These spectra, their per-channel sum and each branch channel's support
+    are the event's ``t = 0`` state, built once; the outcome is then
+    re-phased to ``t_final`` (see :meth:`ScatterOutcome.at`).  At ``n = 1``
+    with default rates this reduces exactly to free propagation with an
+    empty reflected branch; with explicit rates and one medium on both
+    sides it is the point mirror.
     Raises :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
     ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
@@ -480,13 +423,10 @@ def interface_scatter(
     if left is None:
         left = Medium.reference()
         right = Medium.from_index(n)
-    else:
-        assert right is not None
-        ratio = left.c / right.c
-        if not math.isclose(ratio, n, rel_tol=1e-12, abs_tol=0.0):
-            raise ConsistencyError(
-                f"media speed ratio {ratio!r} does not match n = {n!r}"
-            )
+    assert right is not None
+    ratio = left.c / right.c
+    if not math.isclose(ratio, n, rel_tol=1e-12, abs_tol=0.0):
+        raise ConsistencyError(f"media speed ratio {ratio!r} does not match n = {n!r}")
     if rates is None:
         rates = fresnel_rates(n)
 
@@ -494,8 +434,9 @@ def interface_scatter(
     grid = p.grid
     root_n = math.sqrt(n)
     in_amp: dict[Channel, np.ndarray] = {}
-    trans_amp: dict[Channel, np.ndarray] = {}
-    refl_amp: dict[Channel, np.ndarray] = {}
+    amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
+    supports: dict[str, dict[Channel, tuple[float, float] | None]] = {"transmitted": {}, "reflected": {}}
+    incident_supports: dict[Channel, tuple[float, float] | None] = {}
     drift = 0.0
     for ch, a in p.amp.items():
         phi = in_amp[ch] = _forward(grid, ch.s, a)
@@ -512,20 +453,33 @@ def interface_scatter(
                 measured = float(np.sum(np.abs(trans) ** 2)) * grid.dk
                 expected = abs(rates.t(ch.s)) ** 2 * weight
                 drift = max(drift, abs(measured - expected) / weight)
-        trans_amp[ch] = trans
-        refl_amp[Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
+        refl = Channel(-ch.s, ch.pol)
+        amps["transmitted"][ch] = trans
+        amps["reflected"][refl] = rates.r(ch.s) * phi
+        # each branch's t = 0 image of the incident support, scaled by the
+        # media's speed ratio, in which the branches are then advanced
+        bounds = incident_supports[ch] = _support_interval(p, ch)
+        t_image = r_image = None
+        if bounds is not None:
+            lo, hi = bounds
+            if rates.t(ch.s) != 0:
+                t_image = (lo / ratio, hi / ratio) if ch.s > 0 else (ratio * lo, ratio * hi)
+            if rates.r(ch.s) != 0:
+                r_image = (-hi, -lo)
+        supports["transmitted"][ch], supports["reflected"][refl] = t_image, r_image
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    spectra = {
-        "transmitted": SpectralWavePacket(grid, trans_amp),
-        "reflected": SpectralWavePacket(grid, refl_amp),
-    }
-    return _outcome_at(
-        t_final, allow_partial, left_medium=left, right_medium=right, rates=rates,
-        spectra=spectra, incident=SpectralWavePacket(grid, in_amp), incident_weight=norm(p),
-        incident_supports={ch: _support_interval(p, ch) for ch in p.amp},
-        tag=tag, resampling_drift=drift,
+    spectra = {name: SpectralWavePacket(grid, amp) for name, amp in amps.items()}
+    spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
+    event = ScatterOutcome(
+        # the per-time fields; at() sets them
+        transmitted=None, reflected=None, total=None, t_final=math.nan,
+        prob_t=spectral_norm(spectra["transmitted"]), prob_r=spectral_norm(spectra["reflected"]),
+        left_medium=left, right_medium=right, rates=rates, spectra=spectra, supports=supports,
+        incident=SpectralWavePacket(grid, in_amp), incident_weight=norm(p),
+        incident_supports=incident_supports, resampling_drift=drift,
     )
+    return event.at(t_final, allow_partial=allow_partial)

@@ -114,7 +114,7 @@ def test_json_table_format(tmp_path):
     assert rows[0]["centroid"] == pytest.approx(-15.0, abs=1e-9)
 
 
-def test_config_errors_exit_2_and_write_nothing(tmp_path):
+def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
     cases = {
         "missing_section": dict(drop=("schedule",)),
         "missing_key": dict(overrides={"grid": {}}, drop=("grid",)),
@@ -133,6 +133,23 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path):
         ),
         "omega_without_explicit": dict(overrides={"coupling": {"omega": "0.5j"}}),
         "bad_coupling_source": dict(overrides={"coupling": {"source": "guess"}}),
+        "negative_index": dict(overrides={"media": {"n": "-1"}}),
+        "zero_index": dict(overrides={"media": {"n": "0"}}),
+        "nan_index": dict(overrides={"media": {"n": "nan"}}),
+        "zero_area": dict(overrides={"media": {"area": "0"}}),
+        "infinite_c0": dict(overrides={"media": {"c0": "inf"}}),
+        "overflowing_medium": dict(overrides={"media": {"n": "1e200", "c0": "1e-200"}}),
+        "speedless_medium": dict(
+            overrides={"media": {"left_epsilon": "1e300", "left_mu": "1e300", "right_epsilon": "4", "right_mu": "1"}},
+            drop=("media",),
+        ),
+        "nan_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "nan"}}),
+        "divergent_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "-3j"}}),
+    }
+    bad_keys = {
+        "negative_index": "'n'", "zero_index": "'n'", "nan_index": "'n'", "zero_area": "'area'",
+        "infinite_c0": "'c0'", "overflowing_medium": "[media]", "speedless_medium": "[media]", "nan_omega": "'omega'",
+        "divergent_omega": "'omega'",
     }
     for name, case in cases.items():
         cfg = write_config(
@@ -142,8 +159,33 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path):
         rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2, name
         assert not out.exists(), name
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and bad_keys.get(name, "") in err, (name, err)
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_a_point_mirror_run_with_snapshots_transforms_its_input_once(tmp_path, monkeypatch):
+    """One forward FFT per incident channel: the map's own.  The snapshot
+    field density re-phases the map's total spectrum instead of
+    transforming the position total back."""
+    ffts = []
+    fft = np.fft.fft
+
+    def counting_fft(a, *args, **kwargs):
+        ffts.append(np.size(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    overrides = {
+        "media": {"n": "1.0"},
+        "coupling": {"source": "explicit", "omega": "-0.6j"},
+        "output": {"snapshots": "true"},
+    }
+    cfg = write_config(tmp_path / "mirror.ini", overrides)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "snapshot_field.csv").exists()
+    assert ffts == [2048]
 
 
 def test_runtime_error_exits_3_without_partial_outputs(tmp_path, capsys):

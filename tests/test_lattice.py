@@ -90,7 +90,6 @@ def test_medium_derived_quantities():
     raw = bs.Medium(epsilon=2.25, mu=1.0)
     assert raw.n == pytest.approx(1.5, rel=1e-15)
     assert raw.label == "n=1.5"
-    assert bs.Medium(tag="water").label == "water"
 
 
 def test_medium_rejects_nonpositive():

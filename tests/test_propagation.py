@@ -287,10 +287,12 @@ def test_rows_agree_with_the_per_time_map_and_field_route(rig_grid, rig_packet, 
 
 
 def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
+    """Also one support measurement per incident channel: incoming reports and
+    branches transport the supports the map measured."""
     import blipsim.propagation as propagation
     import blipsim.scattering as scattering
 
-    calls = {"map": 0, "chirp": 0}
+    calls = {"map": 0, "chirp": 0, "support": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -303,13 +305,15 @@ def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_p
     monkeypatch.setattr(
         scattering, "sample_spectrum_scaled", counting("chirp", scattering.sample_spectrum_scaled)
     )
+    for module in (scattering, propagation):
+        monkeypatch.setattr(module, "_support_interval", counting("support", bs.lattice._support_interval))
     mixed = _mixed_packet(rig_grid)
     schedules = ((0.0,), (140.0,), (0.0, 30.0, 140.0), (50.0, 70.0, 100.0, 120.0, 140.0, 160.0))
     for packet, channels in ((rig_packet, 1), (mixed, 2)):
         for schedule in schedules:
-            calls.update(map=0, chirp=0)
+            calls.update(map=0, chirp=0, support=0)
             bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
-            assert calls == {"map": 1, "chirp": channels}, (channels, schedule)
+            assert calls == {"map": 1, "chirp": channels, "support": channels}, (channels, schedule)
 
 
 def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium):

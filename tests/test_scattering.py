@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -334,8 +335,8 @@ def test_band_edge_overflow_rejected(rig_grid):
 
 
 def test_outcome_records_context(rig_packet, ref_medium):
-    out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0, tag="demo")
-    assert out.scenario_tag == "demo"
+    out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
+    assert out.scenario_tag == "interface(n=2, t=140)"
     assert out.t_final == 140.0
     assert out.left_medium.n == 1.0
     assert out.right_medium.n == 2.0
@@ -400,6 +401,93 @@ def test_rephase_reproduces_a_direct_map(rig_packet):
         direct.at(61.0)
     with pytest.raises(bs.DomainExitError):
         direct.at(400.0)
+
+
+def branch_images_oracle(supports, left, right, t_final, rates):
+    """Test oracle: each branch's image of the incident supports at ``t_final``,
+    as a table transported from the incident channels per time.
+
+    For ``s = +1`` content on ``[a, b]`` the transmitted image is
+    ``[a/n + c_R t, b/n + c_R t]`` and the reflected one
+    ``[-b - c_L t, -a - c_L t]``; mirrored for ``s = -1``.  A branch whose
+    rate is 0 has no image (``None``).  Keyed by ``(branch, out-channel)``.
+    """
+    n = left.c / right.c
+    table = {}
+    for ch, bounds in supports.items():
+        if bounds is None:
+            continue
+        a, b = bounds
+        if ch.s > 0:
+            images = {
+                "transmitted": (a / n + right.c * t_final, b / n + right.c * t_final),
+                "reflected": (-b - left.c * t_final, -a - left.c * t_final),
+            }
+        else:
+            images = {
+                "transmitted": (n * a - left.c * t_final, n * b - left.c * t_final),
+                "reflected": (right.c * t_final - b, right.c * t_final - a),
+            }
+        amps = {"transmitted": rates.t(ch.s), "reflected": rates.r(ch.s)}
+        for name, image in images.items():
+            out_ch = ch if name == "transmitted" else bs.Channel(-ch.s, ch.pol)
+            table[name, out_ch] = image if amps[name] != 0 else None
+    return table
+
+
+def _bits(interval):
+    return None if interval is None else tuple(v.hex() for v in interval)
+
+
+def test_branch_supports_transport_to_the_image_table_bit_for_bit(rig_grid, rig_packet):
+    left_mover = bs.gaussian_packet(rig_grid, (-1, "H"), x0=60.0, k0=30.0, sigma=2.0)
+    mixed = bs.combine(rig_packet, bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=25.0, sigma=2.0))
+    mirror = bs.rates_from_omega(bs.MirrorCoupling(-0.6j))
+    wall = bs.ScatterRates(t_minus=0j, t_plus=0j, r_minus=1 + 0j, r_plus=-1 + 0j)
+    ref = bs.Medium.reference()
+    cases = {
+        "fresnel n=1.7": dict(n=1.7),
+        "fresnel n=1 (no reflection)": dict(n=1.0),
+        # the media's speed ratio is one ulp off n, and the branches move in the media
+        "explicit media": dict(n=2.9 / 1.3, left=bs.Medium.from_index(1.3), right=bs.Medium.from_index(2.9)),
+        "point mirror": dict(n=1.0, rates=mirror, left=ref, right=ref),
+        "explicit rates, n=2": dict(n=2.0, rates=mirror),
+        "perfect wall (no transmission)": dict(n=1.0, rates=wall, left=ref, right=ref),
+    }
+    zero_rate = {"fresnel n=1 (no reflection)": {"reflected"}, "perfect wall (no transmission)": {"transmitted"}}
+    for packet in (rig_packet, left_mover, mixed):
+        for name, kwargs in cases.items():
+            out = bs.interface_scatter(packet, t_final=140.0, allow_partial=True, **kwargs)
+            outgoing = {+1: out.right_medium, -1: out.left_medium}
+            assert set(out.supports) == {"transmitted", "reflected"}
+            for t in (0.0, 37.5, 140.0, 1e3):
+                want = branch_images_oracle(
+                    out.incident_supports, out.left_medium, out.right_medium, t, out.rates
+                )
+                got = {}
+                for branch, supports in out.supports.items():
+                    for ch, bounds in supports.items():
+                        shift = ch.s * outgoing[ch.s].c * t
+                        got[branch, ch] = None if bounds is None else (bounds[0] + shift, bounds[1] + shift)
+                assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}, (
+                    name, packet.channels(), t
+                )
+            unsupported = {branch for (branch, _), bounds in got.items() if bounds is None}
+            assert unsupported == zero_rate.get(name, set()), (name, packet.channels())
+
+
+def test_at_keeps_every_event_field_as_the_same_object(rig_packet):
+    early = bs.interface_scatter(rig_packet, 2.0, t_final=61.0, allow_partial=True)
+    later = early.at(140.0)
+    per_time = {"transmitted", "reflected", "total", "t_final", "asymptotic", "guard_fraction"}
+    for f in dataclasses.fields(bs.ScatterOutcome):
+        if f.name not in per_time:
+            assert getattr(later, f.name) is getattr(early, f.name), f.name
+    assert later.t_final == 140.0 and later.asymptotic and not early.asymptotic
+    total = bs.combine(early.spectra["transmitted"], early.spectra["reflected"])
+    assert early.spectra["total"].channels() == total.channels()
+    for ch, a in total.amp.items():
+        assert np.array_equal(early.spectra["total"].amp[ch], a)
 
 
 def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
