@@ -68,12 +68,6 @@ DEFAULT_TOLERANCES = {
     "asymptotic": GUARD_TOL,
 }
 
-_BOOLEAN_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -192,9 +186,9 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_bool(text: str) -> bool:
     key = text.strip().lower()
-    if key not in _BOOLEAN_STATES:
+    if key not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ConfigurationError(f"cannot parse boolean from {text!r}")
-    return _BOOLEAN_STATES[key]
+    return configparser.ConfigParser.BOOLEAN_STATES[key]
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -326,7 +320,7 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
         else:
             left = Medium.reference(area=area, c0=c0)
             right = Medium.from_index(media.get("n", 1.0), area=area, c0=c0)
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         # each value is in range, but together they leave epsilon or the speed out of range
         raise ConfigurationError(f"[media] values give no valid medium: {exc}") from None
 
@@ -651,7 +645,11 @@ def cmd_check(
         n = float(n)
         rates = fresnel_rates(n)
         cross, d_minus, d_plus = stokes_residuals(rates)
-        recovered = rates_from_omega(omega_from_n(n))
+        try:
+            recovered = rates_from_omega(omega_from_n(n))
+        except DivergenceError:
+            # every finite n > 0 has q < 1, but q rounds to 1 far enough from n = 1
+            raise ConfigurationError(f"index n = {FLOAT % n} is out of range: its coupling q rounds to 1") from None
         roundtrip = max(
             abs(recovered.t_minus - rates.t_minus),
             abs(recovered.t_plus - rates.t_plus),

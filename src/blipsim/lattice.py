@@ -201,7 +201,11 @@ class Medium:
         """Non-magnetic medium (``mu = 1``) with refractive index ``n``."""
         if not _is_positive_real(n):
             raise DomainError(f"refractive index must be positive and finite, got {n!r}")
-        return cls(epsilon=(n / c0) ** 2, mu=1.0, area=area, c0=c0)
+        try:
+            epsilon = (n / c0) ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"n = {n!r} and c0 = {c0!r} give no finite permittivity (n / c0)**2") from None
+        return cls(epsilon=epsilon, mu=1.0, area=area, c0=c0)
 
     @classmethod
     def reference(cls, *, area: float = 1.0, c0: float = 1.0) -> "Medium":

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import Medium
+from .lattice import Medium, _is_positive_real
 from .spectral import SpectralWavePacket, spectral_norm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,7 +78,7 @@ def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
 
 def abraham_momentum(p_field: float, n: float) -> float:
     """Kinetic momentum paired with a canonical value: ``p / n^2``."""
-    if not (np.isfinite(n) and n > 0):
+    if not _is_positive_real(n):
         raise DomainError(f"refractive index must be positive and finite, got {n!r}")
     return p_field / (n * n)
 

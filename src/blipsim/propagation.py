@@ -16,9 +16,13 @@ past the crossing, and every later report re-phases its out-spectra (see
 :meth:`blipsim.scattering.ScatterOutcome.at`).  Every quadratic
 observable except the centroid is time independent, so the input and each
 branch get one :class:`~blipsim.observables.ObservableReport`, which all
-their rows share as ``values``; a row adds only its centroid.  Reports that
-fall while a branch still straddles the scatterer are flagged ``crossing``
-rather than interpolated.
+their rows share as ``values``; a row adds only its centroid.  A report is
+``incoming`` while the in-state advanced to its time passes the map's own
+in-state guard (:func:`blipsim.scattering._stray_weight`), so the map
+refuses any packet that is not incoming at ``t = 0``.  Reports that fall
+while a branch still straddles the scatterer are flagged ``crossing``
+rather than interpolated; a row's phase is the only record of whether it
+is asymptotic.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .scattering import (
     GUARD_TOL,
     MirrorCoupling,
     ScatterOutcome,
-    _band_masses,
+    _stray_weight,
     interface_scatter,
     rates_from_omega,
 )
@@ -105,9 +109,13 @@ class ScenarioRow:
     time: float
     branch: str
     phase: str
-    asymptotic: bool
     centroid: float | None
     values: ObservableReport
+
+    @property
+    def asymptotic(self) -> bool:
+        """Read from ``phase``: only a ``crossing`` row is not asymptotic."""
+        return self.phase != "crossing"
 
 
 @dataclass(frozen=True)
@@ -123,40 +131,26 @@ class ScenarioResult:
     blocks: Mapping[str, ScenarioRow] = field(default_factory=dict)
 
 
-def _row(
-    time: float,
-    branch: str,
-    phase: str,
-    asymptotic: bool,
-    values: ObservableReport,
-    packet: BlipWavePacket,
-) -> ScenarioRow:
+def _row(time: float, branch: str, phase: str, values: ObservableReport, packet: BlipWavePacket) -> ScenarioRow:
     """A shared expectation record plus the centroid of ``packet``, the state at ``time``."""
-    return ScenarioRow(
-        time, branch, phase, asymptotic,
-        centroid(packet) if values.photon_number > 0.0 else None, values,
-    )
+    return ScenarioRow(time, branch, phase, centroid(packet) if values.photon_number > 0.0 else None, values)
 
 
 def _branch_rows(outcome: ScatterOutcome, values: Mapping[str, ObservableReport]) -> list[ScenarioRow]:
     """The transmitted, reflected and total rows of ``outcome`` at its time."""
     phase = "scattered" if outcome.asymptotic else "crossing"
     return [
-        _row(outcome.t_final, branch, phase, outcome.asymptotic, values[branch], getattr(outcome, branch))
+        _row(outcome.t_final, branch, phase, values[branch], getattr(outcome, branch))
         for branch in ("transmitted", "reflected", "total")
     ]
 
 
 def _still_incoming(sc: Scenario, t: float) -> bool:
-    """True while every channel's advanced support is clear on its incoming side."""
+    """True while every channel at time ``t`` passes the map's in-state guard."""
     media = {+1: sc.left_medium, -1: sc.right_medium}
-    for ch in sc.packet.amp:
-        # the guard band moves to -s c t in the frame of the unadvanced packet
-        left, mid, right = _band_masses(sc.packet, ch, -ch.s * media[ch.s].c * t)
-        wrong = right if ch.s > 0 else left
-        if mid + wrong > GUARD_TOL * (left + mid + right):
-            return False
-    return True
+    # the guard band moves to -s c t in the frame of the unadvanced packet
+    guards = (_stray_weight(sc.packet, ch, -ch.s, -ch.s * media[ch.s].c * t) for ch in sc.packet.amp)
+    return all(stray <= GUARD_TOL * weight for stray, weight in guards)
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -194,33 +188,28 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     }
 
     rows: list[ScenarioRow] = []
-    non_asymptotic: list[float] = []
     max_guard = 0.0
     for t in sc.schedule:
         if t not in scattered:
             _check_inside(sc.packet.grid, outcome.incident_supports, incoming_media, t, "the incoming packet")
             state = to_position(_advance_spectrum(sp_in, incoming_media, t)) if t else sc.packet
-            rows.append(_row(t, "incoming", "incoming", True, input_values, state))
+            rows.append(_row(t, "incoming", "incoming", input_values, state))
             continue
         if t != outcome.t_final:
             # every outcome re-phases the same event; replacing the last one
             # keeps a single outcome (with its total) alive
             outcome = outcome.at(t, allow_partial=True)
         max_guard = max(max_guard, outcome.guard_fraction)
-        if not outcome.asymptotic:
-            non_asymptotic.append(t)
         rows.extend(_branch_rows(outcome, values))
-    if not outcome.asymptotic:
-        non_asymptotic.append(sc.schedule[-1])
     # the schedule ends past the crossing whenever any report is, so the
     # last three rows are then the final branches
     final = rows[-3:] if scattered else _branch_rows(outcome, values)
-    input_row = _row(0.0, "incoming", "incoming", True, input_values, sc.packet)
+    input_row = _row(0.0, "incoming", "incoming", input_values, sc.packet)
     blocks = {"input": input_row, **{row.branch: row for row in final}}
     diagnostics = {
         "resampling_drift": outcome.resampling_drift,
         "guard_fraction": max(max_guard, outcome.guard_fraction),
-        "non_asymptotic_times": tuple(dict.fromkeys(non_asymptotic)),
+        "non_asymptotic_times": tuple(dict.fromkeys(row.time for row in (*rows, *final) if not row.asymptotic)),
     }
     return ScenarioResult(
         scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics, blocks=blocks

@@ -28,7 +28,10 @@ event's ``t = 0`` state once: each out-branch's momentum amplitudes, their
 sum, and each branch channel's support.  It then re-phases the amplitudes by
 the free evolution ``exp(-i c k t)`` to any time ``t_final`` by which every
 branch has cleared the scatterer, after moving the supports by ``s c t``
-through the edge rule of :func:`blipsim.lattice._check_inside`.
+through the edge rule of :func:`blipsim.lattice._check_inside`.  One guard
+rule, :func:`_stray_weight`, decides the map's in-state check, the
+``incoming`` label of :mod:`blipsim.propagation` and each branch's
+``guard_fraction`` in :meth:`ScatterOutcome.at`.
 Transmission through the boundary rescales wavenumbers by the index ratio,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
 matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
@@ -86,7 +89,7 @@ __all__ = [
 
 #: Half-width of the guard band around x = 0, in grid cells.
 GUARD_HALF_CELLS = 4
-#: Largest tolerated fraction of channel weight inside the band / on the wrong side.
+#: Largest tolerated fraction of channel weight inside the band plus beyond it on the wrong side.
 GUARD_TOL = 1e-10
 #: Largest tolerated relative norm drift introduced by wavenumber rescaling.
 RESAMPLE_DRIFT_TOL = 1e-8
@@ -309,7 +312,13 @@ class ScatterOutcome:
         for name in names:
             _check_inside(self.incident.grid, self.supports[name], outgoing, t_final, f"the {name} branch")
         branches = {name: to_position(_advance_spectrum(self.spectra[name], outgoing, t_final)) for name in names}
-        guard_fraction = max(_branch_guard_fraction(b, self.incident_weight) for b in branches.values())
+        guard_fraction = 0.0
+        for b in branches.values():
+            for ch in b.amp:
+                stray, weight = _stray_weight(b, ch, ch.s)
+                # a channel below NEGLIGIBLE_WEIGHT of the input is not guarded
+                if weight >= NEGLIGIBLE_WEIGHT * self.incident_weight:
+                    guard_fraction = max(guard_fraction, stray / weight)
         asymptotic = guard_fraction <= GUARD_TOL
         if not asymptotic and not allow_partial:
             raise NotAsymptoticError(
@@ -325,7 +334,7 @@ class ScatterOutcome:
 def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
     """Channel weight left of, inside, and right of the guard band around ``center``.
 
-    Every support guard reads these masses; the band spans ``GUARD_HALF_CELLS`` cells each side.
+    The band spans ``GUARD_HALF_CELLS`` cells each side; :func:`_stray_weight` reads these masses.
     """
     half = GUARD_HALF_CELLS * p.grid.dx
     # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
@@ -335,50 +344,16 @@ def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[f
     return float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
 
 
-def _check_incoming_support(p: BlipWavePacket) -> None:
-    """Enforce the in-state guard."""
-    if not p.amp:
-        raise SupportGuardError("cannot scatter an empty packet")
-    if not (p.grid.x_min < 0.0 < p.grid.x_max):
-        raise SupportGuardError("the scatterer at x = 0 lies outside the grid")
-    total = 0.0
-    for ch in p.amp:
-        left, mid, right = _band_masses(p, ch)
-        weight = left + mid + right
-        total += weight
-        if weight == 0.0:
-            continue
-        wrong = right if ch.s > 0 else left
-        side = "x < 0" if ch.s > 0 else "x > 0"
-        if mid > GUARD_TOL * weight:
-            raise SupportGuardError(
-                f"channel {ch} has {mid / weight:.3e} of its weight within "
-                f"{GUARD_HALF_CELLS * p.grid.dx:.3g} of the scatterer"
-            )
-        if wrong > GUARD_TOL * weight:
-            raise SupportGuardError(
-                f"channel {ch} must approach from {side}; "
-                f"{wrong / weight:.3e} of its weight is on the outgoing side"
-            )
-    if total == 0.0:
-        raise SupportGuardError("cannot scatter a zero-weight packet")
-
-
-def _branch_guard_fraction(branch: BlipWavePacket, input_weight: float) -> float:
-    """Largest fraction of a branch channel still in-band or on the wrong side.
-
-    After scattering the correct side is the outgoing one: ``x > 0`` for
-    direction ``+1``, ``x < 0`` for ``-1``.
+def _stray_weight(p: BlipWavePacket, ch: Channel, side: int, center: float = 0.0) -> tuple[float, float]:
+    """The one guard rule: a channel's ``(stray, weight)``, where ``stray`` is
+    its weight inside the band around ``center`` plus its weight beyond the
+    band away from ``side`` (``-1``: the channel belongs at ``x < center``,
+    ``+1``: at ``x > center``).  The channel is clear while
+    ``stray <= GUARD_TOL * weight``: with ``side = -s`` it is still incoming,
+    with ``side = +s`` it has scattered.
     """
-    worst = 0.0
-    for ch in branch.amp:
-        left, mid, right = _band_masses(branch, ch)
-        weight = left + mid + right
-        if weight < NEGLIGIBLE_WEIGHT * input_weight:
-            continue
-        wrong = left if ch.s > 0 else right
-        worst = max(worst, (mid + wrong) / weight)
-    return worst
+    left, mid, right = _band_masses(p, ch, center)
+    return mid + (right if side < 0 else left), left + mid + right
 
 
 def interface_scatter(
@@ -410,14 +385,16 @@ def interface_scatter(
     with default rates this reduces exactly to free propagation with an
     empty reflected branch; with explicit rates and one medium on both
     sides it is the point mirror.
-    Raises :class:`InterpolationAccuracyError` when the rescaled spectra
+    Raises :class:`SupportGuardError` if an incident channel fails the guard
+    rule of :func:`_stray_weight` with ``side = -s``, and
+    :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
     ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
     grid by ``t_final``.
     """
-    n = float(n)
-    if not (math.isfinite(n) and n > 0):
+    if not _is_positive_real(n):
         raise DomainError(f"refractive index must be positive and finite, got {n!r}")
+    n = float(n)
     if (left is None) != (right is None):
         raise ConsistencyError("give both media or neither")
     if left is None:
@@ -430,8 +407,19 @@ def interface_scatter(
     if rates is None:
         rates = fresnel_rates(n)
 
-    _check_incoming_support(p)
     grid = p.grid
+    if not (grid.x_min < 0.0 < grid.x_max):
+        raise SupportGuardError("the scatterer at x = 0 lies outside the grid")
+    incident_weight = norm(p)
+    if incident_weight == 0.0:
+        raise SupportGuardError("cannot scatter a zero-weight packet")
+    for ch in p.amp:
+        stray, weight = _stray_weight(p, ch, -ch.s)
+        if stray > GUARD_TOL * weight:
+            raise SupportGuardError(
+                f"channel {ch} has {stray / weight:.6g} of its weight within "
+                f"{GUARD_HALF_CELLS * grid.dx:.3g} of the scatterer or past it (GUARD_TOL = {GUARD_TOL:.0e})"
+            )
     root_n = math.sqrt(n)
     in_amp: dict[Channel, np.ndarray] = {}
     amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
@@ -479,7 +467,7 @@ def interface_scatter(
         transmitted=None, reflected=None, total=None, t_final=math.nan,
         prob_t=spectral_norm(spectra["transmitted"]), prob_r=spectral_norm(spectra["reflected"]),
         left_medium=left, right_medium=right, rates=rates, spectra=spectra, supports=supports,
-        incident=SpectralWavePacket(grid, in_amp), incident_weight=norm(p),
+        incident=SpectralWavePacket(grid, in_amp), incident_weight=incident_weight,
         incident_supports=incident_supports, resampling_drift=drift,
     )
     return event.at(t_final, allow_partial=allow_partial)

@@ -139,6 +139,7 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "zero_area": dict(overrides={"media": {"area": "0"}}),
         "infinite_c0": dict(overrides={"media": {"c0": "inf"}}),
         "overflowing_medium": dict(overrides={"media": {"n": "1e200", "c0": "1e-200"}}),
+        "overflowing_permittivity": dict(overrides={"media": {"n": "2", "c0": "1e-160"}}),
         "speedless_medium": dict(
             overrides={"media": {"left_epsilon": "1e300", "left_mu": "1e300", "right_epsilon": "4", "right_mu": "1"}},
             drop=("media",),
@@ -149,6 +150,7 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
     bad_keys = {
         "negative_index": "'n'", "zero_index": "'n'", "nan_index": "'n'", "zero_area": "'area'",
         "infinite_c0": "'c0'", "overflowing_medium": "[media]", "speedless_medium": "[media]", "nan_omega": "'omega'",
+        "overflowing_permittivity": "c0 = 1e-160 give no finite permittivity",
         "divergent_omega": "'omega'",
     }
     for name, case in cases.items():
@@ -163,6 +165,20 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         assert err.startswith("configuration error:") and bad_keys.get(name, "") in err, (name, err)
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_a_borderline_in_state_exits_3_and_writes_nothing(tmp_path, capsys):
+    """1.6e-11 of the packet's weight in the guard band and 8.4e-11 past it:
+    the t = 0 report is neither incoming nor a crossing, the run is refused."""
+    cfg = write_config(tmp_path / "scenario.ini", {
+        "grid": {"x_min": "-200", "x_max": "200", "n_points": "16384"},
+        "packet": {"x0": "-51", "k0": "30", "sigma": "8"},
+        "schedule": {"times": "0, 140"},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "GUARD_TOL" in capsys.readouterr().err
 
 
 def test_a_point_mirror_run_with_snapshots_transforms_its_input_once(tmp_path, monkeypatch):
@@ -332,6 +348,18 @@ def test_check_tolerance_must_be_finite_and_nonnegative(tmp_path):
         assert cli.main(["check", "--steps", "3", f"--tolerance={tolerance}", "--out", str(out)]) == 2
         assert not out.exists(), tolerance
     assert cli.main(["check", "--steps", "3", "--tolerance=0", "--out", str(out)]) == 0
+
+
+def test_check_index_whose_coupling_rounds_to_one_exits_2(tmp_path, capsys):
+    """Every finite n > 0 has q = |Omega|/(2c) < 1, but far enough from
+    n = 1 the float q rounds to 1: such a range is refused before any file is
+    written, naming the index."""
+    out = tmp_path / "out"
+    for argv in (["--n-max", "2e32"], ["--n-min", "3e-33"]):
+        assert cli.main(["check", *argv, "--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: index n = ") and "q rounds to 1" in err, err
 
 
 def test_run_tolerances_must_be_finite_and_nonnegative(tmp_path):

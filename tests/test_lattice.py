@@ -100,6 +100,14 @@ def test_medium_rejects_nonpositive():
         bs.Medium.from_index(-2.0)
 
 
+def test_medium_whose_permittivity_overflows_is_a_domain_error():
+    """``(n / c0) ** 2`` overflows for a tiny ``c0``; the error names both."""
+    with pytest.raises(bs.DomainError, match=r"n = 2\.0 and c0 = 1e-160"):
+        bs.Medium.from_index(2.0, c0=1e-160)
+    with pytest.raises(bs.DomainError, match=r"n = 1\.0 and c0 = 1e-200"):
+        bs.Medium.reference(c0=1e-200)
+
+
 def test_medium_rejects_booleans():
     """bool is an int subclass; True must not pass as a permittivity or index."""
     for name in ("epsilon", "mu", "area", "c0"):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
-from blipsim.scattering import GUARD_HALF_CELLS, _band_masses
+from blipsim.propagation import _still_incoming
+from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _band_masses
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +513,114 @@ def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
     assert spans[0] == spans[1] == spans[2]
 
 
-def test_booleans_are_not_indices():
+def test_booleans_are_not_indices(rig_packet):
     for bad in (True, False):
         with pytest.raises(bs.DomainError):
             bs.fresnel_rates(bad)
         with pytest.raises(bs.DomainError):
             bs.omega_from_n(bad)
+        with pytest.raises(bs.DomainError, match="refractive index must be positive and finite"):
+            bs.interface_scatter(rig_packet, bad, 140.0)
+        with pytest.raises(bs.DomainError, match="refractive index must be positive and finite"):
+            bs.abraham_momentum(1.0, bad)
+
+
+# ---------------------------------------------------------------------------
+# one guard rule: the map's in-state check, the phase labels and the branch guard
+
+
+def branch_guard_oracle(branch, input_weight):
+    """Test oracle: the largest fraction of a branch channel still in the band
+    or on its incoming side, each channel's masses read separately.  Channels
+    below ``NEGLIGIBLE_WEIGHT`` of the input are skipped."""
+    worst = 0.0
+    for ch in branch.amp:
+        left, mid, right = _band_masses(branch, ch)
+        weight = left + mid + right
+        if weight < NEGLIGIBLE_WEIGHT * input_weight:
+            continue
+        wrong = left if ch.s > 0 else right
+        worst = max(worst, (mid + wrong) / weight)
+    return worst
+
+
+def still_incoming_oracle(sc, t):
+    """Test oracle: every channel, advanced to ``t``, is clear of the band and
+    of the outgoing side, the band moved to ``-s c t`` instead of the packet."""
+    media = {+1: sc.left_medium, -1: sc.right_medium}
+    for ch in sc.packet.amp:
+        left, mid, right = _band_masses(sc.packet, ch, -ch.s * media[ch.s].c * t)
+        wrong = right if ch.s > 0 else left
+        if mid + wrong > GUARD_TOL * (left + mid + right):
+            return False
+    return True
+
+
+def _borderline_packet(grid):
+    """1.6e-11 of the weight in the band and 8.4e-11 past it: each part alone
+    passes the 1e-10 guard, their sum does not."""
+    return bs.gaussian_packet(grid, (+1, "H"), x0=-51.0, k0=30.0, sigma=8.0)
+
+
+def test_the_borderline_in_state_is_refused_by_the_map_and_the_scenario(rig_grid, ref_medium, glass):
+    p = _borderline_packet(rig_grid)
+    left, mid, right = _band_masses(p, bs.Channel(1, "H"))
+    weight = left + mid + right
+    assert mid <= GUARD_TOL * weight and right <= GUARD_TOL * weight < mid + right
+    with pytest.raises(bs.SupportGuardError, match=r"Channel\(s=1, pol='H'\) has 1\.0004\d*e-10 .*GUARD_TOL = 1e-10"):
+        bs.interface_scatter(p, 2.0, 140.0)
+    with pytest.raises(bs.SupportGuardError):
+        bs.run_scenario(bs.Scenario(p, ref_medium, glass, schedule=(0.0, 140.0)))
+
+
+@pytest.mark.parametrize("sigma", [2.0, 8.0])
+def test_the_map_accepts_exactly_what_the_phase_rule_calls_incoming_at_t0(rig_grid, ref_medium, glass, sigma):
+    """A scan of ``x0`` across the guard threshold (about 6.36 sigma from the
+    band): at each point the map's in-state check and the ``t = 0`` phase agree."""
+    verdicts = set()
+    for x0 in np.arange(-6.6, -6.1, 0.01) * sigma:
+        p = bs.gaussian_packet(rig_grid, (+1, "H"), x0=float(x0), k0=30.0, sigma=sigma)
+        try:
+            bs.interface_scatter(p, 2.0, 140.0)
+        except bs.SupportGuardError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == _still_incoming(bs.Scenario(p, ref_medium, glass, schedule=(0.0,)), 0.0), x0
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_grid, rig_packet):
+    left_mover = bs.gaussian_packet(rig_grid, (-1, "H"), x0=60.0, k0=30.0, sigma=2.0)
+    mixed = bs.combine(rig_packet, bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=25.0, sigma=2.0))
+    ref = bs.Medium.reference()
+    cases = {
+        "fresnel n=1.7, s=+1": (rig_packet, 1.7, None),
+        "fresnel n=1.7, s=-1": (left_mover, 1.7, None),
+        "fresnel n=1.7, mixed": (mixed, 1.7, None),
+        "point mirror": (rig_packet, 1.0, -0.6j),
+        # the reflected branch weighs 2.5e-17 of the input: below NEGLIGIBLE_WEIGHT
+        "n = 1 + 1e-8": (rig_packet, 1.0 + 1e-8, None),
+    }
+    times = (0.0, 20.0, 45.0, 50.0, 55.0, 61.0, 70.0, 100.0, 140.0)
+    for name, (packet, n, omega) in cases.items():
+        right = ref if omega is not None else bs.Medium.from_index(n)
+        sc = bs.Scenario(packet, ref, right, schedule=times, omega=omega)
+        rates = None if omega is None else bs.rates_from_omega(bs.MirrorCoupling(omega))
+        event = bs.interface_scatter(packet, n, 140.0, rates=rates, left=ref, right=right)
+        want_phase = {}
+        for t in times:
+            out = event.at(t, allow_partial=True)
+            want = max(branch_guard_oracle(b, out.incident_weight) for b in (out.transmitted, out.reflected))
+            assert out.guard_fraction.hex() == want.hex(), (name, t)
+            assert _still_incoming(sc, t) == still_incoming_oracle(sc, t), (name, t)
+            if still_incoming_oracle(sc, t):
+                want_phase[t] = "incoming"
+            else:
+                want_phase[t] = "scattered" if want <= GUARD_TOL else "crossing"
+        rows = bs.run_scenario(sc).rows
+        assert {row.time: row.phase for row in rows} == want_phase, name
+        assert set(want_phase.values()) == {"incoming", "crossing", "scattered"}, name
+        if name == "n = 1 + 1e-8":
+            assert 0.0 < event.prob_r < NEGLIGIBLE_WEIGHT
