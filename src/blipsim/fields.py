@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .lattice import Grid, Medium
+from .lattice import Grid, Medium, _positive
 from .spectral import SpectralWavePacket, _inverse
 
 __all__ = [
@@ -63,8 +63,9 @@ def zeta(k: np.ndarray | float, m: Medium, hbar: float = 1.0) -> np.ndarray | fl
     """Field weight ``sqrt(2 hbar c_m / (epsilon_m A)) sqrt(|k|)``.
 
     Vanishes at ``k = 0``: a zero-wavenumber excitation carries number but
-    no field, energy, or momentum.
+    no field, energy, or momentum.  ``hbar`` must be positive and finite.
     """
+    hbar = _positive(hbar, "hbar")
     return np.sqrt(2.0 * hbar * m.c / (m.epsilon * m.area)) * np.sqrt(np.abs(k))
 
 

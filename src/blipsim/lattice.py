@@ -20,6 +20,8 @@ Design notes
   are spectrally accurate.
 * Packets are value objects: amplitude arrays are copied in and frozen
   (read-only); operations return new packets.
+* :func:`_positive` is the one domain rule of a physical magnitude (index,
+  speed, scale, hbar); :func:`_check_inside` refuses non-finite times.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _is_positive_real(v: object) -> bool:
     """A finite, positive int or float; ``bool`` is refused although it is an int."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
+def _positive(v: object, what: str) -> float:
+    """``float(v)`` if :func:`_is_positive_real` holds, else :class:`DomainError`."""
+    if not _is_positive_real(v):
+        raise DomainError(f"{what} must be positive and finite, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True, order=True)
@@ -178,11 +187,8 @@ class Medium:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "mu", "area", "c0"):
-            v = getattr(self, name)
-            if not _is_positive_real(v):
-                raise DomainError(f"medium {name} must be a positive finite number, got {v!r}")
-        if not _is_positive_real(self.epsilon * self.mu):
-            raise DomainError(f"medium epsilon*mu = {self.epsilon * self.mu!r} gives no finite, nonzero speed")
+            _positive(getattr(self, name), f"medium {name}")
+        _positive(self.epsilon * self.mu, "medium epsilon*mu")
 
     @property
     def c(self) -> float:
@@ -199,8 +205,7 @@ class Medium:
     @classmethod
     def from_index(cls, n: float, *, area: float = 1.0, c0: float = 1.0) -> "Medium":
         """Non-magnetic medium (``mu = 1``) with refractive index ``n``."""
-        if not _is_positive_real(n):
-            raise DomainError(f"refractive index must be positive and finite, got {n!r}")
+        n = _positive(n, "refractive index")
         try:
             epsilon = (n / c0) ** 2
         except (OverflowError, ZeroDivisionError):
@@ -360,10 +365,13 @@ def _check_inside(
 
     Each channel's ``t = 0`` support ``[lo, hi]`` (``None``: nothing to
     check) moves by ``s c t`` at the speed of ``media_by_direction[s]``.
-    Raises :class:`DomainExitError` unless the moved support keeps
+    Raises :class:`DomainError` if ``t`` is not finite, and
+    :class:`DomainExitError` unless the moved support keeps
     ``EDGE_MARGIN_CELLS`` cells from both ends of the sample range, beyond
     which the periodic transform would wrap it around.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"{what} needs a finite time, got t = {t!r}")
     margin = EDGE_MARGIN_CELLS * grid.dx
     lo_edge, hi_edge = grid.x_min + margin, grid.x_max - grid.dx - margin
     for ch, bounds in t0_supports.items():
@@ -389,5 +397,5 @@ def combine(*packets: BlipWavePacket) -> BlipWavePacket:
         if p.grid != grid:
             raise DomainError("combine() requires a shared grid")
         for ch, a in p.amp.items():
-            acc[ch] = acc[ch] + a if ch in acc else np.array(a)
+            acc[ch] = acc[ch] + a if ch in acc else a
     return type(packets[0])(grid, acc)

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import Medium, _is_positive_real
+from .lattice import Medium, _positive
 from .spectral import SpectralWavePacket, spectral_norm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,8 +78,7 @@ def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
 
 def abraham_momentum(p_field: float, n: float) -> float:
     """Kinetic momentum paired with a canonical value: ``p / n^2``."""
-    if not _is_positive_real(n):
-        raise DomainError(f"refractive index must be positive and finite, got {n!r}")
+    n = _positive(n, "refractive index")
     return p_field / (n * n)
 
 
@@ -97,6 +96,7 @@ def spectral_expectations(
     The field momentum is the sum ``hbar s |k| |psi~|^2 dk`` that the
     field-profile functional of :mod:`blipsim.oracles` reproduces.
     """
+    hbar = _positive(hbar, "hbar")
     missing = {ch.s for ch in sp.amp} - set(media_by_direction)
     if missing:
         raise DomainError(f"no medium given for direction {min(missing)}")

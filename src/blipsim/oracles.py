@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .fields import FieldProfile
-from .lattice import BlipWavePacket, Channel, Medium, _cis, as_channel
+from .lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
 from .spectral import (
     _PI_LD,
     _SQRT_2PI,
@@ -107,10 +107,10 @@ def sample_position_affine(
     are the caller's responsibility.
     """
     ch = as_channel(ch)
-    alpha = float(alpha)
+    alpha = _positive(alpha, "alpha")
     beta = float(beta)
-    if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta)):
-        raise DomainError(f"need finite alpha > 0 and finite beta, got {alpha!r}, {beta!r}")
+    if not np.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta!r}")
     grid = sp.grid
     n = grid.n_points
     # psi(y) = (2 pi)^(-1/2) dk sum_m psi~_m exp(i s k_m y) at y_j = alpha x_j + beta:
@@ -179,8 +179,6 @@ def position_kernel_R(
     transform carries a cutoff-dependent offset, so it does not reproduce
     the normalization of ``zeta``.
     """
-    cutoff = float(cutoff)
-    if not (np.isfinite(cutoff) and cutoff > 0):
-        raise DomainError(f"cutoff must be positive and finite, got {cutoff!r}")
+    cutoff = _positive(cutoff, "cutoff")
     coeff = np.sqrt(hbar * m.c / (4.0 * np.pi * m.epsilon * m.area))
     return -coeff * np.maximum(np.abs(x_offset), cutoff) ** -1.5

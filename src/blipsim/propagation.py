@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigurationError
-from .lattice import BlipWavePacket, Medium, _check_inside, _support_interval, centroid
+from .lattice import BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, centroid
 from .observables import ObservableReport, spectral_expectations
 from .scattering import (
     GUARD_TOL,
     MirrorCoupling,
     ScatterOutcome,
+    ScatterRates,
     _stray_weight,
     interface_scatter,
     rates_from_omega,
@@ -72,7 +73,8 @@ class Scenario:
     ``omega = None`` couples the media through the normal-incidence
     amplitude table for their speed ratio; an explicit ``omega`` uses the
     resummed point-scatterer rates instead (quoted at the left medium's
-    speed).
+    speed), resolved on construction into ``rates`` (not an ``__init__``
+    argument): a bad ``omega`` raises :class:`DomainError` or :class:`DivergenceError`.
     """
 
     packet: BlipWavePacket
@@ -81,6 +83,7 @@ class Scenario:
     schedule: tuple[float, ...]
     omega: complex | None = None
     hbar: float = 1.0
+    rates: ScatterRates | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", tuple(float(t) for t in self.schedule))
@@ -91,10 +94,11 @@ class Scenario:
                 raise ConfigurationError("schedule times must be strictly increasing")
         if not all(math.isfinite(t) and t >= 0.0 for t in self.schedule):
             raise ConfigurationError("schedule times must be finite and nonnegative")
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
+        if not _is_positive_real(self.hbar):
             raise ConfigurationError(f"hbar must be positive and finite, got {self.hbar!r}")
         if self.omega is not None:
             object.__setattr__(self, "omega", complex(self.omega))
+            object.__setattr__(self, "rates", rates_from_omega(MirrorCoupling(self.omega, self.left_medium.c)))
 
     @property
     def n(self) -> float:
@@ -167,14 +171,11 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
     # a suffix of the schedule: the incoming test can only turn false as t grows
     scattered = [t for t in sc.schedule if not _still_incoming(sc, t)]
-    rates = None
-    if sc.omega is not None:
-        rates = rates_from_omega(MirrorCoupling(omega=sc.omega, c_ref=sc.left_medium.c))
     outcome = interface_scatter(
         sc.packet,
         sc.n,
         scattered[0] if scattered else sc.schedule[-1],
-        rates=rates,
+        rates=sc.rates,
         left=sc.left_medium,
         right=sc.right_medium,
         allow_partial=True,

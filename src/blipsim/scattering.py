@@ -60,7 +60,7 @@ from .lattice import (
     Channel,
     Medium,
     _check_inside,
-    _is_positive_real,
+    _positive,
     _support_interval,
     combine,
     norm,
@@ -126,8 +126,7 @@ class MirrorCoupling:
     c_ref: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_ref) and self.c_ref > 0):
-            raise DomainError(f"c_ref must be positive and finite, got {self.c_ref!r}")
+        _positive(self.c_ref, "c_ref")
         w = complex(self.omega)
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise DomainError(f"omega must be finite, got {self.omega!r}")
@@ -221,8 +220,7 @@ def dyson_remainder_bound(mc: MirrorCoupling, order: int, component: str = "t") 
 
 def fresnel_rates(n: float) -> ScatterRates:
     """Normal-incidence boundary amplitudes for speed ratio ``n``."""
-    if not _is_positive_real(n):
-        raise DomainError(f"refractive index must be positive and finite, got {n!r}")
+    n = _positive(n, "refractive index")
     rho = (n - 1.0) / (n + 1.0)
     t = 2.0 * math.sqrt(n) / (1.0 + n)
     return ScatterRates(
@@ -234,12 +232,14 @@ def omega_from_n(n: float, c0: float = 1.0) -> MirrorCoupling:
     """Coupling whose resummed rates equal :func:`fresnel_rates` for this ``n``.
 
     ``Omega(n) = -2 i c0 (sqrt(n) - 1)/(sqrt(n) + 1)``, on the negative
-    imaginary axis for ``n > 1``.
+    imaginary axis for ``n > 1``.  Raises :class:`DomainError` where the float
+    ``q`` rounds to 1 (``n`` above about ``8e31`` or below about ``3e-33``).
     """
-    if not _is_positive_real(n):
-        raise DomainError(f"refractive index must be positive and finite, got {n!r}")
-    root = math.sqrt(n)
-    return MirrorCoupling(omega=-2j * c0 * (root - 1.0) / (root + 1.0), c_ref=c0)
+    root = math.sqrt(_positive(n, "refractive index"))
+    mc = MirrorCoupling(omega=-2j * c0 * (root - 1.0) / (root + 1.0), c_ref=c0)
+    if not mc.is_resummable:
+        raise DomainError(f"index n = {float(n)!r} is out of range: its coupling q rounds to 1")
+    return mc
 
 
 @dataclass(frozen=True)
@@ -392,9 +392,7 @@ def interface_scatter(
     ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
     grid by ``t_final``.
     """
-    if not _is_positive_real(n):
-        raise DomainError(f"refractive index must be positive and finite, got {n!r}")
-    n = float(n)
+    n = _positive(n, "refractive index")
     if (left is None) != (right is None):
         raise ConsistencyError("give both media or neither")
     if left is None:

@@ -38,8 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, as_channel
+from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, _positive, as_channel
 
 __all__ = [
     "SpectralWavePacket",
@@ -151,9 +150,7 @@ def sample_spectrum_scaled(
     the map never moves spectral weight across ``k = 0``.
     """
     ch = as_channel(ch)
-    scale = float(scale)
-    if not (np.isfinite(scale) and scale > 0):
-        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    scale = _positive(scale, "scale")
     grid = p.grid
     n = grid.n_points
     targets = scale * grid.k

@@ -5,6 +5,7 @@ of the installed console script.  Scenarios use a small 2048-point grid so
 the whole file stays fast.
 """
 
+import configparser
 import csv
 import io
 import json
@@ -22,6 +23,8 @@ from hypothesis.extra import numpy as hnp
 from blipsim import cli
 
 
+REPO = Path(__file__).resolve().parents[1]
+
 BASE = {
     "grid": {"x_min": "-50", "x_max": "50", "n_points": "2048"},
     "packet": {"direction": "+1", "polarization": "H", "x0": "-15", "k0": "20", "sigma": "1.5"},
@@ -30,8 +33,18 @@ BASE = {
 }
 
 
-def write_config(path, overrides=None, drop=()):
-    sections = {name: dict(keys) for name, keys in BASE.items() if name not in drop}
+def read_config(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+#: The committed left-mover: x0 = 30 in the n = 2 medium, out into the reference one.
+GLASS_TO_AIR = read_config(REPO / "configs" / "glass_to_air.ini")
+
+
+def write_config(path, overrides=None, drop=(), base=BASE):
+    sections = {name: dict(keys) for name, keys in base.items() if name not in drop}
     for name, keys in (overrides or {}).items():
         sections.setdefault(name, {}).update(keys)
     lines = []
@@ -249,6 +262,49 @@ def test_strict_mode_fails_a_run_that_never_became_asymptotic(tmp_path):
     assert cli.main(["run", "--config", str(loose), "--out", str(out), "--strict"]) == 0
 
 
+#: ``run --strict`` paths the other tests leave out, as (overrides, dropped
+#: sections) of ``configs/glass_to_air.ini``.
+RUN_PATHS = {
+    # the -1 branch of the direction parser: out of the denser medium
+    "glass_to_air": ({}, ()),
+    # explicit epsilon/mu pairs that make the same n = 2 boundary
+    "explicit_media": ({"media": {"left_epsilon": "1", "left_mu": "1", "right_epsilon": "4", "right_mu": "1"}},
+                       ("media",)),
+    # no [media] section: n = 1 reflects nothing
+    "unit_index": ({}, ("media",)),
+    # a point mirror with q = 0.9999999 transmits too little to post-select
+    "opaque_mirror": ({"coupling": {"source": "explicit", "omega": "-1.9999998j"}}, ("media",)),
+}
+
+
+def run_strict(tmp_path, case):
+    overrides, drop = RUN_PATHS[case]
+    cfg = write_config(tmp_path / f"{case}.ini", overrides, drop, base=GLASS_TO_AIR)
+    out = tmp_path / case
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("case", list(RUN_PATHS))
+def test_run_paths_pass_strict(tmp_path, case):
+    summary = run_strict(tmp_path, case)
+    if case == "glass_to_air":
+        # (3 - n)/(n + 1) = 1/3 in all, and 1/n post-selected on transmission
+        assert summary["scenario"]["direction"] == -1
+        assert summary["measured"]["momentum_ratio"] == pytest.approx(1.0 / 3.0, rel=1e-6)
+        assert summary["measured"]["conditional_transmitted_momentum_ratio"] == pytest.approx(0.5, rel=1e-6)
+    elif case == "explicit_media":
+        want = run_strict(tmp_path, "glass_to_air")
+        assert summary.pop("config") != want.pop("config")
+        assert summary == want
+    elif case == "unit_index":
+        assert summary["scenario"]["n"] == 1.0
+        assert summary["conditional"]["reflected"] is None
+    else:
+        assert summary["conditional"]["transmitted"] is None
+        assert summary["checks"]["conditional_ratio"] == "skipped"
+
+
 def test_check_sweep_passes(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["check", "--n-min", "1", "--n-max", "4", "--steps", "7", "--out", str(out)])
@@ -303,9 +359,11 @@ def test_dyson_rejects_bad_arguments(tmp_path):
 def test_loop_caps_reject_one_past_the_cap(tmp_path):
     """Only the rejection path: no sweep or series near the cap is ever started."""
     out = tmp_path / "out"
+    huge = write_config(tmp_path / "huge.ini", {"grid": {"n_points": str(2 * cli.MAX_GRID_POINTS)}})
     argvs = (
         ["check", "--steps", str(cli.MAX_CHECK_STEPS + 1)],
         ["dyson", "--omega-ratio", "0.5", "--terms", str(cli.MAX_DYSON_TERMS + 1)],
+        ["run", "--config", str(huge)],
     )
     for argv in argvs:
         assert cli.main([*argv, "--out", str(out)]) == 2
@@ -448,7 +506,6 @@ def test_console_script(tmp_path):
 # ---------------------------------------------------------------------------
 # golden outputs of the reference config
 
-REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "data" / "air_to_glass"
 #: Rounding residues held only to their tolerance: (block, key) -> tolerance key.
 RESIDUES = {

@@ -17,6 +17,9 @@ def test_zeta_values(ref_medium, glass):
     assert bs.zeta(4.0, glass) == pytest.approx(1.0, rel=1e-15)
     ks = np.array([0.0, 1.0, 9.0])
     np.testing.assert_allclose(bs.zeta(ks, ref_medium), np.sqrt(2.0 * ks), rtol=1e-15)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(bs.DomainError, match="hbar must be positive and finite"):
+            bs.zeta(ks, ref_medium, bad)
 
 
 def test_orientation_table(rig_grid, ref_medium):

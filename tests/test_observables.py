@@ -153,6 +153,8 @@ def test_conditional_expectations_per_branch(rig_packet):
     assert cond_r.medium_tag == "n=1"
     with pytest.raises(bs.DomainError):
         bs.conditional_expectations(out, "absorbed")
+    with pytest.raises(bs.DomainError, match="hbar must be positive and finite"):
+        bs.conditional_expectations(out, "transmitted", hbar=-1.0)
 
 
 def test_conditional_rejects_empty_branch(rig_packet):
@@ -184,6 +186,9 @@ def test_hbar_rescales_dimensionful_observables(rig_packet, ref_medium):
     assert oracles.dyn_momentum_position_form(rig_packet, hbar=3.0) == pytest.approx(
         3.0 * base, rel=1e-10
     )
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(bs.DomainError, match="hbar must be positive and finite"):
+            in_medium(sp, ref_medium, hbar=bad)
 
 
 def test_single_bin_generators_are_sharp(rig_grid, ref_medium):

@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
 from blipsim import oracles
@@ -85,6 +86,16 @@ def test_scenario_validation(rig_packet, ref_medium, glass):
         bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, math.inf))
     with pytest.raises(bs.ConfigurationError):
         bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0,), hbar=0.0)
+    # an explicit omega becomes rates once, when the scenario is built
+    assert ok.rates is None
+    mirror = bs.Scenario(rig_packet, ref_medium, ref_medium, schedule=(0.0,), omega=-0.6j)
+    assert mirror.rates == bs.rates_from_omega(bs.MirrorCoupling(-0.6j, c_ref=ref_medium.c))
+    with pytest.raises(TypeError):
+        bs.Scenario(rig_packet, ref_medium, ref_medium, schedule=(0.0,), rates=mirror.rates)
+    with pytest.raises(bs.DivergenceError):
+        bs.Scenario(rig_packet, ref_medium, ref_medium, schedule=(0.0,), omega=-2j)
+    with pytest.raises(bs.DomainError):
+        bs.Scenario(rig_packet, ref_medium, ref_medium, schedule=(0.0,), omega=complex(math.inf, 0.0))
 
 
 def test_run_scenario_phases_and_ratios(rig_packet, ref_medium, glass):
@@ -357,3 +368,47 @@ def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypa
         bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
         assert len(builds) == 1 and builds[0] is grid, schedule
         assert exps == [], schedule
+
+
+# ---------------------------------------------------------------------------
+# the paper's momentum results across the domain
+
+#: 2^12 cells over [-160, 160): k_max = 40.2, and sigma >= 1 keeps every
+#: transmitted spectrum, at most n (|k0| + 8 sigma_k) = 38, inside the band.
+#: |k0| >= 4 keeps 8 sigma_k between the spectrum and k = 0, where the
+#: energy's |k| has its kink.
+PROPERTY_GRID = bs.make_grid(-160.0, 160.0, 4096)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    n=st.floats(1.0, 4.0, exclude_min=True),
+    direction=st.sampled_from((+1, -1)),
+    pol=st.sampled_from(("H", "V")),
+    k0=st.floats(4.0, 5.5) | st.floats(-5.5, -4.0),
+    sigma=st.floats(1.0, 2.0),
+    u=st.floats(0.0, 1.0),
+)
+def test_momentum_results_hold_across_the_domain(n, direction, pol, k0, sigma, u):
+    """Energy, unitarity, the momentum ratio (3n - 1)/(n + 1) into the
+    medium or (3 - n)/(n + 1) out of it, and the transmitted scaling n or
+    1/n, for a packet that starts at distance d from x = 0 and is reported
+    at twice its arrival time.  d keeps 8 sigma between the packet and the
+    scatterer at both ends, and every branch 7.5 sigma (scaled by its
+    medium) inside the grid."""
+    ref, medium = bs.Medium.reference(), bs.Medium.from_index(n)
+    c_in = ref.c if direction > 0 else medium.c
+    # the left-mover's transmitted branch ends at -n d with width n sigma
+    d_max = 40.0 if direction > 0 else 160.0 / n - 7.5 * sigma - 0.5
+    d = 8.0 * sigma + 1.0 + u * (d_max - 8.0 * sigma - 1.0)
+    packet = bs.gaussian_packet(PROPERTY_GRID, (direction, pol), -direction * d, k0, sigma)
+    result = bs.run_scenario(bs.Scenario(packet, ref, medium, schedule=(0.0, 2.0 * d / c_in)))
+    outcome, blocks = result.outcome, result.blocks
+    assert outcome.asymptotic and not result.diagnostics["non_asymptotic_times"]
+    assert abs(outcome.prob_t + outcome.prob_r - 1.0) <= 1e-9
+    p_in = blocks["input"].values.dyn_momentum
+    assert abs(blocks["total"].values.energy / blocks["input"].values.energy - 1.0) <= 1e-9
+    closed = (3.0 * n - 1.0) / (n + 1.0) if direction > 0 else (3.0 - n) / (n + 1.0)
+    assert blocks["total"].values.dyn_momentum / p_in == pytest.approx(closed, rel=1e-6, abs=1e-12)
+    conditional = bs.conditional_expectations(outcome, "transmitted").dyn_momentum / p_in
+    assert conditional == pytest.approx(n if direction > 0 else 1.0 / n, rel=1e-6)

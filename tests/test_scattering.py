@@ -40,6 +40,16 @@ def test_omega_from_n_known_values():
     assert bs.omega_from_n(2.0, c0=3.0).omega == pytest.approx(3 * -0.34314575050761986j, rel=1e-15)
 
 
+def test_omega_from_n_refuses_an_index_whose_coupling_rounds_to_one():
+    """Every finite n > 0 has q < 1, but far from n = 1 the float q rounds
+    to 1: the coupling is refused there, naming the index, and is never
+    handed to the rates as a divergent one."""
+    for n in (1e32, 1e-33):
+        with pytest.raises(bs.DomainError, match=re.escape(f"index n = {n!r} is out of range")):
+            bs.omega_from_n(n)
+    assert bs.omega_from_n(1e30).is_resummable and bs.omega_from_n(1e-30).is_resummable
+
+
 def test_point_rates_match_boundary_rates():
     """The resummed point-scatterer amplitudes reproduce the boundary table."""
     for n in np.linspace(1.0, 10.0, 19):
@@ -493,7 +503,8 @@ def test_at_keeps_every_event_field_as_the_same_object(rig_packet):
 
 def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
     """Free flight and the re-phased map apply one edge rule: the same
-    near-edge support passes or fails on both."""
+    near-edge support passes or fails on both, and a time that is not
+    finite is refused on both."""
     grid = rig_packet.grid
     _, hi = bs.lattice._support_interval(rig_packet, bs.Channel(1, "H"))
     edge = grid.x_max - grid.dx - bs.lattice.EDGE_MARGIN_CELLS * grid.dx
@@ -503,13 +514,16 @@ def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
     mapped = bs.interface_scatter(rig_packet, 1.0, t_final=t_ok)
     spans = []
     for attempt in (
-        lambda: bs.evolve_free(rig_packet, ref_medium, t_bad),
-        lambda: mapped.at(t_bad),
-        lambda: bs.interface_scatter(rig_packet, 1.0, t_final=t_bad),
+        lambda t: bs.evolve_free(rig_packet, ref_medium, t),
+        lambda t: mapped.at(t),
+        lambda t: bs.interface_scatter(rig_packet, 1.0, t_final=t),
     ):
         with pytest.raises(bs.DomainExitError) as info:
-            attempt()
+            attempt(t_bad)
         spans.append(re.search(r"would span (\[[^]]*\])", str(info.value)).group(1))
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(bs.DomainError, match="needs a finite time"):
+                attempt(t)
     assert spans[0] == spans[1] == spans[2]
 
 
@@ -523,6 +537,18 @@ def test_booleans_are_not_indices(rig_packet):
             bs.interface_scatter(rig_packet, bad, 140.0)
         with pytest.raises(bs.DomainError, match="refractive index must be positive and finite"):
             bs.abraham_momentum(1.0, bad)
+        # nor speeds, scales or hbar
+        with pytest.raises(bs.DomainError, match="c_ref must be positive and finite"):
+            bs.MirrorCoupling(omega=-0.6j, c_ref=bad)
+        with pytest.raises(bs.DomainError, match="scale must be positive and finite"):
+            bs.sample_spectrum_scaled(rig_packet, (+1, "H"), bad)
+        ref = bs.Medium.reference()
+        with pytest.raises(bs.DomainError, match="hbar must be positive and finite"):
+            bs.spectral_expectations(bs.to_momentum(rig_packet), {+1: ref, -1: ref}, bad)
+        with pytest.raises(bs.DomainError, match="hbar must be positive and finite"):
+            bs.zeta(1.0, ref, bad)
+        with pytest.raises(bs.ConfigurationError, match="hbar must be positive and finite"):
+            bs.Scenario(rig_packet, ref, ref, schedule=(0.0,), hbar=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -213,5 +213,7 @@ def test_sampling_guards():
         bs.sample_spectrum_scaled(p, (+1, "H"), 0.0)
     with pytest.raises(bs.DomainError):
         bs.sample_spectrum_scaled(p, (+1, "H"), -2.0)
+    with pytest.raises(bs.DomainError, match="scale must be positive and finite, got '2.0'"):
+        bs.sample_spectrum_scaled(p, (+1, "H"), "2.0")
     with pytest.raises(bs.DomainError):
         oracles.sample_position_affine(bs.to_momentum(p), (+1, "H"), -1.0, 0.0)
