@@ -271,6 +271,11 @@ class _Packet:
         return zeros
 
 
+def _gauss_tail(distance: float, width: float) -> float:
+    """One-sided mass of a unit Gaussian density of standard deviation ``width`` beyond ``distance``."""
+    return 0.5 * math.erfc(distance / (math.sqrt(2.0) * width))
+
+
 class BlipWavePacket(_Packet):
     """Position-space amplitudes per channel, on the ascending ``grid.x`` lattice."""
 
@@ -301,18 +306,14 @@ def gaussian_packet(
             f"sigma = {sigma} is not resolvable: need sigma > 3*dx = {3.0 * grid.dx}"
         )
 
-    def gauss_tail(distance: float, width: float) -> float:
-        # one-sided mass of a unit Gaussian density beyond `distance`
-        return 0.5 * math.erfc(distance / (math.sqrt(2.0) * width))
-
-    edge_mass = gauss_tail(x0 - grid.x_min, sigma) + gauss_tail(grid.x_max - x0, sigma)
+    edge_mass = _gauss_tail(x0 - grid.x_min, sigma) + _gauss_tail(grid.x_max - x0, sigma)
     if edge_mass > FIXTURE_TAIL_TOL:
         raise FixtureError(
             f"envelope at x0={x0}, sigma={sigma} leaves {edge_mass:.3e} of norm "
             f"outside [{grid.x_min}, {grid.x_max})"
         )
     sigma_k = 0.5 / sigma
-    band_mass = gauss_tail(grid.k_max - k0, sigma_k) + gauss_tail(grid.k_max + k0, sigma_k)
+    band_mass = _gauss_tail(grid.k_max - k0, sigma_k) + _gauss_tail(grid.k_max + k0, sigma_k)
     if band_mass > FIXTURE_TAIL_TOL:
         raise FixtureError(
             f"carrier k0={k0} with sigma_k={sigma_k} leaves {band_mass:.3e} of norm "

@@ -7,22 +7,21 @@ without deformation.  Norm, energy, and momenta are exactly conserved.
 A scenario is one packet launched toward the scatterer at ``x = 0``
 (reference medium on the left, the other medium on the right) with a list
 of report times.  The boundary map is asymptotic and transport is
-dispersionless, so a scenario scatters once and evolves by phase.  The
-input is transformed once and its supports are measured once, both by the
-map; an incoming report moves those supports through the edge rule of
-:func:`blipsim.lattice._check_inside`, then makes one phase multiply and
-one inverse transform.  The map is applied once, at the first report time
-past the crossing, and every later report re-phases its out-spectra (see
-:meth:`blipsim.scattering.ScatterOutcome.at`).  Every quadratic
-observable except the centroid is time independent, so the input and each
-branch get one :class:`~blipsim.observables.ObservableReport`, which all
-their rows share as ``values``; a row adds only its centroid.  A report is
-``incoming`` while the in-state advanced to its time passes the map's own
-in-state guard (:func:`blipsim.scattering._stray_weight`), so the map
-refuses any packet that is not incoming at ``t = 0``.  Reports that fall
-while a branch still straddles the scatterer are flagged ``crossing``
-rather than interpolated; a row's phase is the only record of whether it
-is asymptotic.
+dispersionless, so a scenario maps once, at its final time, and every
+report moves a state it already has by ``s c t``: the input at ``t = 0``
+while the report is ``incoming``, the final branches after.  A report
+checks the moved supports against the grid edges
+(:func:`blipsim.lattice._check_inside`), moves the centroid by the
+channels' weighted mean of ``s c t``, and reads the guard rule
+(:func:`blipsim.scattering._stray_weight`) with the band moved the other
+way, as the ``incoming`` test does; it makes no transform.  Every other
+quadratic observable is time independent, so the input and each branch
+get one :class:`~blipsim.observables.ObservableReport`, which all their
+rows share.  A report is ``incoming`` while the input passes the map's
+in-state guard, so the map refuses a packet that is not incoming at
+``t = 0``; it is then ``crossing`` while a branch still straddles the
+scatterer (flagged, not interpolated) and ``scattered`` once every branch
+is clear.  A row's phase is the only record of whether it is asymptotic.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .lattice import BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, centroid
@@ -43,7 +44,7 @@ from .scattering import (
     interface_scatter,
     rates_from_omega,
 )
-from .spectral import _advance_spectrum, to_momentum, to_position
+from .spectral import SpectralWavePacket, _advance_spectrum, to_momentum, to_position
 
 __all__ = [
     "evolve_free",
@@ -135,17 +136,24 @@ class ScenarioResult:
     blocks: Mapping[str, ScenarioRow] = field(default_factory=dict)
 
 
-def _row(time: float, branch: str, phase: str, values: ObservableReport, packet: BlipWavePacket) -> ScenarioRow:
-    """A shared expectation record plus the centroid of ``packet``, the state at ``time``."""
-    return ScenarioRow(time, branch, phase, centroid(packet) if values.photon_number > 0.0 else None, values)
+def _measure(
+    state: BlipWavePacket, sp: SpectralWavePacket, media: Mapping[int, Medium], hbar: float
+) -> tuple[ObservableReport, float | None, float]:
+    """The record of ``state`` (``sp`` its spectrum), its centroid and the
+    speed ``sum_ch w_ch s c / W`` at which free flight moves that centroid
+    (``w_ch`` a channel's weight, ``W`` the state's)."""
+    values = spectral_expectations(sp, media, hbar)
+    if not values.photon_number > 0.0:
+        return values, None, 0.0
+    weights = {ch: float(np.sum(np.abs(a) ** 2)) for ch, a in state.amp.items()}
+    return values, centroid(state), sum(w * ch.s * media[ch.s].c for ch, w in weights.items()) / sum(weights.values())
 
 
-def _branch_rows(outcome: ScatterOutcome, values: Mapping[str, ObservableReport]) -> list[ScenarioRow]:
-    """The transmitted, reflected and total rows of ``outcome`` at its time."""
-    phase = "scattered" if outcome.asymptotic else "crossing"
+def _rows(t: float, phase: str, measured: Mapping[str, tuple], dt: float) -> list[ScenarioRow]:
+    """One row per measured state at time ``t``, ``dt`` after the state's own time."""
     return [
-        _row(outcome.t_final, branch, phase, values[branch], getattr(outcome, branch))
-        for branch in ("transmitted", "reflected", "total")
+        ScenarioRow(t, name, phase, None if x is None else x + v * dt, values)
+        for name, (values, x, v) in measured.items()
     ]
 
 
@@ -160,58 +168,40 @@ def _still_incoming(sc: Scenario, t: float) -> bool:
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute the schedule: free flight, scattering event, free flight.
 
-    Returns per-branch rows for every report time plus the outcome at the
-    final time.  Rows are phase-labelled ``incoming`` (packet still on its
-    way in), ``scattered`` (all branches clear), or ``crossing`` (the map's
-    extrapolation while a branch still straddles the scatterer; flagged,
-    not an error).  The boundary map runs exactly once; if no report time
-    is past the crossing it is applied at the final time.
+    Returns per-branch rows for every report time, the outcome of the one
+    map at the final time, and the blocks.  Rows are phase-labelled
+    ``incoming``, ``crossing`` (the map's extrapolation while a branch still
+    straddles the scatterer; flagged, not an error) or ``scattered``.
     """
     incoming_media = {+1: sc.left_medium, -1: sc.right_medium}
     outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
-    # a suffix of the schedule: the incoming test can only turn false as t grows
-    scattered = [t for t in sc.schedule if not _still_incoming(sc, t)]
+    t_final = sc.schedule[-1]
     outcome = interface_scatter(
-        sc.packet,
-        sc.n,
-        scattered[0] if scattered else sc.schedule[-1],
-        rates=sc.rates,
-        left=sc.left_medium,
-        right=sc.right_medium,
-        allow_partial=True,
+        sc.packet, sc.n, t_final, rates=sc.rates, left=sc.left_medium, right=sc.right_medium, allow_partial=True
     )
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
-    sp_in = outcome.incident
-    input_values = spectral_expectations(sp_in, incoming_media, sc.hbar)
-    values = {
-        branch: spectral_expectations(sp, outgoing_media, sc.hbar) for branch, sp in outcome.spectra.items()
+    incoming = {"incoming": _measure(sc.packet, outcome.incident, incoming_media, sc.hbar)}
+    branches = {
+        name: _measure(getattr(outcome, name), sp, outgoing_media, sc.hbar) for name, sp in outcome.spectra.items()
     }
 
     rows: list[ScenarioRow] = []
-    max_guard = 0.0
+    guards = [outcome.guard_fraction]
     for t in sc.schedule:
-        if t not in scattered:
+        if _still_incoming(sc, t):
             _check_inside(sc.packet.grid, outcome.incident_supports, incoming_media, t, "the incoming packet")
-            state = to_position(_advance_spectrum(sp_in, incoming_media, t)) if t else sc.packet
-            rows.append(_row(t, "incoming", "incoming", input_values, state))
+            rows += _rows(t, "incoming", incoming, t)
             continue
-        if t != outcome.t_final:
-            # every outcome re-phases the same event; replacing the last one
-            # keeps a single outcome (with its total) alive
-            outcome = outcome.at(t, allow_partial=True)
-        max_guard = max(max_guard, outcome.guard_fraction)
-        rows.extend(_branch_rows(outcome, values))
-    # the schedule ends past the crossing whenever any report is, so the
-    # last three rows are then the final branches
-    final = rows[-3:] if scattered else _branch_rows(outcome, values)
-    input_row = _row(0.0, "incoming", "incoming", input_values, sc.packet)
-    blocks = {"input": input_row, **{row.branch: row for row in final}}
+        for name in ("transmitted", "reflected"):
+            _check_inside(sc.packet.grid, outcome.supports[name], outgoing_media, t, f"the {name} branch")
+        guards.append(outcome._guard_fraction(t))
+        rows += _rows(t, "scattered" if guards[-1] <= GUARD_TOL else "crossing", branches, t - t_final)
+    final = _rows(t_final, "scattered" if outcome.asymptotic else "crossing", branches, 0.0)
+    blocks = {"input": _rows(0.0, "incoming", incoming, 0.0)[0], **{row.branch: row for row in final}}
     diagnostics = {
         "resampling_drift": outcome.resampling_drift,
-        "guard_fraction": max(max_guard, outcome.guard_fraction),
+        "guard_fraction": max(guards),
         "non_asymptotic_times": tuple(dict.fromkeys(row.time for row in (*rows, *final) if not row.asymptotic)),
     }
-    return ScenarioResult(
-        scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics, blocks=blocks
-    )
+    return ScenarioResult(sc, tuple(rows), outcome, diagnostics, blocks)

@@ -30,8 +30,8 @@ the free evolution ``exp(-i c k t)`` to any time ``t_final`` by which every
 branch has cleared the scatterer, after moving the supports by ``s c t``
 through the edge rule of :func:`blipsim.lattice._check_inside`.  One guard
 rule, :func:`_stray_weight`, decides the map's in-state check, the
-``incoming`` label of :mod:`blipsim.propagation` and each branch's
-``guard_fraction`` in :meth:`ScatterOutcome.at`.
+``incoming`` label of :mod:`blipsim.propagation` and the branch guard
+fraction, which an earlier report reads from ``t_final`` with the band moved.
 Transmission through the boundary rescales wavenumbers by the index ratio,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
 matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
@@ -312,23 +312,27 @@ class ScatterOutcome:
         for name in names:
             _check_inside(self.incident.grid, self.supports[name], outgoing, t_final, f"the {name} branch")
         branches = {name: to_position(_advance_spectrum(self.spectra[name], outgoing, t_final)) for name in names}
-        guard_fraction = 0.0
-        for b in branches.values():
-            for ch in b.amp:
-                stray, weight = _stray_weight(b, ch, ch.s)
-                # a channel below NEGLIGIBLE_WEIGHT of the input is not guarded
-                if weight >= NEGLIGIBLE_WEIGHT * self.incident_weight:
-                    guard_fraction = max(guard_fraction, stray / weight)
-        asymptotic = guard_fraction <= GUARD_TOL
-        if not asymptotic and not allow_partial:
+        out = replace(self, **branches, total=combine(*branches.values()), t_final=t_final)
+        guard_fraction = out._guard_fraction(t_final)
+        if guard_fraction > GUARD_TOL and not allow_partial:
             raise NotAsymptoticError(
                 f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
                 "fraction at the scatterer; increase t_final"
             )
-        return replace(
-            self, **branches, total=combine(*branches.values()), t_final=t_final,
-            asymptotic=asymptotic, guard_fraction=guard_fraction,
-        )
+        return replace(out, asymptotic=guard_fraction <= GUARD_TOL, guard_fraction=guard_fraction)
+
+    def _guard_fraction(self, t: float) -> float:
+        """The guard fraction at time ``t`` of the branches at ``t_final``: the
+        guard band of each channel moves to ``s c (t_final - t)``.  A channel
+        below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
+        outgoing = {+1: self.right_medium, -1: self.left_medium}
+        guard_fraction = 0.0
+        for b in (self.transmitted, self.reflected):
+            for ch in b.amp:
+                stray, weight = _stray_weight(b, ch, ch.s, ch.s * outgoing[ch.s].c * (self.t_final - t))
+                if weight >= NEGLIGIBLE_WEIGHT * self.incident_weight:
+                    guard_fraction = max(guard_fraction, stray / weight)
+        return guard_fraction
 
 
 def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:

@@ -305,6 +305,44 @@ def test_run_paths_pass_strict(tmp_path, case):
         assert summary["checks"]["conditional_ratio"] == "skipped"
 
 
+def test_a_vanishing_momentum_prediction_passes_strict(tmp_path):
+    """(3 - n)/(n + 1) is 2.5e-11 at n = 3.0000000001: the deviation is held to
+    the input's momentum scale, 1, not to the vanishing prediction."""
+    overrides = {"media": {"n": "3.0000000001"}, "schedule": {"times": "0, 200"}}
+    cfg = write_config(tmp_path / "near_three.ini", overrides, base=GLASS_TO_AIR)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["predictions"]["momentum_ratio"]) < 1e-10
+    assert summary["checks"]["momentum_ratio"] == "pass"
+
+
+def test_a_spectrum_reaching_k_zero_exits_2_and_writes_nothing(tmp_path, capsys):
+    """k0 = 2 with sigma_k = 0.5 puts 3e-5 of the spectrum across k = 0, where
+    the energy's |k| has a kink that a lattice sum does not resolve."""
+    cfg = write_config(tmp_path / "slow_carrier.ini", {
+        "grid": {"x_min": "-160", "x_max": "160", "n_points": "4096"},
+        "packet": {"x0": "-9", "k0": "2", "sigma": "1"},
+        "schedule": {"times": "0, 18"},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: carrier k0=2.0 leaves 3.167e-05") and "across k = 0" in err, err
+
+
+def test_the_series_config_reports_every_phase_and_passes_strict(tmp_path):
+    out = tmp_path / "out"
+    cfg = REPO / "configs" / "air_to_glass_series.ini"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diagnostics"]["non_asymptotic_times"] == [50, 70]
+    header, rows = read_csv(out / "series.csv")
+    assert [row[1] for row in rows[:3]] == ["incoming", "incoming", "transmitted"]
+    assert len(rows) == 2 + 3 * 6 and not (out / "snapshot_position.csv").exists()
+
+
 def test_check_sweep_passes(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["check", "--n-min", "1", "--n-max", "4", "--steps", "7", "--out", str(out)])

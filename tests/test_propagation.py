@@ -327,25 +327,38 @@ def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_p
             assert calls == {"map": 1, "chirp": channels, "support": channels}, (channels, schedule)
 
 
-def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium):
+def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
     """A point mirror (n = 1, so no chirp) makes one forward FFT per incident
     channel: the map's own, which every incoming report and the input's
-    observables reuse."""
-    ffts = []
-    fft = np.fft.fft
+    observables reuse.  No report costs a transform: the inverse FFTs (and,
+    at n = 2, the chirp's) do not grow with the schedule."""
+    ffts, iffts = [], []
+    fft, ifft = np.fft.fft, np.fft.ifft
 
     def counting_fft(a, *args, **kwargs):
         ffts.append(np.size(a))
         return fft(a, *args, **kwargs)
 
+    def counting_ifft(a, *args, **kwargs):
+        iffts.append(np.size(a))
+        return ifft(a, *args, **kwargs)
+
     monkeypatch.setattr(np.fft, "fft", counting_fft)
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
     mixed = _mixed_packet(rig_grid)
+    schedules = ((0.0, 140.0), (0.0, 30.0, 100.0, 140.0, 160.0), (0.0, 30.0, 50.0, 70.0, 100.0, 120.0, 140.0, 160.0))
     for packet, channels in ((rig_packet, 1), (mixed, 2)):
-        for schedule in ((0.0, 140.0), (0.0, 30.0, 100.0, 140.0, 160.0)):
-            ffts.clear()
-            sc = bs.Scenario(packet, ref_medium, ref_medium, schedule=schedule, omega=-0.6j)
-            bs.run_scenario(sc)
-            assert ffts == [rig_grid.n_points] * channels, (channels, schedule)
+        for right, omega in ((ref_medium, -0.6j), (glass, None)):
+            counts = set()
+            for schedule in schedules:
+                ffts.clear()
+                iffts.clear()
+                sc = bs.Scenario(packet, ref_medium, right, schedule=schedule, omega=omega)
+                bs.run_scenario(sc)
+                if omega is not None:
+                    assert ffts == [rig_grid.n_points] * channels, (channels, schedule)
+                counts.add((len(ffts), len(iffts)))
+            assert len(counts) == 1, (channels, omega, counts)
 
 
 def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypatch, ref_medium, glass):
