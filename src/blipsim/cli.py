@@ -505,7 +505,12 @@ def _summarize(
         "deviations": deviations,
         "tolerances": tolerances,
         "checks": checks,
-        "diagnostics": {**result.diagnostics, "asymptotic_final": outcome.asymptotic},
+        "diagnostics": {
+            "resampling_drift": result.diagnostics["resampling_drift"],
+            "guard_fraction": result.diagnostics["guard_fraction"],
+            "non_asymptotic_times": result.diagnostics["non_asymptotic_times"],
+            "asymptotic_final": outcome.asymptotic,
+        },
     }
     return summary, breaches
 

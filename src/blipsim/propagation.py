@@ -13,7 +13,7 @@ while the report is ``incoming``, the final branches after.  A report
 checks the moved supports against the grid edges
 (:func:`blipsim.lattice._check_inside`), moves the centroid by the
 channels' weighted mean of ``s c t``, and reads the guard rule
-(:func:`blipsim.scattering._stray_weight`) with the band moved the other
+(:func:`blipsim.scattering._guard_fractions`) with the band moved the other
 way, as the ``incoming`` test does; it makes no transform.  Every other
 quadratic observable is time independent, so the input and each branch
 get one :class:`~blipsim.observables.ObservableReport`, which all their
@@ -40,7 +40,7 @@ from .scattering import (
     MirrorCoupling,
     ScatterOutcome,
     ScatterRates,
-    _stray_weight,
+    _guard_fractions,
     interface_scatter,
     rates_from_omega,
 )
@@ -160,9 +160,7 @@ def _rows(t: float, phase: str, measured: Mapping[str, tuple], dt: float) -> lis
 def _still_incoming(sc: Scenario, t: float) -> bool:
     """True while every channel at time ``t`` passes the map's in-state guard."""
     media = {+1: sc.left_medium, -1: sc.right_medium}
-    # the guard band moves to -s c t in the frame of the unadvanced packet
-    guards = (_stray_weight(sc.packet, ch, -ch.s, -ch.s * media[ch.s].c * t) for ch in sc.packet.amp)
-    return all(stray <= GUARD_TOL * weight for stray, weight in guards)
+    return all(f <= GUARD_TOL for f in _guard_fractions(sc.packet, media, -1, t).values())
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
@@ -177,7 +175,13 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
     t_final = sc.schedule[-1]
     outcome = interface_scatter(
-        sc.packet, sc.n, t_final, rates=sc.rates, left=sc.left_medium, right=sc.right_medium, allow_partial=True
+        sc.packet,
+        sc.n,
+        t_final,
+        rates=sc.rates,
+        left=sc.left_medium,
+        right=sc.right_medium,
+        allow_partial=True,
     )
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
@@ -204,4 +208,6 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         "guard_fraction": max(guards),
         "non_asymptotic_times": tuple(dict.fromkeys(row.time for row in (*rows, *final) if not row.asymptotic)),
     }
-    return ScenarioResult(sc, tuple(rows), outcome, diagnostics, blocks)
+    return ScenarioResult(
+        scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics, blocks=blocks
+    )

@@ -29,9 +29,9 @@ sum, and each branch channel's support.  It then re-phases the amplitudes by
 the free evolution ``exp(-i c k t)`` to any time ``t_final`` by which every
 branch has cleared the scatterer, after moving the supports by ``s c t``
 through the edge rule of :func:`blipsim.lattice._check_inside`.  One guard
-rule, :func:`_stray_weight`, decides the map's in-state check, the
-``incoming`` label of :mod:`blipsim.propagation` and the branch guard
-fraction, which an earlier report reads from ``t_final`` with the band moved.
+rule, :func:`_guard_fractions`, decides the map's in-state check, the
+``incoming`` label of :mod:`blipsim.propagation` and each branch's
+``guard_fraction``, read with the band moved by ``s c t`` between times.
 Transmission through the boundary rescales wavenumbers by the index ratio,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
 matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
@@ -322,23 +322,18 @@ class ScatterOutcome:
         return replace(out, asymptotic=guard_fraction <= GUARD_TOL, guard_fraction=guard_fraction)
 
     def _guard_fraction(self, t: float) -> float:
-        """The guard fraction at time ``t`` of the branches at ``t_final``: the
-        guard band of each channel moves to ``s c (t_final - t)``.  A channel
-        below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
+        """The branches' guard fraction at time ``t``, read from ``t_final``.
+        A channel below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
         outgoing = {+1: self.right_medium, -1: self.left_medium}
-        guard_fraction = 0.0
-        for b in (self.transmitted, self.reflected):
-            for ch in b.amp:
-                stray, weight = _stray_weight(b, ch, ch.s, ch.s * outgoing[ch.s].c * (self.t_final - t))
-                if weight >= NEGLIGIBLE_WEIGHT * self.incident_weight:
-                    guard_fraction = max(guard_fraction, stray / weight)
-        return guard_fraction
+        floor = NEGLIGIBLE_WEIGHT * self.incident_weight
+        reads = [_guard_fractions(b, outgoing, +1, self.t_final - t, floor) for b in (self.transmitted, self.reflected)]
+        return max([0.0, *reads[0].values(), *reads[1].values()])
 
 
 def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
     """Channel weight left of, inside, and right of the guard band around ``center``.
 
-    The band spans ``GUARD_HALF_CELLS`` cells each side; :func:`_stray_weight` reads these masses.
+    The band spans ``GUARD_HALF_CELLS`` cells each side; :func:`_guard_fractions` reads these masses.
     """
     half = GUARD_HALF_CELLS * p.grid.dx
     # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
@@ -348,16 +343,23 @@ def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[f
     return float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
 
 
-def _stray_weight(p: BlipWavePacket, ch: Channel, side: int, center: float = 0.0) -> tuple[float, float]:
-    """The one guard rule: a channel's ``(stray, weight)``, where ``stray`` is
-    its weight inside the band around ``center`` plus its weight beyond the
-    band away from ``side`` (``-1``: the channel belongs at ``x < center``,
-    ``+1``: at ``x > center``).  The channel is clear while
-    ``stray <= GUARD_TOL * weight``: with ``side = -s`` it is still incoming,
-    with ``side = +s`` it has scattered.
-    """
-    left, mid, right = _band_masses(p, ch, center)
-    return mid + (right if side < 0 else left), left + mid + right
+def _guard_fractions(
+    p: BlipWavePacket, media: Mapping[int, Medium], side: int, dt: float = 0.0, floor: float = 0.0
+) -> dict[Channel, float]:
+    """The one guard rule: each channel's ``stray / weight``, ``stray`` being its
+    weight in the guard band plus beyond it on the side the channel does not
+    belong to (right of the band for ``side s = -1``, read as incoming; left
+    for ``+1``, read as scattered).  Free flight over ``dt`` moves the band to
+    ``side s c dt`` instead of the packet.  A channel is clear while its
+    fraction is at most ``GUARD_TOL``; channels weighing nothing or under
+    ``floor`` are left out."""
+    fractions = {}
+    for ch in p.amp:
+        left, mid, right = _band_masses(p, ch, side * ch.s * media[ch.s].c * dt)
+        weight = left + mid + right
+        if weight > 0.0 and weight >= floor:
+            fractions[ch] = (mid + (right if side * ch.s < 0 else left)) / weight
+    return fractions
 
 
 def interface_scatter(
@@ -390,7 +392,7 @@ def interface_scatter(
     empty reflected branch; with explicit rates and one medium on both
     sides it is the point mirror.
     Raises :class:`SupportGuardError` if an incident channel fails the guard
-    rule of :func:`_stray_weight` with ``side = -s``, and
+    rule of :func:`_guard_fractions` read as incoming, and
     :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
     ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
@@ -415,11 +417,10 @@ def interface_scatter(
     incident_weight = norm(p)
     if incident_weight == 0.0:
         raise SupportGuardError("cannot scatter a zero-weight packet")
-    for ch in p.amp:
-        stray, weight = _stray_weight(p, ch, -ch.s)
-        if stray > GUARD_TOL * weight:
+    for ch, fraction in _guard_fractions(p, {+1: left, -1: right}, -1).items():
+        if fraction > GUARD_TOL:
             raise SupportGuardError(
-                f"channel {ch} has {stray / weight:.6g} of its weight within "
+                f"channel {ch} has {fraction:.6g} of its weight within "
                 f"{GUARD_HALF_CELLS * grid.dx:.3g} of the scatterer or past it (GUARD_TOL = {GUARD_TOL:.0e})"
             )
     root_n = math.sqrt(n)
