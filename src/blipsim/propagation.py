@@ -14,7 +14,9 @@ checks the moved supports against the grid edges
 (:func:`blipsim.lattice._check_inside`), moves the centroid by the
 channels' weighted mean of ``s c t``, and reads the guard rule
 (:func:`blipsim.scattering._guard_fractions`) with the band moved the other
-way, as the ``incoming`` test does; it makes no transform.  Every other
+way, as the ``incoming`` test does: slice sums of a density the rule squares
+once per state for the whole schedule.  No report makes a transform or an
+N-point array.  Every other
 quadratic observable is time independent, so the input and each branch
 get one :class:`~blipsim.observables.ObservableReport`, which all their
 rows share.  A report is ``incoming`` while the input passes the map's
@@ -157,12 +159,6 @@ def _rows(t: float, phase: str, measured: Mapping[str, tuple], dt: float) -> lis
     ]
 
 
-def _still_incoming(sc: Scenario, t: float) -> bool:
-    """True while every channel at time ``t`` passes the map's in-state guard."""
-    media = {+1: sc.left_medium, -1: sc.right_medium}
-    return all(f <= GUARD_TOL for f in _guard_fractions(sc.packet, media, -1, t).values())
-
-
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute the schedule: free flight, scattering event, free flight.
 
@@ -190,22 +186,23 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         name: _measure(getattr(outcome, name), sp, outgoing_media, sc.hbar) for name, sp in outcome.spectra.items()
     }
 
+    reads = _guard_fractions(sc.packet, incoming_media, -1, list(sc.schedule))
+    later = [t for t, read in zip(sc.schedule, reads) if any(f > GUARD_TOL for f in read.values())]
+    guards = dict(zip(later, outcome._guard_fraction(later)))
     rows: list[ScenarioRow] = []
-    guards = [outcome.guard_fraction]
     for t in sc.schedule:
-        if _still_incoming(sc, t):
+        if t not in guards:
             _check_inside(sc.packet.grid, outcome.incident_supports, incoming_media, t, "the incoming packet")
             rows += _rows(t, "incoming", incoming, t)
             continue
         for name in ("transmitted", "reflected"):
             _check_inside(sc.packet.grid, outcome.supports[name], outgoing_media, t, f"the {name} branch")
-        guards.append(outcome._guard_fraction(t))
-        rows += _rows(t, "scattered" if guards[-1] <= GUARD_TOL else "crossing", branches, t - t_final)
+        rows += _rows(t, "scattered" if guards[t] <= GUARD_TOL else "crossing", branches, t - t_final)
     final = _rows(t_final, "scattered" if outcome.asymptotic else "crossing", branches, 0.0)
     blocks = {"input": _rows(0.0, "incoming", incoming, 0.0)[0], **{row.branch: row for row in final}}
     diagnostics = {
         "resampling_drift": outcome.resampling_drift,
-        "guard_fraction": max(guards),
+        "guard_fraction": max([outcome.guard_fraction, *guards.values()]),
         "non_asymptotic_times": tuple(dict.fromkeys(row.time for row in (*rows, *final) if not row.asymptotic)),
     }
     return ScenarioResult(

@@ -31,7 +31,8 @@ branch has cleared the scatterer, after moving the supports by ``s c t``
 through the edge rule of :func:`blipsim.lattice._check_inside`.  One guard
 rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
-``guard_fraction``, read with the band moved by ``s c t`` between times.
+``guard_fraction``: slice sums of a density squared once per call, read
+with the band moved by ``s c t`` between times.
 Transmission through the boundary rescales wavenumbers by the index ratio,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
 matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
@@ -313,7 +314,7 @@ class ScatterOutcome:
             _check_inside(self.incident.grid, self.supports[name], outgoing, t_final, f"the {name} branch")
         branches = {name: to_position(_advance_spectrum(self.spectra[name], outgoing, t_final)) for name in names}
         out = replace(self, **branches, total=combine(*branches.values()), t_final=t_final)
-        guard_fraction = out._guard_fraction(t_final)
+        (guard_fraction,) = out._guard_fraction([t_final])
         if guard_fraction > GUARD_TOL and not allow_partial:
             raise NotAsymptoticError(
                 f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
@@ -321,44 +322,39 @@ class ScatterOutcome:
             )
         return replace(out, asymptotic=guard_fraction <= GUARD_TOL, guard_fraction=guard_fraction)
 
-    def _guard_fraction(self, t: float) -> float:
-        """The branches' guard fraction at time ``t``, read from ``t_final``.
+    def _guard_fraction(self, times: list[float]) -> list[float]:
+        """The branches' guard fraction at each of ``times``, read from ``t_final``.
         A channel below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
         outgoing = {+1: self.right_medium, -1: self.left_medium}
         floor = NEGLIGIBLE_WEIGHT * self.incident_weight
-        reads = [_guard_fractions(b, outgoing, +1, self.t_final - t, floor) for b in (self.transmitted, self.reflected)]
-        return max([0.0, *reads[0].values(), *reads[1].values()])
-
-
-def _band_masses(p: BlipWavePacket, ch: Channel, center: float = 0.0) -> tuple[float, float, float]:
-    """Channel weight left of, inside, and right of the guard band around ``center``.
-
-    The band spans ``GUARD_HALF_CELLS`` cells each side; :func:`_guard_fractions` reads these masses.
-    """
-    half = GUARD_HALF_CELLS * p.grid.dx
-    # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
-    i = int(np.searchsorted(p.grid.x, center - half, side="left"))
-    j = int(np.searchsorted(p.grid.x, center + half, side="right"))
-    dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
-    return float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
+        dts = [self.t_final - t for t in times]
+        reads = [_guard_fractions(b, outgoing, +1, dts, floor) for b in (self.transmitted, self.reflected)]
+        return [max([0.0, *t.values(), *r.values()]) for t, r in zip(*reads)]
 
 
 def _guard_fractions(
-    p: BlipWavePacket, media: Mapping[int, Medium], side: int, dt: float = 0.0, floor: float = 0.0
-) -> dict[Channel, float]:
-    """The one guard rule: each channel's ``stray / weight``, ``stray`` being its
-    weight in the guard band plus beyond it on the side the channel does not
-    belong to (right of the band for ``side s = -1``, read as incoming; left
-    for ``+1``, read as scattered).  Free flight over ``dt`` moves the band to
-    ``side s c dt`` instead of the packet.  A channel is clear while its
-    fraction is at most ``GUARD_TOL``; channels weighing nothing or under
-    ``floor`` are left out."""
-    fractions = {}
-    for ch in p.amp:
-        left, mid, right = _band_masses(p, ch, side * ch.s * media[ch.s].c * dt)
-        weight = left + mid + right
-        if weight > 0.0 and weight >= floor:
-            fractions[ch] = (mid + (right if side * ch.s < 0 else left)) / weight
+    p: BlipWavePacket, media: Mapping[int, Medium], side: int, dts: list[float], floor: float = 0.0
+) -> list[dict[Channel, float]]:
+    """The one guard rule at each shift of ``dts``: each channel's ``stray / weight``, ``stray``
+    being its weight in the guard band (``GUARD_HALF_CELLS`` cells each side of its centre) plus
+    beyond it on the side the channel does not belong to (right of the band for ``side s = -1``,
+    read as incoming; left for ``+1``, read as scattered).  Free flight over ``dt`` moves the band
+    to ``side s c dt`` instead of the packet, so a channel is squared once and every shift reads
+    slice sums.  A channel is clear while its fraction is at most ``GUARD_TOL``; channels
+    weighing nothing or under ``floor`` are left out."""
+    x, half = p.grid.x, GUARD_HALF_CELLS * p.grid.dx
+    fractions: list[dict[Channel, float]] = [{} for _ in dts]
+    for ch, a in p.amp.items():
+        dens = np.abs(a) ** 2 * p.grid.dx
+        for read, dt in zip(fractions, dts):
+            center = side * ch.s * media[ch.s].c * dt
+            # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
+            i = int(np.searchsorted(x, center - half, side="left"))
+            j = int(np.searchsorted(x, center + half, side="right"))
+            left, mid, right = float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
+            weight = left + mid + right
+            if weight > 0.0 and weight >= floor:
+                read[ch] = (mid + (right if side * ch.s < 0 else left)) / weight
     return fractions
 
 
@@ -417,7 +413,7 @@ def interface_scatter(
     incident_weight = norm(p)
     if incident_weight == 0.0:
         raise SupportGuardError("cannot scatter a zero-weight packet")
-    for ch, fraction in _guard_fractions(p, {+1: left, -1: right}, -1).items():
+    for ch, fraction in _guard_fractions(p, {+1: left, -1: right}, -1, [0.0])[0].items():
         if fraction > GUARD_TOL:
             raise SupportGuardError(
                 f"channel {ch} has {fraction:.6g} of its weight within "

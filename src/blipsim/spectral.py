@@ -59,8 +59,8 @@ class SpectralWavePacket(_Packet):
 
 
 def _reverse_bins(a: np.ndarray) -> np.ndarray:
-    """Frequency-bin reversal ``out[m] = a[(-m) mod N]``."""
-    return np.roll(a[::-1], 1)
+    """Frequency-bin reversal ``out[m] = a[(-m) mod N]``: bin 0 stays, the rest reverse."""
+    return np.concatenate((a[:1], a[:0:-1]))
 
 
 def _origin_phase(grid: Grid, s: int) -> np.ndarray:

@@ -22,6 +22,8 @@ from hypothesis.extra import numpy as hnp
 
 from blipsim import cli
 
+from test_lattice import NUDGE, TAIL_SIGMAS
+
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -330,6 +332,21 @@ def test_a_spectrum_reaching_k_zero_exits_2_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error: carrier k0=2.0 leaves 3.167e-05") and "across k = 0" in err, err
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(sigma=st.floats(1.0, 1.5), sign=st.sampled_from((+1.0, -1.0)))
+def test_a_carrier_just_across_the_k_zero_guard_exits_2_and_just_inside_passes_strict(sigma, sign):
+    """|k0| a millionth inside the k = 0 guard's boundary, TAIL_SIGMAS
+    sigma_k, is refused; a millionth outside it the run passes --strict."""
+    boundary = TAIL_SIGMAS * 0.5 / sigma
+    with tempfile.TemporaryDirectory() as tmp:
+        for nudge, code in ((1.0 - NUDGE, 2), (1.0 + NUDGE, 0)):
+            packet = {"k0": repr(sign * boundary * nudge), "sigma": repr(sigma)}
+            cfg = write_config(Path(tmp) / f"k0-{code}.ini", {"packet": packet})
+            out = Path(tmp) / f"out-{code}"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == code, (nudge, packet)
+            assert out.exists() == (code == 0)
 
 
 def test_the_series_config_reports_every_phase_and_passes_strict(tmp_path):

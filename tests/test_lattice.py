@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blipsim as bs
-from blipsim.lattice import _cis
+from blipsim.lattice import FIXTURE_TAIL_TOL, _cis
 
 
 def test_grid_lattice_relations(rig_grid):
@@ -157,6 +158,54 @@ def test_gaussian_fixture_guards(rig_grid):
         bs.gaussian_packet(rig_grid, (+1, "H"), x0=0.0, k0=30.0, sigma=2 * rig_grid.dx)
     with pytest.raises(bs.FixtureError):
         bs.gaussian_packet(rig_grid, (+1, "H"), x0=math.nan, k0=30.0, sigma=2.0)
+
+
+#: Standard deviations beyond which a Gaussian leaves ``FIXTURE_TAIL_TOL``
+#: of its weight, from the normal quantile rather than the guards' erfc.
+TAIL_SIGMAS = -NormalDist().inv_cdf(FIXTURE_TAIL_TOL)
+#: Relative step from a guard's boundary to a value just inside or outside it.
+NUDGE = 1e-6
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_n=st.integers(7, 14),
+    x_min=st.floats(-500.0, 500.0),
+    length=st.floats(1.0, 1000.0),
+    v=st.floats(0.0, 1.0),
+    side=st.sampled_from((+1, -1)),
+    ch=st.sampled_from(((+1, "H"), (-1, "V"))),
+)
+def test_each_fixture_guard_refuses_just_outside_and_builds_just_inside(log_n, x_min, length, v, side, ch):
+    """The sigma guard (sigma > 3 dx), the edge guard (x0 at TAIL_SIGMAS
+    sigma from either grid end) and the band guard (k0 at TAIL_SIGMAS
+    sigma_k from either band edge), each nudged across its boundary while
+    the others hold with room to spare."""
+    grid = bs.make_grid(x_min, x_min + length, 1 << log_n)
+    middle = grid.x_min + 0.5 * length
+
+    def verdicts(just_inside, just_outside):
+        bs.gaussian_packet(grid, ch, **just_inside)
+        with pytest.raises(bs.FixtureError):
+            bs.gaussian_packet(grid, ch, **just_outside)
+
+    floor = 3.0 * grid.dx
+    verdicts(
+        dict(x0=middle, k0=0.0, sigma=math.nextafter(floor, math.inf)),
+        dict(x0=middle, k0=0.0, sigma=floor),
+    )
+    # sigma from just above 3 dx to a quarter of the grid over TAIL_SIGMAS
+    sigma = floor * (1.0 + NUDGE) + v * (0.25 * length / TAIL_SIGMAS - floor * (1.0 + NUDGE))
+    end = grid.x_min if side < 0 else grid.x_max
+    verdicts(
+        dict(x0=end - side * TAIL_SIGMAS * sigma * (1.0 + NUDGE), k0=0.0, sigma=sigma),
+        dict(x0=end - side * TAIL_SIGMAS * sigma * (1.0 - NUDGE), k0=0.0, sigma=sigma),
+    )
+    sigma_k = 0.5 / sigma
+    verdicts(
+        dict(x0=middle, k0=side * (grid.k_max - TAIL_SIGMAS * sigma_k * (1.0 + NUDGE)), sigma=sigma),
+        dict(x0=middle, k0=side * (grid.k_max - TAIL_SIGMAS * sigma_k * (1.0 - NUDGE)), sigma=sigma),
+    )
 
 
 def test_negative_carrier_is_a_valid_fixture(rig_grid):

@@ -3,11 +3,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import blipsim as bs
 from blipsim import oracles
+from blipsim.lattice import FIXTURE_TAIL_TOL, _gauss_tail
 
+from test_lattice import TAIL_SIGMAS
 from test_observables import in_medium
 
 
@@ -361,6 +363,30 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
             assert len(counts) == 1, (channels, omega, counts)
 
 
+def test_reports_square_nothing(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
+    """The guard rule squares the input's channels once for the whole
+    schedule and the final branches' once for all later reports; every
+    report reads slice sums of those densities, so the length-N ``np.abs``
+    calls do not grow with the schedule."""
+    calls = []
+    absolute = np.abs
+
+    def counting_abs(a, *args, **kwargs):
+        if np.size(a) == rig_grid.n_points:
+            calls.append(1)
+        return absolute(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    schedules = ((0.0, 30.0, 140.0), (0.0, 30.0, *np.linspace(100.0, 160.0, 48).tolist()))
+    for right, omega in ((glass, None), (ref_medium, -0.6j)):
+        counts = []
+        for schedule in schedules:
+            calls.clear()
+            bs.run_scenario(bs.Scenario(rig_packet, ref_medium, right, schedule=schedule, omega=omega))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, (omega, counts)
+
+
 def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypatch, ref_medium, glass):
     grid = bs.make_grid(-200.0, 200.0, 16384)
     packet = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
@@ -386,35 +412,50 @@ def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypa
 # ---------------------------------------------------------------------------
 # the paper's momentum results across the domain
 
-#: 2^12 cells over [-160, 160): k_max = 40.2, and sigma >= 1 keeps every
-#: transmitted spectrum, at most n (|k0| + 8 sigma_k) = 38, inside the band.
-#: |k0| >= 4 keeps 8 sigma_k between the spectrum and k = 0, where the
-#: energy's |k| has its kink.
-PROPERTY_GRID = bs.make_grid(-160.0, 160.0, 4096)
+#: Every property run takes a grid over [-160, 160) with 2^11 to 2^14 cells,
+#: so k_max runs from 20.1 to 160.8.
+PROPERTY_GRIDS = {log_n: bs.make_grid(-160.0, 160.0, 1 << log_n) for log_n in range(11, 15)}
+#: A Gaussian spectrum of width w leaves at most ``FIXTURE_TAIL_TOL`` beyond
+#: ``CLEAR * w`` from its centre; the 2^-40 margin keeps ``_gauss_tail``'s
+#: rounding on the inside of the k = 0 guard.
+CLEAR = TAIL_SIGMAS * (1.0 + 2.0**-40)
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(
+    log_n=st.integers(11, 14),
     n=st.floats(1.0, 4.0, exclude_min=True),
     direction=st.sampled_from((+1, -1)),
     pol=st.sampled_from(("H", "V")),
-    k0=st.floats(4.0, 5.5) | st.floats(-5.5, -4.0),
+    sign=st.sampled_from((+1.0, -1.0)),
+    v=st.floats(0.0, 1.0),
     sigma=st.floats(1.0, 2.0),
     u=st.floats(0.0, 1.0),
 )
-def test_momentum_results_hold_across_the_domain(n, direction, pol, k0, sigma, u):
+@example(log_n=11, n=2.0, direction=+1, pol="H", sign=+1.0, v=0.0, sigma=2.0, u=0.0)
+@example(log_n=11, n=2.0, direction=+1, pol="H", sign=-1.0, v=1.0, sigma=2.0, u=1.0)
+def test_momentum_results_hold_across_the_domain(log_n, n, direction, pol, sign, v, sigma, u):
     """Energy, unitarity, the momentum ratio (3n - 1)/(n + 1) into the
     medium or (3 - n)/(n + 1) out of it, and the transmitted scaling n or
     1/n, for a packet that starts at distance d from x = 0 and is reported
-    at twice its arrival time.  d keeps 8 sigma between the packet and the
-    scatterer at both ends, and every branch 7.5 sigma (scaled by its
-    medium) inside the grid."""
+    at twice its arrival time.  |k0| runs from the run command's k = 0 guard
+    to where the input's spectrum, or the transmitted one (n k0 of width
+    n sigma_k into the medium), keeps its fixture tail inside the band.  d
+    keeps 8 sigma between the packet and the scatterer at both ends, and
+    every branch 7.5 sigma (scaled by its medium) inside the grid."""
+    grid = PROPERTY_GRIDS[log_n]
+    sigma_k = 0.5 / sigma
+    k_lo = CLEAR * sigma_k
+    k_hi = grid.k_max / (n if direction > 0 else 1.0) - CLEAR * sigma_k
+    assume(k_lo <= k_hi)
+    k0 = sign * (k_lo + v * (k_hi - k_lo))
+    assert _gauss_tail(abs(k0), sigma_k) <= FIXTURE_TAIL_TOL
     ref, medium = bs.Medium.reference(), bs.Medium.from_index(n)
     c_in = ref.c if direction > 0 else medium.c
     # the left-mover's transmitted branch ends at -n d with width n sigma
     d_max = 40.0 if direction > 0 else 160.0 / n - 7.5 * sigma - 0.5
     d = 8.0 * sigma + 1.0 + u * (d_max - 8.0 * sigma - 1.0)
-    packet = bs.gaussian_packet(PROPERTY_GRID, (direction, pol), -direction * d, k0, sigma)
+    packet = bs.gaussian_packet(grid, (direction, pol), -direction * d, k0, sigma)
     result = bs.run_scenario(bs.Scenario(packet, ref, medium, schedule=(0.0, 2.0 * d / c_in)))
     outcome, blocks = result.outcome, result.blocks
     assert outcome.asymptotic and not result.diagnostics["non_asymptotic_times"]

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
-from blipsim.propagation import _still_incoming
-from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _band_masses
+from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _guard_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +388,19 @@ _LATTICE_INDEX = st.integers(0, _MASS_GRID.n_points - 1)
         ),
         st.floats(-1e3, -10.0),
         st.floats(10.0, 1e3),
-    )
+    ),
+    side=st.sampled_from((+1, -1)),
 )
-def test_band_masses_match_the_mask_oracle_bit_for_bit(center):
+def test_band_masses_match_the_mask_oracle_bit_for_bit(center, side):
+    """The guard rule's fraction with the band moved to ``center`` (a unit
+    speed, so the shift is ``side * center``) against the fraction built from
+    the mask oracle's masses."""
     ch = bs.Channel(1, "H")
-    got = _band_masses(_MASS_PACKET, ch, center)
-    want = band_masses_oracle(_MASS_PACKET, ch, center)
-    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    ref = bs.Medium.reference()
+    (got,) = _guard_fractions(_MASS_PACKET, {+1: ref, -1: ref}, side, [side * center])
+    left, mid, right = band_masses_oracle(_MASS_PACKET, ch, center)
+    want = (mid + (left if side > 0 else right)) / (left + mid + right)
+    assert got[ch].hex() == want.hex()
 
 
 def test_rephase_reproduces_a_direct_map(rig_packet):
@@ -555,13 +560,14 @@ def test_booleans_are_not_indices(rig_packet):
 # one guard rule: the map's in-state check, the phase labels and the branch guard
 
 
-def branch_guard_oracle(branch, input_weight):
+def branch_guard_oracle(branch, input_weight, media=None, dt=0.0):
     """Test oracle: the largest fraction of a branch channel still in the band
-    or on its incoming side, each channel's masses read separately.  Channels
+    or on its incoming side, each channel's masses read separately, with the
+    band moved to ``s c dt`` in ``media`` when they are given.  Channels
     below ``NEGLIGIBLE_WEIGHT`` of the input are skipped."""
     worst = 0.0
     for ch in branch.amp:
-        left, mid, right = _band_masses(branch, ch)
+        left, mid, right = band_masses_oracle(branch, ch, 0.0 if media is None else ch.s * media[ch.s].c * dt)
         weight = left + mid + right
         if weight < NEGLIGIBLE_WEIGHT * input_weight:
             continue
@@ -575,7 +581,7 @@ def still_incoming_oracle(sc, t):
     of the outgoing side, the band moved to ``-s c t`` instead of the packet."""
     media = {+1: sc.left_medium, -1: sc.right_medium}
     for ch in sc.packet.amp:
-        left, mid, right = _band_masses(sc.packet, ch, -ch.s * media[ch.s].c * t)
+        left, mid, right = band_masses_oracle(sc.packet, ch, -ch.s * media[ch.s].c * t)
         wrong = right if ch.s > 0 else left
         if mid + wrong > GUARD_TOL * (left + mid + right):
             return False
@@ -590,7 +596,7 @@ def _borderline_packet(grid):
 
 def test_the_borderline_in_state_is_refused_by_the_map_and_the_scenario(rig_grid, ref_medium, glass):
     p = _borderline_packet(rig_grid)
-    left, mid, right = _band_masses(p, bs.Channel(1, "H"))
+    left, mid, right = band_masses_oracle(p, bs.Channel(1, "H"), 0.0)
     weight = left + mid + right
     assert mid <= GUARD_TOL * weight and right <= GUARD_TOL * weight < mid + right
     with pytest.raises(bs.SupportGuardError, match=r"Channel\(s=1, pol='H'\) has 1\.0004\d*e-10 .*GUARD_TOL = 1e-10"):
@@ -612,7 +618,7 @@ def test_the_map_accepts_exactly_what_the_phase_rule_calls_incoming_at_t0(rig_gr
             accepted = False
         else:
             accepted = True
-        assert accepted == _still_incoming(bs.Scenario(p, ref_medium, glass, schedule=(0.0,)), 0.0), x0
+        assert accepted == still_incoming_oracle(bs.Scenario(p, ref_medium, glass, schedule=(0.0,)), 0.0), x0
         verdicts.add(accepted)
     assert verdicts == {True, False}
 
@@ -635,12 +641,20 @@ def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_g
         sc = bs.Scenario(packet, ref, right, schedule=times, omega=omega)
         rates = None if omega is None else bs.rates_from_omega(bs.MirrorCoupling(omega))
         event = bs.interface_scatter(packet, n, 140.0, rates=rates, left=ref, right=right)
+        # the incoming test reads the whole schedule in one call
+        reads = _guard_fractions(packet, {+1: ref, -1: right}, -1, list(times))
+        # and the branch guards read the final branches at every time in one call
+        translated = event._guard_fraction(list(times))
+        outgoing = {+1: right, -1: ref}
         want_phase = {}
-        for t in times:
+        for t, read, moved in zip(times, reads, translated):
             out = event.at(t, allow_partial=True)
             want = max(branch_guard_oracle(b, out.incident_weight) for b in (out.transmitted, out.reflected))
             assert out.guard_fraction.hex() == want.hex(), (name, t)
-            assert _still_incoming(sc, t) == still_incoming_oracle(sc, t), (name, t)
+            final = (event.transmitted, event.reflected)
+            want_moved = max(branch_guard_oracle(b, event.incident_weight, outgoing, 140.0 - t) for b in final)
+            assert moved.hex() == want_moved.hex(), (name, t)
+            assert all(f <= GUARD_TOL for f in read.values()) == still_incoming_oracle(sc, t), (name, t)
             if still_incoming_oracle(sc, t):
                 want_phase[t] = "incoming"
             else:

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
 from blipsim import oracles
-from blipsim.spectral import _PI_LD, _chirp_sum
+from blipsim.spectral import _PI_LD, _chirp_sum, _reverse_bins
 
 
 def plane_wave(grid, ch, m):
@@ -26,6 +27,35 @@ def test_round_trip_is_exact(rig_grid):
     for ch in p.channels():
         err = np.max(np.abs(back.amplitude(ch) - p.amplitude(ch)))
         assert err < 1e-13 * np.max(np.abs(p.amplitude(ch)))
+
+
+_CHANNELS = [bs.Channel(s, pol) for s in (+1, -1) for pol in ("H", "V")]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_n=st.integers(6, 12),
+    x_min=st.floats(-500.0, 0.0),
+    length=st.floats(1.0, 1000.0),
+    channels=st.sets(st.sampled_from(_CHANNELS), min_size=1),
+    magnitude=st.floats(-50.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_round_trip_and_keep_the_norm(log_n, x_min, length, channels, magnitude, seed):
+    """Random complex channels of either direction, alone or mixed: each
+    transform undoes the other in both orders, and Parseval holds."""
+    grid = bs.make_grid(x_min, x_min + length, 1 << log_n)
+    rng = np.random.default_rng(seed)
+    scale, n = 10.0**magnitude, grid.n_points
+    amp = {ch: scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for ch in channels}
+    p = bs.BlipWavePacket(grid, amp)
+    sp = bs.SpectralWavePacket(grid, amp)
+    for back, start in ((bs.to_position(bs.to_momentum(p)), p), (bs.to_momentum(bs.to_position(sp)), sp)):
+        assert back.channels() == start.channels()
+        for ch, a in start.amp.items():
+            assert np.max(np.abs(back.amp[ch] - a)) <= 1e-13 * np.max(np.abs(a)), (ch, type(start))
+    assert bs.spectral_norm(bs.to_momentum(p)) == pytest.approx(bs.norm(p), rel=1e-13)
+    assert bs.norm(bs.to_position(sp)) == pytest.approx(bs.spectral_norm(sp), rel=1e-13)
 
 
 def test_parseval_identity(rig_packet):
@@ -166,6 +196,20 @@ def test_half_built_chirp_kernel_matches_the_rolled_oracle_bit_for_bit():
                 got = _chirp_sum(values, phi0, dphi)
                 want = chirp_sum_oracle(values, phi0, dphi)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s, scale)
+
+
+def reverse_bins_oracle(a):
+    """Test oracle: the frequency-bin reversal as a roll of the reversed array."""
+    return np.roll(a[::-1], 1)
+
+
+def test_sliced_bin_reversal_matches_the_rolled_oracle_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in (*range(1, 8), 1000, *(1 << log_n for log_n in range(3, 15))):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = _reverse_bins(a)
+        assert got.shape == a.shape and got.dtype == a.dtype, n
+        assert np.array_equal(got.view(np.uint64), reverse_bins_oracle(a).view(np.uint64)), n
 
 
 def test_scaled_sampling_norm_ratio(rig_packet, rig_grid):
