@@ -459,7 +459,7 @@ def _summarize(
         ),
         "conditional_ratio": rel_dev(measured_conditional, pred_conditional),
         "unitarity": rel_dev(unitarity, 1.0),
-        "resample_drift": result.diagnostics["resampling_drift"],
+        "resample_drift": outcome.resampling_drift,
         "peak_bins": (
             abs(measured_peak - pred_peak) / sc.packet.grid.dk
             if measured_peak is not None and pred_peak is not None
@@ -471,6 +471,7 @@ def _summarize(
     tolerances.update(cfg.get("tolerances", {}))
     checks = {key: _verdict(deviations[key], tolerances[key]) for key in deviations}
     breaches = sum(1 for verdict in checks.values() if verdict == "fail")
+    crossing_times = tuple(dict.fromkeys(row.time for row in (*result.rows, *blocks.values()) if not row.asymptotic))
 
     summary = {
         "command": "run",
@@ -506,9 +507,9 @@ def _summarize(
         "tolerances": tolerances,
         "checks": checks,
         "diagnostics": {
-            "resampling_drift": result.diagnostics["resampling_drift"],
-            "guard_fraction": result.diagnostics["guard_fraction"],
-            "non_asymptotic_times": result.diagnostics["non_asymptotic_times"],
+            "resampling_drift": outcome.resampling_drift,
+            "guard_fraction": result.guard_fraction,
+            "non_asymptotic_times": crossing_times,
             "asymptotic_final": outcome.asymptotic,
         },
     }
@@ -718,7 +719,7 @@ def cmd_dyson(
     q = float(omega_ratio)
     mc = MirrorCoupling(omega=-2j * q, c_ref=1.0)
     sums = dyson_partial_sums(mc, n_terms)
-    divergent = q >= 1.0
+    divergent = not mc.is_resummable
     rows: list[list[Any]] = []
     breaches = 0
     exact = None if divergent else rates_from_omega(mc)

@@ -118,11 +118,22 @@ class Grid:
     is built on first access, cached on the instance and read-only; the
     cache takes no part in equality or the hash, and
     :func:`dataclasses.replace` gives a new grid that builds its own.
+    A grid refuses a bad lattice with :class:`ConfigurationError`: ``n_points``
+    is an integer power of two >= 8, ``dx > 0``, and ``x_min``, ``x_max``,
+    ``dx`` and the band edge ``pi/dx`` are finite.
     """
 
     x_min: float
     dx: float
     n_points: int
+
+    def __post_init__(self) -> None:
+        n = self.n_points
+        if not (isinstance(n, (int, np.integer)) and n >= 8 and not n & (n - 1)):
+            raise ConfigurationError(f"n_points must be an integer power of two >= 8, got {n!r}")
+        ok = isinstance(self.x_min, (int, float)) and math.isfinite(self.x_min) and _is_positive_real(self.dx)
+        if not (ok and math.isfinite(self.x_max) and math.isfinite(self.k_max)):
+            raise ConfigurationError(f"need finite x_min, x_max and pi/dx with dx > 0, got {self}")
 
     @property
     def x_max(self) -> float:
@@ -155,20 +166,11 @@ class Grid:
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
-    """Build a grid over ``[x_min, x_max)`` with ``n_points`` cells.
-
-    ``n_points`` must be a power of two, at least 8; ``x_max > x_min``.
-    """
-    if not (isinstance(n_points, (int, np.integer)) and n_points >= 8):
-        raise ConfigurationError(f"n_points must be an integer >= 8, got {n_points!r}")
-    n_points = int(n_points)
-    if n_points & (n_points - 1):
-        raise ConfigurationError(f"n_points must be a power of two, got {n_points}")
+    """Build a grid over ``[x_min, x_max)`` with ``n_points`` cells; :class:`Grid` checks the lattice."""
+    if not (isinstance(n_points, (int, np.integer)) and n_points > 0):
+        raise ConfigurationError(f"n_points must be a positive integer, got {n_points!r}")
     x_min = float(x_min)
-    x_max = float(x_max)
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
-        raise ConfigurationError(f"need finite x_max > x_min, got [{x_min}, {x_max})")
-    return Grid(x_min=x_min, dx=(x_max - x_min) / n_points, n_points=n_points)
+    return Grid(x_min=x_min, dx=(float(x_max) - x_min) / int(n_points), n_points=int(n_points))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ rows share.  A report is ``incoming`` while the input passes the map's
 in-state guard, so the map refuses a packet that is not incoming at
 ``t = 0``; it is then ``crossing`` while a branch still straddles the
 scatterer (flagged, not interpolated) and ``scattered`` once every branch
-is clear.  A row's phase is the only record of whether it is asymptotic.
+is clear.  A row's phase is the only record of whether it is asymptotic,
+so the crossing times are read from it; the drift lives on the outcome.
 """
 
 from __future__ import annotations
@@ -127,15 +128,17 @@ class ScenarioRow:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Rows per report time, the final outcome, and the ``blocks``: the
-    ``input`` at ``t = 0`` and the ``transmitted``, ``reflected`` and
-    ``total`` branches at the final time."""
+    """A run's facts, each held once: ``rows`` per report time, the ``outcome``
+    of the one map at the final time (it holds the run's ``resampling_drift``),
+    the ``blocks`` (the ``input`` at ``t = 0``; the final ``transmitted``,
+    ``reflected`` and ``total``) and ``guard_fraction``, the largest branch
+    guard fraction over every report and the final time.  The crossing times
+    are the times of the rows and blocks whose phase is ``crossing``."""
 
-    scenario: Scenario
     rows: tuple[ScenarioRow, ...]
     outcome: ScatterOutcome
-    diagnostics: dict = field(default_factory=dict)
-    blocks: Mapping[str, ScenarioRow] = field(default_factory=dict)
+    blocks: Mapping[str, ScenarioRow]
+    guard_fraction: float
 
 
 def _measure(
@@ -163,7 +166,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     """Execute the schedule: free flight, scattering event, free flight.
 
     Returns per-branch rows for every report time, the outcome of the one
-    map at the final time, and the blocks.  Rows are phase-labelled
+    map at the final time, the blocks and the guard fraction (see
+    :class:`ScenarioResult`).  Rows are phase-labelled
     ``incoming``, ``crossing`` (the map's extrapolation while a branch still
     straddles the scatterer; flagged, not an error) or ``scattered``.
     """
@@ -200,11 +204,4 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         rows += _rows(t, "scattered" if guards[t] <= GUARD_TOL else "crossing", branches, t - t_final)
     final = _rows(t_final, "scattered" if outcome.asymptotic else "crossing", branches, 0.0)
     blocks = {"input": _rows(0.0, "incoming", incoming, 0.0)[0], **{row.branch: row for row in final}}
-    diagnostics = {
-        "resampling_drift": outcome.resampling_drift,
-        "guard_fraction": max([outcome.guard_fraction, *guards.values()]),
-        "non_asymptotic_times": tuple(dict.fromkeys(row.time for row in (*rows, *final) if not row.asymptotic)),
-    }
-    return ScenarioResult(
-        scenario=sc, rows=tuple(rows), outcome=outcome, diagnostics=diagnostics, blocks=blocks
-    )
+    return ScenarioResult(tuple(rows), outcome, blocks, max([outcome.guard_fraction, *guards.values()]))

@@ -145,11 +145,11 @@ class MirrorCoupling:
 
 def rates_from_omega(mc: MirrorCoupling) -> ScatterRates:
     """Resummed amplitudes of the point scatterer; requires ``q < 1``."""
-    q = mc.q
-    if q >= 1.0:
+    if not mc.is_resummable:
         raise DivergenceError(
-            f"|Omega|/(2 c) = {q} >= 1: the Born series does not converge"
+            f"|Omega|/(2 c) = {mc.q} >= 1: the Born series does not converge"
         )
+    q = mc.q
     denom = 1.0 + q * q
     t = complex((1.0 - q * q) / denom)
     r_plus = (-1j * mc.omega / mc.c_ref) / denom
@@ -212,9 +212,9 @@ def dyson_remainder_bound(mc: MirrorCoupling, order: int, component: str = "t") 
         raise DomainError(f"order must be >= 0, got {order!r}")
     if component not in ("t", "r"):
         raise DomainError(f"component must be 't' or 'r', got {component!r}")
-    q = mc.q
-    if q >= 1.0:
+    if not mc.is_resummable:
         return math.inf
+    q = mc.q
     power = 2 * order + 2 + (1 if component == "r" else 0)
     return 2.0 * q**power / (1.0 - q * q)
 

@@ -68,6 +68,40 @@ def test_make_grid_rejects_bad_shapes():
         bs.make_grid(0.0, math.inf, 64)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("x_min", math.nan),
+        ("x_min", math.inf),
+        ("x_min", -math.inf),
+        ("x_min", "-1"),
+        ("dx", 0.0),
+        ("dx", -0.25),
+        ("dx", math.nan),
+        ("dx", math.inf),
+        ("dx", True),
+        ("dx", 1e308),  # x_max = x_min + 8 dx overflows
+        ("dx", 1e-320),  # the band edge pi/dx overflows
+        ("n_points", 0),
+        ("n_points", 4),
+        ("n_points", -8),
+        ("n_points", 12),
+        ("n_points", 8.0),
+        ("n_points", True),
+        ("n_points", "8"),
+    ],
+)
+def test_grid_refuses_each_bad_field(field, bad):
+    """The lattice rule lives on ``Grid``: a direct construction and a
+    ``replace`` of a good grid refuse the same values as ``make_grid``."""
+    good = bs.make_grid(-1.0, 1.0, 8)
+    assert bs.Grid(x_min=-1.0, dx=0.25, n_points=8) == good
+    with pytest.raises(bs.ConfigurationError):
+        bs.Grid(**{**dataclasses.asdict(good), field: bad})
+    with pytest.raises(bs.ConfigurationError):
+        dataclasses.replace(good, **{field: bad})
+
+
 def test_channel_validation_and_order():
     assert bs.as_channel((+1, "H")) == bs.Channel(1, "H")
     with pytest.raises(bs.DomainError):

@@ -1,16 +1,19 @@
+import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import blipsim as bs
-from blipsim import oracles
+from blipsim import cli, oracles
 from blipsim.lattice import FIXTURE_TAIL_TOL, _gauss_tail
 
 from test_lattice import TAIL_SIGMAS
 from test_observables import in_medium
+from test_scattering import branch_guard_oracle
 
 
 def test_free_flight_zero_time_is_identity(rig_packet, ref_medium):
@@ -55,6 +58,34 @@ def test_free_flight_composes(rig_packet, glass):
     ) < 1e-12
     # glass halves the speed: 110 time units move the centroid by 55
     assert bs.centroid(one) == pytest.approx(-5.0, abs=1e-6)
+
+
+#: 2^11 cells over [-160, 160): k_max = 20.1.
+_FLIGHT_GRID = bs.make_grid(-160.0, 160.0, 1 << 11)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.floats(1.0, 4.0),
+    direction=st.sampled_from((+1, -1)),
+    x0=st.floats(-100.0, 100.0),
+    k0=st.floats(-12.0, 12.0),
+    sigma=st.floats(1.0, 2.0),
+    t1=st.floats(-200.0, 200.0),
+    t2=st.floats(-200.0, 200.0),
+)
+def test_free_flight_composes_across_the_domain(n, direction, x0, k0, sigma, t1, t2):
+    """Two flights of t1 and t2 are one flight of t1 + t2, for either sign of
+    each; draws that would carry the packet off the grid are dropped."""
+    m = bs.Medium.from_index(n)
+    p = bs.gaussian_packet(_FLIGHT_GRID, (direction, "H"), x0, k0, sigma)
+    try:
+        one = bs.evolve_free(p, m, t1 + t2)
+        two = bs.evolve_free(bs.evolve_free(p, m, t1), m, t2)
+    except bs.DomainExitError:
+        assume(False)
+    ch = bs.Channel(direction, "H")
+    assert np.max(np.abs(two.amp[ch] - one.amp[ch])) <= 1e-12
 
 
 def test_free_flight_negative_time_rewinds(rig_packet, ref_medium):
@@ -125,8 +156,8 @@ def test_run_scenario_phases_and_ratios(rig_packet, ref_medium, glass):
     assert trans.values.medium_tag == "n=2"
     assert trans.values.abraham_momentum == pytest.approx(trans.values.field_momentum / 4.0, rel=1e-12)
     assert res.outcome.t_final == 140.0
-    assert res.diagnostics["non_asymptotic_times"] == ()
-    assert res.diagnostics["resampling_drift"] < 1e-12
+    assert not any(r.phase == "crossing" for r in (*res.rows, *res.blocks.values()))
+    assert res.outcome.resampling_drift < 1e-12
 
 
 def test_blocks_are_the_input_and_the_final_branches(rig_packet, ref_medium, glass):
@@ -160,11 +191,36 @@ def test_run_scenario_crossing_phase(rig_packet, ref_medium, glass):
     assert by_time[50.0] == {"crossing"}
     assert by_time[70.0] == {"crossing"}
     assert by_time[140.0] == {"scattered"}
-    assert res.diagnostics["non_asymptotic_times"] == (50.0, 70.0)
+    assert tuple(dict.fromkeys(r.time for r in res.rows if r.phase == "crossing")) == (50.0, 70.0)
     assert res.outcome.asymptotic  # the final outcome did clear the band
     # norms are branch norms even mid-crossing
     mid = [r for r in res.rows if r.time == 70.0 and r.branch == "total"]
     assert mid[0].values.photon_number == pytest.approx(1.0, abs=1e-9)
+
+
+def test_scenario_result_holds_each_run_fact_once(tmp_path):
+    """The result keeps four fields.  On the series config the run's guard
+    fraction is the t = 50 crossing report's, read from the final branches
+    with the band moved by s c (t_final - 50); it is larger than the final
+    outcome's and is what ``summary.json`` reports, and the crossing times
+    come from the rows' phases."""
+    assert [f.name for f in fields(bs.ScenarioResult)] == ["rows", "outcome", "blocks", "guard_fraction"]
+    config = Path(__file__).resolve().parents[1] / "configs" / "air_to_glass_series.ini"
+    sc = cli._scenario_from_config(cli._load_config(str(config)))
+    result = bs.run_scenario(sc)
+    outcome = result.outcome
+    outgoing = {+1: sc.right_medium, -1: sc.left_medium}
+    at_50 = max(
+        branch_guard_oracle(b, outcome.incident_weight, outgoing, outcome.t_final - 50.0)
+        for b in (outcome.transmitted, outcome.reflected)
+    )
+    assert result.guard_fraction == at_50 == 0.9999998214005721
+    assert result.guard_fraction > outcome.guard_fraction
+    assert cli.main(["run", "--config", str(config), "--format", "json", "--out", str(tmp_path)]) == 0
+    diagnostics = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    assert diagnostics["guard_fraction"] == result.guard_fraction
+    assert diagnostics["non_asymptotic_times"] == [50, 70]
+    assert diagnostics["resampling_drift"] == outcome.resampling_drift
 
 
 def test_run_scenario_probabilities_time_independent(rig_packet, ref_medium, glass):
@@ -458,7 +514,7 @@ def test_momentum_results_hold_across_the_domain(log_n, n, direction, pol, sign,
     packet = bs.gaussian_packet(grid, (direction, pol), -direction * d, k0, sigma)
     result = bs.run_scenario(bs.Scenario(packet, ref, medium, schedule=(0.0, 2.0 * d / c_in)))
     outcome, blocks = result.outcome, result.blocks
-    assert outcome.asymptotic and not result.diagnostics["non_asymptotic_times"]
+    assert outcome.asymptotic and not any(r.phase == "crossing" for r in (*result.rows, *blocks.values()))
     assert abs(outcome.prob_t + outcome.prob_r - 1.0) <= 1e-9
     p_in = blocks["input"].values.dyn_momentum
     assert abs(blocks["total"].values.energy / blocks["input"].values.energy - 1.0) <= 1e-9

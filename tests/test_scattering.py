@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blipsim as bs
 from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _guard_fractions
@@ -72,6 +72,23 @@ def test_stokes_residuals_vanish():
         assert cross < 1e-14
         assert d_minus < 1e-14
         assert d_plus < 1e-14
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(log10_n=st.floats(-6.0, 6.0))
+def test_stokes_residuals_vanish_for_every_index(log10_n):
+    """The normal-incidence table at n log-uniform on [1e-6, 1e6]."""
+    assert max(bs.stokes_residuals(bs.fresnel_rates(10.0**log10_n))) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(q=st.floats(0.0, 0.999999), phase=st.floats(-math.pi, math.pi), log10_c=st.floats(-3.0, 3.0))
+def test_stokes_residuals_vanish_for_every_resummable_coupling(q, phase, log10_c):
+    """The resummed point scatterer at Omega = 2 c q exp(i phase), c log-uniform
+    on [1e-3, 1e3], q up to a millionth below the radius of convergence."""
+    c = 10.0**log10_c
+    mc = bs.MirrorCoupling(omega=2.0 * c * q * complex(math.cos(phase), math.sin(phase)), c_ref=c)
+    assert max(bs.stokes_residuals(bs.rates_from_omega(mc))) <= 1e-14
 
 
 def test_mirror_coupling_parameters():
@@ -586,6 +603,39 @@ def still_incoming_oracle(sc, t):
         if mid + wrong > GUARD_TOL * (left + mid + right):
             return False
     return True
+
+
+#: 2^12 cells over [-160, 160): k_max = 40.2 holds a transmitted spectrum up to
+#: k0 = 6 at n = 4 (centre 24, width 2), and k0 >= 4 keeps 8 widths from k = 0.
+_VERDICT_GRID = bs.make_grid(-160.0, 160.0, 1 << 12)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.floats(1.0, 4.0, exclude_min=True),
+    direction=st.sampled_from((+1, -1)),
+    pol=st.sampled_from(("H", "V")),
+    sigma=st.floats(1.0, 2.0),
+    k0=st.floats(4.0, 6.0),
+    u=st.floats(0.0, 1.0),
+    f=st.floats(0.0, 1.0),
+)
+@example(n=2.0, direction=+1, pol="H", sigma=2.0, k0=5.0, u=0.0, f=0.5)
+@example(n=4.0, direction=-1, pol="V", sigma=1.0, k0=6.0, u=1.0, f=0.5)
+def test_the_asymptotic_verdict_is_the_mask_oracle_at_every_time(n, direction, pol, sigma, k0, u, f):
+    """``asymptotic`` holds exactly when every branch channel above
+    ``NEGLIGIBLE_WEIGHT`` of the input has at most ``GUARD_TOL`` of its weight
+    in the band or on its incoming side, read by the mask oracle.  The packet
+    starts at distance d (8 sigma clear of the scatterer, as in the momentum
+    property of ``test_propagation``) and ``t_final`` runs from 0 to twice its
+    arrival time, so it falls on both sides of the crossing."""
+    d_max = 40.0 if direction > 0 else 160.0 / n - 7.5 * sigma - 0.5
+    d = 8.0 * sigma + 1.0 + u * (d_max - 8.0 * sigma - 1.0)
+    packet = bs.gaussian_packet(_VERDICT_GRID, (direction, pol), -direction * d, k0, sigma)
+    c_in = 1.0 if direction > 0 else 1.0 / n
+    out = bs.interface_scatter(packet, n, f * 2.0 * d / c_in, allow_partial=True)
+    clear = all(branch_guard_oracle(b, out.incident_weight) <= GUARD_TOL for b in (out.transmitted, out.reflected))
+    assert out.asymptotic == clear
 
 
 def _borderline_packet(grid):
