@@ -543,28 +543,29 @@ def _write_snapshots(
     out_dir: Path, sc: Scenario, result: ScenarioResult, fmt: str
 ) -> list[Path]:
     """Position, spectrum and field-density tables of the final state; the
-    field density re-phases the map's total spectrum to the final time."""
+    field density re-phases the map's total spectrum to the final time.
+    Each table's columns are built just before it is written."""
     outcome = result.outcome
     grid = outcome.total.grid
     outgoing = {+1: sc.right_medium, -1: sc.left_medium}
     final_total = _advance_spectrum(outcome.spectra["total"], outgoing, outcome.t_final)
     tables = {
-        "snapshot_position": {
+        "snapshot_position": lambda: {
             "x": grid.x,
             "transmitted": _density(outcome.transmitted),
             "reflected": _density(outcome.reflected),
             "total": _density(outcome.total),
         },
-        "snapshot_spectrum": {
+        "snapshot_spectrum": lambda: {
             "k": grid.k,
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        "snapshot_field": {"x": grid.x, "e_density": _field_density(final_total, outgoing, sc.hbar)},
+        "snapshot_field": lambda: {"x": grid.x, "e_density": _field_density(final_total, outgoing, sc.hbar)},
     }
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
-        for name, cols in tables.items()
+        for name, cols in ((name, build()) for name, build in tables.items())
     ]
 
 

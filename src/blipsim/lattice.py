@@ -114,9 +114,9 @@ def as_channel(ch: Channel | tuple[int, str]) -> Channel:
 class Grid:
     """Uniform position lattice and its conjugate wavenumber lattice.
 
-    ``x``, ``k`` and ``origin_phase`` depend only on the three fields.  Each
-    is built on first access, cached on the instance and read-only; the
-    cache takes no part in equality or the hash, and
+    ``x``, ``k``, ``origin_phase`` and its conjugate depend only on the
+    three fields.  Each is built on first access, cached on the instance and
+    read-only; the cache takes no part in equality or the hash, and
     :func:`dataclasses.replace` gives a new grid that builds its own.
     A grid refuses a bad lattice with :class:`ConfigurationError`: ``n_points``
     is an integer power of two >= 8, ``dx > 0``, and ``x_min``, ``x_max``,
@@ -161,8 +161,13 @@ class Grid:
     @cached_property
     def origin_phase(self) -> np.ndarray:
         """``exp(i k x_min)``: the lattice origin's phase in the channel transforms
-        (:mod:`blipsim.spectral` takes it or its conjugate, by direction)."""
+        (:mod:`blipsim.spectral` takes it or :attr:`origin_phase_conj`, by direction)."""
         return _read_only(_cis(self.k * self.x_min))
+
+    @cached_property
+    def origin_phase_conj(self) -> np.ndarray:
+        """``exp(-i k x_min)``, the conjugate of :attr:`origin_phase`."""
+        return _read_only(np.conj(self.origin_phase))
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
@@ -335,12 +340,15 @@ def norm(p: BlipWavePacket) -> float:
 
 def centroid(p: BlipWavePacket) -> float:
     """Mean position of the total density; undefined for zero packets."""
-    total = norm(p)
+    x = p.grid.x
+    total = first = 0.0
+    for a in p.amp.values():  # one density per channel, summed as in norm()
+        dens = np.abs(a) ** 2
+        total += np.sum(dens)
+        first += float(np.sum(x * dens))
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
-    x = p.grid.x
-    first = sum(float(np.sum(x * np.abs(a) ** 2)) for a in p.amp.values()) * p.grid.dx
-    return first / total
+    return first * p.grid.dx / float(total * p.grid.dx)
 
 
 def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroNormError
 from .lattice import Medium, _positive
-from .spectral import SpectralWavePacket, spectral_norm
+from .spectral import SpectralWavePacket
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scattering import ScatterOutcome
@@ -103,25 +103,32 @@ def spectral_expectations(
     k = sp.grid.k
     abs_k = np.abs(k)
     dk = sp.grid.dk
-    energy = dyn_hamiltonian = field_momentum = abraham = 0.0
+    number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
+    tags = set()
+    # one density per channel; the number and the dynamical momentum are
+    # the float expressions of spectral_norm and expect_dyn_momentum
     for ch, a in sp.amp.items():
         m = media_by_direction[ch.s]
         dens = np.abs(a) ** 2
-        weighted = float(np.sum(abs_k * dens))
+        weight = np.sum(dens)
+        number += weight
+        if weight > 0.0:
+            tags.add(m.label)
+        weighted, signed = float(np.sum(abs_k * dens)), float(np.sum(k * dens))
         energy += hbar * m.c * weighted * dk
-        dyn_hamiltonian += hbar * m.c * float(np.sum(k * dens)) * dk
+        dyn_hamiltonian += hbar * m.c * signed * dk
+        dyn_momentum += ch.s * signed
         p_field = hbar * ch.s * weighted * dk
         field_momentum += p_field
         abraham += abraham_momentum(p_field, m.n)
-    tags = sorted({media_by_direction[ch.s].label for ch, a in sp.amp.items() if np.any(a)})
     return ObservableReport(
-        photon_number=spectral_norm(sp),
+        photon_number=float(number * dk),
         energy=energy,
         dyn_hamiltonian=dyn_hamiltonian,
-        dyn_momentum=expect_dyn_momentum(sp, hbar),
+        dyn_momentum=hbar * dyn_momentum * dk,
         field_momentum=field_momentum,
         abraham_momentum=abraham,
-        medium_tag="+".join(tags) if tags else "-",
+        medium_tag="+".join(sorted(tags)) if tags else "-",
     )
 
 

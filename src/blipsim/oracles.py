@@ -29,15 +29,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .fields import FieldProfile
 from .lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
-from .spectral import (
-    _PI_LD,
-    _SQRT_2PI,
-    SpectralWavePacket,
-    _chirp_sum,
-    _forward,
-    _inverse,
-    _unit_phase,
-)
+from .spectral import _SQRT_2PI, SpectralWavePacket, _chirp_sum, _forward, _inverse, _turns_phase
 
 __all__ = [
     "spectral_derivative",
@@ -114,17 +106,13 @@ def sample_position_affine(
     grid = sp.grid
     n = grid.n_points
     # psi(y) = (2 pi)^(-1/2) dk sum_m psi~_m exp(i s k_m y) at y_j = alpha x_j + beta:
-    # fold the (beta + alpha x_min) offset into the coefficients, leaving a
-    # chirp sum over m with step angle s*alpha*dk*dx and a j-dependent
-    # prefactor from the lattice origin -k_max.
+    # fold the (beta + alpha x_min) offset into the coefficients; with c = -s*alpha
+    # the rest is exp(-2 pi i c (m - N/2) j / N) = pref_j exp(-2 pi i c (j - N/2) m / N) / pref_m,
+    # pref_j = exp(i pi c j): a chirp sum over m of the coefficients times conj(pref_m).
     coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * (beta + alpha * grid.x_min))
-    a_ld = np.longdouble(alpha)
-    dphi = np.longdouble(ch.s) * a_ld * 2 * _PI_LD / np.longdouble(n)
-    raw = _chirp_sum(coeff, np.longdouble(0.0), dphi)
-    j = np.arange(n, dtype=np.longdouble)
-    # prefactor exp(i s k_0 alpha dx j) with k_0 = -k_max: angle = -s*alpha*pi*j
-    pref = _unit_phase(-np.longdouble(ch.s) * a_ld * _PI_LD * j)
-    return (grid.dk / _SQRT_2PI) * pref * raw
+    c = -ch.s * alpha
+    pref = _turns_phase(c, np.arange(n, dtype=np.float64), 2)
+    return (grid.dk / _SQRT_2PI / (2 * n)) * pref * _chirp_sum(coeff * pref.conj(), c)
 
 
 # ---------------------------------------------------------------------------

@@ -469,4 +469,5 @@ def interface_scatter(
         incident=SpectralWavePacket(grid, in_amp), incident_weight=incident_weight,
         incident_supports=incident_supports, resampling_drift=drift,
     )
+    del in_amp, amps, phi, trans  # the packets hold copies; free these before at() builds the branches
     return event.at(t_final, allow_partial=allow_partial)

@@ -14,22 +14,22 @@ the single shared FFT rather than a second transform kernel.
 Off-lattice spectral samples (needed when an interface rescales wavenumbers
 by the index ratio) are taken from the trigonometric interpolant of the
 grid samples, which is exact for band-limited data.  They are evaluated
-with a Bluestein chirp transform whose chirp angles are accumulated in
-extended precision before reduction mod 2*pi; without that, the quadratic
-phases (~1e5 rad at n_points = 16384) cost six digits.
+with a Bluestein chirp transform whose quadratic phases (~1e5 rad at
+n_points = 16384) are formed in exact turns in float64 and reduced to
+their fraction of a turn before they are rounded into radians.
 
 Where each phase comes from:
 
 * the lattice origin ``exp(i s k x_min)`` of both transforms is
-  ``grid.origin_phase`` (``s = +1``) or its conjugate (``s = -1``), built
-  once per grid;
-* free flight ``exp(-i c k t)``, the prefactor of the scaled samples and
-  the chirps are computed per call from real angles by one helper,
+  ``grid.origin_phase`` (``s = +1``) or ``grid.origin_phase_conj``
+  (``s = -1``), both built once per grid;
+* free flight ``exp(-i c k t)`` and the prefactor of the scaled samples are
+  computed per call from real angles by one helper,
   :func:`blipsim.lattice._cis`, which writes cos and sin into one complex
   array instead of exponentiating a complex one;
-* the chirp angles are reduced mod 2*pi in longdouble before that helper
-  sees them, and the Bluestein kernel, even in its index, is built from its
-  ``m >= 0`` half.
+* the chirps come from :func:`_turns_phase`, which hands ``_cis`` only the
+  fraction of a turn; the Bluestein kernel, even in its index, is built
+  from its ``m >= 0`` half, and its conjugate is the post-chirp.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# pi to ~1e-35: float64 pi plus its residual, accumulated in longdouble.
-_PI_LD = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)
+#: Veltkamp's splitter 2**27 + 1: ``_SPLIT * a - (_SPLIT * a - a)`` is ``a``'s top 26 bits.
+_SPLIT = 134217729.0
 
 
 class SpectralWavePacket(_Packet):
@@ -65,7 +65,7 @@ def _reverse_bins(a: np.ndarray) -> np.ndarray:
 
 def _origin_phase(grid: Grid, s: int) -> np.ndarray:
     """``exp(i s k x_min)`` from the grid's cached phase."""
-    return grid.origin_phase if s > 0 else np.conj(grid.origin_phase)
+    return grid.origin_phase if s > 0 else grid.origin_phase_conj
 
 
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
@@ -112,32 +112,39 @@ def spectral_norm(sp: SpectralWavePacket) -> float:
     return float(sum(np.sum(np.abs(a) ** 2) for a in sp.amp.values()) * sp.grid.dk)
 
 
-def _unit_phase(theta: np.ndarray) -> np.ndarray:
-    """``exp(i theta)`` for longdouble angles, reduced mod 2*pi first."""
-    return _cis(np.mod(theta, 2 * _PI_LD).astype(np.float64))
+def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
+    """``exp(2 pi i c q / den)`` for float64 integers ``0 <= q < 2**53`` and a power of two ``den``:
+    Dekker's (1971) product gives ``c q / den = hi + lo`` exactly, and only the
+    fraction of a turn ``hi - round(hi) + lo``, rounded once, becomes an angle."""
+    c = c / den
+    c_hi, q_hi = _SPLIT * c - (_SPLIT * c - c), _SPLIT * q - (_SPLIT * q - q)
+    c_lo, q_lo = c - c_hi, q - q_hi
+    hi = c * q
+    lo = c_hi * q_hi - hi + c_hi * q_lo + c_lo * q_hi + c_lo * q_lo
+    return _cis(2.0 * np.pi * (hi - np.rint(hi) + lo))
 
 
-def _chirp_sum(values: np.ndarray, phi0: np.longdouble, dphi: np.longdouble) -> np.ndarray:
-    """``X_m = sum_j values_j exp(i (phi0 + m dphi) j)`` for m = 0..N-1.
+def _chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
+    """``2N X_m`` with ``X_m = sum_j values_j exp(-2 pi i c (m - N/2) j / N)``, m = 0..N-1, N a power of two.
 
     Bluestein factorization ``mj = (m^2 + j^2 - (m-j)^2)/2`` turns the sum
-    into one linear convolution, done with zero-padded FFTs.  All chirp
-    angles are formed in longdouble so the quadratic terms keep ~1e-15
-    absolute phase accuracy.  The kernel ``exp(-i dphi m^2 / 2)`` for
-    ``|m| < N`` is even in ``m``: its ``m >= 0`` half fills the first ``N``
-    slots of the circular pad and, reversed, the last ``N - 1``.
+    into one linear convolution, done with zero-padded FFTs of length ``2N``;
+    the inverse is left unscaled and the caller folds in ``1/(2N)``.  The
+    chirps are exact in turns: the pre-chirp ``c j (N - j) / 2N`` and the
+    kernel ``c m^2 / 2N``, even in ``m``, whose ``m >= 0`` half fills the
+    first ``N`` slots of the circular pad and, reversed, the last ``N - 1``;
+    its conjugate over the first ``N`` is the post-chirp.
     """
     n = values.size
-    j = np.arange(n, dtype=np.longdouble)
-    half = np.longdouble(0.5) * dphi
-    u = values * _unit_phase(phi0 * j + half * j * j)
-    pad = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    v = _unit_phase(-half * j * j)
-    kernel = np.zeros(pad, dtype=np.complex128)
-    kernel[:n] = v
-    kernel[pad - n + 1 :] = v[:0:-1]
-    conv = np.fft.ifft(np.fft.fft(u, pad) * np.fft.fft(kernel))[:n]
-    return _unit_phase(half * j * j) * conv
+    j = np.arange(n, dtype=np.float64)
+    u = values * _turns_phase(c, j * (n - j), 2 * n)
+    kernel = _turns_phase(c, j * j, 2 * n)
+    del j  # freed before the 2N-point buffers, which set the peak
+    pad = np.fft.fft(np.concatenate((kernel, [0.0], kernel[:0:-1])))
+    pad *= np.fft.fft(u, 2 * n)
+    np.conjugate(kernel, out=kernel)
+    kernel *= np.fft.ifft(pad, norm="forward")[:n]
+    return kernel
 
 
 def sample_spectrum_scaled(
@@ -152,14 +159,10 @@ def sample_spectrum_scaled(
     ch = as_channel(ch)
     scale = _positive(scale, "scale")
     grid = p.grid
-    n = grid.n_points
+    # sum_j psi_j exp(-i s targets_m x_j) with x_j = x_min + j dx: as
+    # targets_m dx = 2 pi scale (m - N/2) / N, the j-sum is a chirp sum with c = s*scale.
+    raw = _chirp_sum(p.amplitude(ch), ch.s * scale)
     targets = scale * grid.k
-    # sum_j psi_j exp(-i s targets_m x_j) with x_j = x_min + j dx:
-    # the j-sum is a chirp sum with phi0 = -s*targets_0*dx = s*scale*pi.
-    s_ld = np.longdouble(ch.s) * np.longdouble(scale)
-    phi0 = s_ld * _PI_LD
-    dphi = -s_ld * 2 * _PI_LD / np.longdouble(n)
-    raw = _chirp_sum(p.amplitude(ch), phi0, dphi)
-    out = (grid.dx / _SQRT_2PI) * _cis(-ch.s * targets * grid.x_min) * raw
+    out = (grid.dx / _SQRT_2PI / (2 * grid.n_points)) * _cis(-ch.s * targets * grid.x_min) * raw
     out[np.abs(targets) > grid.k_max] = 0.0
     return out

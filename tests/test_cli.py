@@ -603,6 +603,12 @@ def test_reference_run_matches_the_golden_outputs(tmp_path):
     for (block, key), tol in RESIDUES.items():
         assert 0.0 <= got[block][key] <= want["tolerances"][tol], (block, key)
         got[block][key] = want[block][key]
+    # a deviation is a rounding-level residue: within its tolerance, and
+    # within 1e-12 of the golden value against a scale of 1, not of itself
+    for key, value in got["deviations"].items():
+        assert 0.0 <= value <= want["tolerances"][key], key
+        assert abs(value - want["deviations"][key]) <= 1e-12 * max(abs(want["deviations"][key]), 1.0), key
+        got["deviations"][key] = want["deviations"][key]
     scales = {key: val for key, val in want["input"].items() if _number(val)}
     assert_matches(got, want, scales)
 

@@ -30,7 +30,7 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
     g = bs.make_grid(-3.0, 5.0, 64)
     twin = bs.make_grid(-3.0, 5.0, 64)
     assert g == twin and hash(g) == hash(twin)
-    for name in ("x", "k", "origin_phase"):
+    for name in ("x", "k", "origin_phase", "origin_phase_conj"):
         a = getattr(g, name)
         assert getattr(g, name) is a, name
         with pytest.raises(ValueError):
@@ -38,6 +38,7 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
     # g has filled its cache and twin has not
     assert g == twin and hash(g) == hash(twin) and "x" not in vars(twin)
     assert np.allclose(g.origin_phase, np.exp(1j * g.k * g.x_min), rtol=0.0, atol=1e-15)
+    assert np.array_equal(g.origin_phase_conj.view(np.uint64), np.conj(g.origin_phase).view(np.uint64))
     moved = dataclasses.replace(g, x_min=-4.0)
     assert moved.x is not g.x and moved.x[0] == -4.0
     assert not np.array_equal(moved.origin_phase, g.origin_phase)

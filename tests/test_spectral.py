@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
 from blipsim import oracles
-from blipsim.spectral import _PI_LD, _chirp_sum, _reverse_bins
+from blipsim.spectral import _chirp_sum, _reverse_bins, _turns_phase
 
 
 def plane_wave(grid, ch, m):
@@ -137,7 +140,7 @@ def test_scaled_sampling_at_unit_scale_matches_fft(rig_grid):
         p = bs.gaussian_packet(rig_grid, (s, "H"), x0=-12.0, k0=35.0, sigma=2.5)
         direct = bs.to_momentum(p).amp[bs.Channel(s, "H")]
         sampled = bs.sample_spectrum_scaled(p, (s, "H"), 1.0)
-        assert np.max(np.abs(sampled - direct)) < 1e-13 * np.max(np.abs(direct))
+        assert np.max(np.abs(sampled - direct)) < 1e-14 * np.max(np.abs(direct))
 
 
 def dense_spectrum(grid, ch, values, targets):
@@ -161,26 +164,22 @@ def test_scaled_sampling_matches_dense_evaluation(small_grid):
         assert np.all(sampled[~inside] == 0.0)
 
 
-def chirp_sum_oracle(values, phi0, dphi):
+def chirp_sum_oracle(values, c):
     """Test oracle: the chirp sum with its kernel built over all 2N - 1 indices
     m = -(N-1) .. N-1 and rotated into the circular pad with ``np.roll``."""
-
-    def unit_phase(theta):
-        t = np.mod(theta, 2 * _PI_LD).astype(np.float64)
-        return np.cos(t) + 1j * np.sin(t)
-
     n = values.size
-    j = np.arange(n, dtype=np.longdouble)
-    half = np.longdouble(0.5) * dphi
-    u = values * unit_phase(phi0 * j + half * j * j)
-    pad = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    m = np.arange(-(n - 1), n, dtype=np.longdouble)
-    v = unit_phase(-half * m * m)
-    kernel = np.zeros(pad, dtype=np.complex128)
-    kernel[: v.size] = v
+    j = np.arange(n, dtype=np.float64)
+    u = values * _turns_phase(c, j * (n - j), 2 * n)
+    m = np.arange(-(n - 1), n, dtype=np.float64)
+    kernel = np.zeros(2 * n, dtype=np.complex128)
+    kernel[: m.size] = _turns_phase(c, m * m, 2 * n)
     kernel = np.roll(kernel, -(n - 1))
-    conv = np.fft.ifft(np.fft.fft(u, pad) * np.fft.fft(kernel))[:n]
-    return unit_phase(half * j * j) * conv
+    conv = np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(u, 2 * n), norm="forward")[:n]
+    return np.conj(_turns_phase(c, j * j, 2 * n)) * conv
+
+
+#: Chirp constants c = s * scale of sample_spectrum_scaled, both directions, scales 1/1.5, 1/1.7, 2.9 and 1.
+CHIRP_CS = tuple(s * scale for s in (+1, -1) for scale in (1.0 / 1.5, 1.0 / 1.7, 2.9, 1.0))
 
 
 def test_half_built_chirp_kernel_matches_the_rolled_oracle_bit_for_bit():
@@ -188,14 +187,79 @@ def test_half_built_chirp_kernel_matches_the_rolled_oracle_bit_for_bit():
     for log_n in range(3, 13):
         n = 1 << log_n
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for s in (+1, -1):
-            for scale in (0.5, 1.0 / 1.7, 2.9):
-                # the angles of sample_spectrum_scaled
-                s_ld = np.longdouble(s) * np.longdouble(scale)
-                phi0, dphi = s_ld * _PI_LD, -s_ld * 2 * _PI_LD / np.longdouble(n)
-                got = _chirp_sum(values, phi0, dphi)
-                want = chirp_sum_oracle(values, phi0, dphi)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s, scale)
+        for c in CHIRP_CS:
+            got = _chirp_sum(values, c)
+            want = chirp_sum_oracle(values, c)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, c)
+
+
+@pytest.mark.parametrize("log_n", [3, 4, 5, 6])
+def test_chirp_sum_matches_the_direct_sum_in_mpmath(log_n):
+    """``_chirp_sum / 2N`` against ``sum_j v_j exp(-2 pi i c (m - N/2) j / N)``
+    summed directly at 40 digits, for N up to 64."""
+    n = 1 << log_n
+    rng = np.random.default_rng(log_n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with mpmath.workdps(40):
+        for c in CHIRP_CS:
+            got = _chirp_sum(values, c) / (2 * n)
+            want = [
+                sum(mpmath.mpc(v) * mpmath.expjpi(-2 * mpmath.mpf(c) * (m - n // 2) * j / n) for j, v in enumerate(values))
+                for m in range(n)
+            ]
+            want = np.array([complex(w) for w in want])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n, c)
+
+
+def test_chirp_phases_are_within_2e_15_of_mpmath_up_to_2_to_the_20():
+    """The pre-chirp ``exp(2 pi i c j (N - j) / 2N)`` and the kernel
+    ``exp(2 pi i c j^2 / 2N)`` at sampled j, against 40-digit phases."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for log_n in range(12, 21):
+            n = 1 << log_n
+            j = np.unique(np.concatenate([[0, 1, n // 2 - 1, n // 2, n - 1], rng.integers(0, n, 64)]))
+            jf = j.astype(np.float64)
+            # the chirp forms q in float64, exactly: the int64 products are below 2**53
+            for q, qf in ((j * (n - j), jf * (n - jf)), (j * j, jf * jf)):
+                assert np.array_equal(qf, q.astype(np.float64)), n
+                for c in CHIRP_CS:
+                    got = _turns_phase(c, qf, 2 * n)
+                    want = np.array([complex(mpmath.expjpi(mpmath.mpf(c) * int(qi) / n)) for qi in q])
+                    worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 2e-15, worst
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="numpy 1.x pads an FFT input with one more 2N-point copy; this bound was measured with numpy 2",
+)
+def test_chirp_memory_stays_under_112_bytes_per_point():
+    """The traced peak of one resampling, above what the caller already holds,
+    stays under 112 bytes per point (117 MB at N = 2^20): the two 2N-point
+    buffers of the convolution (64) with the kernel and the pre-chirped input
+    (32)."""
+    grid = bs.make_grid(-800.0, 800.0, 1 << 16)
+    p = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
+    grid.x, grid.k, grid.origin_phase
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bs.sample_spectrum_scaled(p, (+1, "H"), 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 * grid.n_points, peak / grid.n_points
+
+
+def test_no_module_computes_in_long_double():
+    """float64 is the only float type: ``np.longdouble`` is plain float64 on
+    some platforms (arm64 macOS, MSVC), so no result may depend on it."""
+    modules = sorted(Path(bs.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        assert "longdouble" not in path.read_text(), path.name
 
 
 def reverse_bins_oracle(a):
