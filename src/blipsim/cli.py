@@ -547,8 +547,7 @@ def _write_snapshots(
     Each table's columns are built just before it is written."""
     outcome = result.outcome
     grid = outcome.total.grid
-    outgoing = {+1: sc.right_medium, -1: sc.left_medium}
-    final_total = _advance_spectrum(outcome.spectra["total"], outgoing, outcome.t_final)
+    final_total = _advance_spectrum(outcome.spectra["total"], outcome.outgoing, outcome.t_final)
     tables = {
         "snapshot_position": lambda: {
             "x": grid.x,
@@ -561,7 +560,7 @@ def _write_snapshots(
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        "snapshot_field": lambda: {"x": grid.x, "e_density": _field_density(final_total, outgoing, sc.hbar)},
+        "snapshot_field": lambda: {"x": grid.x, "e_density": _field_density(final_total, outcome.outgoing, sc.hbar)},
     }
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)

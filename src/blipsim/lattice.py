@@ -371,15 +371,15 @@ def _check_inside(
     media_by_direction: Mapping[int, Medium],
     t: float,
     what: str,
+    remedy: str | None = None,
 ) -> None:
     """The one edge rule for transported supports: free flight, incoming or scattered.
 
     Each channel's ``t = 0`` support ``[lo, hi]`` (``None``: nothing to
     check) moves by ``s c t`` at the speed of ``media_by_direction[s]``.
-    Raises :class:`DomainError` if ``t`` is not finite, and
-    :class:`DomainExitError` unless the moved support keeps
-    ``EDGE_MARGIN_CELLS`` cells from both ends of the sample range, beyond
-    which the periodic transform would wrap it around.
+    Raises :class:`DomainError` if ``t`` is not finite, and :class:`DomainExitError`
+    (ending with ``remedy`` if given) unless the moved support keeps ``EDGE_MARGIN_CELLS``
+    cells from both ends of the sample range, beyond which the periodic transform would wrap it around.
     """
     if not math.isfinite(t):
         raise DomainError(f"{what} needs a finite time, got t = {t!r}")
@@ -392,8 +392,8 @@ def _check_inside(
         lo, hi = bounds[0] + shift, bounds[1] + shift
         if lo < lo_edge or hi > hi_edge:
             raise DomainExitError(
-                f"at t = {t:.6g} channel {ch} of {what} would span [{lo:.6g}, {hi:.6g}], outside "
-                f"the usable grid [{lo_edge:.6g}, {hi_edge:.6g}]; enlarge the grid or shorten the schedule"
+                f"at t = {t:.6g} channel {ch} of {what} would span [{lo:.6g}, {hi:.6g}], outside the usable grid "
+                f"[{lo_edge:.6g}, {hi_edge:.6g}]; {remedy or 'enlarge the grid or shorten the schedule'}"
             )
 
 

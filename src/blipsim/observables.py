@@ -145,8 +145,7 @@ def conditional_expectations(
     """
     if branch not in ("transmitted", "reflected"):
         raise DomainError(f"branch must be 'transmitted' or 'reflected', got {branch!r}")
-    media = {+1: outcome.right_medium, -1: outcome.left_medium}
-    report = spectral_expectations(outcome.spectra[branch], media, hbar)
+    report = spectral_expectations(outcome.spectra[branch], outcome.outgoing, hbar)
     weight = report.photon_number
     if not weight > CONDITIONAL_MIN_WEIGHT * outcome.incident_weight:
         raise ZeroNormError(

@@ -172,22 +172,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     straddles the scatterer; flagged, not an error) or ``scattered``.
     """
     incoming_media = {+1: sc.left_medium, -1: sc.right_medium}
-    outgoing_media = {+1: sc.right_medium, -1: sc.left_medium}
     t_final = sc.schedule[-1]
     outcome = interface_scatter(
-        sc.packet,
-        sc.n,
-        t_final,
-        rates=sc.rates,
-        left=sc.left_medium,
-        right=sc.right_medium,
-        allow_partial=True,
+        sc.packet, sc.n, t_final, rates=sc.rates, left=sc.left_medium, right=sc.right_medium, allow_partial=True
     )
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
     incoming = {"incoming": _measure(sc.packet, outcome.incident, incoming_media, sc.hbar)}
     branches = {
-        name: _measure(getattr(outcome, name), sp, outgoing_media, sc.hbar) for name, sp in outcome.spectra.items()
+        name: _measure(getattr(outcome, name), sp, outcome.outgoing, sc.hbar) for name, sp in outcome.spectra.items()
     }
 
     reads = _guard_fractions(sc.packet, incoming_media, -1, list(sc.schedule))
@@ -200,7 +193,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             rows += _rows(t, "incoming", incoming, t)
             continue
         for name in ("transmitted", "reflected"):
-            _check_inside(sc.packet.grid, outcome.supports[name], outgoing_media, t, f"the {name} branch")
+            _check_inside(sc.packet.grid, outcome.supports[name], outcome.outgoing, t, f"the {name} branch")
         rows += _rows(t, "scattered" if guards[t] <= GUARD_TOL else "crossing", branches, t - t_final)
     final = _rows(t_final, "scattered" if outcome.asymptotic else "crossing", branches, 0.0)
     blocks = {"input": _rows(0.0, "incoming", incoming, 0.0)[0], **{row.branch: row for row in final}}

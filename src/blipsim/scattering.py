@@ -23,12 +23,12 @@ via the purely imaginary coupling ``Omega(n) = -2 i c_left (sqrt(n) - 1)/(sqrt(n
 One map, :func:`interface_scatter`, covers both; the point mirror is its
 case with one medium on both sides and explicit rates.  The map is
 asymptotic: it takes an in-packet whose channels approach ``x = 0``
-(direction ``+1`` from the left, ``-1`` from the right) and builds the
-event's ``t = 0`` state once: each out-branch's momentum amplitudes, their
-sum, and each branch channel's support.  It then re-phases the amplitudes by
-the free evolution ``exp(-i c k t)`` to any time ``t_final`` by which every
-branch has cleared the scatterer, after moving the supports by ``s c t``
-through the edge rule of :func:`blipsim.lattice._check_inside`.  One guard
+(direction ``+1`` from the left, ``-1`` from the right), builds the
+event's ``t = 0`` state (each out-branch's momentum amplitudes, their sum
+and each branch channel's support) and, at ``t_final``, moves the supports
+by ``s c t`` through the edge rule of :func:`blipsim.lattice._check_inside`,
+re-phases the amplitudes by ``exp(-i c k t)`` into the position branches
+and reads their guard; it builds the outcome once, from both.  One guard
 rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
 ``guard_fraction``: slice sums of a density squared once per call, read
@@ -43,8 +43,8 @@ changed.  Wavenumber rescaling is evaluated on the band-limited interpolant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -247,8 +247,8 @@ def omega_from_n(n: float, c0: float = 1.0) -> MirrorCoupling:
 class ScatterOutcome:
     """Out-state of one scattering event at ``t_final``, split into its two branches.
 
-    :func:`interface_scatter` builds the event's ``t = 0`` state once; after
-    the map each branch depends on time only through ``exp(-i c k t)``.
+    :func:`interface_scatter` builds it once, at ``t_final``; after the map
+    each branch depends on time only through ``exp(-i c k t)``.
     ``spectra`` holds the momentum amplitudes at ``t = 0`` of the
     ``"transmitted"`` and ``"reflected"`` branches and of their per-channel
     sum ``"total"``; every quadratic observable except the centroid reads
@@ -260,16 +260,12 @@ class ScatterOutcome:
     is 0.  ``prob_t``/``prob_r`` are the branch weights, ``incident_weight``
     the in-packet's, and ``incident`` the in-packet's momentum amplitudes
     from the map's own forward transform, so the input is transformed once
-    per event.  After the event, direction ``+1`` channels occupy
-    ``right_medium`` and ``-1`` channels ``left_medium``.
-
-    The rest is per time, set by :meth:`at`: the position branches
-    ``transmitted`` and ``reflected`` and their coherent sum ``total`` at
-    ``t_final``; ``asymptotic`` records whether every branch had cleared the
-    guard band, and ``guard_fraction`` is the largest branch weight fraction
-    still inside the band or on the wrong side.  ``resampling_drift`` is the
-    largest relative norm error of the wavenumber rescaling (0 at ``n = 1``,
-    where nothing is rescaled).
+    per event.  ``transmitted`` and ``reflected`` are the position branches
+    at ``t_final`` and ``total`` their coherent sum; ``asymptotic`` records
+    whether every branch had cleared the guard band, and ``guard_fraction``
+    is the largest branch weight fraction still inside the band or on the
+    wrong side.  ``resampling_drift`` is the largest relative norm error of
+    the wavenumber rescaling (0 at ``n = 1``, where nothing is rescaled).
     """
 
     transmitted: BlipWavePacket
@@ -286,9 +282,9 @@ class ScatterOutcome:
     incident: SpectralWavePacket
     incident_weight: float
     incident_supports: Mapping[Channel, tuple[float, float] | None]
-    asymptotic: bool = True
-    resampling_drift: float = 0.0
-    guard_fraction: float = 0.0
+    asymptotic: bool
+    resampling_drift: float
+    guard_fraction: float
 
     @property
     def scenario_tag(self) -> str:
@@ -299,37 +295,29 @@ class ScatterOutcome:
         n = self.left_medium.c / self.right_medium.c
         return f"interface(n={n:.6g}, t={self.t_final:.6g})"
 
-    def at(self, t_final: float, *, allow_partial: bool = False) -> "ScatterOutcome":
-        """The same event at another time: the branch supports pass the edge
-        rule, ``spectra`` are re-phased, and the guard band is checked.
-
-        Raises :class:`DomainExitError` if a branch would leave the grid and,
-        unless ``allow_partial``, :class:`NotAsymptoticError` if one still
-        straddles the scatterer.
-        """
-        t_final = float(t_final)
-        outgoing = {+1: self.right_medium, -1: self.left_medium}
-        names = ("transmitted", "reflected")
-        for name in names:
-            _check_inside(self.incident.grid, self.supports[name], outgoing, t_final, f"the {name} branch")
-        branches = {name: to_position(_advance_spectrum(self.spectra[name], outgoing, t_final)) for name in names}
-        out = replace(self, **branches, total=combine(*branches.values()), t_final=t_final)
-        (guard_fraction,) = out._guard_fraction([t_final])
-        if guard_fraction > GUARD_TOL and not allow_partial:
-            raise NotAsymptoticError(
-                f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
-                "fraction at the scatterer; increase t_final"
-            )
-        return replace(out, asymptotic=guard_fraction <= GUARD_TOL, guard_fraction=guard_fraction)
+    @property
+    def outgoing(self) -> dict[int, Medium]:
+        """Each direction's medium after the event, by :func:`_outgoing`."""
+        return _outgoing(self.left_medium, self.right_medium)
 
     def _guard_fraction(self, times: list[float]) -> list[float]:
-        """The branches' guard fraction at each of ``times``, read from ``t_final``.
-        A channel below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
-        outgoing = {+1: self.right_medium, -1: self.left_medium}
-        floor = NEGLIGIBLE_WEIGHT * self.incident_weight
+        """The branches' guard fraction at each of ``times``, read from ``t_final``."""
         dts = [self.t_final - t for t in times]
-        reads = [_guard_fractions(b, outgoing, +1, dts, floor) for b in (self.transmitted, self.reflected)]
-        return [max([0.0, *t.values(), *r.values()]) for t, r in zip(*reads)]
+        return _branch_guards((self.transmitted, self.reflected), self.outgoing, self.incident_weight, dts)
+
+
+def _outgoing(left: Medium, right: Medium) -> dict[int, Medium]:
+    """After the event ``+1`` channels occupy ``right`` and ``-1`` channels ``left``; the map reads it first."""
+    return {+1: right, -1: left}
+
+
+def _branch_guards(
+    branches: Iterable[BlipWavePacket], media: Mapping[int, Medium], incident_weight: float, dts: list[float]
+) -> list[float]:
+    """The largest branch guard fraction, read as scattered, at each shift of ``dts``;
+    a channel below ``NEGLIGIBLE_WEIGHT`` of the input is not guarded."""
+    reads = [_guard_fractions(b, media, +1, dts, NEGLIGIBLE_WEIGHT * incident_weight) for b in branches]
+    return [max([0.0, *(f for read in at_dt for f in read.values())]) for at_dt in zip(*reads)]
 
 
 def _guard_fractions(
@@ -382,8 +370,8 @@ def interface_scatter(
       advanced at ``c_right``.
 
     These spectra, their per-channel sum and each branch channel's support
-    are the event's ``t = 0`` state, built once; the outcome is then
-    re-phased to ``t_final`` (see :meth:`ScatterOutcome.at`).  At ``n = 1``
+    are the event's ``t = 0`` state; re-phased to ``t_final`` they give the
+    position branches, and the outcome is built once from both.  At ``n = 1``
     with default rates this reduces exactly to free propagation with an
     empty reflected branch; with explicit rates and one medium on both
     sides it is the point mirror.
@@ -391,8 +379,9 @@ def interface_scatter(
     rule of :func:`_guard_fractions` read as incoming, and
     :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
-    ``|t_s|^2``, and :class:`DomainExitError` if a branch would leave the
-    grid by ``t_final``.
+    ``|t_s|^2``, :class:`DomainExitError` if a branch would leave the grid
+    by ``t_final``, and, unless ``allow_partial``,
+    :class:`NotAsymptoticError` if a branch still straddles the scatterer.
     """
     n = _positive(n, "refractive index")
     if (left is None) != (right is None):
@@ -407,13 +396,15 @@ def interface_scatter(
     if rates is None:
         rates = fresnel_rates(n)
 
+    t_final = float(t_final)
     grid = p.grid
     if not (grid.x_min < 0.0 < grid.x_max):
         raise SupportGuardError("the scatterer at x = 0 lies outside the grid")
     incident_weight = norm(p)
     if incident_weight == 0.0:
         raise SupportGuardError("cannot scatter a zero-weight packet")
-    for ch, fraction in _guard_fractions(p, {+1: left, -1: right}, -1, [0.0])[0].items():
+    at_start, at_end = _guard_fractions(p, {+1: left, -1: right}, -1, [0.0, t_final])
+    for ch, fraction in at_start.items():
         if fraction > GUARD_TOL:
             raise SupportGuardError(
                 f"channel {ch} has {fraction:.6g} of its weight within "
@@ -459,15 +450,28 @@ def interface_scatter(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
+    names = ("transmitted", "reflected")
     spectra = {name: SpectralWavePacket(grid, amp) for name, amp in amps.items()}
-    spectra["total"] = combine(spectra["transmitted"], spectra["reflected"])
-    event = ScatterOutcome(
-        # the per-time fields; at() sets them
-        transmitted=None, reflected=None, total=None, t_final=math.nan,
-        prob_t=spectral_norm(spectra["transmitted"]), prob_r=spectral_norm(spectra["reflected"]),
-        left_medium=left, right_medium=right, rates=rates, spectra=spectra, supports=supports,
-        incident=SpectralWavePacket(grid, in_amp), incident_weight=incident_weight,
-        incident_supports=incident_supports, resampling_drift=drift,
+    spectra["total"] = combine(*(spectra[name] for name in names))
+    prob_t, prob_r = (spectral_norm(spectra[name]) for name in names)
+    incident = SpectralWavePacket(grid, in_amp)
+    del in_amp, amps, phi, trans  # the packets hold copies; free these before the branches are built
+    outgoing = _outgoing(left, right)
+    # an input still incoming at t_final has its branches extrapolated back from x = 0
+    early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
+    remedy = early if all(f <= GUARD_TOL for f in at_end.values()) else None
+    for name in names:
+        _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
+    branches = {name: to_position(_advance_spectrum(spectra[name], outgoing, t_final)) for name in names}
+    (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
+    if guard_fraction > GUARD_TOL and not allow_partial:
+        raise NotAsymptoticError(
+            f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
+            "fraction at the scatterer; increase t_final"
+        )
+    return ScatterOutcome(
+        **branches, total=combine(*branches.values()), prob_t=prob_t, prob_r=prob_r,
+        left_medium=left, right_medium=right, rates=rates, t_final=t_final, spectra=spectra, supports=supports,
+        incident=incident, incident_weight=incident_weight, incident_supports=incident_supports,
+        asymptotic=guard_fraction <= GUARD_TOL, resampling_drift=drift, guard_fraction=guard_fraction,
     )
-    del in_amp, amps, phi, trans  # the packets hold copies; free these before at() builds the branches
-    return event.at(t_final, allow_partial=allow_partial)

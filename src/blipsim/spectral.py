@@ -38,6 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import DomainError
 from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, _positive, as_channel
 
 __all__ = [
@@ -133,9 +134,12 @@ def _chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
     chirps are exact in turns: the pre-chirp ``c j (N - j) / 2N`` and the
     kernel ``c m^2 / 2N``, even in ``m``, whose ``m >= 0`` half fills the
     first ``N`` slots of the circular pad and, reversed, the last ``N - 1``;
-    its conjugate over the first ``N`` is the post-chirp.
+    its conjugate over the first ``N`` is the post-chirp.  Its turns reach ``|c| N / 2``,
+    whose fraction :func:`_turns_phase` keeps below ``2**52``: ``|c| >= 2**53 / N`` raises :class:`DomainError`.
     """
     n = values.size
+    if abs(c) * n / 2 >= 2.0**52:
+        raise DomainError(f"chirp scale {abs(c)!r} is out of range: it must be below 2**53 / N = {2.0**53 / n!r}")
     j = np.arange(n, dtype=np.float64)
     u = values * _turns_phase(c, j * (n - j), 2 * n)
     kernel = _turns_phase(c, j * j, 2 * n)
@@ -153,8 +157,8 @@ def sample_spectrum_scaled(
     """``psi~(scale * k_m)`` for one channel, from the band-limited interpolant.
 
     Points with ``|scale * k_m|`` beyond the band edge are returned as zero
-    (the interpolant has no information there).  ``scale`` must be positive;
-    the map never moves spectral weight across ``k = 0``.
+    (the interpolant has no information there).  ``scale`` must be positive
+    and below ``2**53 / N``; the map never moves spectral weight across ``k = 0``.
     """
     ch = as_channel(ch)
     scale = _positive(scale, "scale")

@@ -229,6 +229,25 @@ def test_runtime_error_exits_3_without_partial_outputs(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_schedule_ending_before_the_crossing_names_that_remedy(tmp_path, capsys):
+    """From x0 = 150 at c/2 the packet reaches x = 0 at t = 300.  Ending at
+    t = 10, the map's s = -1 transmitted image, stretched by n = 2, is still
+    off the grid, and only extending the schedule past the crossing helps."""
+    early = {"packet": {"x0": "150"}, "schedule": {"times": "0, 10"}}
+    out = tmp_path / "early"
+    rc = cli.main(["run", "--config", str(write_config(tmp_path / "early.ini", early, base=GLASS_TO_AIR)),
+                   "--out", str(out), "--strict"])
+    assert rc == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert "the transmitted branch would span [261.875, 318.125]" in err
+    assert err.rstrip().endswith(
+        "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
+    )
+    extended = {"packet": {"x0": "150"}, "schedule": {"times": "0, 10, 400"}}
+    cfg = write_config(tmp_path / "extended.ini", extended, base=GLASS_TO_AIR)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "extended"), "--strict"]) == 0
+
+
 def test_strict_mode_flags_tolerance_breaches(tmp_path):
     overrides = {"tolerances": {"energy_ratio": "0", "momentum_ratio": "0", "unitarity": "0"}}
     cfg = write_config(tmp_path / "scenario.ini", overrides)

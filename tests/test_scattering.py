@@ -268,7 +268,8 @@ def test_interface_keeps_wavenumber_sign(rig_grid):
 
 
 def test_outcome_incident_is_the_spectrum_of_the_in_packet(rig_grid):
-    """The map's own forward transform of each incident channel, bit for bit."""
+    """The map's own forward transform of each incident channel, bit for bit;
+    and the stored total spectrum is the per-channel sum of the branch spectra."""
     right = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
     left = bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=25.0, sigma=2.0)
     p = bs.combine(right, left)
@@ -278,7 +279,26 @@ def test_outcome_incident_is_the_spectrum_of_the_in_packet(rig_grid):
     assert out.incident.channels() == want.channels()
     for ch in want.channels():
         assert np.array_equal(out.incident.amp[ch], want.amp[ch]), ch
-    assert out.at(150.0).incident is out.incident
+    total = bs.combine(out.spectra["transmitted"], out.spectra["reflected"])
+    assert out.spectra["total"].channels() == total.channels()
+    for ch, a in total.amp.items():
+        assert np.array_equal(out.spectra["total"].amp[ch], a)
+
+
+def test_the_map_builds_its_outcome_once_with_every_field_given(rig_packet, monkeypatch):
+    """``interface_scatter`` constructs one ``ScatterOutcome`` per call, and
+    the class has no field defaults that a half-built outcome could lean on."""
+    assert [
+        f.name for f in dataclasses.fields(bs.ScatterOutcome)
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    ] == []
+    built = []
+    init = bs.ScatterOutcome.__init__
+    monkeypatch.setattr(bs.ScatterOutcome, "__init__", lambda self, **kw: built.append(1) or init(self, **kw))
+    for kwargs in ({"t_final": 140.0}, {"t_final": 61.0, "allow_partial": True}):
+        built.clear()
+        out = bs.interface_scatter(rig_packet, 2.0, **kwargs)
+        assert len(built) == 1 and out.t_final == kwargs["t_final"], kwargs
 
 
 def test_interface_unit_index_is_free_flight(rig_packet):
@@ -420,22 +440,6 @@ def test_band_masses_match_the_mask_oracle_bit_for_bit(center, side):
     assert got[ch].hex() == want.hex()
 
 
-def test_rephase_reproduces_a_direct_map(rig_packet):
-    direct = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
-    early = bs.interface_scatter(rig_packet, 2.0, t_final=61.0, allow_partial=True)
-    later = early.at(140.0)
-    assert later.t_final == 140.0 and later.asymptotic and not early.asymptotic
-    assert later.scenario_tag == direct.scenario_tag == "interface(n=2, t=140)"
-    for branch in ("transmitted", "reflected"):
-        for ch, a in getattr(direct, branch).amp.items():
-            assert np.array_equal(getattr(later, branch).amp[ch], a)
-    assert (later.prob_t, later.prob_r) == (direct.prob_t, direct.prob_r)
-    with pytest.raises(bs.NotAsymptoticError):
-        direct.at(61.0)
-    with pytest.raises(bs.DomainExitError):
-        direct.at(400.0)
-
-
 def branch_images_oracle(supports, left, right, t_final, rates):
     """Test oracle: each branch's image of the incident supports at ``t_final``,
     as a table transported from the incident channels per time.
@@ -509,35 +513,20 @@ def test_branch_supports_transport_to_the_image_table_bit_for_bit(rig_grid, rig_
             assert unsupported == zero_rate.get(name, set()), (name, packet.channels())
 
 
-def test_at_keeps_every_event_field_as_the_same_object(rig_packet):
-    early = bs.interface_scatter(rig_packet, 2.0, t_final=61.0, allow_partial=True)
-    later = early.at(140.0)
-    per_time = {"transmitted", "reflected", "total", "t_final", "asymptotic", "guard_fraction"}
-    for f in dataclasses.fields(bs.ScatterOutcome):
-        if f.name not in per_time:
-            assert getattr(later, f.name) is getattr(early, f.name), f.name
-    assert later.t_final == 140.0 and later.asymptotic and not early.asymptotic
-    total = bs.combine(early.spectra["transmitted"], early.spectra["reflected"])
-    assert early.spectra["total"].channels() == total.channels()
-    for ch, a in total.amp.items():
-        assert np.array_equal(early.spectra["total"].amp[ch], a)
-
-
 def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
-    """Free flight and the re-phased map apply one edge rule: the same
-    near-edge support passes or fails on both, and a time that is not
-    finite is refused on both."""
+    """Free flight and the map apply one edge rule: the same near-edge
+    support passes or fails on both, and a time that is not finite is
+    refused on both."""
     grid = rig_packet.grid
     _, hi = bs.lattice._support_interval(rig_packet, bs.Channel(1, "H"))
     edge = grid.x_max - grid.dx - bs.lattice.EDGE_MARGIN_CELLS * grid.dx
     t_ok = edge - hi - 1e-9
     t_bad = t_ok + 0.5 * grid.dx
     bs.evolve_free(rig_packet, ref_medium, t_ok)
-    mapped = bs.interface_scatter(rig_packet, 1.0, t_final=t_ok)
+    bs.interface_scatter(rig_packet, 1.0, t_final=t_ok)
     spans = []
     for attempt in (
         lambda t: bs.evolve_free(rig_packet, ref_medium, t),
-        lambda t: mapped.at(t),
         lambda t: bs.interface_scatter(rig_packet, 1.0, t_final=t),
     ):
         with pytest.raises(bs.DomainExitError) as info:
@@ -546,7 +535,7 @@ def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
         for t in (math.nan, math.inf, -math.inf):
             with pytest.raises(bs.DomainError, match="needs a finite time"):
                 attempt(t)
-    assert spans[0] == spans[1] == spans[2]
+    assert spans[0] == spans[1]
 
 
 def test_booleans_are_not_indices(rig_packet):
@@ -698,7 +687,7 @@ def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_g
         outgoing = {+1: right, -1: ref}
         want_phase = {}
         for t, read, moved in zip(times, reads, translated):
-            out = event.at(t, allow_partial=True)
+            out = bs.interface_scatter(packet, n, t, rates=rates, left=ref, right=right, allow_partial=True)
             want = max(branch_guard_oracle(b, out.incident_weight) for b in (out.transmitted, out.reflected))
             assert out.guard_fraction.hex() == want.hex(), (name, t)
             final = (event.transmitted, event.reflected)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -325,3 +326,22 @@ def test_sampling_guards():
         bs.sample_spectrum_scaled(p, (+1, "H"), "2.0")
     with pytest.raises(bs.DomainError):
         oracles.sample_position_affine(bs.to_momentum(p), (+1, "H"), -1.0, 0.0)
+
+
+def test_chirp_refuses_a_scale_whose_turns_lose_their_fraction():
+    """Past ``scale N / 2 = 2**52`` the chirp's turns keep no fraction and the
+    in-band k = 0 sample came out wrong (about 0.12 at scale 1e300, against
+    1e-17); such scales are refused, and the largest admitted one still
+    returns that sample within 1e-15 of the peak."""
+    g = bs.make_grid(-50.0, 50.0, 2048)
+    p = bs.gaussian_packet(g, (+1, "H"), x0=0.0, k0=10.0, sigma=1.0)
+    bound = 2.0**53 / g.n_points
+    for scale in (1e15, 1e300, bound):
+        with pytest.raises(bs.DomainError, match=re.escape(f"chirp scale {scale!r} is out of range")) as info:
+            bs.sample_spectrum_scaled(p, (+1, "H"), scale)
+        assert f"2**53 / N = {bound!r}" in str(info.value)
+    want = bs.to_momentum(p).amp[bs.Channel(1, "H")]
+    got = bs.sample_spectrum_scaled(p, (+1, "H"), math.nextafter(bound, 0.0))
+    zero = g.n_points // 2
+    assert g.k[zero] == 0.0 and np.count_nonzero(got) == 1
+    assert abs(got[zero] - want[zero]) <= 1e-15 * np.max(np.abs(want))
