@@ -291,7 +291,8 @@ def _load_config(path: str) -> dict[str, dict[str, Any]]:
     return cfg
 
 
-#: Largest ``[grid] n_points``; a run holds about 23 complex arrays of that length.
+#: Largest ``[grid] n_points``; a run's peak RSS grows by about 18 complex arrays of that
+#: length (fresh-process ``wait4`` peak from 2**18 to 2**20 points, snapshots off).
 MAX_GRID_POINTS = 2**22
 
 
@@ -371,10 +372,7 @@ def _block(row: ScenarioRow) -> dict[str, Any]:
 
 def _density(state: BlipWavePacket | SpectralWavePacket) -> np.ndarray:
     """``sum_ch |amplitude|^2`` on the grid, in whichever representation is given."""
-    dens = np.zeros(state.grid.n_points)
-    for a in state.amp.values():
-        dens += np.abs(a) ** 2
-    return dens
+    return sum(state.density.values(), np.zeros(state.grid.n_points))
 
 
 def _spectral_peak(sp: SpectralWavePacket) -> float | None:

@@ -18,8 +18,9 @@ Design notes
 * All sums over the grid are plain Riemann sums weighted by ``dx`` (or
   ``dk``); for the smooth, edge-decaying states this package handles these
   are spectrally accurate.
-* Packets are value objects: amplitude arrays are copied in and frozen
-  (read-only); operations return new packets.
+* Packets are value objects: amplitude arrays are copied in, or adopted when
+  the library has just built them, and frozen (read-only); each channel's
+  density ``|a|**2`` is squared once, on first read.  Operations return new packets.
 * :func:`_positive` is the one domain rule of a physical magnitude (index,
   speed, scale, hbar); :func:`_check_inside` refuses non-finite times.
 """
@@ -114,7 +115,7 @@ def as_channel(ch: Channel | tuple[int, str]) -> Channel:
 class Grid:
     """Uniform position lattice and its conjugate wavenumber lattice.
 
-    ``x``, ``k``, ``origin_phase`` and its conjugate depend only on the
+    ``x``, ``k``, ``abs_k``, ``origin_phase`` and its conjugate depend only on the
     three fields.  Each is built on first access, cached on the instance and
     read-only; the cache takes no part in equality or the hash, and
     :func:`dataclasses.replace` gives a new grid that builds its own.
@@ -157,6 +158,11 @@ class Grid:
     def k(self) -> np.ndarray:
         """Ascending wavenumber lattice ``-k_max + m*dk``."""
         return _read_only(-self.k_max + self.dk * np.arange(self.n_points))
+
+    @cached_property
+    def abs_k(self) -> np.ndarray:
+        """``|k|`` on the lattice, which weighs the energy and the field momentum."""
+        return _read_only(np.abs(self.k))
 
     @cached_property
     def origin_phase(self) -> np.ndarray:
@@ -226,9 +232,10 @@ class Medium:
 
 
 def _freeze_amp(
-    grid: Grid, amp: Mapping[Channel | tuple[int, str], np.ndarray]
+    grid: Grid, amp: Mapping[Channel | tuple[int, str], np.ndarray], copy: bool = True
 ) -> dict[Channel, np.ndarray]:
-    """Validate and copy channel amplitudes; returned arrays are read-only."""
+    """Validate channel amplitudes and freeze them read-only: copies, or with
+    ``copy=False`` the complex128 arrays themselves."""
     items: dict[Channel, np.ndarray] = {}
     for raw_ch, values in amp.items():
         ch = as_channel(raw_ch)
@@ -237,16 +244,12 @@ def _freeze_amp(
         items[ch] = values
     out: dict[Channel, np.ndarray] = {}
     for ch in sorted(items):
-        arr = np.array(items[ch], dtype=np.complex128)
+        arr = (np.array if copy else np.asarray)(items[ch], dtype=np.complex128)
         if arr.shape != (grid.n_points,):
-            raise ConfigurationError(
-                f"channel {ch} amplitude has shape {arr.shape}, "
-                f"expected ({grid.n_points},)"
-            )
+            raise ConfigurationError(f"channel {ch} amplitude has shape {arr.shape}, expected ({grid.n_points},)")
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError(f"channel {ch} amplitude contains NaN/Inf")
-        arr.flags.writeable = False
-        out[ch] = arr
+        out[ch] = _read_only(arr)
     return out
 
 
@@ -255,8 +258,9 @@ class _Packet:
     """Amplitudes per channel on a shared grid: the body of both packet types.
 
     ``amp`` maps channels to complex arrays of length ``grid.n_points``.
-    Channels that are absent are identically zero.  Arrays are copied on
-    construction and frozen; treat packets as immutable values.
+    Channels that are absent are identically zero.  The constructor copies the arrays
+    and freezes the copies, :meth:`_own` freezes arrays the library has just built in
+    place, and every sum over ``|a|**2`` reads ``density``; treat packets as values.
     """
 
     grid: Grid
@@ -265,17 +269,25 @@ class _Packet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp", _freeze_amp(self.grid, self.amp))
 
+    @classmethod
+    def _own(cls, grid: Grid, amp: Mapping[Channel, np.ndarray]) -> "_Packet":
+        """A packet that adopts ``amp``'s arrays, frozen in place: only for arrays no caller writes to."""
+        p = object.__new__(cls)
+        p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, copy=False))
+        return p
+
+    @cached_property
+    def density(self) -> dict[Channel, np.ndarray]:
+        """Each channel's read-only ``|a|**2``, squared once, on first read and cached like :attr:`Grid.x`."""
+        return {ch: _read_only(np.abs(a) ** 2) for ch, a in self.amp.items()}
+
     def channels(self) -> tuple[Channel, ...]:
         return tuple(self.amp)
 
     def amplitude(self, ch: Channel | tuple[int, str]) -> np.ndarray:
         """Amplitude array for ``ch`` (a read-only zeros array if absent)."""
         ch = as_channel(ch)
-        if ch in self.amp:
-            return self.amp[ch]
-        zeros = np.zeros(self.grid.n_points, dtype=np.complex128)
-        zeros.flags.writeable = False
-        return zeros
+        return self.amp[ch] if ch in self.amp else _read_only(np.zeros(self.grid.n_points, dtype=np.complex128))
 
 
 def _gauss_tail(distance: float, width: float) -> float:
@@ -330,22 +342,20 @@ def gaussian_packet(
     x = grid.x
     values = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * ch.s * k0 * x)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.dx)
-    return BlipWavePacket(grid, {ch: values})
+    return BlipWavePacket._own(grid, {ch: values})
 
 
 def norm(p: BlipWavePacket) -> float:
     """Total weight ``sum_ch integral |psi|^2 dx`` (1 for a physical state)."""
-    return float(sum(np.sum(np.abs(a) ** 2) for a in p.amp.values()) * p.grid.dx)
+    return float(sum(np.sum(dens) for dens in p.density.values()) * p.grid.dx)
 
 
 def centroid(p: BlipWavePacket) -> float:
     """Mean position of the total density; undefined for zero packets."""
-    x = p.grid.x
     total = first = 0.0
-    for a in p.amp.values():  # one density per channel, summed as in norm()
-        dens = np.abs(a) ** 2
+    for dens in p.density.values():  # summed as in norm()
         total += np.sum(dens)
-        first += float(np.sum(x * dens))
+        first += float(np.sum(p.grid.x * dens))
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
     return first * p.grid.dx / float(total * p.grid.dx)
@@ -353,7 +363,7 @@ def centroid(p: BlipWavePacket) -> float:
 
 def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | None:
     """Positions bracketing all but ``SUPPORT_QUANTILE`` per side of a channel."""
-    dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
+    dens = p.density[ch] * p.grid.dx
     total = float(dens.sum())
     if total == 0.0:
         return None
@@ -398,15 +408,15 @@ def _check_inside(
 
 
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:
-    """Coherent sum of packets on the same grid (shared channels add); also
-    for momentum-space packets, the result taking the type of the first."""
+    """Coherent sum of position, or of momentum, packets on one grid: shared channels
+    add, and a channel that only one packet has keeps that packet's frozen array."""
     if not packets:
         raise DomainError("combine() needs at least one packet")
-    grid = packets[0].grid
+    kind, grid = type(packets[0]), packets[0].grid
     acc: dict[Channel, np.ndarray] = {}
     for p in packets:
-        if p.grid != grid:
-            raise DomainError("combine() requires a shared grid")
+        if p.grid != grid or type(p) is not kind:
+            raise DomainError("combine() requires a shared grid and one packet type, position or momentum")
         for ch, a in p.amp.items():
             acc[ch] = acc[ch] + a if ch in acc else a
-    return type(packets[0])(grid, acc)
+    return kind._own(grid, acc)

@@ -69,11 +69,7 @@ class ObservableReport:
 
 def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
     """Generator of translations ``sum hbar s k |psi~|^2 dk``."""
-    k = sp.grid.k
-    acc = sum(
-        ch.s * float(np.sum(k * np.abs(a) ** 2)) for ch, a in sp.amp.items()
-    )
-    return hbar * acc * sp.grid.dk
+    return hbar * sum(ch.s * float(np.sum(sp.grid.k * dens)) for ch, dens in sp.density.items()) * sp.grid.dk
 
 
 def abraham_momentum(p_field: float, n: float) -> float:
@@ -100,16 +96,13 @@ def spectral_expectations(
     missing = {ch.s for ch in sp.amp} - set(media_by_direction)
     if missing:
         raise DomainError(f"no medium given for direction {min(missing)}")
-    k = sp.grid.k
-    abs_k = np.abs(k)
-    dk = sp.grid.dk
+    k, abs_k, dk = sp.grid.k, sp.grid.abs_k, sp.grid.dk
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
-    # one density per channel; the number and the dynamical momentum are
-    # the float expressions of spectral_norm and expect_dyn_momentum
-    for ch, a in sp.amp.items():
+    # the number and the dynamical momentum are the float expressions of
+    # spectral_norm and expect_dyn_momentum
+    for ch, dens in sp.density.items():
         m = media_by_direction[ch.s]
-        dens = np.abs(a) ** 2
         weight = np.sum(dens)
         number += weight
         if weight > 0.0:

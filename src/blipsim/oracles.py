@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .fields import FieldProfile
 from .lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
-from .spectral import _SQRT_2PI, SpectralWavePacket, _chirp_sum, _forward, _inverse, _turns_phase
+from .spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
 
 __all__ = [
     "spectral_derivative",
@@ -96,7 +96,8 @@ def sample_position_affine(
 
     Cross-check route for interface maps expressed in position space; points
     mapped outside ``[x_min, x_max)`` sample the periodic continuation and
-    are the caller's responsibility.
+    are the caller's responsibility.  Before any array is built, an ``alpha`` past the
+    chirp's scale rule or a non-finite offset phase ``k (beta + alpha x_min)`` raises :class:`DomainError`.
     """
     ch = as_channel(ch)
     alpha = _positive(alpha, "alpha")
@@ -105,12 +106,16 @@ def sample_position_affine(
         raise DomainError(f"beta must be finite, got {beta!r}")
     grid = sp.grid
     n = grid.n_points
+    c = -ch.s * alpha
+    _check_chirp_scale(c, n)  # the prefactor's turns c j / 2 reach the chirp's own |c| N / 2
+    offset = beta + alpha * grid.x_min
+    if not np.isfinite(grid.k_max * offset):
+        raise DomainError(f"offset phase k (beta + alpha x_min) is not finite for alpha = {alpha!r}, beta = {beta!r}")
     # psi(y) = (2 pi)^(-1/2) dk sum_m psi~_m exp(i s k_m y) at y_j = alpha x_j + beta:
     # fold the (beta + alpha x_min) offset into the coefficients; with c = -s*alpha
     # the rest is exp(-2 pi i c (m - N/2) j / N) = pref_j exp(-2 pi i c (j - N/2) m / N) / pref_m,
     # pref_j = exp(i pi c j): a chirp sum over m of the coefficients times conj(pref_m).
-    coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * (beta + alpha * grid.x_min))
-    c = -ch.s * alpha
+    coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * offset)
     pref = _turns_phase(c, np.arange(n, dtype=np.float64), 2)
     return (grid.dk / _SQRT_2PI / (2 * n)) * pref * _chirp_sum(coeff * pref.conj(), c)
 

@@ -14,8 +14,8 @@ checks the moved supports against the grid edges
 (:func:`blipsim.lattice._check_inside`), moves the centroid by the
 channels' weighted mean of ``s c t``, and reads the guard rule
 (:func:`blipsim.scattering._guard_fractions`) with the band moved the other
-way, as the ``incoming`` test does: slice sums of a density the rule squares
-once per state for the whole schedule.  No report makes a transform or an
+way, as the ``incoming`` test does: slice sums of the density each packet
+squares once, on first read, for the whole schedule.  No report makes a transform or an
 N-point array.  Every other
 quadratic observable is time independent, so the input and each branch
 get one :class:`~blipsim.observables.ObservableReport`, which all their
@@ -150,7 +150,7 @@ def _measure(
     values = spectral_expectations(sp, media, hbar)
     if not values.photon_number > 0.0:
         return values, None, 0.0
-    weights = {ch: float(np.sum(np.abs(a) ** 2)) for ch, a in state.amp.items()}
+    weights = {ch: float(np.sum(dens)) for ch, dens in state.density.items()}
     return values, centroid(state), sum(w * ch.s * media[ch.s].c for ch, w in weights.items()) / sum(weights.values())
 
 

@@ -31,7 +31,7 @@ re-phases the amplitudes by ``exp(-i c k t)`` into the position branches
 and reads their guard; it builds the outcome once, from both.  One guard
 rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
-``guard_fraction``: slice sums of a density squared once per call, read
+``guard_fraction``: slice sums of the packet's cached density, read
 with the band moved by ``s c t`` between times.
 Transmission through the boundary rescales wavenumbers by the index ratio,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
@@ -69,9 +69,9 @@ from .lattice import (
 from .spectral import (
     SpectralWavePacket,
     _advance_spectrum,
-    _forward,
     sample_spectrum_scaled,
     spectral_norm,
+    to_momentum,
     to_position,
 )
 
@@ -327,13 +327,13 @@ def _guard_fractions(
     being its weight in the guard band (``GUARD_HALF_CELLS`` cells each side of its centre) plus
     beyond it on the side the channel does not belong to (right of the band for ``side s = -1``,
     read as incoming; left for ``+1``, read as scattered).  Free flight over ``dt`` moves the band
-    to ``side s c dt`` instead of the packet, so a channel is squared once and every shift reads
-    slice sums.  A channel is clear while its fraction is at most ``GUARD_TOL``; channels
+    to ``side s c dt`` instead of the packet, so every shift reads slice sums of the packet's
+    one density per channel.  A channel is clear while its fraction is at most ``GUARD_TOL``; channels
     weighing nothing or under ``floor`` are left out."""
     x, half = p.grid.x, GUARD_HALF_CELLS * p.grid.dx
     fractions: list[dict[Channel, float]] = [{} for _ in dts]
-    for ch, a in p.amp.items():
-        dens = np.abs(a) ** 2 * p.grid.dx
+    for ch, dens in p.density.items():
+        dens = dens * p.grid.dx
         for read, dt in zip(fractions, dts):
             center = side * ch.s * media[ch.s].c * dt
             # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
@@ -411,28 +411,17 @@ def interface_scatter(
                 f"{GUARD_HALF_CELLS * grid.dx:.3g} of the scatterer or past it (GUARD_TOL = {GUARD_TOL:.0e})"
             )
     root_n = math.sqrt(n)
-    in_amp: dict[Channel, np.ndarray] = {}
+    incident = to_momentum(p)  # the input's one forward transform per event
     amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
     supports: dict[str, dict[Channel, tuple[float, float] | None]] = {"transmitted": {}, "reflected": {}}
     incident_supports: dict[Channel, tuple[float, float] | None] = {}
-    drift = 0.0
-    for ch, a in p.amp.items():
-        phi = in_amp[ch] = _forward(grid, ch.s, a)
+    for ch, phi in incident.amp.items():
         if ch.s > 0:
             coeff, scale = rates.t_plus / root_n, 1.0 / n
         else:
             coeff, scale = root_n * rates.t_minus, n
-        if n == 1.0:
-            trans = coeff * phi
-        else:
-            trans = coeff * sample_spectrum_scaled(p, ch, scale)
-            weight = float(np.sum(np.abs(phi) ** 2)) * grid.dk
-            if weight > 0.0:
-                measured = float(np.sum(np.abs(trans) ** 2)) * grid.dk
-                expected = abs(rates.t(ch.s)) ** 2 * weight
-                drift = max(drift, abs(measured - expected) / weight)
         refl = Channel(-ch.s, ch.pol)
-        amps["transmitted"][ch] = trans
+        amps["transmitted"][ch] = coeff * (phi if n == 1.0 else sample_spectrum_scaled(p, ch, scale))
         amps["reflected"][refl] = rates.r(ch.s) * phi
         # each branch's t = 0 image of the incident support, scaled by the
         # media's speed ratio, in which the branches are then advanced
@@ -445,17 +434,22 @@ def interface_scatter(
             if rates.r(ch.s) != 0:
                 r_image = (-hi, -lo)
         supports["transmitted"][ch], supports["reflected"][refl] = t_image, r_image
+    spectra = {name: SpectralWavePacket._own(grid, amp) for name, amp in amps.items()}
+    drift = 0.0
+    if n != 1.0:  # at n = 1 nothing is rescaled
+        for ch, dens in incident.density.items():
+            weight = float(np.sum(dens)) * grid.dk
+            if weight > 0.0:
+                measured = float(np.sum(spectra["transmitted"].density[ch])) * grid.dk
+                drift = max(drift, abs(measured - abs(rates.t(ch.s)) ** 2 * weight) / weight)
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
     names = ("transmitted", "reflected")
-    spectra = {name: SpectralWavePacket(grid, amp) for name, amp in amps.items()}
     spectra["total"] = combine(*(spectra[name] for name in names))
     prob_t, prob_r = (spectral_norm(spectra[name]) for name in names)
-    incident = SpectralWavePacket(grid, in_amp)
-    del in_amp, amps, phi, trans  # the packets hold copies; free these before the branches are built
     outgoing = _outgoing(left, right)
     # an input still incoming at t_final has its branches extrapolated back from x = 0
     early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"

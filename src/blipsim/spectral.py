@@ -87,30 +87,25 @@ def _inverse(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
 
 def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:
     """Momentum representation of every channel."""
-    return SpectralWavePacket(
-        p.grid, {ch: _forward(p.grid, ch.s, a) for ch, a in p.amp.items()}
-    )
+    return SpectralWavePacket._own(p.grid, {ch: _forward(p.grid, ch.s, a) for ch, a in p.amp.items()})
 
 
 def to_position(sp: SpectralWavePacket) -> BlipWavePacket:
     """Position representation of every channel."""
-    return BlipWavePacket(
-        sp.grid, {ch: _inverse(sp.grid, ch.s, a) for ch, a in sp.amp.items()}
-    )
+    return BlipWavePacket._own(sp.grid, {ch: _inverse(sp.grid, ch.s, a) for ch, a in sp.amp.items()})
 
 
 def _advance_spectrum(
     sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float
 ) -> SpectralWavePacket:
     """Free flight in k: channel ``(s, pol)`` times ``exp(-i c k t)``, ``c`` of ``media_by_direction[s]``."""
-    k = sp.grid.k
-    phases = {s: _cis(-media_by_direction[s].c * k * t) for s in {ch.s for ch in sp.amp}}
-    return SpectralWavePacket(sp.grid, {ch: a * phases[ch.s] for ch, a in sp.amp.items()})
+    phases = {s: _cis(-media_by_direction[s].c * sp.grid.k * t) for s in {ch.s for ch in sp.amp}}
+    return SpectralWavePacket._own(sp.grid, {ch: a * phases[ch.s] for ch, a in sp.amp.items()})
 
 
 def spectral_norm(sp: SpectralWavePacket) -> float:
     """Total weight ``sum_ch integral |psi~|^2 dk``; equals the position norm."""
-    return float(sum(np.sum(np.abs(a) ** 2) for a in sp.amp.values()) * sp.grid.dk)
+    return float(sum(np.sum(dens) for dens in sp.density.values()) * sp.grid.dk)
 
 
 def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
@@ -125,6 +120,13 @@ def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
     return _cis(2.0 * np.pi * (hi - np.rint(hi) + lo))
 
 
+def _check_chirp_scale(c: float, n: int) -> None:
+    """The one scale rule of an ``n``-point chirp: its turns reach ``|c| n / 2``, whose fraction
+    :func:`_turns_phase` keeps below ``2**52``, so ``|c| >= 2**53 / n`` raises :class:`DomainError`."""
+    if abs(c) * n / 2 >= 2.0**52:
+        raise DomainError(f"chirp scale {abs(c)!r} is out of range: it must be below 2**53 / N = {2.0**53 / n!r}")
+
+
 def _chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
     """``2N X_m`` with ``X_m = sum_j values_j exp(-2 pi i c (m - N/2) j / N)``, m = 0..N-1, N a power of two.
 
@@ -134,12 +136,10 @@ def _chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
     chirps are exact in turns: the pre-chirp ``c j (N - j) / 2N`` and the
     kernel ``c m^2 / 2N``, even in ``m``, whose ``m >= 0`` half fills the
     first ``N`` slots of the circular pad and, reversed, the last ``N - 1``;
-    its conjugate over the first ``N`` is the post-chirp.  Its turns reach ``|c| N / 2``,
-    whose fraction :func:`_turns_phase` keeps below ``2**52``: ``|c| >= 2**53 / N`` raises :class:`DomainError`.
+    its conjugate over the first ``N`` is the post-chirp.  ``c`` must pass :func:`_check_chirp_scale`.
     """
     n = values.size
-    if abs(c) * n / 2 >= 2.0**52:
-        raise DomainError(f"chirp scale {abs(c)!r} is out of range: it must be below 2**53 / N = {2.0**53 / n!r}")
+    _check_chirp_scale(c, n)
     j = np.arange(n, dtype=np.float64)
     u = values * _turns_phase(c, j * (n - j), 2 * n)
     kernel = _turns_phase(c, j * j, 2 * n)

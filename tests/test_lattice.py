@@ -284,6 +284,23 @@ def test_packets_are_value_objects(rig_grid):
     assert np.all(p.amplitude((-1, "V")) == 0.0)
 
 
+def test_library_packets_adopt_their_arrays_and_square_each_channel_once(rig_grid):
+    """The private ``_own`` path freezes the arrays it is given in place, after
+    the public constructor's checks; a packet's density is ``|a|**2``, built
+    once and read-only."""
+    src = np.ones(rig_grid.n_points, dtype=complex)
+    p = bs.BlipWavePacket._own(rig_grid, {(+1, "H"): src})
+    assert p.amplitude((+1, "H")) is src and not src.flags.writeable
+    dens = p.density[bs.Channel(1, "H")]
+    assert p.density[bs.Channel(1, "H")] is dens and not dens.flags.writeable
+    np.testing.assert_array_equal(dens, np.abs(src) ** 2)
+    bad = np.ones(rig_grid.n_points, dtype=complex)
+    bad[7] = math.nan
+    for amp in ({(+1, "H"): bad}, {(+1, "H"): bad[:-1]}, {(+1, "H"): src, bs.Channel(1, "H"): src}):
+        with pytest.raises(bs.ConfigurationError):
+            bs.BlipWavePacket._own(rig_grid, amp)
+
+
 def test_duplicate_and_malformed_amplitudes_rejected(rig_grid):
     good = np.ones(rig_grid.n_points, dtype=complex)
     with pytest.raises(bs.ConfigurationError):
@@ -299,7 +316,7 @@ def test_duplicate_and_malformed_amplitudes_rejected(rig_grid):
 def test_both_packet_types_share_one_body_but_stay_distinct(small_grid):
     """Position and momentum packets differ only in name: a packet equals
     itself, never a packet of the other type, and ``combine`` keeps the type
-    of its first argument."""
+    of its packets and refuses to add one type to the other."""
     values = {(+1, "H"): np.arange(small_grid.n_points, dtype=complex)}
     x_a, x_b = bs.BlipWavePacket(small_grid, values), bs.BlipWavePacket(small_grid, values)
     k_a = bs.SpectralWavePacket(small_grid, values)
@@ -308,6 +325,9 @@ def test_both_packet_types_share_one_body_but_stay_distinct(small_grid):
     assert x_a != k_a and k_a != x_a
     assert type(bs.combine(x_a, x_b)) is bs.BlipWavePacket
     assert type(bs.combine(k_a, k_a)) is bs.SpectralWavePacket
+    for mixed in ((x_a, k_a), (k_a, x_a), (x_a, x_b, bs.to_momentum(x_a))):
+        with pytest.raises(bs.DomainError, match="one packet type"):
+            bs.combine(*mixed)
     with pytest.raises(ValueError):
         k_a.amplitude((-1, "V"))[0] = 1.0
     assert repr(k_a).startswith("SpectralWavePacket(grid=")

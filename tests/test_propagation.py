@@ -419,31 +419,55 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
             assert len(counts) == 1, (channels, omega, counts)
 
 
-def test_reports_square_nothing(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
-    """The guard rule squares the input's channels once for the whole
-    schedule and the final branches' once for all later reports; every
-    report reads slice sums of those densities, so the length-N ``np.abs``
-    calls do not grow with the schedule.  ``spectral_expectations`` and
-    ``centroid`` square each channel once for all their sums, which bounds
-    a run at 32 calls on the rig and 29 for the point mirror."""
+def test_reports_square_nothing(monkeypatch, ref_medium, glass):
+    """Each packet squares each channel once, on first read, and every reader
+    takes that density: the guard rule's slice sums for all reports, the
+    norms, the map's drift check, the centroids and the expectation values.
+    So the length-N ``np.abs`` calls do not grow with the schedule: the ten
+    channel densities of a run (input, ``incident``, the three spectra and
+    the three position branches), the grid's ``|k|`` and, at n = 2, the
+    chirp's band test bound a run at 16 calls on the rig and 13 for the
+    point mirror.  Each run gets a fresh grid and packet, so no density an
+    earlier run cached takes part."""
+    n_points = 16384
     calls = []
     absolute = np.abs
 
     def counting_abs(a, *args, **kwargs):
-        if np.size(a) == rig_grid.n_points:
+        if np.size(a) == n_points:
             calls.append(1)
         return absolute(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "abs", counting_abs)
     schedules = ((0.0, 30.0, 140.0), (0.0, 30.0, *np.linspace(100.0, 160.0, 48).tolist()))
-    for right, omega, limit in ((glass, None, 32), (ref_medium, -0.6j, 29)):
+    for right, omega, limit in ((glass, None, 16), (ref_medium, -0.6j, 13)):
         counts = []
         for schedule in schedules:
+            grid = bs.make_grid(-200.0, 200.0, n_points)
+            packet = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
             calls.clear()
-            bs.run_scenario(bs.Scenario(rig_packet, ref_medium, right, schedule=schedule, omega=omega))
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "abs", counting_abs)
+                bs.run_scenario(bs.Scenario(packet, ref_medium, right, schedule=schedule, omega=omega))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, (omega, counts)
         assert counts[0] <= limit, (omega, counts)
+
+
+def test_a_run_keeps_one_read_only_array_per_channel(rig_grid, rig_packet, ref_medium, glass):
+    """Packets adopt the arrays the library builds and ``combine`` shares the
+    arrays of disjoint channels, so the scenario's packet, ``incident``, the
+    three spectra and the three position branches of a rig run, 10 channel
+    arrays, hold at most 6 distinct N-point buffers, all read-only."""
+    result = bs.run_scenario(bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, 30.0, 140.0)))
+    out = result.outcome
+    packets = [rig_packet, out.incident, *out.spectra.values(), out.transmitted, out.reflected, out.total]
+    arrays = [a for p in packets for a in p.amp.values()]
+    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+    distinct: list[np.ndarray] = []
+    for a in arrays:
+        if not any(np.shares_memory(a, b) for b in distinct):
+            distinct.append(a)
+    assert len(distinct) <= 6, len(distinct)
 
 
 def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypatch, ref_medium, glass):

@@ -328,6 +328,20 @@ def test_sampling_guards():
         oracles.sample_position_affine(bs.to_momentum(p), (+1, "H"), -1.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_affine_oracle_refuses_out_of_range_values_before_any_array():
+    """``alpha = 1e307`` would overflow the prefactor's turns and ``beta = 1e308``
+    the offset phase, each with a numpy warning (an error under this mark);
+    both raise :class:`DomainError` before any array is built."""
+    g = bs.make_grid(-50.0, 50.0, 2048)
+    sp = bs.to_momentum(bs.gaussian_packet(g, (+1, "H"), x0=0.0, k0=10.0, sigma=1.0))
+    with pytest.raises(bs.DomainError, match="chirp scale 1e\\+307 is out of range"):
+        oracles.sample_position_affine(sp, (+1, "H"), 1e307, 0.0)
+    with pytest.raises(bs.DomainError, match="offset phase .* is not finite"):
+        oracles.sample_position_affine(sp, (+1, "H"), 1.0, 1e308)
+    assert np.all(np.isfinite(oracles.sample_position_affine(sp, (+1, "H"), 1.0, 1e3)))
+
+
 def test_chirp_refuses_a_scale_whose_turns_lose_their_fraction():
     """Past ``scale N / 2 = 2**52`` the chirp's turns keep no fraction and the
     in-band k = 0 sample came out wrong (about 0.12 at scale 1e300, against
