@@ -5,8 +5,7 @@ The state of one photon lives on a position lattice with four channels
 Fourier pair between position and momentum amplitudes, observables as
 sums in momentum space, electromagnetic field profiles, scattering maps for
 point mirrors and dielectric boundaries, free propagation, scripted
-scenarios, and a CLI.  The independent routes that the tests compare
-against live in :mod:`blipsim.oracles`, which is not imported here.
+scenarios, and a CLI.
 """
 
 from . import errors, fields, lattice, observables, propagation, scattering, spectral

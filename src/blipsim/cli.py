@@ -531,7 +531,7 @@ def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float
     e_y = np.zeros(sp.grid.n_points, dtype=np.complex128)
     e_z = np.zeros(sp.grid.n_points, dtype=np.complex128)
     for ch, a in sp.amp.items():
-        fp = field_profile(SpectralWavePacket(sp.grid, {ch: a}), media[ch.s], hbar)
+        fp = field_profile(SpectralWavePacket._own(sp.grid, {ch: a}), media[ch.s], hbar)
         e_y += fp.e_y
         e_z += fp.e_z
     return np.abs(e_y) ** 2 + np.abs(e_z) ** 2

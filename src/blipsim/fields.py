@@ -14,10 +14,9 @@ table is
 
 The snapshot field density of ``blipsim run`` is built from these
 profiles.  The package computes energy and momentum in k-space
-(:func:`blipsim.observables.spectral_expectations`); the quadratic field
-functionals, which reproduce those ``|k|``-weighted sums, and the clamped
-real-space kernel behind ``zeta`` are independent routes and live in
-:mod:`blipsim.oracles`.
+(:func:`blipsim.observables.spectral_expectations`); the test suite checks
+those ``|k|``-weighted sums against the quadratic functionals of these
+profiles.
 """
 
 from __future__ import annotations

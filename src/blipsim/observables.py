@@ -20,10 +20,9 @@ one record of a state's expectation values.  Scenario rows carry it as
 ``values`` and the CLI serializes it.  The photon number of a position
 packet is :func:`blipsim.lattice.norm`.
 
-Position-space forms of the signed observables (via the spectral
-derivative) and field-profile functionals are independent evaluation
-routes in :mod:`blipsim.oracles`; the test suite checks that they agree
-with the momentum-space sums.
+The test suite checks the momentum-space sums against independent
+routes: position-space forms of the signed observables (via the spectral
+derivative) and field-profile functionals.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def spectral_expectations(
     channel occupies (after scattering, ``+1`` movers are on the right and
     ``-1`` movers on the left; before, the opposite).  Energy and field
     quantities are evaluated channel by channel in that channel's medium.
-    The field momentum is the sum ``hbar s |k| |psi~|^2 dk`` that the
-    field-profile functional of :mod:`blipsim.oracles` reproduces.
+    The field momentum is the sum ``hbar s |k| |psi~|^2 dk``, which the
+    ``E* x B`` integral over the :class:`blipsim.fields.FieldProfile` reproduces.
     """
     hbar = _positive(hbar, "hbar")
     missing = {ch.s for ch in sp.amp} - set(media_by_direction)

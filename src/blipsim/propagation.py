@@ -93,11 +93,11 @@ class Scenario:
         object.__setattr__(self, "schedule", tuple(float(t) for t in self.schedule))
         if not self.schedule:
             raise ConfigurationError("schedule must contain at least one report time")
+        if not all(math.isfinite(t) and t >= 0.0 for t in self.schedule):
+            raise ConfigurationError("schedule times must be finite and nonnegative")
         for a, b in zip(self.schedule, self.schedule[1:]):
             if not b > a:
                 raise ConfigurationError("schedule times must be strictly increasing")
-        if not all(math.isfinite(t) and t >= 0.0 for t in self.schedule):
-            raise ConfigurationError("schedule times must be finite and nonnegative")
         if not _is_positive_real(self.hbar):
             raise ConfigurationError(f"hbar must be positive and finite, got {self.hbar!r}")
         if self.omega is not None:

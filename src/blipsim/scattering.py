@@ -168,6 +168,13 @@ def stokes_residuals(rates: ScatterRates) -> tuple[float, float, float]:
     return (cross, d_minus, d_plus)
 
 
+def _integer(v: object, what: str, minimum: int) -> int:
+    """``v`` as an ``int`` at least ``minimum``; a bool or non-integer raises :class:`DomainError`."""
+    if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= minimum):
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
+
+
 def dyson_partial_sums(mc: MirrorCoupling, n_terms: int) -> list[tuple[complex, complex]]:
     """Partial sums ``(t_N, r_N)`` of the Born series for ``N = 0 .. n_terms-1``.
 
@@ -176,15 +183,14 @@ def dyson_partial_sums(mc: MirrorCoupling, n_terms: int) -> list[tuple[complex, 
     plus the single-bounce reflection.  Valid for any coupling; for
     ``q >= 1`` the sums visibly fail to settle.
     """
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
-        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    n_terms = _integer(n_terms, "n_terms", 1)
     q2 = mc.q**2
     r0 = -1j * mc.omega / mc.c_ref
     out: list[tuple[complex, complex]] = []
     t_acc = 1.0 + 0.0j
     geom_term = 1.0
     geom_acc = 1.0
-    for order in range(int(n_terms)):
+    for order in range(n_terms):
         if order > 0:
             geom_term *= -q2
             t_acc += 2.0 * geom_term
@@ -208,8 +214,7 @@ def dyson_remainder_bound(mc: MirrorCoupling, order: int, component: str = "t") 
     exact-arithmetic bound; numerical comparisons should allow
     :data:`REMAINDER_ROUNDING_FLOOR` on top of it.
     """
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order!r}")
+    order = _integer(order, "order", 0)
     if component not in ("t", "r"):
         raise DomainError(f"component must be 't' or 'r', got {component!r}")
     if not mc.is_resummable:

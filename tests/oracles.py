@@ -18,18 +18,18 @@ compare the two:
 * the clamped real-space pair-correlation kernel (:func:`position_kernel_R`),
   a shape diagnostic of the field weight ``zeta``.
 
-No production module imports this one, and :mod:`blipsim` does not
-re-export it: use ``from blipsim import oracles``.
+This is a test helper, not part of the installed package: the test
+modules import it with ``import oracles``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .fields import FieldProfile
-from .lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
-from .spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
+from blipsim.errors import ConsistencyError, DomainError
+from blipsim.fields import FieldProfile
+from blipsim.lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
+from blipsim.spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
 
 __all__ = [
     "spectral_derivative",

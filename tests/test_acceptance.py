@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import blipsim as bs
-from blipsim import oracles
+import oracles
 from blipsim.scattering import REMAINDER_ROUNDING_FLOOR
 
 from test_observables import in_medium

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from blipsim import cli
+from blipsim import cli, lattice
 
 from test_lattice import NUDGE, TAIL_SIGMAS
 
@@ -718,6 +718,22 @@ def test_reference_snapshots_match_the_cell_oracle(tmp_path, monkeypatch):
         header, rows = tables[name]
         assert isinstance(rows, np.ndarray) and rows.shape == (16384, len(header)), name
         assert (tmp_path / f"{name}.csv").read_bytes() == cell_oracle(header, rows.tolist()), name
+
+
+def test_a_reference_run_with_snapshots_copies_no_packet_array(tmp_path, monkeypatch):
+    """Every packet on the run and snapshot path adopts the arrays the library
+    built: no ``_freeze_amp`` call copies."""
+    copies = []
+    freeze = lattice._freeze_amp
+
+    def counting_freeze(grid, amp, copy=True):
+        copies.append(copy)
+        return freeze(grid, amp, copy)
+
+    monkeypatch.setattr(lattice, "_freeze_amp", counting_freeze)
+    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "snapshot_field.csv").exists()
+    assert copies and True not in copies
 
 
 def test_a_directory_in_the_way_places_nothing(tmp_path, capsys):

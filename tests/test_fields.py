@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import blipsim as bs
-from blipsim import oracles
+import oracles
 
 from test_spectral import plane_wave
 

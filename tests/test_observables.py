@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import blipsim as bs
-from blipsim import oracles
+import oracles
 from blipsim.observables import CONDITIONAL_MIN_WEIGHT
 
 from test_spectral import plane_wave

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import blipsim as bs
-from blipsim import cli, oracles
+from blipsim import cli
+import oracles
 from blipsim.lattice import FIXTURE_TAIL_TOL, _gauss_tail
 
 from test_lattice import TAIL_SIGMAS
@@ -117,6 +118,8 @@ def test_scenario_validation(rig_packet, ref_medium, glass):
         bs.Scenario(rig_packet, ref_medium, glass, schedule=(-5.0, 10.0))
     with pytest.raises(bs.ConfigurationError):
         bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, math.inf))
+    with pytest.raises(bs.ConfigurationError, match="finite and nonnegative"):
+        bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, math.nan))
     with pytest.raises(bs.ConfigurationError):
         bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0,), hbar=0.0)
     # an explicit omega becomes rates once, when the scenario is built

@@ -120,8 +120,10 @@ def test_dyson_partial_sums_structure():
     t_last, r_last = sums[-1]
     assert abs(t_last - exact.t_plus) < abs(t0 - exact.t_plus)
     assert abs(r_last - exact.r_plus) < abs(r0 - exact.r_plus)
-    with pytest.raises(bs.DomainError):
-        bs.dyson_partial_sums(mc, 0)
+    for n_terms in (0, True, 2.0, 2.5):
+        with pytest.raises(bs.DomainError):
+            bs.dyson_partial_sums(mc, n_terms)
+    assert bs.dyson_partial_sums(mc, np.int64(5)) == sums
 
 
 def test_dyson_frozen_remainder_and_bound():
@@ -170,8 +172,10 @@ def test_dyson_divergence_detected():
 
 def test_dyson_remainder_bound_guards():
     mc = bs.MirrorCoupling(omega=-2j * 0.3)
-    with pytest.raises(bs.DomainError):
-        bs.dyson_remainder_bound(mc, -1, "t")
+    for order in (-1, False, 1.5, 2.0):
+        with pytest.raises(bs.DomainError):
+            bs.dyson_remainder_bound(mc, order, "t")
+    assert bs.dyson_remainder_bound(mc, np.int64(2), "t") == bs.dyson_remainder_bound(mc, 2, "t")
     with pytest.raises(bs.DomainError):
         bs.dyson_remainder_bound(mc, 2, "x")
 

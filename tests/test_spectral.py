@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
-from blipsim import oracles
+import oracles
 from blipsim.spectral import _chirp_sum, _reverse_bins, _turns_phase
 
 
