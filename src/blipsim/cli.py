@@ -14,10 +14,10 @@ that is not finite and > 0, an explicit ``[coupling]`` omega that is not
 finite or whose Born series diverges, a ``[grid]`` above
 ``MAX_GRID_POINTS`` points, a ``[packet]`` spectrum reaching across k = 0
 and ``[output]`` names that are not bare file names), 3 runtime error, also
-an output that cannot be written.  Only finite floats are written, with 17
-significant digits; identical configs produce byte-identical outputs.  A
-command writes all of its files or none: they are staged inside ``--out``
-and moved into it together at the end.
+an output that cannot be written.  Only finite floats are written, as ``%.17g``;
+a float table gets those exact digits from numpy, a block of rows at a time, and
+identical configs produce byte-identical outputs.  A command writes all of its
+files or none: they are staged inside ``--out`` and moved into it together at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
@@ -57,7 +59,7 @@ from .scattering import (
     rates_from_omega,
     stokes_residuals,
 )
-from .spectral import SpectralWavePacket, _advance_spectrum
+from .spectral import SpectralWavePacket, _advance_spectrum, _two_product
 
 __all__ = ["main", "cmd_run", "cmd_check", "cmd_dyson"]
 
@@ -87,7 +89,7 @@ def _text(v: Any, null: str) -> str:
     """The text of one scalar in a summary or a mixed table row.
 
     Floats are written as ``FLOAT`` and must be finite.  ``None`` becomes
-    ``null``.  Floats are tested first: this runs once per table cell.
+    ``null``.  Floats are tested first: this runs once per cell of a mixed table.
     """
     if isinstance(v, float):
         if not math.isfinite(v):
@@ -126,30 +128,118 @@ def _dump_json(obj: Any, indent: int = 0) -> str:
     return _text(obj, "null")
 
 
+#: Decimal exponents :func:`_cells` formats; beyond them (subnormals, huge values) a power of ten
+#: or a Veltkamp split leaves float64.  ``|v| 10**(16 - e)`` is known within about 1e-14, and within
+#: ``_MARGIN`` of a tie or of ``10**16`` its digits or exponent could differ: ``_text`` writes those cells.
+_E_MIN, _E_MAX, _MARGIN = -274, 296, 1e-9
+#: The widest ``FLOAT`` text (sign, 17 digits, point, ``e``, sign, 3 digits); rows per block.
+_CELL, _BLOCK_ROWS = 24, 2048
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """``10**(16 - e) = hi + lo`` for ``e`` in ``[_E_MIN - 1, _E_MAX + 1]``, each part rounded from the
+    exact rational by Python's int division; the 4 ASCII digits of each integer below ``10**4`` as
+    one uint32; and, at ``17 form + last``, the bytes of a :func:`_cells` row (0 hole, 1 sign, 2 point,
+    3-19 the digits, 20 ``e``, 21 exponent sign, 24-27 ``0`` and its digits) that make a cell with
+    digits up to ``last``: ``form`` 0-20 is ``%f`` for exponents -4 to 16, 21-22 ``%e``."""
+    powers = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(17 - _E_MIN, 14 - _E_MAX, -1)]
+    hi = [num / den for num, den in powers]
+    lo = [(num * b - a * den) / (den * b) for (num, den), (a, b) in zip(powers, map(float.as_integer_ratio, hi))]
+    quads = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32)
+    layouts = []
+    for form, last in np.ndindex(23, 17):
+        x, digits = form - 4, list(range(3, 4 + last))
+        p = -1 if x < 0 else x if x <= 16 else 0  # the digit the point follows
+        row = [1, *(digits[:p + 1] or [24])] + [2] * (last > p) + [24] * (-x - 1) + digits[p + 1:]
+        row += [20, 21, *range(47 - form, 28)] * (form > 20)
+        layouts.append(row + [0] * (_CELL - len(row)))
+    return np.array(hi), np.array(lo), quads.ravel(), np.array(layouts)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a 10**(16 - e)`` as its nearest integer and the rest: exact above ``2**53``, where ``hi`` is whole."""
+    hi, lo = (table[e + (1 - _E_MIN)] for table in _tables()[:2])
+    p, q = _two_product(a, hi)
+    q += a * lo
+    r = np.rint(q)
+    return p.astype(np.int64) + r.astype(np.int64), q - r
+
+
+def _cells(v: np.ndarray) -> np.ndarray:
+    """``FLOAT % v`` of each value as one row of ``_CELL`` bytes, 0 bytes as holes: the 17 digits are
+    the integer nearest ``|v| 10**(16 - e)``, for the exponent ``e`` of ``log10`` moved by one where
+    :func:`_scaled` falls outside ``[10**16, 10**17)``, as its ``hi`` and ``lo`` decide, not their sum."""
+    a = np.abs(v)
+    e = np.floor(np.log10(np.where(a == 0, 1.0, a)))
+    far = ~((e >= _E_MIN) & (e <= _E_MAX))  # also NaN and infinities, which _text refuses
+    a[far], e[far] = 0.0, 0.0
+    e = e.astype(np.int64)
+    d, f = _scaled(a, e)
+    step = 1 * (d > 10**17) - ((d > 0) & (d < 10**16) | (d == 10**16) & (f < 0))
+    fix = np.flatnonzero(step)
+    e[fix] += step[fix]
+    d[fix], f[fix] = _scaled(a[fix], e[fix])
+    e += d == 10**17
+    d[d == 10**17] = 10**16
+    slow = far | (np.abs(f) > 0.5 - _MARGIN) | (d == 10**16) & (np.abs(f) < _MARGIN)
+
+    quads, layouts = _tables()[2:]
+    src = np.zeros((v.size, 28), np.uint8)
+    for j in range(4, 0, -1):
+        src.view(np.uint32)[:, j] = quads[d % 10**4]
+        d //= 10**4
+    src[:, 1], src[:, 3], src[:, 21] = 45 * np.signbit(v), d + 48, np.where(e < 0, 45, 43)  # '-', digit, '-' or '+'
+    src[:, 2], src[:, 20] = 46, 101  # '.', 'e'
+    src.view(np.uint32)[:, 6] = quads[np.abs(e)]
+    fixed = (e >= -4) & (e <= 16)
+    # the last digit kept: the last nonzero one, or -1 where the point before the digits stops the search
+    last = np.maximum(16 - np.argmax(src[:, 19:1:-1] != 48, axis=1), np.where(fixed, e, 0))
+    form = np.where(fixed, e + 4, 21 + (np.abs(e) >= 100))
+    index = layouts[17 * form + last]
+    index += 28 * np.arange(v.size)[:, None]  # in place: a second index array would cost page faults
+    cells = np.take(src.ravel(), index)
+    for i in np.flatnonzero(slow):
+        cells[i] = np.frombuffer(_text(float(v[i]), "").encode().ljust(_CELL, b"\0"), np.uint8)
+    return cells
+
+
 def _write_table(
     base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]] | np.ndarray, fmt: str
 ) -> Path:
     """Write one table as ``base.csv`` or ``base.json``; returns the path.
 
-    ``rows`` holds mixed rows, or is one 2-D float64 array: checked once for
-    finiteness, its CSV rows formatted by one ``FLOAT`` template (as ``_text``)."""
-    array = isinstance(rows, np.ndarray)
-    if array and not np.isfinite(rows).all():
-        _refuse_non_finite(rows[~np.isfinite(rows)][0])
-    if fmt != "csv":
-        path = base.with_suffix(".json")
-        table = rows.tolist() if array else rows
-        path.write_text(_dump_json([dict(zip(header, row)) for row in table]) + "\n")
-        return path
-    path = base.with_suffix(".csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if array:
-            line = ",".join([FLOAT] * rows.shape[1]) + writer.dialect.lineterminator
-            fh.writelines(map(line.__mod__, map(tuple, rows.tolist())))
+    ``rows`` holds mixed rows, or is one 2-D float64 array, written by :func:`_cells`
+    ``_BLOCK_ROWS`` rows at a time into a row of constant text with a hole per cell."""
+    path = base.with_suffix(".csv" if fmt == "csv" else ".json")
+    if not (isinstance(rows, np.ndarray) and rows.size):  # mixed rows, or an empty array
+        if fmt == "csv":
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *([_text(v, "") for v in row] for row in rows)])
         else:
-            writer.writerows([_text(v, "") for v in row] for row in rows)
+            path.write_text(_dump_json([dict(zip(header, row)) for row in rows]) + "\n")
+        return path
+    hole = "\0" * _CELL
+    if fmt == "csv":
+        line = io.StringIO(newline="")
+        csv.writer(line).writerow(header)
+        head, row = line.getvalue(), ",".join([hole] * len(header)) + "\r\n"
+    else:
+        head, row = "[\n", "  {\n" + ",\n".join(f"    {json.dumps(str(key))}: {hole}" for key in header) + "\n  },\n"
+    buf = np.tile(np.frombuffer(row.encode(), np.uint8), (min(len(rows), _BLOCK_ROWS), 1))
+    slots = np.flatnonzero(buf[0] == 0)[::_CELL]
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            cells = _cells(block.ravel()).reshape(len(block), -1, _CELL)
+            text = buf[:len(block)]
+            for j, at in enumerate(slots):
+                text[:, at:at + _CELL] = cells[:, j]
+            fh.write(text[text != 0])
+        if fmt != "csv":
+            fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close
+            fh.write(b"\n]\n")
     return path
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .lattice import Grid, Medium, _positive
+from .lattice import Grid, Medium, _positive, _read_only
 from .spectral import SpectralWavePacket, _inverse
 
 __all__ = [
@@ -54,8 +54,14 @@ class FieldProfile:
                 raise ConsistencyError(
                     f"{name} has shape {arr.shape}, expected ({self.grid.n_points},)"
                 )
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
+
+    @classmethod
+    def _own(cls, grid: Grid, medium_tag: str, **fields: np.ndarray) -> "FieldProfile":
+        """A profile that adopts the arrays :func:`field_profile` just built, frozen in place."""
+        fp = object.__new__(cls)
+        fp.__dict__.update({name: _read_only(a) for name, a in fields.items()}, grid=grid, medium_tag=medium_tag)
+        return fp
 
 
 def zeta(k: np.ndarray | float, m: Medium, hbar: float = 1.0) -> np.ndarray | float:
@@ -84,4 +90,4 @@ def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> Field
         else:
             e_z += profile
             b_y += -(ch.s / m.c) * profile
-    return FieldProfile(grid, e_y, e_z, b_y, b_z, medium_tag=m.label)
+    return FieldProfile._own(grid, m.label, e_y=e_y, e_z=e_z, b_y=b_y, b_z=b_z)

@@ -108,15 +108,19 @@ def spectral_norm(sp: SpectralWavePacket) -> float:
     return float(sum(np.sum(dens) for dens in sp.density.values()) * sp.grid.dk)
 
 
+def _two_product(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's (1971) product ``a b = hi + lo``, exact where no part over- or underflows."""
+    a_hi, b_hi = _SPLIT * a - (_SPLIT * a - a), _SPLIT * b - (_SPLIT * b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    hi = a * b
+    return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+
+
 def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
     """``exp(2 pi i c q / den)`` for float64 integers ``0 <= q < 2**53`` and a power of two ``den``:
-    Dekker's (1971) product gives ``c q / den = hi + lo`` exactly, and only the
+    :func:`_two_product` gives ``c q / den = hi + lo`` exactly, and only the
     fraction of a turn ``hi - round(hi) + lo``, rounded once, becomes an angle."""
-    c = c / den
-    c_hi, q_hi = _SPLIT * c - (_SPLIT * c - c), _SPLIT * q - (_SPLIT * q - q)
-    c_lo, q_lo = c - c_hi, q - q_hi
-    hi = c * q
-    lo = c_hi * q_hi - hi + c_hi * q_lo + c_lo * q_hi + c_lo * q_lo
+    hi, lo = _two_product(c / den, q)
     return _cis(2.0 * np.pi * (hi - np.rint(hi) + lo))
 
 

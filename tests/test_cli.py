@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from blipsim import cli, lattice
+from blipsim import cli, fields, lattice
 
 from test_lattice import NUDGE, TAIL_SIGMAS
 
@@ -685,6 +685,69 @@ def test_float_table_csv_matches_the_cell_oracle(table):
         assert path.read_bytes() == cell_oracle(header_of(table), table.tolist())
 
 
+def json_oracle(header, rows):
+    """Test oracle of a JSON table: ``cli._dump_json`` of one dict per row."""
+    return (cli._dump_json([dict(zip(header, row)) for row in rows]) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(table=float_tables)
+def test_float_table_json_matches_the_dump_json_oracle(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "json")
+        assert path.read_bytes() == json_oracle(header_of(table), table.tolist())
+
+
+def edge_corpus():
+    """Every power of ten in float64 with its neighbours (among them the ``%g`` switches at
+    1e-5/1e-4 and 1e16/1e17), exact ties of the 18th digit, subnormals, the largest
+    finite value and zero, with both signs."""
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    # m / 2**(k + 1) times 10**k is m 5**k / 2: for odd m < 2**53, a tie at the 18th digit
+    odd = [(k, (-(-2 * 10**16 // 5**k) | 1) + j) for k in range(1, 25) for j in (0, 2, 10**6)]
+    ties = [m / 2 ** (k + 1) for k, m in odd if m < 2**53]
+    subnormals = [5e-324, 1e-323, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0)]
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), ties, subnormals,
+        [0.0, 2.2250738585072014e-308, np.finfo(np.float64).max, 1000000000000000.25],
+    ])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_edge_corpus_matches_the_cell_oracle(tmp_path, fmt):
+    table = edge_corpus()[:, None]
+    assert len(table) > cli._BLOCK_ROWS
+    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    oracle = cell_oracle if fmt == "csv" else json_oracle
+    assert path.read_bytes() == oracle(header_of(table), table.tolist())
+
+
+def test_a_decade_edge_and_an_exact_power_of_ten_print_as_by_the_cell(tmp_path, monkeypatch):
+    """1e-12 lies just below its decade, so its 17 digits start one decade lower;
+    1e20 scales to 10**16 within the margin, so ``_text`` writes it."""
+    texts = []
+    text = cli._text
+    monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
+    path = cli._write_table(tmp_path / "t", ("a", "b"), np.array([[1e-12, 1e20]]), "csv")
+    assert path.read_bytes() == b"a,b\r\n9.9999999999999998e-13,1e+20\r\n"
+    assert texts == [1e20]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_cell_on_the_fallback_gives_the_same_bytes(tmp_path, monkeypatch, fmt):
+    """With every product reported as a tie, each cell is written by ``_text``."""
+    table = np.concatenate([edge_corpus(), np.random.default_rng(7).standard_normal(4000)]).reshape(-1, 4)
+    fast = cli._write_table(tmp_path / "fast", header_of(table), table, fmt).read_bytes()
+    texts = []
+    text, scaled = cli._text, cli._scaled
+    monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
+    monkeypatch.setattr(cli, "_scaled", lambda a, e: (scaled(a, e)[0], np.full(a.shape, 0.5)))
+    slow = cli._write_table(tmp_path / "slow", header_of(table), table, fmt).read_bytes()
+    assert len(texts) == table.size
+    assert slow == fast
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     table=float_tables,
@@ -734,6 +797,22 @@ def test_a_reference_run_with_snapshots_copies_no_packet_array(tmp_path, monkeyp
     assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "snapshot_field.csv").exists()
     assert copies and True not in copies
+
+
+def test_a_reference_run_with_snapshots_copies_no_field_array(tmp_path, monkeypatch):
+    """The snapshot field density adopts the profiles ``field_profile`` builds: the
+    public constructor, which copies its four arrays, is never called."""
+    copies = []
+    post_init = fields.FieldProfile.__post_init__
+
+    def counting_post_init(self):
+        copies.extend((self.e_y, self.e_z, self.b_y, self.b_z))
+        post_init(self)
+
+    monkeypatch.setattr(fields.FieldProfile, "__post_init__", counting_post_init)
+    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "snapshot_field.csv").exists()
+    assert len(copies) == 0
 
 
 def test_a_directory_in_the_way_places_nothing(tmp_path, capsys):

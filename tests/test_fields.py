@@ -38,6 +38,17 @@ def test_orientation_table(rig_grid, ref_medium):
         np.testing.assert_allclose(fpv.b_y, -s * fpv.e_z, rtol=0, atol=1e-15)
 
 
+def test_profiles_are_read_only_values(rig_grid, ref_medium):
+    """``field_profile`` freezes the arrays it built; the public constructor copies its own."""
+    fp = bs.field_profile(bs.to_momentum(bs.gaussian_packet(rig_grid, (+1, "H"), 0.0, 20.0, 2.0)), ref_medium)
+    assert not any(a.flags.writeable for a in (fp.e_y, fp.e_z, fp.b_y, fp.b_z))
+    given = [np.array(a) for a in (fp.e_y, fp.e_z, fp.b_y, fp.b_z)]
+    copy = bs.FieldProfile(rig_grid, *given, medium_tag=fp.medium_tag)
+    given[0][:] = 0.0
+    np.testing.assert_array_equal(copy.e_y, fp.e_y)
+    assert not copy.e_y.flags.writeable
+
+
 def test_single_bin_field_functionals(rig_grid, ref_medium):
     """One excitation in bin k_m carries field energy |k_m| and momentum s*|k_m|."""
     for s in (+1, -1):
