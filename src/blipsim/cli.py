@@ -7,14 +7,14 @@ the partial sums of the point-scatterer Born series for a coupling ratio
 ``q = |Omega|/(2c)`` (taken on the negative imaginary axis, so both
 amplitudes are real).
 
-Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2
-configuration error (including a tolerance, in ``[tolerances]`` or
-``check --tolerance``, that is not finite and >= 0, a ``[media]`` value
-that is not finite and > 0, an explicit ``[coupling]`` omega that is not
-finite or whose Born series diverges, a ``[grid]`` above
-``MAX_GRID_POINTS`` points, a ``[packet]`` spectrum reaching across k = 0
-and ``[output]`` names that are not bare file names), 3 runtime error, also
-an output that cannot be written.  Only finite floats are written, as ``%.17g``;
+Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2 configuration error
+(including a tolerance, in ``[tolerances]`` or ``check --tolerance``, that is not
+finite and >= 0, a ``[media]`` value that is not finite and > 0, an explicit
+``[coupling]`` omega that is not finite or whose Born series diverges, a ``[grid]``
+above ``MAX_GRID_POINTS`` points, a ``[packet]`` spectrum reaching across k = 0,
+``[output]`` names that are not bare file names or name one file twice, and a
+``dyson`` q or coupling 2q that is not finite and >= 0), 3 runtime error, also an
+output that cannot be written.  Only finite floats are written, as ``%.17g``;
 a float table gets those exact digits from numpy, a block of rows at a time, and
 identical configs produce byte-identical outputs.  A command writes all of its
 files or none: they are staged inside ``--out`` and moved into it together at the end.
@@ -36,7 +36,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,20 +80,16 @@ DEFAULT_TOLERANCES = {
 FLOAT = "%.17g"
 
 
-def _refuse_non_finite(v: float) -> NoReturn:
-    """No output file may hold a NaN or infinity: the command fails with exit 3."""
-    raise BlipSimError(f"cannot write the non-finite value {v}")
-
-
 def _text(v: Any, null: str) -> str:
     """The text of one scalar in a summary or a mixed table row.
 
-    Floats are written as ``FLOAT`` and must be finite.  ``None`` becomes
-    ``null``.  Floats are tested first: this runs once per cell of a mixed table.
+    Floats are written as ``FLOAT`` and must be finite: no output file may hold a NaN
+    or infinity, so the command fails with exit 3.  ``None`` becomes ``null``.  Floats
+    are tested first: this runs once per cell of a mixed table.
     """
     if isinstance(v, float):
         if not math.isfinite(v):
-            _refuse_non_finite(v)
+            raise BlipSimError(f"cannot write the non-finite value {v}")
         return FLOAT % v
     if v is None:
         return null
@@ -614,6 +610,8 @@ SERIES_HEADER = (
     "field_momentum",
     "abraham_momentum",
 )
+#: The tables :func:`_write_snapshots` writes, in order.
+SNAPSHOT_TABLES = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
 
 
 def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float) -> np.ndarray:
@@ -636,42 +634,55 @@ def _write_snapshots(
     outcome = result.outcome
     grid = outcome.total.grid
     final_total = _advance_spectrum(outcome.spectra["total"], outcome.outgoing, outcome.t_final)
-    tables = {
-        "snapshot_position": lambda: {
+    columns = (
+        lambda: {
             "x": grid.x,
             "transmitted": _density(outcome.transmitted),
             "reflected": _density(outcome.reflected),
             "total": _density(outcome.total),
         },
-        "snapshot_spectrum": lambda: {
+        lambda: {
             "k": grid.k,
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        "snapshot_field": lambda: {"x": grid.x, "e_density": _field_density(final_total, outcome.outgoing, sc.hbar)},
-    }
+        lambda: {"x": grid.x, "e_density": _field_density(final_total, outcome.outgoing, sc.hbar)},
+    )
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
-        for name, cols in ((name, build()) for name, build in tables.items())
+        for name, cols in zip(SNAPSHOT_TABLES, (build() for build in columns))
     ]
 
 
-def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool = False) -> int:
-    cfg = _load_config(config_path)
+def _output_names(output_cfg: dict[str, Any], fmt: str) -> dict[str, str]:
+    """The file name of each output of ``run``; two outputs of one file name are refused."""
+    suffix = ".csv" if fmt == "csv" else ".json"
+    names = {"summary": output_cfg.get("summary", "summary.json"),
+             "series": Path(output_cfg.get("series", "series.csv")).stem + suffix}
+    names |= {table: table + suffix for table in SNAPSHOT_TABLES if output_cfg.get("snapshots", False)}
+    owners: dict[str, str] = {}
+    for output, name in names.items():
+        if owners.setdefault(name, output) != output:
+            raise ConfigurationError(f"the {owners[name]} and {output} outputs would both be written to {name!r}")
+    return names
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = _load_config(args.config)
+    output_cfg = cfg.get("output", {})
+    names = _output_names(output_cfg, args.fmt)
     sc = _scenario_from_config(cfg)
     result = run_scenario(sc)
     summary, breaches = _summarize(cfg, sc, result)
 
-    output_cfg = cfg.get("output", {})
     series = [{"time": row.time, "branch": row.branch} | _block(row) for row in result.rows]
     series_rows = [[entry[key] for key in SERIES_HEADER] for entry in series]
-    with _output_set(out_dir) as stage:
-        summary_path = stage / output_cfg.get("summary", "summary.json")
+    with _output_set(args.out) as stage:
+        summary_path = stage / names["summary"]
         summary_path.write_text(_dump_json(summary) + "\n")
-        series_base = stage / Path(output_cfg.get("series", "series.csv")).stem
-        written = [summary_path, _write_table(series_base, SERIES_HEADER, series_rows, fmt)]
+        written = [summary_path, _write_table(stage / names["series"], SERIES_HEADER, series_rows, args.fmt)]
         if output_cfg.get("snapshots", False):
-            written.extend(_write_snapshots(stage, sc, result, fmt))
+            written.extend(_write_snapshots(stage, sc, result, args.fmt))
 
     print(f"scenario: {summary['scenario']['tag']}")
     for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins",
@@ -682,8 +693,8 @@ def cmd_run(config_path: str, out_dir: str = ".", fmt: str = "csv", strict: bool
     print(f"  resample_drift     {FLOAT % summary['diagnostics']['resampling_drift']}"
           f"                [{summary['checks']['resample_drift']}]")
     for path in written:
-        print(f"wrote {Path(out_dir, path.name)}")
-    if strict and breaches:
+        print(f"wrote {Path(args.out, path.name)}")
+    if args.strict and breaches:
         print(f"strict mode: {breaches} tolerance breach(es)", file=sys.stderr)
         return 1
     return 0
@@ -714,24 +725,17 @@ CHECK_HEADER = (
 )
 
 
-def cmd_check(
-    n_min: float = 1.0,
-    n_max: float = 10.0,
-    steps: int = 100,
-    out_dir: str = ".",
-    fmt: str = "csv",
-    strict: bool = False,
-    tolerance: float = 1e-12,
-) -> int:
-    if not (_is_positive_real(n_min) and _is_positive_real(n_max) and n_max >= n_min):
-        raise ConfigurationError(f"need 0 < n_min <= n_max, got [{n_min}, {n_max}]")
-    if not 1 <= steps <= MAX_CHECK_STEPS:
-        raise ConfigurationError(f"steps must be in [1, {MAX_CHECK_STEPS}], got {steps}")
+def cmd_check(args: argparse.Namespace) -> int:
+    if not (_is_positive_real(args.n_min) and _is_positive_real(args.n_max) and args.n_max >= args.n_min):
+        raise ConfigurationError(f"need 0 < n_min <= n_max, got [{args.n_min}, {args.n_max}]")
+    if not 1 <= args.steps <= MAX_CHECK_STEPS:
+        raise ConfigurationError(f"steps must be in [1, {MAX_CHECK_STEPS}], got {args.steps}")
     try:
-        tolerance = _parse_tolerance(tolerance)
+        tolerance = _parse_tolerance(args.tolerance)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-    values = np.linspace(n_min, n_max, steps) if steps > 1 else np.array([n_min])
+    with np.errstate(over="ignore"):  # with n_max near the float maximum, the last point overflows before it is set
+        values = np.linspace(args.n_min, args.n_max, args.steps) if args.steps > 1 else np.array([args.n_min])
     rows: list[list[Any]] = []
     worst = 0.0
     failures = 0
@@ -762,15 +766,15 @@ def cmd_check(
             n, rates.t_plus.real, rates.r_minus.real, rates.r_plus.real, cross, d_minus, d_plus,
             roundtrip, ratio_in, closed_in, ratio_out, closed_out, post_in, post_out, ok,
         ])
-    with _output_set(out_dir) as stage:
-        path = _write_table(stage / "check", CHECK_HEADER, rows, fmt)
+    with _output_set(args.out) as stage:
+        path = _write_table(stage / "check", CHECK_HEADER, rows, args.fmt)
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} indices)"
     print(
-        f"check: {len(rows)} indices in [{FLOAT % n_min}, {FLOAT % n_max}], "
+        f"check: {len(rows)} indices in [{FLOAT % args.n_min}, {FLOAT % args.n_max}], "
         f"max deviation {FLOAT % worst} (tolerance {FLOAT % tolerance}): {verdict}"
     )
-    print(f"wrote {Path(out_dir, path.name)}")
-    return 1 if strict and failures else 0
+    print(f"wrote {Path(args.out, path.name)}")
+    return 1 if args.strict and failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -793,20 +797,17 @@ DYSON_HEADER = (
 )
 
 
-def cmd_dyson(
-    omega_ratio: float,
-    n_terms: int = 12,
-    out_dir: str = ".",
-    fmt: str = "csv",
-    strict: bool = False,
-) -> int:
-    if not (math.isfinite(omega_ratio) and omega_ratio >= 0):
-        raise ConfigurationError(f"omega ratio must be >= 0, got {omega_ratio!r}")
-    if not 1 <= n_terms <= MAX_DYSON_TERMS:
-        raise ConfigurationError(f"terms must be in [1, {MAX_DYSON_TERMS}], got {n_terms}")
-    q = float(omega_ratio)
-    mc = MirrorCoupling(omega=-2j * q, c_ref=1.0)
-    sums = dyson_partial_sums(mc, n_terms)
+def cmd_dyson(args: argparse.Namespace) -> int:
+    q = args.omega_ratio
+    if not q >= 0:
+        raise ConfigurationError(f"omega ratio must be finite and >= 0, got {q!r}")
+    try:
+        mc = MirrorCoupling(omega=-2j * q, c_ref=1.0)
+    except DomainError:  # q, or the coupling 2q, is not finite
+        raise ConfigurationError(f"omega ratio must be finite and >= 0, with 2q finite, got {q!r}") from None
+    if not 1 <= args.terms <= MAX_DYSON_TERMS:
+        raise ConfigurationError(f"terms must be in [1, {MAX_DYSON_TERMS}], got {args.terms}")
+    sums = dyson_partial_sums(mc, args.terms)
     divergent = not mc.is_resummable
     rows: list[list[Any]] = []
     breaches = 0
@@ -825,8 +826,8 @@ def cmd_dyson(
         rows.append([
             order, t_part.real, r_part.real, err_t, bound_t, within_t, err_r, bound_r, within_r, False,
         ])
-    with _output_set(out_dir) as stage:
-        path = _write_table(stage / "dyson", DYSON_HEADER, rows, fmt)
+    with _output_set(args.out) as stage:
+        path = _write_table(stage / "dyson", DYSON_HEADER, rows, args.fmt)
     if divergent:
         print(
             f"dyson: q = {FLOAT % q} >= 1, series divergent; partial sums do not settle"
@@ -836,8 +837,8 @@ def cmd_dyson(
         print(
             f"dyson: q = {FLOAT % q}, {len(rows)} orders, geometric tail bound: {verdict}"
         )
-    print(f"wrote {Path(out_dir, path.name)}")
-    return 1 if strict and breaches else 0
+    print(f"wrote {Path(args.out, path.name)}")
+    return 1 if args.strict and breaches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[common], help="run a scenario from a config file")
     p_run.add_argument("--config", required=True, metavar="PATH")
+    p_run.set_defaults(handler=cmd_run)
 
     p_check = sub.add_parser(
         "check", parents=[common], help="closed-form identity sweep over an index range"
@@ -870,6 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n-max", type=float, default=10.0)
     p_check.add_argument("--steps", type=int, default=100, help=f"at most {MAX_CHECK_STEPS}")
     p_check.add_argument("--tolerance", type=float, default=1e-12)
+    p_check.set_defaults(handler=cmd_check)
 
     p_dyson = sub.add_parser(
         "dyson", parents=[common], help="partial-sum convergence table for a coupling ratio"
@@ -879,20 +882,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="series parameter q = |Omega|/(2c)",
     )
     p_dyson.add_argument("--terms", type=int, default=12, help=f"at most {MAX_DYSON_TERMS}")
+    p_dyson.set_defaults(handler=cmd_dyson)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args.config, args.out, args.fmt, args.strict)
-        if args.command == "check":
-            return cmd_check(
-                args.n_min, args.n_max, args.steps, args.out, args.fmt, args.strict,
-                args.tolerance,
-            )
-        return cmd_dyson(args.omega_ratio, args.terms, args.out, args.fmt, args.strict)
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -67,11 +67,13 @@ class FieldProfile:
 def zeta(k: np.ndarray | float, m: Medium, hbar: float = 1.0) -> np.ndarray | float:
     """Field weight ``sqrt(2 hbar c_m / (epsilon_m A)) sqrt(|k|)``.
 
-    Vanishes at ``k = 0``: a zero-wavenumber excitation carries number but
-    no field, energy, or momentum.  ``hbar`` must be positive and finite.
+    Vanishes at ``k = 0``: a zero-wavenumber excitation carries number but no field,
+    energy, or momentum.  ``hbar`` and the prefactor must be positive and finite.
     """
     hbar = _positive(hbar, "hbar")
-    return np.sqrt(2.0 * hbar * m.c / (m.epsilon * m.area)) * np.sqrt(np.abs(k))
+    # two divisions: epsilon A may underflow to 0, but epsilon and A are each > 0
+    prefactor = _positive(2.0 * hbar * m.c / m.epsilon / m.area, "2 hbar c / (epsilon A)")
+    return np.sqrt(prefactor) * np.sqrt(np.abs(k))
 
 
 def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> FieldProfile:

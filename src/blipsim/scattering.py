@@ -184,7 +184,7 @@ def dyson_partial_sums(mc: MirrorCoupling, n_terms: int) -> list[tuple[complex, 
     ``q >= 1`` the sums visibly fail to settle.
     """
     n_terms = _integer(n_terms, "n_terms", 1)
-    q2 = mc.q**2
+    q2 = mc.q * mc.q
     r0 = -1j * mc.omega / mc.c_ref
     out: list[tuple[complex, complex]] = []
     t_acc = 1.0 + 0.0j

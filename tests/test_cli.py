@@ -13,11 +13,12 @@ import re
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blipsim import cli, fields, lattice
@@ -458,6 +459,29 @@ def test_output_names_must_be_bare_file_names(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
 
 
+@pytest.mark.parametrize("output, fmt", [
+    ({"summary": "series.csv"}, "csv"),
+    ({"summary": "snapshot_field.csv", "snapshots": "true"}, "csv"),
+    ({"series": "summary.json"}, "json"),
+    ({"series": "snapshot_position.csv", "snapshots": "true"}, "csv"),
+])
+def test_two_outputs_of_one_file_name_exit_2_before_the_run(tmp_path, capsys, output, fmt):
+    cfg = write_config(tmp_path / "scenario.ini", {"output": output})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "would both be written to" in capsys.readouterr().err
+
+
+def test_the_series_table_keeps_every_dot_of_its_name(tmp_path):
+    """Only the last suffix of an ``[output] series`` name gives way to the format's."""
+    for name, fmt, placed in (("v1.2.csv", "json", "v1.2.json"), ("..csv", "csv", "..csv")):
+        cfg = write_config(tmp_path / "scenario.ini", {"output": {"series": name}})
+        out = tmp_path / f"out_{fmt}"
+        assert cli.main(["run", "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0, name
+        assert sorted(p.name for p in out.iterdir()) == sorted([placed, "summary.json"]), name
+
+
 def test_out_naming_a_file_exits_3(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep")
@@ -512,6 +536,16 @@ def test_divergent_dyson_that_overflows_exits_3_and_writes_nothing(tmp_path, cap
     assert cli.main(["dyson", "--omega-ratio", "1.2", "--terms", "10000", "--out", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_dyson_at_a_huge_or_infinite_q_ends_with_an_exit_code(tmp_path, capsys):
+    """At q = 1e200 the partial sums overflow (exit 3); a q whose coupling 2q is
+    not finite, or that is not finite itself, is refused (exit 2)."""
+    for q, rc, err in (("1e200", 3, "non-finite"), ("1e308", 2, "finite and >= 0"), ("inf", 2, "finite and >= 0")):
+        out = tmp_path / f"out_{q}"
+        assert cli.main(["dyson", "--omega-ratio", q, "--out", str(out)]) == rc, q
+        assert err in capsys.readouterr().err, q
+        assert not out.exists() or list(out.iterdir()) == [], q
 
 
 def test_failed_snapshot_writing_leaves_no_partial_set(tmp_path, monkeypatch):
@@ -830,8 +864,65 @@ def test_a_directory_in_the_way_places_nothing(tmp_path, capsys):
         assert (out / name / "keep.txt").read_text() == "keep"
 
 
+@pytest.mark.parametrize("media", [
+    {"n": "2.0", "area": "1e-310"},
+    {"left_epsilon": "1e-200", "left_mu": "1e200", "right_epsilon": "4e-200", "right_mu": "1e200", "area": "1e-200"},
+])
+def test_a_field_prefactor_that_is_not_finite_exits_3_and_writes_nothing(tmp_path, capsys, media):
+    """2 hbar c / (epsilon A) overflows, or epsilon A underflows to 0: each value
+    is in range, but the snapshot field has no finite weight."""
+    cfg = write_config(tmp_path / "scenario.ini", {"media": media, "output": {"snapshots": "true"}}, drop=("media",))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "2 hbar c / (epsilon A) must be positive and finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_readme_example_config_runs_strict(tmp_path):
     block = re.search(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
     cfg = tmp_path / "readme.ini"
     cfg.write_text(block)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# edge sweep: at any value its parser accepts, a command ends with an exit code
+
+def ends_with_an_exit_code(argv):
+    """``main`` returns 0-3 and raises nothing, with every warning an error."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 3), argv
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+positive_floats = finite_floats.filter(lambda v: v > 0)
+#: Magnitudes log-uniform over the float range, from the subnormals to 1e308.
+magnitudes = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(q=finite_floats.filter(lambda v: v >= 0), terms=st.integers(1, 20))
+@example(q=1e200, terms=12)
+def test_edge_sweep_dyson(q, terms):
+    ends_with_an_exit_code(["dyson", "--omega-ratio", repr(q), "--terms", str(terms)])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(n_min=positive_floats, n_max=positive_floats)
+@example(n_min=3e307, n_max=1.7976931348623157e308)
+def test_edge_sweep_check(n_min, n_max):
+    ends_with_an_exit_code(["check", "--n-min", repr(n_min), "--n-max", repr(n_max)])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(area=magnitudes, c0=magnitudes, hbar=magnitudes)
+@example(area=1e-310, c0=1.0, hbar=1.0)
+def test_edge_sweep_run(area, c0, hbar):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "scenario.ini", {
+            "media": {"area": repr(area), "c0": repr(c0)},
+            "units": {"hbar": repr(hbar)},
+            "output": {"snapshots": "true"},
+        })
+        ends_with_an_exit_code(["run", "--config", str(cfg)])

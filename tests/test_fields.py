@@ -22,6 +22,21 @@ def test_zeta_values(ref_medium, glass):
             bs.zeta(ks, ref_medium, bad)
 
 
+@pytest.mark.parametrize("medium, hbar", [
+    (dict(area=1e-310), 1.0),  # the prefactor overflows
+    (dict(epsilon=1e-200, mu=1e200, area=1e-200), 1.0),  # epsilon A underflows to 0
+    (dict(area=1e300), 1e-300),  # the prefactor underflows to 0
+])
+def test_a_prefactor_that_is_not_finite_and_positive_raises_domain_error(small_grid, medium, hbar):
+    m = bs.Medium(**medium)
+    sp = bs.to_momentum(bs.gaussian_packet(small_grid, (+1, "H"), 0.0, 20.0, 1.5))
+    refused = r"2 hbar c / \(epsilon A\) must be positive and finite"
+    with pytest.raises(bs.DomainError, match=refused):
+        bs.zeta(0.0, m, hbar)
+    with pytest.raises(bs.DomainError, match=refused):
+        bs.field_profile(sp, m, hbar)
+
+
 def test_orientation_table(rig_grid, ref_medium):
     """H excites (E_y, B_z), V excites (E_z, B_y); B flips sign with s."""
     for s in (+1, -1):

@@ -170,6 +170,13 @@ def test_dyson_divergence_detected():
             bs.rates_from_omega(mc)
 
 
+def test_dyson_partial_sums_at_a_huge_coupling_overflow_without_raising():
+    """q**2 would raise OverflowError above q = 1.34e154; the sums turn non-finite instead."""
+    sums = bs.dyson_partial_sums(bs.MirrorCoupling(omega=-2j * 1e200), 4)
+    assert sums[0][0] == 1.0
+    assert not any(math.isfinite(t.real) for t, _ in sums[1:])
+
+
 def test_dyson_remainder_bound_guards():
     mc = bs.MirrorCoupling(omega=-2j * 0.3)
     for order in (-1, False, 1.5, 2.0):
