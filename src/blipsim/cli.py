@@ -26,6 +26,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -43,7 +44,8 @@ import numpy as np
 from .errors import BlipSimError, ConfigurationError, DivergenceError, DomainError, FixtureError, ZeroNormError
 from .fields import field_profile
 from .lattice import (
-    FIXTURE_TAIL_TOL, BlipWavePacket, Medium, _gauss_tail, _is_positive_real, _positive, gaussian_packet, make_grid,
+    FIXTURE_TAIL_TOL, BlipWavePacket, Medium, _gauss_tail, _is_positive_real, _positive, _two_product, gaussian_packet,
+    make_grid,
 )
 from .observables import conditional_expectations
 from .propagation import Scenario, ScenarioResult, ScenarioRow, run_scenario
@@ -59,7 +61,7 @@ from .scattering import (
     rates_from_omega,
     stokes_residuals,
 )
-from .spectral import SpectralWavePacket, _advance_spectrum, _two_product
+from .spectral import SpectralWavePacket
 
 __all__ = ["main", "cmd_run", "cmd_check", "cmd_dyson"]
 
@@ -614,12 +616,12 @@ SERIES_HEADER = (
 SNAPSHOT_TABLES = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
 
 
-def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float) -> np.ndarray:
-    """|E(x)|^2 with every channel reconstructed in its own medium."""
+def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float, t: float) -> np.ndarray:
+    """|E(x)|^2 at time ``t`` with every channel reconstructed, and moved, in its own medium."""
     e_y = np.zeros(sp.grid.n_points, dtype=np.complex128)
     e_z = np.zeros(sp.grid.n_points, dtype=np.complex128)
     for ch, a in sp.amp.items():
-        fp = field_profile(SpectralWavePacket._own(sp.grid, {ch: a}), media[ch.s], hbar)
+        fp = field_profile(SpectralWavePacket._own(sp.grid, {ch: a}), media[ch.s], hbar, t)
         e_y += fp.e_y
         e_z += fp.e_z
     return np.abs(e_y) ** 2 + np.abs(e_z) ** 2
@@ -629,11 +631,10 @@ def _write_snapshots(
     out_dir: Path, sc: Scenario, result: ScenarioResult, fmt: str
 ) -> list[Path]:
     """Position, spectrum and field-density tables of the final state; the
-    field density re-phases the map's total spectrum to the final time.
+    field density moves the map's total spectrum to the final time.
     Each table's columns are built just before it is written."""
     outcome = result.outcome
     grid = outcome.total.grid
-    final_total = _advance_spectrum(outcome.spectra["total"], outcome.outgoing, outcome.t_final)
     columns = (
         lambda: {
             "x": grid.x,
@@ -646,7 +647,10 @@ def _write_snapshots(
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        lambda: {"x": grid.x, "e_density": _field_density(final_total, outcome.outgoing, sc.hbar)},
+        lambda: {
+            "x": grid.x,
+            "e_density": _field_density(outcome.spectra["total"], outcome.outgoing, sc.hbar, outcome.t_final),
+        },
     )
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
@@ -844,6 +848,33 @@ def cmd_dyson(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+#: glibc's ``mallopt`` parameters, and the values :func:`_keep_freed_pages` gives them.  Blocks
+#: from 16 MiB up (a 2^20-point channel) stay mapped: on the heap, the holes they leave raised
+#: a 2^20-point run's peak RSS from 280 to 311 MiB at glibc's 64-bit maximum of 32 MiB.  Above
+#: a 48 MiB trim threshold a warm 2^17-point interface run faults no page in again; at 32 MiB
+#: it faulted about 8,400 per run.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 16 * 2**20, 64 * 2**20
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """On Linux with glibc, fix malloc's mmap and trim thresholds for this process.
+
+    pocketfft allocates and frees its scratch in every call, and glibc's dynamic
+    thresholds then hand the top of the heap back to the kernel, so each run
+    faults its whole working set in again.  Setting either threshold turns the
+    dynamic ones off, so both are set.  Elsewhere, or without ``mallopt``, this
+    does nothing; library callers are not affected.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blipsim",
@@ -888,6 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_pages()
     try:
         return args.handler(args)
     except ConfigurationError as exc:

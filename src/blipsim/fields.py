@@ -76,8 +76,9 @@ def zeta(k: np.ndarray | float, m: Medium, hbar: float = 1.0) -> np.ndarray | fl
     return np.sqrt(prefactor) * np.sqrt(np.abs(k))
 
 
-def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> FieldProfile:
-    """Reconstruct E and B profiles for a state entirely inside medium ``m``."""
+def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0, t: float = 0.0) -> FieldProfile:
+    """Reconstruct E and B profiles for a state entirely inside medium ``m``, after free flight
+    for ``t`` in it (folded into each channel's inverse transform)."""
     grid = sp.grid
     w = zeta(grid.k, m, hbar)
     e_y = np.zeros(grid.n_points, dtype=np.complex128)
@@ -85,7 +86,7 @@ def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0) -> Field
     b_y = np.zeros(grid.n_points, dtype=np.complex128)
     b_z = np.zeros(grid.n_points, dtype=np.complex128)
     for ch, a in sp.amp.items():
-        profile = _inverse(grid, ch.s, w * a)
+        profile = _inverse(grid, ch.s, w * a, m.c * t / grid.dx)
         if ch.pol == "H":
             e_y += profile
             b_z += (ch.s / m.c) * profile

@@ -15,6 +15,10 @@ Design notes
   ``k_m = -pi/dx + m*dk`` with ``dk = 2*pi/(n_points*dx)``.
 * A grid is a value too: its axes and the origin phase of the channel
   transforms are built once per instance, on first use, and are read-only.
+* Every phase affine in a lattice index (the origin phase, free flight, the
+  prefactor of scaled samples, a fixture's carrier) comes from
+  :func:`_affine_phase`, in exact turns and from about ``2 sqrt(N)`` cosines
+  and sines.
 * All sums over the grid are plain Riemann sums weighted by ``dx`` (or
   ``dk``); for the smooth, edge-decaying states this package handles these
   are spectrally accurate.
@@ -60,12 +64,57 @@ SUPPORT_QUANTILE = 1e-12
 EDGE_MARGIN_CELLS = 1
 
 
+#: Veltkamp's splitter 2**27 + 1: ``_SPLIT * a - (_SPLIT * a - a)`` is ``a``'s top 26 bits.
+_SPLIT = 134217729.0
+
+
+def _two_product(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's (1971) product ``a b = hi + lo``, exact where no part over- or underflows."""
+    a_hi, b_hi = _SPLIT * a - (_SPLIT * a - a), _SPLIT * b - (_SPLIT * b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    hi = a * b
+    return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+
+
 def _cis(theta: np.ndarray) -> np.ndarray:
     """``exp(i theta)`` for real angles: cos and sin written into one complex array."""
     out = np.empty(np.shape(theta), dtype=np.complex128)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def _turns(f0: float, f1: float, q: np.ndarray) -> np.ndarray:
+    """``f0 + q f1`` less whole turns, for float64 integers ``q`` with ``|q f1| < 2**52``:
+    :func:`_two_product` gives ``q f1 = hi + lo`` exactly, whole turns leave ``hi`` and ``f0``
+    exactly, and only the sum of the fractions is rounded, to within one turn of 0."""
+    hi, lo = _two_product(f1, q)
+    return hi - np.rint(hi) + (lo + (f0 - np.rint(f0)))
+
+
+def _affine_phase(f0: float, f1: float, n: int, scale: float = 1.0) -> np.ndarray:
+    """``scale exp(2 pi i (f0 + m f1))`` for ``m = 0 .. n-1``, with ``|n f1| < 2**52``.
+
+    With ``m = a b + j`` (``b`` a power of two near ``sqrt(n)``) it is the outer
+    product of about ``sqrt(n)`` row phases at ``f0 + a b f1`` and ``b`` column
+    phases at ``j f1`` (which carry ``scale``).  Each angle is taken from
+    :func:`_turns` and, for the rows, less whole turns once more, so it is at
+    most about half a turn when it is rounded into radians, however far the
+    lattice reaches.
+    """
+    b = 1 << ((n - 1).bit_length() // 2)
+    rows = _turns(f0, f1, b * np.arange(-(-n // b), dtype=np.float64))
+    rows -= np.rint(rows)
+    cols = _cis(2.0 * np.pi * _turns(0.0, f1, np.arange(b, dtype=np.float64)))
+    cols *= scale
+    return np.multiply.outer(_cis(2.0 * np.pi * rows), cols).ravel()[:n]
+
+
+def _shift_phase(grid: Grid, cells: float, scale: float = 1.0) -> np.ndarray:
+    """``scale exp(-i k cells dx)`` on the ascending ``k`` lattice: the phase of a translation
+    by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``."""
+    n = grid.n_points
+    return _affine_phase(cells / 2, -cells / n, n, scale)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,9 +215,10 @@ class Grid:
 
     @cached_property
     def origin_phase(self) -> np.ndarray:
-        """``exp(i k x_min)``: the lattice origin's phase in the channel transforms
-        (:mod:`blipsim.spectral` takes it or :attr:`origin_phase_conj`, by direction)."""
-        return _read_only(_cis(self.k * self.x_min))
+        """``exp(i k x_min)``: the lattice origin's phase in the forward channel transform
+        (:mod:`blipsim.spectral` takes it or :attr:`origin_phase_conj`, by direction),
+        a translation by ``-x_min/dx`` cells in exact turns."""
+        return _read_only(_shift_phase(self, -self.x_min / self.dx))
 
     @cached_property
     def origin_phase_conj(self) -> np.ndarray:
@@ -339,9 +389,15 @@ def gaussian_packet(
             f"outside the band |k| <= {grid.k_max:.6g}"
         )
 
-    x = grid.x
-    values = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * ch.s * k0 * x)
-    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.dx)
+    envelope = grid.x - x0  # exp(-(x - x0)^2 / (4 sigma^2)), built in place
+    envelope **= 2
+    envelope /= -4.0 * sigma**2
+    np.exp(envelope, out=envelope)
+    # the carrier exp(i s k0 x_j) with x_j = x_min + j dx is affine in j: s k0 (x_min + j dx) / 2 pi turns
+    turn = ch.s * k0 / (2.0 * math.pi)
+    values = _affine_phase(turn * grid.x_min, turn * grid.dx, grid.n_points)
+    envelope /= math.sqrt(float(np.sum(envelope**2)) * grid.dx)
+    values *= envelope
     return BlipWavePacket._own(grid, {ch: values})
 
 

@@ -47,7 +47,7 @@ from .scattering import (
     interface_scatter,
     rates_from_omega,
 )
-from .spectral import SpectralWavePacket, _advance_spectrum, to_momentum, to_position
+from .spectral import SpectralWavePacket, to_momentum, to_position
 
 __all__ = [
     "evolve_free",
@@ -67,7 +67,7 @@ def evolve_free(p: BlipWavePacket, m: Medium, t: float) -> BlipWavePacket:
     t = float(t)
     media = {+1: m, -1: m}
     _check_inside(p.grid, {ch: _support_interval(p, ch) for ch in p.amp}, media, t, "the packet")
-    return p if t == 0.0 else to_position(_advance_spectrum(to_momentum(p), media, t))
+    return p if t == 0.0 else to_position(to_momentum(p), media, t)
 
 
 @dataclass(frozen=True)

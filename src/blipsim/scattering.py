@@ -68,7 +68,6 @@ from .lattice import (
 )
 from .spectral import (
     SpectralWavePacket,
-    _advance_spectrum,
     sample_spectrum_scaled,
     spectral_norm,
     to_momentum,
@@ -416,17 +415,20 @@ def interface_scatter(
                 f"{GUARD_HALF_CELLS * grid.dx:.3g} of the scatterer or past it (GUARD_TOL = {GUARD_TOL:.0e})"
             )
     root_n = math.sqrt(n)
+    # the chirps run before the incident spectrum is held, so their 2N-point buffers meet a smaller heap
+    resampled = {} if n == 1.0 else {ch: sample_spectrum_scaled(p, ch, 1.0 / n if ch.s > 0 else n) for ch in p.amp}
     incident = to_momentum(p)  # the input's one forward transform per event
     amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
     supports: dict[str, dict[Channel, tuple[float, float] | None]] = {"transmitted": {}, "reflected": {}}
     incident_supports: dict[Channel, tuple[float, float] | None] = {}
     for ch, phi in incident.amp.items():
-        if ch.s > 0:
-            coeff, scale = rates.t_plus / root_n, 1.0 / n
-        else:
-            coeff, scale = root_n * rates.t_minus, n
+        coeff = rates.t_plus / root_n if ch.s > 0 else root_n * rates.t_minus
         refl = Channel(-ch.s, ch.pol)
-        amps["transmitted"][ch] = coeff * (phi if n == 1.0 else sample_spectrum_scaled(p, ch, scale))
+        if n == 1.0:
+            amps["transmitted"][ch] = coeff * phi
+        else:  # the chirp's own array, scaled in place
+            amps["transmitted"][ch] = resampled[ch]
+            resampled[ch] *= coeff
         amps["reflected"][refl] = rates.r(ch.s) * phi
         # each branch's t = 0 image of the incident support, scaled by the
         # media's speed ratio, in which the branches are then advanced
@@ -461,7 +463,7 @@ def interface_scatter(
     remedy = early if all(f <= GUARD_TOL for f in at_end.values()) else None
     for name in names:
         _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
-    branches = {name: to_position(_advance_spectrum(spectra[name], outgoing, t_final)) for name in names}
+    branches = {name: to_position(spectra[name], outgoing, t_final) for name in names}
     (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
     if guard_fraction > GUARD_TOL and not allow_partial:
         raise NotAsymptoticError(

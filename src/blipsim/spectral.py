@@ -20,13 +20,20 @@ their fraction of a turn before they are rounded into radians.
 
 Where each phase comes from:
 
-* the lattice origin ``exp(i s k x_min)`` of both transforms is
-  ``grid.origin_phase`` (``s = +1``) or ``grid.origin_phase_conj``
-  (``s = -1``), both built once per grid;
-* free flight ``exp(-i c k t)`` and the prefactor of the scaled samples are
-  computed per call from real angles by one helper,
-  :func:`blipsim.lattice._cis`, which writes cos and sin into one complex
-  array instead of exponentiating a complex one;
+* every phase affine in the lattice index is built by one helper,
+  :func:`blipsim.lattice._affine_phase`: the outer product of two tables of
+  about ``sqrt(N)`` phases, each angle reduced exactly to its fraction of a
+  turn, so a run computes no N-point cosine outside the chirp;
+* the forward transform's origin phase ``exp(-i s k x_min)`` is
+  ``grid.origin_phase_conj`` (``s = +1``) or ``grid.origin_phase``
+  (``s = -1``), built once per grid;
+* the inverse transform makes one product per channel, with the origin
+  phase ``exp(i s k x_min)``, the free flight ``exp(-i c k t)`` over
+  ``c t / dx`` cells and the scale ``dk / sqrt(2 pi)`` folded into one
+  phase, written straight into the FFT's bin order (the half shift, and for
+  ``s = -1`` the bin reversal, as slices);
+* the prefactor of the scaled samples is a translation by ``s scale x_min / dx``
+  cells, from the same helper;
 * the chirps come from :func:`_turns_phase`, which hands ``_cis`` only the
   fraction of a turn; the Bluestein kernel, even in its index, is built
   from its ``m >= 0`` half, and its conjugate is the post-chirp.
@@ -39,7 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, _positive, as_channel
+from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, _positive, _shift_phase, _turns, as_channel
 
 __all__ = [
     "SpectralWavePacket",
@@ -51,38 +58,43 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-#: Veltkamp's splitter 2**27 + 1: ``_SPLIT * a - (_SPLIT * a - a)`` is ``a``'s top 26 bits.
-_SPLIT = 134217729.0
-
 
 class SpectralWavePacket(_Packet):
     """Momentum-space amplitudes per channel, on the ascending ``grid.k`` lattice."""
 
 
-def _reverse_bins(a: np.ndarray) -> np.ndarray:
-    """Frequency-bin reversal ``out[m] = a[(-m) mod N]``: bin 0 stays, the rest reverse."""
-    return np.concatenate((a[:1], a[:0:-1]))
-
-
-def _origin_phase(grid: Grid, s: int) -> np.ndarray:
-    """``exp(i s k x_min)`` from the grid's cached phase."""
-    return grid.origin_phase if s > 0 else grid.origin_phase_conj
+def _bin_order(n: int, s: int) -> tuple[tuple[slice, slice], ...]:
+    """``(lattice, bins)`` slice pairs of the FFT's bin order: bin ``j`` holds lattice index
+    ``(j + N/2) mod N`` for ``s = +1`` (the half shift) and ``(N/2 - j) mod N`` for ``s = -1``
+    (the shift and the bin reversal ``j -> -j`` of the ``exp(+i k x)`` kernel).  Each map is its
+    own inverse, so the pairs also take bins to the lattice."""
+    h = n // 2
+    if s > 0:
+        return (slice(h, n), slice(0, h)), (slice(0, h), slice(h, n))
+    bin_zero, low, high = slice(0, 1), slice(1, h + 1), slice(h + 1, n)
+    return (slice(h, h + 1), bin_zero), (slice(h - 1, None, -1), low), (slice(n - 1, h, -1), high)
 
 
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
     """Channel transform x -> k on the ascending lattice."""
     raw = np.fft.fft(values)
-    if s < 0:
-        raw = _reverse_bins(raw)
-    return (grid.dx / _SQRT_2PI) * _origin_phase(grid, -s) * np.fft.fftshift(raw)
+    phase = grid.origin_phase if s < 0 else grid.origin_phase_conj
+    out = np.empty_like(raw)
+    for lattice, bins in _bin_order(grid.n_points, s):
+        np.multiply(raw[bins], phase[lattice], out=out[lattice])
+    out *= grid.dx / _SQRT_2PI
+    return out
 
 
-def _inverse(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
-    """Channel transform k -> x; exact inverse of :func:`_forward`."""
-    b = np.fft.ifftshift(_origin_phase(grid, s) * values)
-    if s < 0:
-        b = _reverse_bins(b)
-    return (grid.n_points * grid.dk / _SQRT_2PI) * np.fft.ifft(b)
+def _inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) -> np.ndarray:
+    """Channel transform k -> x after free flight over ``cells = c t / dx`` lattice cells,
+    the exact inverse of :func:`_forward` at ``cells = 0``: one product of ``values`` with the
+    phase ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, written in bin order."""
+    phase = _shift_phase(grid, cells - s * grid.x_min / grid.dx, grid.dk / _SQRT_2PI)
+    b = np.empty_like(phase)
+    for lattice, bins in _bin_order(grid.n_points, s):
+        np.multiply(values[lattice], phase[lattice], out=b[bins])
+    return np.fft.ifft(b, norm="forward")
 
 
 def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:
@@ -90,17 +102,17 @@ def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:
     return SpectralWavePacket._own(p.grid, {ch: _forward(p.grid, ch.s, a) for ch, a in p.amp.items()})
 
 
-def to_position(sp: SpectralWavePacket) -> BlipWavePacket:
-    """Position representation of every channel."""
-    return BlipWavePacket._own(sp.grid, {ch: _inverse(sp.grid, ch.s, a) for ch, a in sp.amp.items()})
-
-
-def _advance_spectrum(
-    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float
-) -> SpectralWavePacket:
-    """Free flight in k: channel ``(s, pol)`` times ``exp(-i c k t)``, ``c`` of ``media_by_direction[s]``."""
-    phases = {s: _cis(-media_by_direction[s].c * sp.grid.k * t) for s in {ch.s for ch in sp.amp}}
-    return SpectralWavePacket._own(sp.grid, {ch: a * phases[ch.s] for ch, a in sp.amp.items()})
+def to_position(
+    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium] | None = None, t: float = 0.0
+) -> BlipWavePacket:
+    """Position representation of every channel after free flight for ``t`` (none by default):
+    channel ``(s, pol)`` times ``exp(-i c k t)`` at the speed ``c`` of ``media_by_direction[s]``,
+    folded into the transform's one phase product."""
+    grid = sp.grid
+    return BlipWavePacket._own(grid, {
+        ch: _inverse(grid, ch.s, a, 0.0 if t == 0.0 else media_by_direction[ch.s].c * t / grid.dx)
+        for ch, a in sp.amp.items()
+    })
 
 
 def spectral_norm(sp: SpectralWavePacket) -> float:
@@ -108,20 +120,11 @@ def spectral_norm(sp: SpectralWavePacket) -> float:
     return float(sum(np.sum(dens) for dens in sp.density.values()) * sp.grid.dk)
 
 
-def _two_product(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's (1971) product ``a b = hi + lo``, exact where no part over- or underflows."""
-    a_hi, b_hi = _SPLIT * a - (_SPLIT * a - a), _SPLIT * b - (_SPLIT * b - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    hi = a * b
-    return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
-
-
 def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
     """``exp(2 pi i c q / den)`` for float64 integers ``0 <= q < 2**53`` and a power of two ``den``:
-    :func:`_two_product` gives ``c q / den = hi + lo`` exactly, and only the
+    :func:`blipsim.lattice._turns` gives ``c q / den = hi + lo`` exactly, and only the
     fraction of a turn ``hi - round(hi) + lo``, rounded once, becomes an angle."""
-    hi, lo = _two_product(c / den, q)
-    return _cis(2.0 * np.pi * (hi - np.rint(hi) + lo))
+    return _cis(2.0 * np.pi * _turns(0.0, c / den, q))
 
 
 def _check_chirp_scale(c: float, n: int) -> None:
@@ -169,8 +172,8 @@ def sample_spectrum_scaled(
     grid = p.grid
     # sum_j psi_j exp(-i s targets_m x_j) with x_j = x_min + j dx: as
     # targets_m dx = 2 pi scale (m - N/2) / N, the j-sum is a chirp sum with c = s*scale.
-    raw = _chirp_sum(p.amplitude(ch), ch.s * scale)
-    targets = scale * grid.k
-    out = (grid.dx / _SQRT_2PI / (2 * grid.n_points)) * _cis(-ch.s * targets * grid.x_min) * raw
-    out[np.abs(targets) > grid.k_max] = 0.0
+    # The prefactor exp(-i s targets_m x_min) is a translation by s*scale*x_min/dx cells.
+    out = _chirp_sum(p.amplitude(ch), ch.s * scale)
+    out *= _shift_phase(grid, ch.s * scale * grid.x_min / grid.dx, grid.dx / _SQRT_2PI / (2 * grid.n_points))
+    out[scale * grid.abs_k > grid.k_max] = 0.0
     return out

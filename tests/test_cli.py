@@ -12,6 +12,7 @@ import json
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -117,6 +118,21 @@ def test_reruns_are_byte_identical(tmp_path):
     assert "snapshot_field.csv" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc thresholds are set on Linux only")
+def test_a_warm_rerun_faults_in_almost_no_pages(tmp_path):
+    """``main`` fixes glibc's mmap and trim thresholds, so a rerun in the same
+    process reuses the heap pages the first run freed instead of faulting them
+    in again (about 1,800 minor faults per rerun of the reference config without)."""
+    import resource  # POSIX only
+
+    argv = ["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults
 
 
 def test_json_table_format(tmp_path):

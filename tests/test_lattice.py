@@ -2,13 +2,14 @@ import dataclasses
 import math
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blipsim as bs
-from blipsim.lattice import FIXTURE_TAIL_TOL, _cis
+from blipsim.lattice import FIXTURE_TAIL_TOL, _affine_phase, _cis
 
 
 def test_grid_lattice_relations(rig_grid):
@@ -37,7 +38,12 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
             a[0] = 0.0
     # g has filled its cache and twin has not
     assert g == twin and hash(g) == hash(twin) and "x" not in vars(twin)
-    assert np.allclose(g.origin_phase, np.exp(1j * g.k * g.x_min), rtol=0.0, atol=1e-15)
+    # exp(i k_m x_min) with k_m = 2 pi (m - N/2) / (N dx): pi times the rational 2 x_min (m - N/2) / (N dx)
+    exact = [
+        complex(mpmath.expjpi(mpmath.mpf(2 * g.x_min) * (m - g.n_points // 2) / (g.n_points * mpmath.mpf(g.dx))))
+        for m in range(g.n_points)
+    ]
+    assert np.allclose(g.origin_phase, exact, rtol=0.0, atol=1e-15)
     assert np.array_equal(g.origin_phase_conj.view(np.uint64), np.conj(g.origin_phase).view(np.uint64))
     moved = dataclasses.replace(g, x_min=-4.0)
     assert moved.x is not g.x and moved.x[0] == -4.0
@@ -45,6 +51,36 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
     copy = dataclasses.replace(g)
     assert copy == g and copy.x is not g.x and copy.k is not g.k
     assert np.array_equal(copy.x, g.x) and np.array_equal(copy.k, g.k)
+
+
+def test_affine_phase_is_within_4_ulp_of_mpmath():
+    """``exp(2 pi i (f0 + m f1))`` against 40-digit phases of the float64 ``f0`` and
+    ``f1`` taken as exact, with dyadic and non-dyadic turns, for n = 8 to 2^16
+    (every m up to 64, 32 drawn ones and the last): each part within 4 ulp of 1."""
+    rng = np.random.default_rng(23)
+    pairs = ((4096.0, -0.5), (0.375, 0.0078125), (0.1, 1.0 / 3.0), (-1234.567, 0.0123456789), (1433.6, -0.175))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for log_n in range(3, 17):
+            n = 1 << log_n
+            m = np.unique(np.concatenate([np.arange(min(n, 64)), rng.integers(0, n, 32), [n - 1]]))
+            for f0, f1 in pairs:
+                got = _affine_phase(f0, f1, n)
+                assert got.shape == (n,) and got.dtype == np.complex128
+                want = np.array([complex(mpmath.expjpi(2 * (mpmath.mpf(f0) + int(j) * mpmath.mpf(f1)))) for j in m])
+                err = np.maximum(np.abs(got[m].real - want.real), np.abs(got[m].imag - want.imag))
+                worst = max(worst, float(err.max()))
+    assert worst <= 4 * np.spacing(1.0), worst / np.spacing(1.0)
+
+
+def test_rig_origin_phase_is_within_1e_15_of_mpmath(rig_grid):
+    """``exp(i k_m x_min)`` on the rig, whose 4096 - m/2 turns are exact in float64, on a stride of m."""
+    g = rig_grid
+    m = np.arange(0, g.n_points, 61)
+    with mpmath.workdps(40):
+        turns = [mpmath.mpf(2 * g.x_min) * (int(j) - g.n_points // 2) / (g.n_points * mpmath.mpf(g.dx)) for j in m]
+        exact = [complex(mpmath.expjpi(t)) for t in turns]
+    assert np.max(np.abs(g.origin_phase[m] - exact)) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -33,6 +33,17 @@ def test_free_flight_exact_integer_cell_shift(rig_grid, ref_medium):
         assert np.max(np.abs(moved.amplitude((s, "H")) - expected)) < 1e-12
 
 
+def test_free_flight_by_whole_cells_is_exact_to_1e_15(rig_grid, ref_medium):
+    """A flight by a whole number of cells is a roll of the lattice: its phase
+    is exact in turns, so only the two FFTs round."""
+    for s in (+1, -1):
+        p = bs.gaussian_packet(rig_grid, (s, "H"), x0=-s * 60.0, k0=25.0, sigma=2.0)
+        for cells in (1, 37, 4096):
+            moved = bs.evolve_free(p, ref_medium, cells * rig_grid.dx)
+            expected = np.roll(p.amplitude((s, "H")), s * cells)
+            assert np.max(np.abs(moved.amplitude((s, "H")) - expected)) <= 1e-15, (s, cells)
+
+
 def test_free_flight_conserves_everything(rig_packet, ref_medium):
     before = bs.to_momentum(rig_packet)
     moved = bs.evolve_free(rig_packet, ref_medium, 100.0)
@@ -493,6 +504,32 @@ def test_origin_phase_built_once_per_grid_and_no_complex_exp_per_report(monkeypa
         bs.run_scenario(bs.Scenario(packet, ref_medium, glass, schedule=schedule))
         assert len(builds) == 1 and builds[0] is grid, schedule
         assert exps == [], schedule
+
+
+def test_only_the_chirp_computes_n_point_cosines(monkeypatch, rig_grid, ref_medium, glass):
+    """Every affine phase of a run (origin, free flight, the scaled samples'
+    prefactor) comes from tables of about sqrt(N) cosines and sines, so the
+    only N-point ``_cis`` calls are the chirp's pre-chirp and kernel, two per
+    incident channel at n = 2 and none for the point mirror."""
+    import blipsim.lattice as lattice
+    import blipsim.spectral as spectral
+
+    sizes = []
+    cis = lattice._cis
+
+    def counting_cis(theta):
+        sizes.append(np.size(theta))
+        return cis(theta)
+
+    for module in (lattice, spectral):
+        monkeypatch.setattr(module, "_cis", counting_cis)
+    mixed = _mixed_packet(rig_grid)
+    for packet, channels in ((mixed, 2), (bs.gaussian_packet(rig_grid, (+1, "H"), -60.0, 30.0, 2.0), 1)):
+        for right, omega, chirps in ((glass, None, 2 * channels), (ref_medium, -0.6j, 0)):
+            sizes.clear()
+            bs.run_scenario(bs.Scenario(packet, ref_medium, right, schedule=(0.0, 30.0, 140.0), omega=omega))
+            assert sizes.count(rig_grid.n_points) == chirps, (channels, omega, sizes)
+            assert all(size == rig_grid.n_points or size <= 256 for size in sizes), sizes
 
 
 # ---------------------------------------------------------------------------

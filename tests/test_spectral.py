@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
 import oracles
-from blipsim.spectral import _chirp_sum, _reverse_bins, _turns_phase
+from blipsim.spectral import _bin_order, _chirp_sum, _turns_phase
 
 
 def plane_wave(grid, ch, m):
@@ -268,13 +268,22 @@ def reverse_bins_oracle(a):
     return np.roll(a[::-1], 1)
 
 
-def test_sliced_bin_reversal_matches_the_rolled_oracle_bit_for_bit():
+def test_bin_order_slices_match_the_shifted_and_rolled_oracle_bit_for_bit():
+    """The slice pairs of both directions give numpy's half shift, followed for
+    ``s = -1`` by the bin reversal, and take the bins back to the lattice."""
     rng = np.random.default_rng(13)
-    for n in (*range(1, 8), 1000, *(1 << log_n for log_n in range(3, 15))):
+    for n in (1 << log_n for log_n in range(1, 15)):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = _reverse_bins(a)
-        assert got.shape == a.shape and got.dtype == a.dtype, n
-        assert np.array_equal(got.view(np.uint64), reverse_bins_oracle(a).view(np.uint64)), n
+        for s in (+1, -1):
+            want = np.fft.ifftshift(a)
+            if s < 0:
+                want = reverse_bins_oracle(want)
+            got, back = np.empty_like(a), np.empty_like(a)
+            for lattice, bins in _bin_order(n, s):
+                got[bins] = a[lattice]
+                back[lattice] = got[bins]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, s)
+            assert np.array_equal(back.view(np.uint64), a.view(np.uint64)), (n, s)
 
 
 def test_scaled_sampling_norm_ratio(rig_packet, rig_grid):
