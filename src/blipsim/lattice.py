@@ -13,10 +13,10 @@ Design notes
   of two so transforms stay exact-roundtrip fast paths.
 * The conjugate wavenumber lattice is stored in ascending order,
   ``k_m = -pi/dx + m*dk`` with ``dk = 2*pi/(n_points*dx)``.
-* A grid is a value too: its axes and the origin phase of the channel
-  transforms are built once per instance, on first use, and are read-only.
-* Every phase affine in a lattice index (the origin phase, free flight, the
-  prefactor of scaled samples, a fixture's carrier) comes from
+* A grid is a value too: its axes are built once per instance, on first
+  use, and are read-only.
+* Every phase affine in a lattice index (the transforms' origin phase and
+  free flight, the prefactor of scaled samples, a fixture's carrier) comes from
   :func:`_affine_phase`, in exact turns and from about ``2 sqrt(N)`` cosines
   and sines.
 * All sums over the grid are plain Riemann sums weighted by ``dx`` (or
@@ -164,10 +164,10 @@ def as_channel(ch: Channel | tuple[int, str]) -> Channel:
 class Grid:
     """Uniform position lattice and its conjugate wavenumber lattice.
 
-    ``x``, ``k``, ``abs_k``, ``origin_phase`` and its conjugate depend only on the
-    three fields.  Each is built on first access, cached on the instance and
-    read-only; the cache takes no part in equality or the hash, and
-    :func:`dataclasses.replace` gives a new grid that builds its own.
+    ``x``, ``k`` and ``abs_k`` depend only on the three fields.  Each is built
+    on first access, cached on the instance and read-only; the cache takes no
+    part in equality or the hash, and :func:`dataclasses.replace` gives a new
+    grid that builds its own.
     A grid refuses a bad lattice with :class:`ConfigurationError`: ``n_points``
     is an integer power of two >= 8, ``dx > 0``, and ``x_min``, ``x_max``,
     ``dx`` and the band edge ``pi/dx`` are finite.
@@ -212,18 +212,6 @@ class Grid:
     def abs_k(self) -> np.ndarray:
         """``|k|`` on the lattice, which weighs the energy and the field momentum."""
         return _read_only(np.abs(self.k))
-
-    @cached_property
-    def origin_phase(self) -> np.ndarray:
-        """``exp(i k x_min)``: the lattice origin's phase in the forward channel transform
-        (:mod:`blipsim.spectral` takes it or :attr:`origin_phase_conj`, by direction),
-        a translation by ``-x_min/dx`` cells in exact turns."""
-        return _read_only(_shift_phase(self, -self.x_min / self.dx))
-
-    @cached_property
-    def origin_phase_conj(self) -> np.ndarray:
-        """``exp(-i k x_min)``, the conjugate of :attr:`origin_phase`."""
-        return _read_only(np.conj(self.origin_phase))
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:

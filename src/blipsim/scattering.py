@@ -380,11 +380,12 @@ def interface_scatter(
     empty reflected branch; with explicit rates and one medium on both
     sides it is the point mirror.
     Raises :class:`SupportGuardError` if an incident channel fails the guard
-    rule of :func:`_guard_fractions` read as incoming, and
+    rule of :func:`_guard_fractions` read as incoming,
+    :class:`DomainExitError` if a branch would leave the grid by
+    ``t_final`` (read from the incident supports, before any resampling),
     :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
-    ``|t_s|^2``, :class:`DomainExitError` if a branch would leave the grid
-    by ``t_final``, and, unless ``allow_partial``,
+    ``|t_s|^2``, and, unless ``allow_partial``,
     :class:`NotAsymptoticError` if a branch still straddles the scatterer.
     """
     n = _positive(n, "refractive index")
@@ -414,24 +415,12 @@ def interface_scatter(
                 f"channel {ch} has {fraction:.6g} of its weight within "
                 f"{GUARD_HALF_CELLS * grid.dx:.3g} of the scatterer or past it (GUARD_TOL = {GUARD_TOL:.0e})"
             )
-    root_n = math.sqrt(n)
-    # the chirps run before the incident spectrum is held, so their 2N-point buffers meet a smaller heap
-    resampled = {} if n == 1.0 else {ch: sample_spectrum_scaled(p, ch, 1.0 / n if ch.s > 0 else n) for ch in p.amp}
-    incident = to_momentum(p)  # the input's one forward transform per event
-    amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
+    # each branch's t = 0 image of the incident support, scaled by the media's
+    # speed ratio, in which the branches are then advanced: the edge rule runs
+    # on these alone, so a branch that would leave the grid costs no chirp
     supports: dict[str, dict[Channel, tuple[float, float] | None]] = {"transmitted": {}, "reflected": {}}
     incident_supports: dict[Channel, tuple[float, float] | None] = {}
-    for ch, phi in incident.amp.items():
-        coeff = rates.t_plus / root_n if ch.s > 0 else root_n * rates.t_minus
-        refl = Channel(-ch.s, ch.pol)
-        if n == 1.0:
-            amps["transmitted"][ch] = coeff * phi
-        else:  # the chirp's own array, scaled in place
-            amps["transmitted"][ch] = resampled[ch]
-            resampled[ch] *= coeff
-        amps["reflected"][refl] = rates.r(ch.s) * phi
-        # each branch's t = 0 image of the incident support, scaled by the
-        # media's speed ratio, in which the branches are then advanced
+    for ch in p.amp:
         bounds = incident_supports[ch] = _support_interval(p, ch)
         t_image = r_image = None
         if bounds is not None:
@@ -440,7 +429,27 @@ def interface_scatter(
                 t_image = (lo / ratio, hi / ratio) if ch.s > 0 else (ratio * lo, ratio * hi)
             if rates.r(ch.s) != 0:
                 r_image = (-hi, -lo)
-        supports["transmitted"][ch], supports["reflected"][refl] = t_image, r_image
+        supports["transmitted"][ch], supports["reflected"][Channel(-ch.s, ch.pol)] = t_image, r_image
+    names = ("transmitted", "reflected")
+    outgoing = _outgoing(left, right)
+    # an input still incoming at t_final has its branches extrapolated back from x = 0
+    early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
+    remedy = early if all(f <= GUARD_TOL for f in at_end.values()) else None
+    for name in names:
+        _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
+    root_n = math.sqrt(n)
+    # the chirps run before the incident spectrum is held, so their 2N-point buffers meet a smaller heap
+    resampled = {} if n == 1.0 else {ch: sample_spectrum_scaled(p, ch, 1.0 / n if ch.s > 0 else n) for ch in p.amp}
+    incident = to_momentum(p)  # the input's one forward transform per event
+    amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
+    for ch, phi in incident.amp.items():
+        coeff = rates.t_plus / root_n if ch.s > 0 else root_n * rates.t_minus
+        if n == 1.0:
+            amps["transmitted"][ch] = coeff * phi
+        else:  # the chirp's own array, scaled in place
+            amps["transmitted"][ch] = resampled[ch]
+            resampled[ch] *= coeff
+        amps["reflected"][Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
     spectra = {name: SpectralWavePacket._own(grid, amp) for name, amp in amps.items()}
     drift = 0.0
     if n != 1.0:  # at n = 1 nothing is rescaled
@@ -454,15 +463,8 @@ def interface_scatter(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    names = ("transmitted", "reflected")
     spectra["total"] = combine(*(spectra[name] for name in names))
     prob_t, prob_r = (spectral_norm(spectra[name]) for name in names)
-    outgoing = _outgoing(left, right)
-    # an input still incoming at t_final has its branches extrapolated back from x = 0
-    early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
-    remedy = early if all(f <= GUARD_TOL for f in at_end.values()) else None
-    for name in names:
-        _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
     branches = {name: to_position(spectra[name], outgoing, t_final) for name in names}
     (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
     if guard_fraction > GUARD_TOL and not allow_partial:

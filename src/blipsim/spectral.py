@@ -8,8 +8,9 @@ direction-``s`` channel is
 and the inverse uses ``exp(+i s k x)``.  Discretized on the lattice this is
 a unitary DFT pair: Parseval holds exactly (``sum |psi|^2 dx == sum
 |psi~|^2 dk``) and a forward/backward round trip reproduces the input to
-machine precision.  The ``s = -1`` kernel is evaluated by index reversal of
-the single shared FFT rather than a second transform kernel.
+machine precision.  The sign of ``s`` picks the FFT's direction: the
+forward transform runs ``fft`` for ``s = +1`` and the unscaled ``ifft`` for
+``s = -1``, and the inverse the other way round.
 
 Off-lattice spectral samples (needed when an interface rescales wavenumbers
 by the index ratio) are taken from the trigonometric interpolant of the
@@ -24,14 +25,13 @@ Where each phase comes from:
   :func:`blipsim.lattice._affine_phase`: the outer product of two tables of
   about ``sqrt(N)`` phases, each angle reduced exactly to its fraction of a
   turn, so a run computes no N-point cosine outside the chirp;
-* the forward transform's origin phase ``exp(-i s k x_min)`` is
-  ``grid.origin_phase_conj`` (``s = +1``) or ``grid.origin_phase``
-  (``s = -1``), built once per grid;
-* the inverse transform makes one product per channel, with the origin
-  phase ``exp(i s k x_min)``, the free flight ``exp(-i c k t)`` over
-  ``c t / dx`` cells and the scale ``dk / sqrt(2 pi)`` folded into one
-  phase, written straight into the FFT's bin order (the half shift, and for
-  ``s = -1`` the bin reversal, as slices);
+* each channel transform builds one phase per call and takes one product
+  with it, in place: the forward one folds the origin phase
+  ``exp(-i s k x_min)`` and the scale ``dx / sqrt(2 pi)`` into it and
+  multiplies in the FFT's two swapped halves; the inverse one folds the
+  origin phase ``exp(i s k x_min)``, the free flight ``exp(-i c k t)`` over
+  ``c t / dx`` cells and the scale ``dk / sqrt(2 pi)`` into it before its
+  FFT, whose odd sites then change sign (the kernel's ``m - N/2``);
 * the prefactor of the scaled samples is a translation by ``s scale x_min / dx``
   cells, from the same helper;
 * the chirps come from :func:`_turns_phase`, which hands ``_cis`` only the
@@ -63,38 +63,29 @@ class SpectralWavePacket(_Packet):
     """Momentum-space amplitudes per channel, on the ascending ``grid.k`` lattice."""
 
 
-def _bin_order(n: int, s: int) -> tuple[tuple[slice, slice], ...]:
-    """``(lattice, bins)`` slice pairs of the FFT's bin order: bin ``j`` holds lattice index
-    ``(j + N/2) mod N`` for ``s = +1`` (the half shift) and ``(N/2 - j) mod N`` for ``s = -1``
-    (the shift and the bin reversal ``j -> -j`` of the ``exp(+i k x)`` kernel).  Each map is its
-    own inverse, so the pairs also take bins to the lattice."""
-    h = n // 2
-    if s > 0:
-        return (slice(h, n), slice(0, h)), (slice(0, h), slice(h, n))
-    bin_zero, low, high = slice(0, 1), slice(1, h + 1), slice(h + 1, n)
-    return (slice(h, h + 1), bin_zero), (slice(h - 1, None, -1), low), (slice(n - 1, h, -1), high)
-
-
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
-    """Channel transform x -> k on the ascending lattice."""
-    raw = np.fft.fft(values)
-    phase = grid.origin_phase if s < 0 else grid.origin_phase_conj
-    out = np.empty_like(raw)
-    for lattice, bins in _bin_order(grid.n_points, s):
-        np.multiply(raw[bins], phase[lattice], out=out[lattice])
-    out *= grid.dx / _SQRT_2PI
+    """Channel transform x -> k on the ascending lattice: ``sum_j values_j exp(-2 pi i s (m - N/2) j / N)``
+    is bin ``m - N/2`` of ``fft`` (``s = +1``) or of the unscaled ``ifft`` (``s = -1``), so the two
+    swapped halves of that output go, in place, into the phase ``exp(-i s k x_min) dx / sqrt(2 pi)``."""
+    raw = np.fft.fft(values) if s > 0 else np.fft.ifft(values, norm="forward")
+    out = _shift_phase(grid, s * grid.x_min / grid.dx, grid.dx / _SQRT_2PI)
+    h = grid.n_points // 2
+    out[:h] *= raw[h:]
+    out[h:] *= raw[:h]
     return out
 
 
 def _inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) -> np.ndarray:
     """Channel transform k -> x after free flight over ``cells = c t / dx`` lattice cells,
-    the exact inverse of :func:`_forward` at ``cells = 0``: one product of ``values`` with the
-    phase ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, written in bin order."""
-    phase = _shift_phase(grid, cells - s * grid.x_min / grid.dx, grid.dk / _SQRT_2PI)
-    b = np.empty_like(phase)
-    for lattice, bins in _bin_order(grid.n_points, s):
-        np.multiply(values[lattice], phase[lattice], out=b[bins])
-    return np.fft.ifft(b, norm="forward")
+    the exact inverse of :func:`_forward` at ``cells = 0``: ``values`` times the phase
+    ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, in place, then the unscaled ``ifft``
+    (``s = +1``) or ``fft`` (``s = -1``); the kernel's ``exp(-i pi s j)`` of ``m - N/2``
+    negates the odd sites."""
+    b = _shift_phase(grid, cells - s * grid.x_min / grid.dx, grid.dk / _SQRT_2PI)
+    b *= values
+    out = np.fft.ifft(b, norm="forward") if s > 0 else np.fft.fft(b)
+    out[1::2] *= -1
+    return out
 
 
 def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:

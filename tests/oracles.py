@@ -15,6 +15,8 @@ compare the two:
   number-basis sums;
 * affine resampling in position space (:func:`sample_position_affine`), the
   counterpart of the wavenumber rescaling of the boundary map;
+* the channel transforms as dense O(N^2) sums of their kernels
+  (:func:`dense_forward`, :func:`dense_inverse`);
 * the clamped real-space pair-correlation kernel (:func:`position_kernel_R`),
   a shape diagnostic of the field weight ``zeta``.
 
@@ -24,11 +26,14 @@ modules import it with ``import oracles``.
 
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 
 from blipsim.errors import ConsistencyError, DomainError
 from blipsim.fields import FieldProfile
-from blipsim.lattice import BlipWavePacket, Channel, Medium, _cis, _positive, as_channel
+from blipsim.lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _positive, as_channel
 from blipsim.spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "dyn_momentum_position_form",
     "dyn_hamiltonian_position_form",
     "sample_position_affine",
+    "dense_forward",
+    "dense_inverse",
     "energy_from_fields",
     "momentum_from_fields",
     "momentum_imaginary_residual",
@@ -118,6 +125,42 @@ def sample_position_affine(
     coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * offset)
     pref = _turns_phase(c, np.arange(n, dtype=np.float64), 2)
     return (grid.dk / _SQRT_2PI / (2 * n)) * pref * _chirp_sum(coeff * pref.conj(), c)
+
+
+# ---------------------------------------------------------------------------
+# dense channel transforms
+#
+# On the lattice x_j = x_min + j dx, k_m = 2 pi (m - N/2) / (N dx), each kernel
+# exp(+-i s k_m x_j) splits into a phase of k_m alone, exp(+-i s k_m x_min), and
+# exp(+-2 pi i s (m - N/2) j / N), whose exponent is reduced mod N in integers.
+
+def _lattice_kernel(n: int, sign: int) -> np.ndarray:
+    """The ``(m, j)`` matrix ``exp(2 pi i sign (m - N/2) j / N)``."""
+    r = ((np.arange(n)[:, None] - n // 2) * np.arange(n)) % n
+    return np.exp(2j * np.pi * sign * r / n)
+
+
+def _wavenumber_phase(n: int, turns: mpmath.mpf) -> np.ndarray:
+    """``exp(2 pi i (m - N/2) turns)`` for ``m = 0 .. N-1``, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return np.array([complex(mpmath.expjpi(2 * (m - n // 2) * turns)) for m in range(n)])
+
+
+def dense_forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
+    """``(2 pi)^(-1/2) dx sum_j exp(-i s k_m x_j) values_j``, summed densely."""
+    n = grid.n_points
+    with mpmath.workdps(40):
+        turns = -s * mpmath.mpf(grid.x_min) / (n * mpmath.mpf(grid.dx))
+    return grid.dx / math.sqrt(2 * math.pi) * _wavenumber_phase(n, turns) * (_lattice_kernel(n, -s) @ values)
+
+
+def dense_inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) -> np.ndarray:
+    """``(2 pi)^(-1/2) dk sum_m exp(i s k_m x_j - i k_m cells dx) values_m``, summed densely:
+    the inverse kernel after free flight over ``cells`` lattice cells."""
+    n = grid.n_points
+    with mpmath.workdps(40):
+        turns = (s * mpmath.mpf(grid.x_min) / mpmath.mpf(grid.dx) - mpmath.mpf(cells)) / n
+    return grid.dk / math.sqrt(2 * math.pi) * (_lattice_kernel(n, s).T @ (_wavenumber_phase(n, turns) * values))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from blipsim import cli, fields, lattice
+from blipsim import cli, fields, lattice, spectral
 
 from test_lattice import NUDGE, TAIL_SIGMAS
 
@@ -214,17 +214,17 @@ def test_a_borderline_in_state_exits_3_and_writes_nothing(tmp_path, capsys):
 
 
 def test_a_point_mirror_run_with_snapshots_transforms_its_input_once(tmp_path, monkeypatch):
-    """One forward FFT per incident channel: the map's own.  The snapshot
-    field density re-phases the map's total spectrum instead of
+    """One forward transform per incident channel: the map's own.  The
+    snapshot field density re-phases the map's total spectrum instead of
     transforming the position total back."""
-    ffts = []
-    fft = np.fft.fft
+    forwards = []
+    forward = spectral._forward
 
-    def counting_fft(a, *args, **kwargs):
-        ffts.append(np.size(a))
-        return fft(a, *args, **kwargs)
+    def counting_forward(grid, s, values):
+        forwards.append(np.size(values))
+        return forward(grid, s, values)
 
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    monkeypatch.setattr(spectral, "_forward", counting_forward)
     overrides = {
         "media": {"n": "1.0"},
         "coupling": {"source": "explicit", "omega": "-0.6j"},
@@ -233,7 +233,7 @@ def test_a_point_mirror_run_with_snapshots_transforms_its_input_once(tmp_path, m
     cfg = write_config(tmp_path / "mirror.ini", overrides)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "snapshot_field.csv").exists()
-    assert ffts == [2048]
+    assert forwards == [2048]
 
 
 def test_runtime_error_exits_3_without_partial_outputs(tmp_path, capsys):

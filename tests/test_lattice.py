@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import blipsim as bs
-from blipsim.lattice import FIXTURE_TAIL_TOL, _affine_phase, _cis
+from blipsim.lattice import FIXTURE_TAIL_TOL, _affine_phase, _cis, _shift_phase
 
 
 def test_grid_lattice_relations(rig_grid):
@@ -31,7 +31,7 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
     g = bs.make_grid(-3.0, 5.0, 64)
     twin = bs.make_grid(-3.0, 5.0, 64)
     assert g == twin and hash(g) == hash(twin)
-    for name in ("x", "k", "origin_phase", "origin_phase_conj"):
+    for name in ("x", "k", "abs_k"):
         a = getattr(g, name)
         assert getattr(g, name) is a, name
         with pytest.raises(ValueError):
@@ -43,11 +43,9 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
         complex(mpmath.expjpi(mpmath.mpf(2 * g.x_min) * (m - g.n_points // 2) / (g.n_points * mpmath.mpf(g.dx))))
         for m in range(g.n_points)
     ]
-    assert np.allclose(g.origin_phase, exact, rtol=0.0, atol=1e-15)
-    assert np.array_equal(g.origin_phase_conj.view(np.uint64), np.conj(g.origin_phase).view(np.uint64))
+    assert np.allclose(_shift_phase(g, -g.x_min / g.dx), exact, rtol=0.0, atol=1e-15)
     moved = dataclasses.replace(g, x_min=-4.0)
     assert moved.x is not g.x and moved.x[0] == -4.0
-    assert not np.array_equal(moved.origin_phase, g.origin_phase)
     copy = dataclasses.replace(g)
     assert copy == g and copy.x is not g.x and copy.k is not g.k
     assert np.array_equal(copy.x, g.x) and np.array_equal(copy.k, g.k)
@@ -80,7 +78,7 @@ def test_rig_origin_phase_is_within_1e_15_of_mpmath(rig_grid):
     with mpmath.workdps(40):
         turns = [mpmath.mpf(2 * g.x_min) * (int(j) - g.n_points // 2) / (g.n_points * mpmath.mpf(g.dx)) for j in m]
         exact = [complex(mpmath.expjpi(t)) for t in turns]
-    assert np.max(np.abs(g.origin_phase[m] - exact)) <= 1e-15
+    assert np.max(np.abs(_shift_phase(g, -g.x_min / g.dx)[m] - exact)) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None, database=None)
