@@ -459,8 +459,9 @@ def _block(row: ScenarioRow) -> dict[str, Any]:
 
 
 def _density(state: BlipWavePacket | SpectralWavePacket) -> np.ndarray:
-    """``sum_ch |amplitude|^2`` on the grid, in whichever representation is given."""
-    return sum(state.density.values(), np.zeros(state.grid.n_points))
+    """``sum_ch |amplitude|^2``, either representation: one channel's cached density, or a sum in channel order."""
+    first, *rest = state.density.values()
+    return sum(rest, first)
 
 
 def _spectral_peak(sp: SpectralWavePacket) -> float | None:

@@ -24,7 +24,8 @@ Design notes
   are spectrally accurate.
 * Packets are value objects: amplitude arrays are copied in, or adopted when
   the library has just built them, and frozen (read-only); each channel's
-  density ``|a|**2`` is squared once, on first read.  Operations return new packets.
+  density ``|a|**2`` is squared once, on first read, and shared with the
+  packets :func:`combine` adopts the array into.  Operations return new packets.
 * :func:`_positive` is the one domain rule of a physical magnitude (index,
   speed, scale, hbar); :func:`_check_inside` refuses non-finite times.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -303,21 +304,24 @@ class _Packet:
 
     grid: Grid
     amp: Mapping[Channel | tuple[int, str], np.ndarray] = field(default_factory=dict)
+    _sources: ClassVar[Mapping[Channel, _Packet]] = {}  # whose density a channel shares, see combine()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp", _freeze_amp(self.grid, self.amp))
 
     @classmethod
-    def _own(cls, grid: Grid, amp: Mapping[Channel, np.ndarray]) -> "_Packet":
-        """A packet that adopts ``amp``'s arrays, frozen in place: only for arrays no caller writes to."""
+    def _own(cls, grid: Grid, amp: Mapping[Channel, np.ndarray], sources: Mapping[Channel, _Packet] = {}) -> _Packet:
+        """Adopt ``amp``'s arrays, frozen in place (only arrays no caller writes to), and ``sources``' densities."""
         p = object.__new__(cls)
-        p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, copy=False))
+        p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, copy=False), _sources=sources)
         return p
 
     @cached_property
     def density(self) -> dict[Channel, np.ndarray]:
-        """Each channel's read-only ``|a|**2``, squared once, on first read and cached like :attr:`Grid.x`."""
-        return {ch: _read_only(np.abs(a) ** 2) for ch, a in self.amp.items()}
+        """Each channel's read-only ``|a|**2``, squared once, on first read and cached like :attr:`Grid.x`;
+        a channel :func:`combine` took from one packet is that packet's density, squared by whichever reads first."""
+        src = self._sources
+        return {ch: src[ch].density[ch] if ch in src else _read_only(np.abs(a) ** 2) for ch, a in self.amp.items()}
 
     def channels(self) -> tuple[Channel, ...]:
         return tuple(self.amp)
@@ -453,14 +457,16 @@ def _check_inside(
 
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:
     """Coherent sum of position, or of momentum, packets on one grid: shared channels
-    add, and a channel that only one packet has keeps that packet's frozen array."""
+    add, and a channel that only one packet has keeps that packet's frozen array and
+    shares its density, squared once by whichever of the two packets reads it first."""
     if not packets:
         raise DomainError("combine() needs at least one packet")
     kind, grid = type(packets[0]), packets[0].grid
     acc: dict[Channel, np.ndarray] = {}
+    sources: dict[Channel, _Packet | None] = {}
     for p in packets:
         if p.grid != grid or type(p) is not kind:
             raise DomainError("combine() requires a shared grid and one packet type, position or momentum")
         for ch, a in p.amp.items():
-            acc[ch] = acc[ch] + a if ch in acc else a
-    return kind._own(grid, acc)
+            acc[ch], sources[ch] = (acc[ch] + a, None) if ch in acc else (a, p)
+    return kind._own(grid, acc, {ch: p for ch, p in sources.items() if p is not None})

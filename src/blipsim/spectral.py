@@ -15,9 +15,10 @@ forward transform runs ``fft`` for ``s = +1`` and the unscaled ``ifft`` for
 Off-lattice spectral samples (needed when an interface rescales wavenumbers
 by the index ratio) are taken from the trigonometric interpolant of the
 grid samples, which is exact for band-limited data.  They are evaluated
-with a Bluestein chirp transform whose quadratic phases (~1e5 rad at
-n_points = 16384) are formed in exact turns in float64 and reduced to
-their fraction of a turn before they are rounded into radians.
+with a Bluestein chirp transform, a convolution in 2x2 blocks of six N-point
+FFTs run in place, whose quadratic phases (~1e5 rad at n_points = 16384)
+are formed in exact turns in float64 and reduced to their fraction of a turn
+before they are rounded into radians.
 
 Where each phase comes from:
 
@@ -31,7 +32,8 @@ Where each phase comes from:
   multiplies in the FFT's two swapped halves; the inverse one folds the
   origin phase ``exp(i s k x_min)``, the free flight ``exp(-i c k t)`` over
   ``c t / dx`` cells and the scale ``dk / sqrt(2 pi)`` into it before its
-  FFT, whose odd sites then change sign (the kernel's ``m - N/2``);
+  FFT, run into that array, whose odd sites then change sign (the kernel's
+  ``m - N/2``);
 * the prefactor of the scaled samples is a translation by ``s scale x_min / dx``
   cells, from the same helper;
 * the chirps come from :func:`_turns_phase`, which hands ``_cis`` only the
@@ -63,6 +65,15 @@ class SpectralWavePacket(_Packet):
     """Momentum-space amplitudes per channel, on the ascending ``grid.k`` lattice."""
 
 
+_FFT_OUT = int(np.__version__.split(".")[0]) >= 2
+
+
+def _fft_in_place(a: np.ndarray, unscaled_inverse: bool = False) -> np.ndarray:
+    """``fft`` of ``a``, or its unscaled ``ifft``, written over ``a`` (numpy 1.x has no ``out=``: a new array)."""
+    fft, norm = (np.fft.ifft, "forward") if unscaled_inverse else (np.fft.fft, "backward")
+    return fft(a, norm=norm, out=a) if _FFT_OUT else fft(a, norm=norm)
+
+
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
     """Channel transform x -> k on the ascending lattice: ``sum_j values_j exp(-2 pi i s (m - N/2) j / N)``
     is bin ``m - N/2`` of ``fft`` (``s = +1``) or of the unscaled ``ifft`` (``s = -1``), so the two
@@ -78,12 +89,12 @@ def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
 def _inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) -> np.ndarray:
     """Channel transform k -> x after free flight over ``cells = c t / dx`` lattice cells,
     the exact inverse of :func:`_forward` at ``cells = 0``: ``values`` times the phase
-    ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, in place, then the unscaled ``ifft``
-    (``s = +1``) or ``fft`` (``s = -1``); the kernel's ``exp(-i pi s j)`` of ``m - N/2``
+    ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, then the unscaled ``ifft`` (``s = +1``)
+    or ``fft`` (``s = -1``), both in place; the kernel's ``exp(-i pi s j)`` of ``m - N/2``
     negates the odd sites."""
     b = _shift_phase(grid, cells - s * grid.x_min / grid.dx, grid.dk / _SQRT_2PI)
     b *= values
-    out = np.fft.ifft(b, norm="forward") if s > 0 else np.fft.fft(b)
+    out = _fft_in_place(b, s > 0)
     out[1::2] *= -1
     return out
 
@@ -128,24 +139,35 @@ def _check_chirp_scale(c: float, n: int) -> None:
 def _chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
     """``2N X_m`` with ``X_m = sum_j values_j exp(-2 pi i c (m - N/2) j / N)``, m = 0..N-1, N a power of two.
 
-    Bluestein factorization ``mj = (m^2 + j^2 - (m-j)^2)/2`` turns the sum
-    into one linear convolution, done with zero-padded FFTs of length ``2N``;
-    the inverse is left unscaled and the caller folds in ``1/(2N)``.  The
-    chirps are exact in turns: the pre-chirp ``c j (N - j) / 2N`` and the
-    kernel ``c m^2 / 2N``, even in ``m``, whose ``m >= 0`` half fills the
-    first ``N`` slots of the circular pad and, reversed, the last ``N - 1``;
-    its conjugate over the first ``N`` is the post-chirp.  ``c`` must pass :func:`_check_chirp_scale`.
+    Bluestein factorization ``mj = (m^2 + j^2 - (m-j)^2)/2`` turns the sum into the Toeplitz
+    product ``y_m = sum_j K(m - j) u_j`` of the pre-chirp ``u_j = values_j exp(2 pi i c j (N - j) / 2N)``
+    and the even kernel ``K(d) = exp(2 pi i c d^2 / 2N)``, whose conjugate is the post-chirp.  In 2x2
+    blocks of ``h = N/2``, ``y_lo = G_0 u_lo + G_-1 u_hi`` and ``y_hi = G_1 u_lo + G_0 u_hi``, N-point
+    circular convolutions with ``G_r(d) = K(d + r h)``, ``|d| < h``; ``FFT(G_-1)`` is ``FFT(G_1)``
+    with its bins reversed.  Six N-point FFTs run in place; the kernels are doubled (exactly) so the
+    unscaled inverses give ``2N X_m``, and the caller folds in ``1/(2N)``.  ``c`` must pass
+    :func:`_check_chirp_scale`.
     """
-    n = values.size
+    n, h = values.size, values.size // 2
     _check_chirp_scale(c, n)
     j = np.arange(n, dtype=np.float64)
     u = values * _turns_phase(c, j * (n - j), 2 * n)
     kernel = _turns_phase(c, j * j, 2 * n)
-    del j  # freed before the 2N-point buffers, which set the peak
-    pad = np.fft.fft(np.concatenate((kernel, [0.0], kernel[:0:-1])))
-    pad *= np.fft.fft(u, 2 * n)
+    del j
+    lo, hi = np.fft.fft(u[:h], n), np.fft.fft(u[h:], n)
+    u[:h], u[h], u[h + 1 :] = 2.0 * kernel[:h], 0.0, 2.0 * kernel[h - 1 : 0 : -1]  # G_0, over the spent input
+    g0, g1 = _fft_in_place(u), _fft_in_place(np.concatenate((kernel[h:], kernel[:h])) * 2.0)
+    g1_rev = np.concatenate((g1[:1], g1[:0:-1]))  # FFT(G_-1)
+    np.multiply(hi, g1_rev, out=g1_rev)
+    np.multiply(g0, hi, out=hi)
+    np.multiply(g1, lo, out=g1)
+    g1 += hi
+    lo *= g0
+    lo += g1_rev
+    del g0, hi, g1_rev  # freed before the inverses' scratch
     np.conjugate(kernel, out=kernel)
-    kernel *= np.fft.ifft(pad, norm="forward")[:n]
+    kernel[:h] *= _fft_in_place(lo, True)[:h]
+    kernel[h:] *= _fft_in_place(g1, True)[:h]
     return kernel
 
 

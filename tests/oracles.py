@@ -17,6 +17,9 @@ compare the two:
   counterpart of the wavenumber rescaling of the boundary map;
 * the channel transforms as dense O(N^2) sums of their kernels
   (:func:`dense_forward`, :func:`dense_inverse`);
+* the chirp sum's 2x2 block convolution written out array by array
+  (:func:`block_chirp_sum`), and its single zero-padded 2N-point
+  convolution (:func:`padded_chirp_sum`);
 * the clamped real-space pair-correlation kernel (:func:`position_kernel_R`),
   a shape diagnostic of the field weight ``zeta``.
 
@@ -43,6 +46,8 @@ __all__ = [
     "sample_position_affine",
     "dense_forward",
     "dense_inverse",
+    "block_chirp_sum",
+    "padded_chirp_sum",
     "energy_from_fields",
     "momentum_from_fields",
     "momentum_imaginary_residual",
@@ -125,6 +130,49 @@ def sample_position_affine(
     coeff = sp.amplitude(ch) * _cis(ch.s * grid.k * offset)
     pref = _turns_phase(c, np.arange(n, dtype=np.float64), 2)
     return (grid.dk / _SQRT_2PI / (2 * n)) * pref * _chirp_sum(coeff * pref.conj(), c)
+
+
+# ---------------------------------------------------------------------------
+# chirp sums
+#
+# Both return 2N X_m, X_m = sum_j v_j exp(-2 pi i c (m - N/2) j / N), from the
+# pre-chirped input u_j = v_j exp(2 pi i c j (N - j) / 2N), the even kernel
+# K(d) = exp(2 pi i c d^2 / 2N) and the post-chirp conj(K(m)).
+
+
+def _chirp_parts(values: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    n = values.size
+    j = np.arange(n, dtype=np.float64)
+    return values * _turns_phase(c, j * (n - j), 2 * n), _turns_phase(c, j * j, 2 * n)
+
+
+def block_chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
+    """The Toeplitz product ``y_m = sum_j K(m - j) u_j`` in 2x2 blocks of ``h = N/2``, every
+    array its own: ``y_lo = G_0 u_lo + G_-1 u_hi`` and ``y_hi = G_1 u_lo + G_0 u_hi``, where
+    the N-point circular kernel ``G_r`` holds ``2 K(d + r h)`` at ``d mod N`` for ``|d| < h``;
+    ``FFT(G_-1)`` is taken as ``FFT(G_1)`` at the reversed bins ``-k mod N``."""
+    u, kernel = _chirp_parts(values, c)
+    n = values.size
+    h = n // 2
+    g0 = np.concatenate((kernel[:h], [0.0], kernel[h - 1 : 0 : -1])) * 2.0
+    g1 = np.roll(kernel, -h) * 2.0
+    f0, f1, lo, hi = np.fft.fft(g0), np.fft.fft(g1), np.fft.fft(u[:h], n), np.fft.fft(u[h:], n)
+    f1_reversed = f1[-np.arange(n) % n]
+    y_lo = np.fft.ifft(lo * f0 + hi * f1_reversed, norm="forward")[:h]
+    y_hi = np.fft.ifft(f1 * lo + f0 * hi, norm="forward")[:h]
+    return np.conj(kernel) * np.concatenate((y_lo, y_hi))
+
+
+def padded_chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
+    """The Toeplitz product as one linear convolution, zero-padded to ``2N`` points, with the
+    kernel built over all ``2N - 1`` offsets ``d = -(N-1) .. N-1`` and rolled into the pad."""
+    u, kernel = _chirp_parts(values, c)
+    n = values.size
+    d = np.arange(-(n - 1), n, dtype=np.float64)
+    pad = np.zeros(2 * n, dtype=np.complex128)
+    pad[: d.size] = _turns_phase(c, d * d, 2 * n)
+    pad = np.roll(pad, -(n - 1))
+    return np.conj(kernel) * np.fft.ifft(np.fft.fft(pad) * np.fft.fft(u, 2 * n), norm="forward")[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,61 @@ def test_combine_channels_and_coherence(rig_grid):
         bs.combine()
 
 
+def _count_squares(monkeypatch, n_points):
+    """Wrap ``np.abs`` and return the list that grows by one per length-``n_points`` call."""
+    calls = []
+    absolute = np.abs
+
+    def counting_abs(a, *args, **kwargs):
+        if np.size(a) == n_points:
+            calls.append(1)
+        return absolute(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    return calls
+
+
+@pytest.mark.parametrize("combined_first", [True, False])
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+def test_combine_shares_the_density_of_each_adopted_channel(monkeypatch, rig_grid, kind, combined_first):
+    """A channel that one packet brings to ``combine`` is that packet's array, and
+    its density is that packet's read-only density: each channel is squared
+    once, by whichever packet reads first."""
+    a = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-30.0, k0=20.0, sigma=2.0)
+    b = bs.combine(
+        bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=20.0, sigma=2.0),
+        bs.gaussian_packet(rig_grid, (-1, "H"), x0=40.0, k0=25.0, sigma=3.0),
+    )
+    if kind == "momentum":
+        a, b = bs.to_momentum(a), bs.to_momentum(b)
+    calls = _count_squares(monkeypatch, rig_grid.n_points)
+    both = bs.combine(a, b)
+    readers = [both, a, b] if combined_first else [a, b, both]
+    for p in readers:
+        p.density
+    assert len(calls) == 3, len(calls)
+    for source in (a, b):
+        for ch, dens in source.density.items():
+            assert both.amp[ch] is source.amp[ch]
+            assert both.density[ch] is dens and not dens.flags.writeable
+            np.testing.assert_array_equal(dens, np.abs(source.amp[ch]) ** 2)
+
+
+def test_a_channel_two_packets_sum_gets_its_own_density(rig_grid):
+    """Only a channel present in two packets is summed and squared afresh."""
+    a = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-30.0, k0=20.0, sigma=2.0)
+    b = bs.combine(
+        bs.gaussian_packet(rig_grid, (+1, "H"), x0=-10.0, k0=25.0, sigma=3.0),
+        bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=20.0, sigma=2.0),
+    )
+    both = bs.combine(a, b)
+    h, v = bs.Channel(1, "H"), bs.Channel(-1, "V")
+    want = np.abs(a.amp[h] + b.amp[h]) ** 2
+    assert both.density[h] is not a.density[h] and both.density[h] is not b.density[h]
+    assert np.array_equal(both.density[h], want) and not both.density[h].flags.writeable
+    assert both.density[v] is b.density[v]
+
+
 def test_packets_are_value_objects(rig_grid):
     src = np.ones(rig_grid.n_points, dtype=complex)
     p = bs.BlipWavePacket(rig_grid, {(+1, "H"): src})

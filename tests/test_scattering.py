@@ -395,28 +395,32 @@ def test_band_edge_overflow_rejected(rig_grid):
 def test_a_branch_leaving_the_grid_is_refused_before_the_chirp(monkeypatch):
     """The edge rule reads the branch supports from the incident state, so a
     transmitted branch that outruns the grid (n < 1: faster, and its support
-    stretched by 1/n) is named before any FFT runs; at n = 3 the branches
-    stay on the grid and the chirp's drift is what refuses the spectrum."""
+    stretched by 1/n) is named before any FFT or chirp runs; at n = 3 the
+    branches stay on the grid and the chirp's drift is what refuses the spectrum."""
+    import blipsim.spectral as spectral
+
     grid = bs.make_grid(-200.0, 200.0, 2048)
     p = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=5.0, sigma=2.0)
-    sizes = []
-    fft = np.fft.fft
+    calls = []
 
-    def counting_fft(a, *args, **kwargs):
-        out = fft(a, *args, **kwargs)
-        sizes.append(out.size)
-        return out
+    def counting(name, f):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+        return run
+
+    monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+    monkeypatch.setattr(spectral, "_chirp_sum", counting("chirp", spectral._chirp_sum))
     for n in (0.05, 1e-3, 1e-8):
-        sizes.clear()
+        calls.clear()
         with pytest.raises(bs.DomainExitError, match="of the transmitted branch would span"):
             bs.interface_scatter(p, n, t_final=140.0)
-        assert sizes == [], n
-    sizes.clear()
+        assert calls == [], n
+    calls.clear()
     with pytest.raises(bs.InterpolationAccuracyError, match="too close to the band edge"):
         bs.interface_scatter(p, 3.0, t_final=140.0)
-    assert 2 * grid.n_points in sizes
+    assert calls.count("chirp") == 1, calls
 
 
 def test_outcome_records_context(rig_packet, ref_medium):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blipsim as bs
+import blipsim.spectral as spectral
 import oracles
 from blipsim.spectral import _chirp_sum, _forward, _inverse, _turns_phase
 
@@ -165,33 +166,25 @@ def test_scaled_sampling_matches_dense_evaluation(small_grid):
         assert np.all(sampled[~inside] == 0.0)
 
 
-def chirp_sum_oracle(values, c):
-    """Test oracle: the chirp sum with its kernel built over all 2N - 1 indices
-    m = -(N-1) .. N-1 and rotated into the circular pad with ``np.roll``."""
-    n = values.size
-    j = np.arange(n, dtype=np.float64)
-    u = values * _turns_phase(c, j * (n - j), 2 * n)
-    m = np.arange(-(n - 1), n, dtype=np.float64)
-    kernel = np.zeros(2 * n, dtype=np.complex128)
-    kernel[: m.size] = _turns_phase(c, m * m, 2 * n)
-    kernel = np.roll(kernel, -(n - 1))
-    conv = np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(u, 2 * n), norm="forward")[:n]
-    return np.conj(_turns_phase(c, j * j, 2 * n)) * conv
-
-
 #: Chirp constants c = s * scale of sample_spectrum_scaled, both directions, scales 1/1.5, 1/1.7, 2.9 and 1.
 CHIRP_CS = tuple(s * scale for s in (+1, -1) for scale in (1.0 / 1.5, 1.0 / 1.7, 2.9, 1.0))
 
 
-def test_half_built_chirp_kernel_matches_the_rolled_oracle_bit_for_bit():
+def test_block_chirp_matches_the_block_oracle_bit_for_bit():
+    """``_chirp_sum`` runs the 2x2 block convolution in place, in reused buffers;
+    the oracle gives every array its own, so the two agree bit for bit.
+    The 2N-point zero-padded convolution that the blocks replace agrees within
+    1e-15 of the peak."""
     rng = np.random.default_rng(11)
     for log_n in range(3, 13):
         n = 1 << log_n
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for c in CHIRP_CS:
             got = _chirp_sum(values, c)
-            want = chirp_sum_oracle(values, c)
+            want = oracles.block_chirp_sum(values, c)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, c)
+            padded = oracles.padded_chirp_sum(values, c)
+            assert np.max(np.abs(got - padded)) <= 1e-15 * np.max(np.abs(padded)), (n, c)
 
 
 @pytest.mark.parametrize("log_n", [3, 4, 5, 6])
@@ -234,16 +227,29 @@ def test_chirp_phases_are_within_2e_15_of_mpmath_up_to_2_to_the_20():
 
 @pytest.mark.skipif(
     np.lib.NumpyVersion(np.__version__) < "2.0.0",
-    reason="numpy 1.x pads an FFT input with one more 2N-point copy; this bound was measured with numpy 2",
+    reason="numpy 1.x has no FFT out= and pads an FFT input with a copy; this bound was measured with numpy 2",
 )
-def test_chirp_memory_stays_under_112_bytes_per_point():
+def test_chirp_memory_stays_under_100_bytes_per_point(monkeypatch):
     """The traced peak of one resampling, above what the caller already holds,
-    stays under 112 bytes per point (117 MB at N = 2^20): the two 2N-point
-    buffers of the convolution (64) with the kernel and the pre-chirped input
-    (32)."""
+    stays under 100 bytes per point (96 measured): the kernel, the pre-chirped
+    input (reused for ``G_0``), the two input transforms, ``G_1`` and its
+    reversed bins, six N-point arrays.  Every FFT it runs is N-point, so no
+    2N-point array or pocketfft scratch is left."""
     grid = bs.make_grid(-800.0, 800.0, 1 << 16)
     p = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
     grid.x, grid.k
+    sizes = []
+
+    def recording(transform):
+        def run(*args, **kwargs):
+            out = transform(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        return run
+
+    monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -251,7 +257,8 @@ def test_chirp_memory_stays_under_112_bytes_per_point():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 112 * grid.n_points, peak / grid.n_points
+    assert peak <= 100 * grid.n_points, peak / grid.n_points
+    assert sizes == [grid.n_points] * 6, sizes
 
 
 def test_no_module_computes_in_long_double():
@@ -287,8 +294,10 @@ def test_channel_transforms_match_the_dense_dft_oracle():
 def test_a_channel_transform_peaks_under_40_bytes_per_point():
     """The traced peak of one ``_forward`` and one ``_inverse`` on a fresh
     2^16-point grid, above their input, stays at or under 40 bytes per point:
-    the phase product (16), the FFT's other array (16) and the phase tables."""
-    for name, transform in (("forward", _forward), ("inverse", _inverse)):
+    the phase product (16), the FFT's other array (16) and the phase tables.
+    ``_inverse`` runs its FFT into its phase product, so it stays at or under
+    24 (20 measured)."""
+    for name, transform, bound in (("forward", _forward, 40), ("inverse", _inverse, 24)):
         for s in (+1, -1):
             grid = bs.make_grid(-800.0, 800.0, 1 << 16)
             values = np.ones(grid.n_points, dtype=np.complex128)
@@ -299,7 +308,34 @@ def test_a_channel_transform_peaks_under_40_bytes_per_point():
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 40 * grid.n_points, (name, s, peak / grid.n_points)
+            assert peak <= bound * grid.n_points, (name, s, peak / grid.n_points)
+
+
+def test_the_numpy_1_copy_branch_gives_the_same_bits(monkeypatch):
+    """numpy 1.x has no FFT ``out=``, so ``_fft_in_place`` returns a new array there.
+    That branch, forced here with FFTs that refuse ``out=`` as numpy 1.x does, gives
+    ``_inverse`` and the chirp the same bits as the in-place one."""
+    rng = np.random.default_rng(23)
+    grid = bs.make_grid(-7.3, 11.9, 512)
+    values = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    cases = [(_inverse, (grid, s, values, cells)) for s in (+1, -1) for cells in (0.0, 3.7)]
+    cases += [(_chirp_sum, (values, c)) for c in CHIRP_CS]
+    in_place = [f(*args) for f, args in cases]
+
+    def without_out(transform):
+        def run(*args, **kwargs):
+            if "out" in kwargs:
+                raise TypeError("numpy 1.x FFTs take no out=")
+            return transform(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(spectral, "_FFT_OUT", False)
+    monkeypatch.setattr(np.fft, "fft", without_out(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", without_out(np.fft.ifft))
+    for (f, args), want in zip(cases, in_place):
+        got = f(*args)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f.__name__, args[1:])
 
 
 def test_scaled_sampling_norm_ratio(rig_packet, rig_grid):
