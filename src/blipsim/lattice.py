@@ -93,29 +93,29 @@ def _turns(f0: float, f1: float, q: np.ndarray) -> np.ndarray:
     return hi - np.rint(hi) + (lo + (f0 - np.rint(f0)))
 
 
-def _affine_phase(f0: float, f1: float, n: int, scale: float = 1.0) -> np.ndarray:
-    """``scale exp(2 pi i (f0 + m f1))`` for ``m = 0 .. n-1``, with ``|n f1| < 2**52``.
+def _affine_phase(f0: float, f1: float, n: int, scale: float = 1.0, start: int = 0) -> np.ndarray:
+    """``scale exp(2 pi i (f0 + m f1))`` for ``m = start .. start+n-1``, with ``|(start + n) f1| < 2**52``.
 
-    With ``m = a b + j`` (``b`` a power of two near ``sqrt(n)``) it is the outer
-    product of about ``sqrt(n)`` row phases at ``f0 + a b f1`` and ``b`` column
+    With ``m = start + a b + j`` (``b`` a power of two near ``sqrt(n)``) it is the outer
+    product of about ``sqrt(n)`` row phases at ``f0 + (start + a b) f1`` and ``b`` column
     phases at ``j f1`` (which carry ``scale``).  Each angle is taken from
     :func:`_turns` and, for the rows, less whole turns once more, so it is at
     most about half a turn when it is rounded into radians, however far the
     lattice reaches.
     """
     b = 1 << ((n - 1).bit_length() // 2)
-    rows = _turns(f0, f1, b * np.arange(-(-n // b), dtype=np.float64))
+    rows = _turns(f0, f1, start + b * np.arange(-(-n // b), dtype=np.float64))
     rows -= np.rint(rows)
     cols = _cis(2.0 * np.pi * _turns(0.0, f1, np.arange(b, dtype=np.float64)))
     cols *= scale
     return np.multiply.outer(_cis(2.0 * np.pi * rows), cols).ravel()[:n]
 
 
-def _shift_phase(grid: Grid, cells: float, scale: float = 1.0) -> np.ndarray:
-    """``scale exp(-i k cells dx)`` on the ascending ``k`` lattice: the phase of a translation
-    by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``."""
-    n = grid.n_points
-    return _affine_phase(cells / 2, -cells / n, n, scale)
+def _shift_phase(grid: Grid, cells: float, scale: float = 1.0, bins: tuple[int, int] | None = None) -> np.ndarray:
+    """``scale exp(-i k cells dx)`` on the ascending ``k`` lattice, or on its ``bins = (lo, hi)``: the phase
+    of a translation by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``."""
+    lo, hi = bins or (0, grid.n_points)
+    return _affine_phase(cells / 2, -cells / grid.n_points, hi - lo, scale, lo)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

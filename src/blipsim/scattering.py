@@ -350,6 +350,18 @@ def _guard_fractions(
     return fractions
 
 
+def _window(dens: np.ndarray, floor: float, scale: float = 1.0) -> tuple[int, int]:
+    """The smallest lattice interval ``[lo, hi)`` holding every point of ``dens`` at or above ``floor`` times
+    its peak (all of a zero ``dens``), widened by 4 points; given a ``scale``, the bins ``m`` whose ``scale k_m``
+    falls in it, clipped at the band edge ``scale |k_m| <= k_max``."""
+    n, h = dens.size, dens.size // 2
+    above = np.flatnonzero(dens >= floor * float(np.max(dens)))
+    reach = min(h / scale, h)  # the band's half-width in bins, within the lattice; offsets clipped to it stay finite
+    lo = h + math.floor(np.clip((int(above[0]) - h - 4) / scale, -reach, reach))
+    hi = h + math.ceil(np.clip((int(above[-1]) - h + 4) / scale, -reach, reach)) + 1
+    return lo, max(lo, min(hi, n))
+
+
 def interface_scatter(
     p: BlipWavePacket,
     n: float,
@@ -438,9 +450,15 @@ def interface_scatter(
     for name in names:
         _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
     root_n = math.sqrt(n)
-    # the chirps run before the incident spectrum is held, so their 2N-point buffers meet a smaller heap
-    resampled = {} if n == 1.0 else {ch: sample_spectrum_scaled(p, ch, 1.0 / n if ch.s > 0 else n) for ch in p.amp}
     incident = to_momentum(p)  # the input's one forward transform per event
+    # each chirp sums the points whose |values| outside sum to at most N sqrt(2**-106 / N**2 peak) <= 2**-53 of
+    # their own sum, into the bins that sample the spectrum above 2**-50 of its peak amplitude (about its rounding)
+    resampled = {}
+    for ch in p.amp if n != 1.0 else ():
+        scale = 1.0 / n if ch.s > 0 else n
+        inputs = _window(p.density[ch], 2.0**-106 / grid.n_points**2)
+        outputs = _window(incident.density[ch], 2.0**-100, scale)
+        resampled[ch] = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
     amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
     for ch, phi in incident.amp.items():
         coeff = rates.t_plus / root_n if ch.s > 0 else root_n * rates.t_minus

@@ -21,7 +21,10 @@ compare the two:
   (:func:`block_chirp_sum`), and its single zero-padded 2N-point
   convolution (:func:`padded_chirp_sum`);
 * the clamped real-space pair-correlation kernel (:func:`position_kernel_R`),
-  a shape diagnostic of the field weight ``zeta``.
+  a shape diagnostic of the field weight ``zeta``;
+* a whole scenario with no FFT (:func:`dense_scenario`): the dense transforms,
+  the scaled samples as dense sums (:func:`dense_scaled_samples`), and every
+  observable, centroid, guard fraction and phase label from its definition.
 
 This is a test helper, not part of the installed package: the test
 modules import it with ``import oracles``.
@@ -29,6 +32,7 @@ modules import it with ``import oracles``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -37,6 +41,7 @@ import numpy as np
 from blipsim.errors import ConsistencyError, DomainError
 from blipsim.fields import FieldProfile
 from blipsim.lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _positive, as_channel
+from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT
 from blipsim.spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
 
 __all__ = [
@@ -52,6 +57,8 @@ __all__ = [
     "momentum_from_fields",
     "momentum_imaginary_residual",
     "position_kernel_R",
+    "dense_scaled_samples",
+    "dense_scenario",
 ]
 
 
@@ -182,16 +189,29 @@ def padded_chirp_sum(values: np.ndarray, c: float) -> np.ndarray:
 # exp(+-i s k_m x_j) splits into a phase of k_m alone, exp(+-i s k_m x_min), and
 # exp(+-2 pi i s (m - N/2) j / N), whose exponent is reduced mod N in integers.
 
+@functools.lru_cache(maxsize=8)
 def _lattice_kernel(n: int, sign: int) -> np.ndarray:
-    """The ``(m, j)`` matrix ``exp(2 pi i sign (m - N/2) j / N)``."""
+    """The ``(m, j)`` matrix ``exp(2 pi i sign (m - N/2) j / N)``, read-only and kept for reuse."""
     r = ((np.arange(n)[:, None] - n // 2) * np.arange(n)) % n
-    return np.exp(2j * np.pi * sign * r / n)
+    out = np.exp(2j * np.pi * sign * r / n)
+    out.flags.writeable = False
+    return out
 
 
 def _wavenumber_phase(n: int, turns: mpmath.mpf) -> np.ndarray:
-    """``exp(2 pi i (m - N/2) turns)`` for ``m = 0 .. N-1``, in 40-digit arithmetic."""
+    """``exp(2 pi i (m - N/2) turns)`` for ``m = 0 .. N-1``.  ``turns`` is reduced to its fraction of a
+    turn at 40 digits and split into the two Veltkamp halves (26 and 27 bits) of its double and the
+    double of the rest: each half times ``|m - N/2| < 2**26`` is exact, and so is its ``fmod`` by 1,
+    so the angle is within about 1e-16 turns."""
     with mpmath.workdps(40):
-        return np.array([complex(mpmath.expjpi(2 * (m - n // 2) * turns)) for m in range(n)])
+        frac = turns - mpmath.floor(turns)
+        top = float(frac)
+        rest = float(frac - top)
+    big = 134217729.0 * top
+    first = big - (big - top)
+    m = np.arange(n, dtype=np.float64) - n // 2
+    a, b = np.fmod(m * first, 1.0), np.fmod(m * (top - first), 1.0)
+    return np.exp(2j * np.pi * ((a - np.rint(a)) + (b - np.rint(b)) + m * rest))
 
 
 def dense_forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
@@ -209,6 +229,159 @@ def dense_inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) ->
     with mpmath.workdps(40):
         turns = (s * mpmath.mpf(grid.x_min) / mpmath.mpf(grid.dx) - mpmath.mpf(cells)) / n
     return grid.dk / math.sqrt(2 * math.pi) * (_lattice_kernel(n, s).T @ (_wavenumber_phase(n, turns) * values))
+
+
+def dense_scaled_samples(grid: Grid, s: int, values: np.ndarray, scale: float) -> np.ndarray:
+    """``psi~(scale k_m) = (2 pi)^(-1/2) dx sum_j exp(-i s scale k_m x_j) values_j``, summed densely, and
+    zero where ``scale |k_m|`` passes the band edge.  The kernel is ``exp(-i s scale k_m x_min)``, from
+    :func:`_wavenumber_phase`, times ``exp(-2 pi i s scale q / N)`` for the integer ``q = (m - N/2) j``;
+    both halves of Veltkamp's split of ``scale`` (26 and 27 bits) times ``|q| < 2**26`` are exact, and so
+    is their ``fmod`` by N."""
+    n = grid.n_points
+    q = ((np.arange(n) - n // 2)[:, None] * np.arange(n)).astype(np.float64)
+    hi = 134217729.0 * scale
+    hi -= hi - scale
+    turns = (np.fmod(hi * q, n) + np.fmod((scale - hi) * q, n)) / n
+    with mpmath.workdps(40):
+        offset = -s * mpmath.mpf(scale) * mpmath.mpf(grid.x_min) / (n * mpmath.mpf(grid.dx))
+    out = grid.dx / math.sqrt(2 * math.pi) * _wavenumber_phase(n, offset) * (np.exp(-2j * np.pi * s * turns) @ values)
+    out[scale * np.abs(grid.k) > grid.k_max] = 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# a whole scenario, with no FFT
+#
+# The map of blipsim.scattering: channel (s, pol) transmits t_s / sqrt(n) psi~(k / n)
+# (s = +1) or sqrt(n) t_s psi~(n k) (s = -1) into the same channel and reflects
+# r_s psi~(k) into (-s, pol); +1 channels then move at the right medium's speed and
+# -1 channels at the left one's.  Each report of blipsim.propagation is incoming
+# while the input reads clear of the guard band as incoming, and then scattered or
+# crossing as every branch reads clear of it or not, read as scattered.
+
+_OBSERVABLES = ("photon_number", "energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "abraham_momentum")
+
+
+def _dense_rates(sc) -> dict[int, tuple[complex, complex]]:
+    """``{s: (t_s, r_s)}`` from the closed forms: the Fresnel table, or the resummed point scatterer."""
+    n = sc.n
+    if sc.omega is None:
+        rho, t = (n - 1.0) / (n + 1.0), 2.0 * math.sqrt(n) / (n + 1.0)
+        return {+1: (t, -rho), -1: (t, rho)}
+    c = sc.left_medium.c
+    q2 = (abs(sc.omega) / (2.0 * c)) ** 2
+    r_plus = -1j * sc.omega / c / (1.0 + q2)
+    t = (1.0 - q2) / (1.0 + q2)
+    return {+1: (t, r_plus), -1: (t, -r_plus.conjugate())}
+
+
+def _dense_observables(grid: Grid, spectra: dict, media: dict, hbar: float) -> dict[str, float]:
+    """The sums of blipsim.observables' docstring over each channel's ``|psi~|^2 dk``."""
+    out = dict.fromkeys(_OBSERVABLES, 0.0)
+    k = grid.k
+    for ch, phi in spectra.items():
+        m, dens = media[ch.s], np.abs(phi) ** 2 * grid.dk
+        p_field = hbar * ch.s * float(np.sum(np.abs(k) * dens))
+        out["photon_number"] += float(np.sum(dens))
+        out["energy"] += hbar * m.c * float(np.sum(np.abs(k) * dens))
+        out["dyn_hamiltonian"] += hbar * m.c * float(np.sum(k * dens))
+        out["dyn_momentum"] += hbar * ch.s * float(np.sum(k * dens))
+        out["field_momentum"] += p_field
+        out["abraham_momentum"] += p_field / m.n**2
+    return out
+
+
+def _dense_at(grid: Grid, spectra: dict, media: dict, t: float) -> dict:
+    """Each channel's position amplitude after free flight for ``t``, by :func:`dense_inverse`."""
+    return {ch: dense_inverse(grid, ch.s, phi, media[ch.s].c * t / grid.dx) for ch, phi in spectra.items()}
+
+
+def _dense_centroid(grid: Grid, amps: dict) -> float | None:
+    weight = sum(float(np.sum(np.abs(a) ** 2)) for a in amps.values())
+    first = sum(float(np.sum(grid.x * np.abs(a) ** 2)) for a in amps.values())
+    return first / weight if weight > 0.0 else None
+
+
+def _dense_guard(grid: Grid, amps: dict, media: dict, side: int, dt: float, floor: float = 0.0) -> float:
+    """The largest channel fraction in the guard band, moved to ``side s c dt``, or beyond it on the side
+    the channel does not belong to (``side = -1``: read as incoming; ``+1``: as scattered)."""
+    x, half, worst = grid.x, GUARD_HALF_CELLS * grid.dx, 0.0
+    for ch, a in amps.items():
+        dens = np.abs(a) ** 2
+        center = side * ch.s * media[ch.s].c * dt
+        band = (x >= center - half) & (x <= center + half)
+        wrong = x > center + half if side * ch.s < 0 else x < center - half
+        weight = float(np.sum(dens))
+        if weight > 0.0 and weight * grid.dx >= floor:
+            worst = max(worst, float(np.sum(dens[band]) + np.sum(dens[wrong])) / weight)
+    return worst
+
+
+def dense_scenario(sc) -> dict:
+    """``run_scenario(sc)`` with no FFT: ``rows`` of ``(time, branch, phase, centroid, observables)``,
+    the ``blocks`` in the same form, and the outcome's ``prob_t``, ``prob_r``, ``resampling_drift``,
+    ``guard_fraction`` and ``asymptotic``.  Every centroid is read from the state moved densely to its
+    own time, not extrapolated from the final time."""
+    grid, n, hbar, t_final = sc.packet.grid, sc.n, sc.hbar, sc.schedule[-1]
+    incoming_media, outgoing = {+1: sc.left_medium, -1: sc.right_medium}, {+1: sc.right_medium, -1: sc.left_medium}
+    rates = _dense_rates(sc)
+    incident = {ch: dense_forward(grid, ch.s, a) for ch, a in sc.packet.amp.items()}
+    spectra: dict[str, dict] = {"transmitted": {}, "reflected": {}}
+    drift = 0.0
+    for ch, phi in incident.items():
+        t, r = rates[ch.s]
+        scale = 1.0 / n if ch.s > 0 else n
+        samples = phi if n == 1.0 else dense_scaled_samples(grid, ch.s, sc.packet.amp[ch], scale)
+        spectra["transmitted"][ch] = t * (math.sqrt(scale) * samples)
+        spectra["reflected"][Channel(-ch.s, ch.pol)] = r * phi
+        weight = float(np.sum(np.abs(phi) ** 2))
+        if n != 1.0 and weight > 0.0:
+            measured = float(np.sum(np.abs(spectra["transmitted"][ch]) ** 2))
+            drift = max(drift, abs(measured - abs(t) ** 2 * weight) / weight)
+    total = dict(spectra["transmitted"])
+    for ch, phi in spectra["reflected"].items():
+        total[ch] = total[ch] + phi if ch in total else phi
+    spectra["total"] = total
+    incident_weight = sum(float(np.sum(np.abs(a) ** 2)) for a in sc.packet.amp.values()) * grid.dx
+    observables = {name: _dense_observables(grid, sp, outgoing, hbar) for name, sp in spectra.items()}
+    moved: dict[float, dict[str, dict]] = {}
+
+    def at(name: str, time: float) -> dict:
+        """A branch in position space at ``time``; ``total`` is the sum of the two others."""
+        if time not in moved:
+            branches = {b: _dense_at(grid, spectra[b], outgoing, time) for b in ("transmitted", "reflected")}
+            both = dict(branches["transmitted"])
+            for ch, a in branches["reflected"].items():
+                both[ch] = both[ch] + a if ch in both else a
+            moved[time] = {**branches, "total": both}
+        return moved[time][name]
+
+    def guard(dt: float) -> float:
+        floor = NEGLIGIBLE_WEIGHT * incident_weight
+        branches = ("transmitted", "reflected")
+        return max(_dense_guard(grid, at(name, t_final), outgoing, +1, dt, floor) for name in branches)
+
+    rows, guards = [], [guard(0.0)]
+    for time in sc.schedule:
+        if _dense_guard(grid, sc.packet.amp, incoming_media, -1, time) <= GUARD_TOL:
+            amps = _dense_at(grid, incident, incoming_media, time)
+            rows.append((time, "incoming", "incoming", _dense_centroid(grid, amps),
+                         _dense_observables(grid, incident, incoming_media, hbar)))
+            continue
+        guards.append(guard(t_final - time))
+        phase = "scattered" if guards[-1] <= GUARD_TOL else "crossing"
+        for name in spectra:
+            rows.append((time, name, phase, _dense_centroid(grid, at(name, time)), observables[name]))
+    final_phase = "scattered" if guards[0] <= GUARD_TOL else "crossing"
+    blocks = {"input": (0.0, "incoming", _dense_centroid(grid, sc.packet.amp),
+                        _dense_observables(grid, incident, incoming_media, hbar))}
+    for name in spectra:
+        blocks[name] = (t_final, final_phase, _dense_centroid(grid, at(name, t_final)), observables[name])
+    return {
+        "rows": rows, "blocks": blocks, "guard_fraction": max(guards), "asymptotic": guards[0] <= GUARD_TOL,
+        "prob_t": observables["transmitted"]["photon_number"], "prob_r": observables["reflected"]["photon_number"],
+        "resampling_drift": drift,
+    }
 
 
 # ---------------------------------------------------------------------------

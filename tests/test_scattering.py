@@ -392,6 +392,20 @@ def test_band_edge_overflow_rejected(rig_grid):
         bs.interface_scatter(p, 2.0, t_final=140.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_chirp_windows_stay_finite_at_extreme_speed_ratios():
+    """Media whose speed ratio is 1e307 scale the transmitted wavenumbers by 1e-307 (or 1e307 for
+    the left-mover): the output window's offsets, incident bins over the scale, would overflow, so
+    they are clipped to the band first.  The map runs, and its transmitted branch is empty."""
+    grid = bs.make_grid(-200.0, 200.0, 2048)
+    for s, x0 in ((+1, -60.0), (-1, 60.0)):
+        p = bs.gaussian_packet(grid, (s, "H"), x0, 5.0, 2.0)
+        slow, fast = bs.Medium(epsilon=1e308), bs.Medium(epsilon=1e-306)
+        left, right = (fast, slow) if s > 0 else (slow, fast)
+        out = bs.interface_scatter(p, left.c / right.c, t_final=0.0, left=left, right=right, allow_partial=True)
+        assert out.prob_t == 0.0 and out.resampling_drift <= 1e-300, (s, out.prob_t, out.resampling_drift)
+
+
 def test_a_branch_leaving_the_grid_is_refused_before_the_chirp(monkeypatch):
     """The edge rule reads the branch supports from the incident state, so a
     transmitted branch that outruns the grid (n < 1: faster, and its support

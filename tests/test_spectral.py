@@ -225,6 +225,111 @@ def test_chirp_phases_are_within_2e_15_of_mpmath_up_to_2_to_the_20():
     assert worst <= 2e-15, worst
 
 
+def _chirp_windows(n):
+    """Input and output windows at both ends of the lattice and inside it; the fourth and
+    the last two need more than N offsets, so they run in 2x2 blocks.  The first sums one point, each
+    output a single product, which the padded oracle and the chirp both round to about
+    5e-16 of it (7e-16 and 5e-16 at N = 32 against mpmath), so it meets mpmath only."""
+    q = n // 4
+    return [
+        ((n - 1, n), (0, q)),
+        ((0, q), (n - q, n)),
+        ((n - q, n), (0, q + 1)),
+        ((q // 2, n // 2 + 3), (q, n)),
+        ((0, n // 2), (n // 2 - 1, n - 1)),
+        ((1, n), (0, n - 1)),
+        ((q, n), (0, n)),
+    ]
+
+
+def _masked(values, inputs):
+    out = np.zeros_like(values)
+    out[inputs[0] : inputs[1]] = values[inputs[0] : inputs[1]]
+    return out
+
+
+def test_windowed_chirp_matches_the_padded_oracle():
+    """On random data, each output window of ``_chirp_sum`` over an input window is the
+    2N-point zero-padded convolution of the input with the points outside its window zeroed,
+    within 1e-15 of that transform's peak, for every chirp constant and N = 8 to 4096."""
+    rng = np.random.default_rng(29)
+    for log_n in range(3, 13):
+        n = 1 << log_n
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for inputs, outputs in _chirp_windows(n)[1:]:
+            for c in CHIRP_CS:
+                want = oracles.padded_chirp_sum(_masked(values, inputs), c)
+                got = _chirp_sum(values, c, inputs, outputs)
+                assert got.shape == (outputs[1] - outputs[0],), (n, inputs, outputs)
+                err = np.max(np.abs(got - want[outputs[0] : outputs[1]]))
+                assert err <= 1e-15 * np.max(np.abs(want)), (n, inputs, outputs, c, err / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("log_n", [3, 4, 5, 6])
+def test_windowed_chirp_matches_the_direct_sum_in_mpmath(log_n):
+    """``_chirp_sum / 2N`` over windows at both ends of the lattice against the direct sum
+    over the input window at 40 digits, within 1e-15 of the window's peak, for N up to 64."""
+    n = 1 << log_n
+    rng = np.random.default_rng(100 + log_n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with mpmath.workdps(40):
+        for inputs, outputs in _chirp_windows(n)[:5]:
+            for c in CHIRP_CS:
+                got = _chirp_sum(values, c, inputs, outputs) / (2 * n)
+                want = np.array([
+                    complex(sum(
+                        mpmath.mpc(values[j]) * mpmath.expjpi(-2 * mpmath.mpf(c) * (m - n // 2) * j / n)
+                        for j in range(*inputs)
+                    ))
+                    for m in range(*outputs)
+                ])
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (n, inputs, outputs, c)
+
+
+def _two_lobes(grid):
+    """One channel holding two packets far apart in x and in k, of opposite carriers."""
+    a = bs.gaussian_packet(grid, (+1, "H"), x0=-110.0, k0=9.0, sigma=2.0).amp[bs.Channel(1, "H")]
+    b = bs.gaussian_packet(grid, (+1, "H"), x0=70.0, k0=-4.0, sigma=3.0).amp[bs.Channel(1, "H")]
+    return a + 0.5 * b
+
+
+def _full_band(grid):
+    """Random points over the middle half of the grid: their spectrum fills the band."""
+    values = np.zeros(grid.n_points, dtype=np.complex128)
+    n, rng = grid.n_points, np.random.default_rng(31)
+    values[n // 4 : 3 * n // 4] = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+    return values
+
+
+@pytest.mark.parametrize("state", [_two_lobes, _full_band])
+def test_the_maps_windows_keep_the_chirp_within_1e_15_of_its_peak(state):
+    """With the windows the map reads from a state's densities, the windowed chirp
+    matches the padded convolution of the whole input within 1e-15 of its peak in
+    the output window, and every in-band bin outside it is below 1e-15 of that peak:
+    for two separated lobes, whose windows span the gap, and for a spectrum that fills
+    the band, whose output window reaches the band edge.  Each runs in 2x2 blocks at
+    some scales and as one shorter convolution at others."""
+    from blipsim.scattering import _window
+
+    grid = bs.make_grid(-200.0, 200.0, 4096)
+    n, values, blocks = grid.n_points, state(grid), []
+    for c in CHIRP_CS:
+        s, scale = (1 if c > 0 else -1), abs(c)
+        spectrum = np.abs(_forward(grid, s, values)) ** 2
+        inputs = _window(np.abs(values) ** 2, 2.0**-106 / n**2)
+        outputs = _window(spectrum, 2.0**-100, scale)
+        want = oracles.padded_chirp_sum(values, c)
+        peak = np.max(np.abs(want))
+        got = _chirp_sum(values, c, inputs, outputs)
+        assert np.max(np.abs(got - want[outputs[0] : outputs[1]])) <= 1e-15 * peak, (c, inputs, outputs)
+        outside = np.ones(n, dtype=bool)
+        outside[outputs[0] : outputs[1]] = False
+        outside &= scale * grid.abs_k <= grid.k_max
+        assert np.max(np.abs(want[outside]), initial=0.0) <= 1e-15 * peak, (c, inputs, outputs)
+        blocks.append(inputs[1] - inputs[0] + outputs[1] - outputs[0] > n + 1)
+    assert any(blocks) and not all(blocks), blocks
+
+
 @pytest.mark.skipif(
     np.lib.NumpyVersion(np.__version__) < "2.0.0",
     reason="numpy 1.x has no FFT out= and pads an FFT input with a copy; this bound was measured with numpy 2",
@@ -259,6 +364,31 @@ def test_chirp_memory_stays_under_100_bytes_per_point(monkeypatch):
         tracemalloc.stop()
     assert peak <= 100 * grid.n_points, peak / grid.n_points
     assert sizes == [grid.n_points] * 6, sizes
+
+    # Through the map, the chirp sums only the input's window into the output window
+    # (about 2,200 points into 770 bins here): its three FFTs are shorter than N, and
+    # its traced peak, 16.8 measured, is the zero-filled N-point output.
+    import blipsim.scattering as scattering
+
+    sample, peaks, inside = scattering.sample_spectrum_scaled, [], []
+
+    def windowed(*args, **kwargs):
+        tracemalloc.reset_peak()
+        base, first = tracemalloc.get_traced_memory()[0], len(sizes)
+        out = sample(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        inside.append(sizes[first:])
+        return out
+
+    monkeypatch.setattr(scattering, "sample_spectrum_scaled", windowed)
+    tracemalloc.start()
+    try:
+        bs.interface_scatter(p, 2.0, t_final=140.0)
+    finally:
+        tracemalloc.stop()
+    (peak,), (chirp_sizes,) = peaks, inside
+    assert len(chirp_sizes) == 3 and max(chirp_sizes) < grid.n_points, chirp_sizes
+    assert peak <= 24 * grid.n_points, peak / grid.n_points
 
 
 def test_no_module_computes_in_long_double():
@@ -314,12 +444,14 @@ def test_a_channel_transform_peaks_under_40_bytes_per_point():
 def test_the_numpy_1_copy_branch_gives_the_same_bits(monkeypatch):
     """numpy 1.x has no FFT ``out=``, so ``_fft_in_place`` returns a new array there.
     That branch, forced here with FFTs that refuse ``out=`` as numpy 1.x does, gives
-    ``_inverse`` and the chirp the same bits as the in-place one."""
+    ``_inverse`` and the chirp, over the whole lattice or over windows, the same bits
+    as the in-place one."""
     rng = np.random.default_rng(23)
     grid = bs.make_grid(-7.3, 11.9, 512)
     values = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     cases = [(_inverse, (grid, s, values, cells)) for s in (+1, -1) for cells in (0.0, 3.7)]
-    cases += [(_chirp_sum, (values, c)) for c in CHIRP_CS]
+    windows = ((None, None), ((3, 200), (100, 300)))
+    cases += [(_chirp_sum, (values, c, *window)) for c in CHIRP_CS for window in windows]
     in_place = [f(*args) for f, args in cases]
 
     def without_out(transform):
