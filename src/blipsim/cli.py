@@ -52,6 +52,7 @@ from .propagation import Scenario, ScenarioResult, ScenarioRow, run_scenario
 from .scattering import (
     GUARD_TOL,
     REMAINDER_ROUNDING_FLOOR,
+    RESAMPLE_DRIFT_TOL,
     MirrorCoupling,
     ScatterRates,
     dyson_partial_sums,
@@ -70,7 +71,7 @@ DEFAULT_TOLERANCES = {
     "momentum_ratio": 1e-6,
     "conditional_ratio": 1e-6,
     "unitarity": 1e-9,
-    "resample_drift": 1e-8,
+    "resample_drift": RESAMPLE_DRIFT_TOL,
     "peak_bins": 1.0,
     "asymptotic": GUARD_TOL,
 }
@@ -309,39 +310,37 @@ def _parse_file_name(text: str) -> str:
     return text
 
 
-def _parse_direction(text: str) -> int:
-    if text.strip() in ("+1", "1"):
-        return 1
-    if text.strip() == "-1":
-        return -1
-    raise ConfigurationError(f"direction must be +1 or -1, got {text!r}")
+def _choice(values: dict[str, Any]) -> Callable[[str], Any]:
+    """A parser of the keys of ``values``, each giving its value; any other text is refused."""
+    def parse(text: str) -> Any:
+        if text not in values:
+            raise ValueError(f"must be one of {', '.join(values)}")
+        return values[text]
+    return parse
 
+
+#: The explicit ``[media]`` keys: both media's permittivity and permeability, given all four or none.
+_MEDIA_PAIRS = ("left_epsilon", "left_mu", "right_epsilon", "right_mu")
 
 _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     "grid": {"x_min": float, "x_max": float, "n_points": int},
     "packet": {
-        "direction": _parse_direction,
-        "polarization": str,
+        "direction": _choice({"+1": 1, "1": 1, "-1": -1}),
+        "polarization": _choice({"H": "H", "V": "V"}),
         "x0": float,
         "k0": float,
         "sigma": float,
     },
-    "media": {
-        key: _parse_positive
-        for key in ("n", "left_epsilon", "left_mu", "right_epsilon", "right_mu", "area", "c0")
-    },
-    "coupling": {"source": str, "omega": _parse_complex},
+    "media": {key: _parse_positive for key in ("n", *_MEDIA_PAIRS, "area", "c0")},
+    "coupling": {"source": _choice({"from_n": "from_n", "explicit": "explicit"}), "omega": _parse_complex},
     "schedule": {"times": _parse_times},
     "output": {"summary": _parse_file_name, "series": _parse_file_name, "snapshots": _parse_bool},
     "units": {"hbar": float},
     "tolerances": {key: _parse_tolerance for key in DEFAULT_TOLERANCES},
 }
 
-_REQUIRED = {
-    "grid": ("x_min", "x_max", "n_points"),
-    "packet": ("direction", "polarization", "x0", "k0", "sigma"),
-    "schedule": ("times",),
-}
+#: Sections that must be given, with every key of their schema.
+_REQUIRED = ("grid", "packet", "schedule")
 
 
 def _load_config(path: str) -> dict[str, dict[str, Any]]:
@@ -370,10 +369,10 @@ def _load_config(path: str) -> dict[str, dict[str, Any]]:
                 raise ConfigurationError(
                     f"bad value for {key!r} in [{section}]: {raw!r} ({exc})"
                 ) from exc
-    for section, keys in _REQUIRED.items():
+    for section in _REQUIRED:
         if section not in cfg:
             raise ConfigurationError(f"missing config section [{section}]")
-        for key in keys:
+        for key in _SCHEMA[section]:
             if key not in cfg[section]:
                 raise ConfigurationError(f"missing key {key!r} in section [{section}]")
     return cfg
@@ -388,12 +387,9 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
     if cfg["grid"]["n_points"] > MAX_GRID_POINTS:
         raise ConfigurationError(f"n_points must be at most {MAX_GRID_POINTS}, got {cfg['grid']['n_points']}")
     grid = make_grid(cfg["grid"]["x_min"], cfg["grid"]["x_max"], cfg["grid"]["n_points"])
-    pol = cfg["packet"]["polarization"]
-    if pol not in ("H", "V"):
-        raise ConfigurationError(f"polarization must be H or V, got {pol!r}")
     packet = gaussian_packet(
         grid,
-        (cfg["packet"]["direction"], pol),
+        (cfg["packet"]["direction"], cfg["packet"]["polarization"]),
         cfg["packet"]["x0"],
         cfg["packet"]["k0"],
         cfg["packet"]["sigma"],
@@ -407,16 +403,16 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
     media = cfg.get("media", {})
     area = media.get("area", 1.0)
     c0 = media.get("c0", 1.0)
-    explicit = [key for key in ("left_epsilon", "left_mu", "right_epsilon", "right_mu") if key in media]
+    explicit = [key for key in _MEDIA_PAIRS if key in media]
     if "n" in media and explicit:
         raise ConfigurationError("give either media.n or explicit epsilon/mu pairs, not both")
     try:
         if explicit:
-            for key in ("left_epsilon", "left_mu", "right_epsilon", "right_mu"):
+            for key in _MEDIA_PAIRS:
                 if key not in media:
                     raise ConfigurationError(f"explicit media need all four pairs; missing {key!r}")
-            left = Medium(media["left_epsilon"], media["left_mu"], area, c0)
-            right = Medium(media["right_epsilon"], media["right_mu"], area, c0)
+            left_epsilon, left_mu, right_epsilon, right_mu = (media[key] for key in _MEDIA_PAIRS)
+            left, right = Medium(left_epsilon, left_mu, area, c0), Medium(right_epsilon, right_mu, area, c0)
         else:
             left = Medium.reference(area=area, c0=c0)
             right = Medium.from_index(media.get("n", 1.0), area=area, c0=c0)
@@ -425,11 +421,8 @@ def _scenario_from_config(cfg: dict[str, dict[str, Any]]) -> Scenario:
         raise ConfigurationError(f"[media] values give no valid medium: {exc}") from None
 
     coupling = cfg.get("coupling", {})
-    source = coupling.get("source", "from_n")
-    if source not in ("from_n", "explicit"):
-        raise ConfigurationError(f"coupling source must be from_n or explicit, got {source!r}")
     omega = None
-    if source == "explicit":
+    if coupling.get("source") == "explicit":
         if "omega" not in coupling:
             raise ConfigurationError("coupling source 'explicit' needs an omega value")
         omega = coupling["omega"]

@@ -398,15 +398,29 @@ def norm(p: BlipWavePacket) -> float:
     return float(sum(np.sum(dens) for dens in p.density.values()) * p.grid.dx)
 
 
-def centroid(p: BlipWavePacket) -> float:
-    """Mean position of the total density; undefined for zero packets."""
-    total = first = 0.0
-    for dens in p.density.values():  # summed as in norm()
-        total += np.sum(dens)
-        first += float(np.sum(p.grid.x * dens))
+def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
+    """Each channel's summed density (its weight over ``dx``) and the packet's centroid.  Below
+    ``2**-969`` (the smallest normal over the unit roundoff) a cell holding ``2**-53`` of the sum can
+    be subnormal, so both are then read from ``|a 2**k|**2``, ``2**k`` lifting the peak amplitude to
+    order 1: the scaling is exact, and a packet of normal weight keeps every bit of its sums."""
+    densities = p.density
+    weights = {ch: float(np.sum(dens)) for ch, dens in densities.items()}
+    if sum(weights.values()) < 2.0**-969:
+        peak = max((float(np.max(np.abs(a))) for a in p.amp.values()), default=0.0)
+        lift = 2.0 ** min(-math.frexp(peak)[1], 1023)
+        densities = {ch: np.abs(a * lift) ** 2 for ch, a in p.amp.items()}
+        weights = {ch: float(np.sum(dens)) for ch, dens in densities.items()}
+    total = sum(weights.values())  # summed as in norm()
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
-    return first * p.grid.dx / float(total * p.grid.dx)
+    first = sum(float(np.sum(p.grid.x * dens)) for dens in densities.values())
+    return weights, first * p.grid.dx / (total * p.grid.dx)
+
+
+def centroid(p: BlipWavePacket) -> float:
+    """Mean position of the total density, also where it underflows (see :func:`_weighed`);
+    undefined for zero packets."""
+    return _weighed(p)[1]
 
 
 def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | None:

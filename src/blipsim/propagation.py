@@ -33,16 +33,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .lattice import BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, centroid
+from .lattice import BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, _weighed
 from .observables import ObservableReport, spectral_expectations
 from .scattering import (
     GUARD_TOL,
     MirrorCoupling,
     ScatterOutcome,
     ScatterRates,
+    _branch_guards,
     _guard_fractions,
     interface_scatter,
     rates_from_omega,
@@ -146,12 +145,13 @@ def _measure(
 ) -> tuple[ObservableReport, float | None, float]:
     """The record of ``state`` (``sp`` its spectrum), its centroid and the
     speed ``sum_ch w_ch s c / W`` at which free flight moves that centroid
-    (``w_ch`` a channel's weight, ``W`` the state's)."""
+    (``w_ch`` a channel's weight, ``W`` the state's, both read by
+    :func:`blipsim.lattice._weighed`, also where they underflow)."""
     values = spectral_expectations(sp, media, hbar)
     if not values.photon_number > 0.0:
         return values, None, 0.0
-    weights = {ch: float(np.sum(dens)) for ch, dens in state.density.items()}
-    return values, centroid(state), sum(w * ch.s * media[ch.s].c for ch, w in weights.items()) / sum(weights.values())
+    weights, x = _weighed(state)
+    return values, x, sum(w * ch.s * media[ch.s].c for ch, w in weights.items()) / sum(weights.values())
 
 
 def _rows(t: float, phase: str, measured: Mapping[str, tuple], dt: float) -> list[ScenarioRow]:
@@ -185,7 +185,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 
     reads = _guard_fractions(sc.packet, incoming_media, -1, list(sc.schedule))
     later = [t for t, read in zip(sc.schedule, reads) if any(f > GUARD_TOL for f in read.values())]
-    guards = dict(zip(later, outcome._guard_fraction(later)))
+    finals, dts = (outcome.transmitted, outcome.reflected), [t_final - t for t in later]
+    guards = dict(zip(later, _branch_guards(finals, outcome.outgoing, outcome.incident_weight, dts)))
     rows: list[ScenarioRow] = []
     for t in sc.schedule:
         if t not in guards:

@@ -33,11 +33,11 @@ rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
 ``guard_fraction``: slice sums of the packet's cached density, read
 with the band moved by ``s c t`` between times.
-Transmission through the boundary rescales wavenumbers by the index ratio,
-``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with the
-matching ``1/sqrt(n)`` amplitude factors; the sign of ``k`` is never
-changed.  Wavenumber rescaling is evaluated on the band-limited interpolant
-(see :mod:`blipsim.spectral`) and its norm drift is measured and bounded.
+The map's argument ``n`` only picks default media and is checked against explicit
+ones; every factor reads the media's ratio ``n = c_left / c_right``.  Transmission
+rescales wavenumbers by it, ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)``
+coming out, with ``1/sqrt(n)`` amplitude factors and the sign of ``k`` kept, on the
+band-limited interpolant (:mod:`blipsim.spectral`); its norm drift is measured and bounded.
 """
 
 from __future__ import annotations
@@ -304,11 +304,6 @@ class ScatterOutcome:
         """Each direction's medium after the event, by :func:`_outgoing`."""
         return _outgoing(self.left_medium, self.right_medium)
 
-    def _guard_fraction(self, times: list[float]) -> list[float]:
-        """The branches' guard fraction at each of ``times``, read from ``t_final``."""
-        dts = [self.t_final - t for t in times]
-        return _branch_guards((self.transmitted, self.reflected), self.outgoing, self.incident_weight, dts)
-
 
 def _outgoing(left: Medium, right: Medium) -> dict[int, Medium]:
     """After the event ``+1`` channels occupy ``right`` and ``-1`` channels ``left``; the map reads it first."""
@@ -372,11 +367,11 @@ def interface_scatter(
     right: Medium | None = None,
     allow_partial: bool = False,
 ) -> ScatterOutcome:
-    """Scatter at the boundary with speed ratio ``n = c_left / c_right``.
+    """Scatter at the boundary between ``left`` (``x < 0``) and ``right`` (``x > 0``).
 
-    The reference medium fills ``x < 0`` and the slower one ``x > 0``;
-    ``rates`` defaults to :func:`fresnel_rates`.  Per incident channel, at
-    ``t = 0``:
+    ``n`` picks the default media (the reference one and ``Medium.from_index(n)``) and must
+    match explicit ones within 1e-12; then every factor reads their ratio ``n = c_left / c_right``,
+    ``rates`` defaulting to ``fresnel_rates(n)``.  Per incident channel, at ``t = 0``:
 
     * from the left (``s = +1``): transmitted ``(t_+/sqrt(n)) psi~(k/n)``
       on ``(+1, pol)``, later advanced at ``c_right``; reflected
@@ -403,15 +398,13 @@ def interface_scatter(
     n = _positive(n, "refractive index")
     if (left is None) != (right is None):
         raise ConsistencyError("give both media or neither")
-    if left is None:
-        left = Medium.reference()
-        right = Medium.from_index(n)
-    assert right is not None
+    if left is None or right is None:
+        left, right = Medium.reference(), Medium.from_index(n)
     ratio = left.c / right.c
     if not math.isclose(ratio, n, rel_tol=1e-12, abs_tol=0.0):
         raise ConsistencyError(f"media speed ratio {ratio!r} does not match n = {n!r}")
     if rates is None:
-        rates = fresnel_rates(n)
+        rates = fresnel_rates(ratio)
 
     t_final = float(t_final)
     grid = p.grid
@@ -442,48 +435,41 @@ def interface_scatter(
             if rates.r(ch.s) != 0:
                 r_image = (-hi, -lo)
         supports["transmitted"][ch], supports["reflected"][Channel(-ch.s, ch.pol)] = t_image, r_image
-    names = ("transmitted", "reflected")
     outgoing = _outgoing(left, right)
     # an input still incoming at t_final has its branches extrapolated back from x = 0
     early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
     remedy = early if all(f <= GUARD_TOL for f in at_end.values()) else None
-    for name in names:
-        _check_inside(grid, supports[name], outgoing, t_final, f"the {name} branch", remedy)
-    root_n = math.sqrt(n)
+    for name, images in supports.items():
+        _check_inside(grid, images, outgoing, t_final, f"the {name} branch", remedy)
     incident = to_momentum(p)  # the input's one forward transform per event
     # each chirp sums the points whose |values| outside sum to at most N sqrt(2**-106 / N**2 peak) <= 2**-53 of
     # their own sum, into the bins that sample the spectrum above 2**-50 of its peak amplitude (about its rounding)
-    resampled = {}
-    for ch in p.amp if n != 1.0 else ():
-        scale = 1.0 / n if ch.s > 0 else n
-        inputs = _window(p.density[ch], 2.0**-106 / grid.n_points**2)
-        outputs = _window(incident.density[ch], 2.0**-100, scale)
-        resampled[ch] = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
-    amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
+    drift, transmitted, reflected = 0.0, [], {}
     for ch, phi in incident.amp.items():
-        coeff = rates.t_plus / root_n if ch.s > 0 else root_n * rates.t_minus
-        if n == 1.0:
-            amps["transmitted"][ch] = coeff * phi
-        else:  # the chirp's own array, scaled in place
-            amps["transmitted"][ch] = resampled[ch]
-            resampled[ch] *= coeff
-        amps["reflected"][Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
-    spectra = {name: SpectralWavePacket._own(grid, amp) for name, amp in amps.items()}
-    drift = 0.0
-    if n != 1.0:  # at n = 1 nothing is rescaled
-        for ch, dens in incident.density.items():
-            weight = float(np.sum(dens)) * grid.dk
+        coeff = rates.t_plus / math.sqrt(ratio) if ch.s > 0 else math.sqrt(ratio) * rates.t_minus
+        if ratio == 1.0:  # nothing is rescaled
+            transmitted.append(SpectralWavePacket._own(grid, {ch: coeff * phi}))
+        else:  # the chirp's own array, scaled in place, and its norm drift
+            scale = 1.0 / ratio if ch.s > 0 else ratio
+            inputs = _window(p.density[ch], 2.0**-106 / grid.n_points**2)
+            outputs = _window(incident.density[ch], 2.0**-100, scale)
+            amp = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
+            amp *= coeff
+            transmitted.append(SpectralWavePacket._own(grid, {ch: amp}))
+            weight = float(np.sum(incident.density[ch])) * grid.dk
             if weight > 0.0:
-                measured = float(np.sum(spectra["transmitted"].density[ch])) * grid.dk
+                measured = float(np.sum(transmitted[-1].density[ch])) * grid.dk
                 drift = max(drift, abs(measured - abs(rates.t(ch.s)) ** 2 * weight) / weight)
+        reflected[Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    spectra["total"] = combine(*(spectra[name] for name in names))
-    prob_t, prob_r = (spectral_norm(spectra[name]) for name in names)
-    branches = {name: to_position(spectra[name], outgoing, t_final) for name in names}
+    spectra = {"transmitted": combine(*transmitted), "reflected": SpectralWavePacket._own(grid, reflected)}
+    prob_t, prob_r = map(spectral_norm, spectra.values())
+    branches = {name: to_position(sp, outgoing, t_final) for name, sp in spectra.items()}
+    spectra["total"] = combine(*spectra.values())
     (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
     if guard_fraction > GUARD_TOL and not allow_partial:
         raise NotAsymptoticError(

@@ -297,9 +297,12 @@ def _dense_at(grid: Grid, spectra: dict, media: dict, t: float) -> dict:
 
 
 def _dense_centroid(grid: Grid, amps: dict) -> float | None:
-    weight = sum(float(np.sum(np.abs(a) ** 2)) for a in amps.values())
-    first = sum(float(np.sum(grid.x * np.abs(a) ** 2)) for a in amps.values())
-    return first / weight if weight > 0.0 else None
+    """The mean of ``x`` over ``sum |a 2**k|**2``, ``2**k`` lifting the peak amplitude to order 1, so no
+    cell of a weight that underflows is rounded as a subnormal or to 0; ``None`` where every amplitude is 0."""
+    lift = 2.0 ** min(-math.frexp(max(float(np.max(np.abs(a))) for a in amps.values()))[1], 1023)
+    dens = [np.abs(a * lift) ** 2 for a in amps.values()]
+    weight = sum(float(np.sum(d)) for d in dens)
+    return sum(float(np.sum(grid.x * d)) for d in dens) / weight if weight > 0.0 else None
 
 
 def _dense_guard(grid: Grid, amps: dict, media: dict, side: int, dt: float, floor: float = 0.0) -> float:
@@ -356,6 +359,10 @@ def dense_scenario(sc) -> dict:
             moved[time] = {**branches, "total": both}
         return moved[time][name]
 
+    def centroid(name: str, time: float) -> float | None:
+        """A branch's centroid at ``time``; as in ``run_scenario``, a branch with no photons has none."""
+        return _dense_centroid(grid, at(name, time)) if observables[name]["photon_number"] > 0.0 else None
+
     def guard(dt: float) -> float:
         floor = NEGLIGIBLE_WEIGHT * incident_weight
         branches = ("transmitted", "reflected")
@@ -371,12 +378,12 @@ def dense_scenario(sc) -> dict:
         guards.append(guard(t_final - time))
         phase = "scattered" if guards[-1] <= GUARD_TOL else "crossing"
         for name in spectra:
-            rows.append((time, name, phase, _dense_centroid(grid, at(name, time)), observables[name]))
+            rows.append((time, name, phase, centroid(name, time), observables[name]))
     final_phase = "scattered" if guards[0] <= GUARD_TOL else "crossing"
     blocks = {"input": (0.0, "incoming", _dense_centroid(grid, sc.packet.amp),
                         _dense_observables(grid, incident, incoming_media, hbar))}
     for name in spectra:
-        blocks[name] = (t_final, final_phase, _dense_centroid(grid, at(name, t_final)), observables[name])
+        blocks[name] = (t_final, final_phase, centroid(name, t_final), observables[name])
     return {
         "rows": rows, "blocks": blocks, "guard_fraction": max(guards), "asymptotic": guards[0] <= GUARD_TOL,
         "prob_t": observables["transmitted"]["photon_number"], "prob_r": observables["reflected"]["photon_number"],

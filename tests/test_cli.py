@@ -183,7 +183,8 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "negative_index": "'n'", "zero_index": "'n'", "nan_index": "'n'", "zero_area": "'area'",
         "infinite_c0": "'c0'", "overflowing_medium": "[media]", "speedless_medium": "[media]", "nan_omega": "'omega'",
         "overflowing_permittivity": "c0 = 1e-160 give no finite permittivity",
-        "divergent_omega": "'omega'",
+        "divergent_omega": "'omega'", "bad_direction": "'direction'", "bad_polarization": "'polarization'",
+        "bad_coupling_source": "'source'",
     }
     for name, case in cases.items():
         cfg = write_config(
@@ -628,9 +629,10 @@ def test_console_script(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# golden outputs of the reference config
+# golden outputs of the reference configs
 
-GOLDEN = REPO / "tests" / "data" / "air_to_glass"
+#: Golden outputs, one directory per config: a right-mover into glass and the mirror-image left-mover out of it.
+GOLDEN = REPO / "tests" / "data"
 #: Rounding residues held only to their tolerance: (block, key) -> tolerance key.
 RESIDUES = {
     ("deviations", "resample_drift"): "resample_drift",
@@ -665,22 +667,7 @@ def assert_matches(got, want, scales, where=()):
 
 
 def test_reference_run_matches_the_golden_outputs(tmp_path):
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(out)]) == 0
-    want = json.loads((GOLDEN / "summary.json").read_text())
-    got = json.loads((out / "summary.json").read_text())
-    for (block, key), tol in RESIDUES.items():
-        assert 0.0 <= got[block][key] <= want["tolerances"][tol], (block, key)
-        got[block][key] = want[block][key]
-    # a deviation is a rounding-level residue: within its tolerance, and
-    # within 1e-12 of the golden value against a scale of 1, not of itself
-    for key, value in got["deviations"].items():
-        assert 0.0 <= value <= want["tolerances"][key], key
-        assert abs(value - want["deviations"][key]) <= 1e-12 * max(abs(want["deviations"][key]), 1.0), key
-        got["deviations"][key] = want["deviations"][key]
-    scales = {key: val for key, val in want["input"].items() if _number(val)}
-    assert_matches(got, want, scales)
-
+    """Both directions of the map: ``s = +1`` into the denser medium and ``s = -1`` out of it."""
     def cell(text):
         try:
             return float(text)
@@ -691,7 +678,23 @@ def test_reference_run_matches_the_golden_outputs(tmp_path):
         header, rows = read_csv(path)
         return [dict(zip(header, map(cell, row))) for row in rows]
 
-    assert_matches(table(out / "series.csv"), table(GOLDEN / "series.csv"), scales)
+    for name in ("air_to_glass", "glass_to_air"):
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(REPO / "configs" / f"{name}.ini"), "--out", str(out)]) == 0
+        want = json.loads((GOLDEN / name / "summary.json").read_text())
+        got = json.loads((out / "summary.json").read_text())
+        for (block, key), tol in RESIDUES.items():
+            assert 0.0 <= got[block][key] <= want["tolerances"][tol], (name, block, key)
+            got[block][key] = want[block][key]
+        # a deviation is a rounding-level residue: within its tolerance, and
+        # within 1e-12 of the golden value against a scale of 1, not of itself
+        for key, value in got["deviations"].items():
+            assert 0.0 <= value <= want["tolerances"][key], (name, key)
+            assert abs(value - want["deviations"][key]) <= 1e-12 * max(abs(want["deviations"][key]), 1.0), (name, key)
+            got["deviations"][key] = want["deviations"][key]
+        scales = {key: val for key, val in want["input"].items() if _number(val)}
+        assert_matches(got, want, scales, (name,))
+        assert_matches(table(out / "series.csv"), table(GOLDEN / name / "series.csv"), scales, (name,))
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,22 @@ def test_centroid_zero_packet_rejected(rig_grid):
     assert bs.norm(empty) == 0.0
     with pytest.raises(bs.ZeroNormError):
         bs.centroid(empty)
+    zero = bs.BlipWavePacket(rig_grid, {(1, "H"): np.zeros(rig_grid.n_points)})
+    with pytest.raises(bs.ZeroNormError):
+        bs.centroid(zero)
+
+
+def test_a_centroid_keeps_its_digits_when_the_density_underflows():
+    """Amplitudes scaled by a power of two have the same centroid, also where their density
+    underflows: near 2**-530 the cells square to subnormals (their plain sums put the centroid
+    at -39.9992 or -40.6), by 2**-540 to zeros, and the centroid is read from exactly lifted
+    amplitudes instead."""
+    grid = bs.make_grid(-100.0, 100.0, 2048)
+    p = bs.gaussian_packet(grid, (+1, "H"), -40.0, 5.0, 3.0)
+    want = bs.centroid(p)
+    for k in (-480, -500, -520, -530, -535, -540, -560):
+        scaled = bs.BlipWavePacket(grid, {ch: a * 2.0**k for ch, a in p.amp.items()})
+        assert bs.centroid(scaled) == want, k
 
 
 def test_combine_channels_and_coherence(rig_grid):

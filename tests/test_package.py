@@ -3,7 +3,10 @@ lists, with the test oracles kept apart."""
 
 import dataclasses
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import blipsim
@@ -22,6 +25,21 @@ def test_public_names_are_the_union_of_the_submodules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(blipsim, name) is getattr(module, name), (module.__name__, name)
+
+
+#: Top-level modules a fresh ``import blipsim.cli`` must not load: the test stack, and ``fractions``,
+#: whose ``decimal`` import alone would add a measurable share to every CLI process's startup.
+UNLOADED = ("fractions", "decimal", "scipy", "mpmath", "hypothesis")
+
+
+def test_importing_the_cli_loads_no_test_or_exact_arithmetic_module():
+    code = "import sys, blipsim.cli; print(*sys.modules)"
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = {name.split(".")[0] for name in run.stdout.split()}
+    assert "blipsim" in loaded
+    assert sorted(loaded & set(UNLOADED)) == []
 
 
 def test_the_oracles_are_not_a_package_module():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blipsim as bs
-from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _guard_fractions
+from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT, _branch_guards, _guard_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +437,38 @@ def test_a_branch_leaving_the_grid_is_refused_before_the_chirp(monkeypatch):
     assert calls.count("chirp") == 1, calls
 
 
+def test_every_factor_of_the_map_reads_the_media_speed_ratio(rig_grid, rig_packet, monkeypatch):
+    """With explicit media one ulp off ``n``, the map resamples at exactly ``1 / (c_left / c_right)``
+    (``c_left / c_right`` for a left-mover), scales by ``t_+ / sqrt`` (``sqrt * t_-``) of that ratio,
+    and its default rates are the Fresnel rates of that ratio, not of ``n``."""
+    import blipsim.scattering as scattering
+
+    left, right = bs.Medium.from_index(1.3), bs.Medium.from_index(2.9)
+    ratio, n = left.c / right.c, 2.9 / 1.3
+    assert n != ratio and 1.0 / n != 1.0 / ratio and bs.fresnel_rates(n) != bs.fresnel_rates(ratio)
+    rates = bs.fresnel_rates(ratio)
+    samples, sample_spectrum_scaled = [], scattering.sample_spectrum_scaled
+
+    def recording(p, ch, scale, **windows):
+        out = sample_spectrum_scaled(p, ch, scale, **windows)
+        samples.append((scale, out.copy()))
+        return out
+
+    monkeypatch.setattr(scattering, "sample_spectrum_scaled", recording)
+    left_mover = bs.gaussian_packet(rig_grid, (-1, "H"), x0=60.0, k0=30.0, sigma=2.0)
+    cases = (
+        (rig_packet, 1.0 / ratio, rates.t_plus / math.sqrt(ratio)),
+        (left_mover, ratio, math.sqrt(ratio) * rates.t_minus),
+    )
+    for packet, scale, factor in cases:
+        samples.clear()
+        out = bs.interface_scatter(packet, n, 140.0, left=left, right=right, allow_partial=True)
+        (ch,) = packet.channels()
+        assert [s for s, _ in samples] == [scale], (ch, samples)
+        assert out.rates == rates
+        assert np.array_equal(out.spectra["transmitted"].amp[ch], samples[0][1] * factor), ch
+
+
 def test_outcome_records_context(rig_packet, ref_medium):
     out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
     assert out.scenario_tag == "interface(n=2, t=140)"
@@ -739,14 +771,14 @@ def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_g
         # the incoming test reads the whole schedule in one call
         reads = _guard_fractions(packet, {+1: ref, -1: right}, -1, list(times))
         # and the branch guards read the final branches at every time in one call
-        translated = event._guard_fraction(list(times))
         outgoing = {+1: right, -1: ref}
+        final = (event.transmitted, event.reflected)
+        translated = _branch_guards(final, outgoing, event.incident_weight, [140.0 - t for t in times])
         want_phase = {}
         for t, read, moved in zip(times, reads, translated):
             out = bs.interface_scatter(packet, n, t, rates=rates, left=ref, right=right, allow_partial=True)
             want = max(branch_guard_oracle(b, out.incident_weight) for b in (out.transmitted, out.reflected))
             assert out.guard_fraction.hex() == want.hex(), (name, t)
-            final = (event.transmitted, event.reflected)
             want_moved = max(branch_guard_oracle(b, event.incident_weight, outgoing, 140.0 - t) for b in final)
             assert moved.hex() == want_moved.hex(), (name, t)
             assert all(f <= GUARD_TOL for f in read.values()) == still_incoming_oracle(sc, t), (name, t)
