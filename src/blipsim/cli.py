@@ -378,8 +378,8 @@ def _load_config(path: str) -> dict[str, dict[str, Any]]:
     return cfg
 
 
-#: Largest ``[grid] n_points``; a run's peak RSS grows by about 18 complex arrays of that
-#: length (fresh-process ``wait4`` peak from 2**18 to 2**20 points, snapshots off).
+#: Largest ``[grid] n_points``; a run's peak RSS grows by about 12 complex arrays of that
+#: length (fresh-process ``wait4`` peak from 2**18 to 2**20 points, snapshots off: 80.0 to 223.8 MiB).
 MAX_GRID_POINTS = 2**22
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "DomainExitError",
     "FixtureError",
     "InterpolationAccuracyError",
-    "NotAsymptoticError",
     "SupportGuardError",
     "ZeroNormError",
 ]
@@ -46,10 +45,6 @@ class ZeroNormError(BlipSimError):
 
 class SupportGuardError(BlipSimError):
     """Packet support touches the scatterer or sits on the wrong side."""
-
-
-class NotAsymptoticError(BlipSimError):
-    """Scattering map requested at a time where a branch still straddles x = 0."""
 
 
 class DivergenceError(BlipSimError):

@@ -385,10 +385,10 @@ def gaussian_packet(
     envelope **= 2
     envelope /= -4.0 * sigma**2
     np.exp(envelope, out=envelope)
+    envelope /= math.sqrt(float(np.sum(envelope**2)) * grid.dx)  # its square is freed before the carrier is built
     # the carrier exp(i s k0 x_j) with x_j = x_min + j dx is affine in j: s k0 (x_min + j dx) / 2 pi turns
     turn = ch.s * k0 / (2.0 * math.pi)
     values = _affine_phase(turn * grid.x_min, turn * grid.dx, grid.n_points)
-    envelope /= math.sqrt(float(np.sum(envelope**2)) * grid.dx)
     values *= envelope
     return BlipWavePacket._own(grid, {ch: values})
 

@@ -140,15 +140,22 @@ class ScenarioResult:
     guard_fraction: float
 
 
+#: A state of at most this fraction of the input's photon number reports no centroid: the
+#: smallest normal over the unit roundoff, :func:`blipsim.lattice._weighed`'s threshold, so a
+#: photon number near it is a normal float on every route that computes it, not a subnormal
+#: step that two summations can round either side of 0.
+CENTROID_FLOOR = 2.0**-969
+
+
 def _measure(
-    state: BlipWavePacket, sp: SpectralWavePacket, media: Mapping[int, Medium], hbar: float
+    state: BlipWavePacket, sp: SpectralWavePacket, media: Mapping[int, Medium], hbar: float, floor: float
 ) -> tuple[ObservableReport, float | None, float]:
     """The record of ``state`` (``sp`` its spectrum), its centroid and the
     speed ``sum_ch w_ch s c / W`` at which free flight moves that centroid
     (``w_ch`` a channel's weight, ``W`` the state's, both read by
-    :func:`blipsim.lattice._weighed`, also where they underflow)."""
+    :func:`blipsim.lattice._weighed`); no centroid at ``floor`` photons or fewer."""
     values = spectral_expectations(sp, media, hbar)
-    if not values.photon_number > 0.0:
+    if not values.photon_number > floor:
         return values, None, 0.0
     weights, x = _weighed(state)
     return values, x, sum(w * ch.s * media[ch.s].c for ch, w in weights.items()) / sum(weights.values())
@@ -173,14 +180,14 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     """
     incoming_media = {+1: sc.left_medium, -1: sc.right_medium}
     t_final = sc.schedule[-1]
-    outcome = interface_scatter(
-        sc.packet, sc.n, t_final, rates=sc.rates, left=sc.left_medium, right=sc.right_medium, allow_partial=True
-    )
+    outcome = interface_scatter(sc.packet, sc.left_medium, sc.right_medium, t_final, rates=sc.rates)
     # each outgoing channel carries a single phase, so the total's
     # observables follow from the per-channel sum of the t = 0 spectra
-    incoming = {"incoming": _measure(sc.packet, outcome.incident, incoming_media, sc.hbar)}
+    floor = CENTROID_FLOOR * outcome.incident_weight
+    incoming = {"incoming": _measure(sc.packet, outcome.incident, incoming_media, sc.hbar, floor)}
     branches = {
-        name: _measure(getattr(outcome, name), sp, outcome.outgoing, sc.hbar) for name, sp in outcome.spectra.items()
+        name: _measure(getattr(outcome, name), sp, outcome.outgoing, sc.hbar, floor)
+        for name, sp in outcome.spectra.items()
     }
 
     reads = _guard_fractions(sc.packet, incoming_media, -1, list(sc.schedule))

@@ -33,11 +33,11 @@ rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
 ``guard_fraction``: slice sums of the packet's cached density, read
 with the band moved by ``s c t`` between times.
-The map's argument ``n`` only picks default media and is checked against explicit
-ones; every factor reads the media's ratio ``n = c_left / c_right``.  Transmission
-rescales wavenumbers by it, ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)``
-coming out, with ``1/sqrt(n)`` amplitude factors and the sign of ``k`` kept, on the
-band-limited interpolant (:mod:`blipsim.spectral`); its norm drift is measured and bounded.
+The map takes the two media and nothing that restates them: every factor reads
+their ratio ``n = c_left / c_right``.  Transmission rescales wavenumbers by it,
+``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with ``1/sqrt(n)``
+amplitude factors and the sign of ``k`` kept, on the band-limited interpolant
+(:mod:`blipsim.spectral`); its norm drift is measured and bounded.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DivergenceError,
-    DomainError,
-    InterpolationAccuracyError,
-    NotAsymptoticError,
-    SupportGuardError,
-)
+from .errors import DivergenceError, DomainError, InterpolationAccuracyError, SupportGuardError
 from .lattice import (
     BlipWavePacket,
     Channel,
@@ -358,20 +351,12 @@ def _window(dens: np.ndarray, floor: float, scale: float = 1.0) -> tuple[int, in
 
 
 def interface_scatter(
-    p: BlipWavePacket,
-    n: float,
-    t_final: float,
-    *,
-    rates: ScatterRates | None = None,
-    left: Medium | None = None,
-    right: Medium | None = None,
-    allow_partial: bool = False,
+    p: BlipWavePacket, left: Medium, right: Medium, t_final: float, *, rates: ScatterRates | None = None
 ) -> ScatterOutcome:
     """Scatter at the boundary between ``left`` (``x < 0``) and ``right`` (``x > 0``).
 
-    ``n`` picks the default media (the reference one and ``Medium.from_index(n)``) and must
-    match explicit ones within 1e-12; then every factor reads their ratio ``n = c_left / c_right``,
-    ``rates`` defaulting to ``fresnel_rates(n)``.  Per incident channel, at ``t = 0``:
+    Every factor reads the media's speed ratio ``n = c_left / c_right``, ``rates``
+    defaulting to ``fresnel_rates(n)``.  Per incident channel, at ``t = 0``:
 
     * from the left (``s = +1``): transmitted ``(t_+/sqrt(n)) psi~(k/n)``
       on ``(+1, pol)``, later advanced at ``c_right``; reflected
@@ -392,17 +377,10 @@ def interface_scatter(
     ``t_final`` (read from the incident supports, before any resampling),
     :class:`InterpolationAccuracyError` when the rescaled spectra
     drift in norm by more than ``1e-8`` relative to the closed-form
-    ``|t_s|^2``, and, unless ``allow_partial``,
-    :class:`NotAsymptoticError` if a branch still straddles the scatterer.
+    ``|t_s|^2``.  A branch still straddling the scatterer at ``t_final`` is no error:
+    the outcome's ``asymptotic`` and ``guard_fraction`` record it.
     """
-    n = _positive(n, "refractive index")
-    if (left is None) != (right is None):
-        raise ConsistencyError("give both media or neither")
-    if left is None or right is None:
-        left, right = Medium.reference(), Medium.from_index(n)
     ratio = left.c / right.c
-    if not math.isclose(ratio, n, rel_tol=1e-12, abs_tol=0.0):
-        raise ConsistencyError(f"media speed ratio {ratio!r} does not match n = {n!r}")
     if rates is None:
         rates = fresnel_rates(ratio)
 
@@ -471,11 +449,6 @@ def interface_scatter(
     branches = {name: to_position(sp, outgoing, t_final) for name, sp in spectra.items()}
     spectra["total"] = combine(*spectra.values())
     (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
-    if guard_fraction > GUARD_TOL and not allow_partial:
-        raise NotAsymptoticError(
-            f"at t = {t_final} a branch still has a {guard_fraction:.3e} weight "
-            "fraction at the scatterer; increase t_final"
-        )
     return ScatterOutcome(
         **branches, total=combine(*branches.values()), prob_t=prob_t, prob_r=prob_r,
         left_medium=left, right_medium=right, rates=rates, t_final=t_final, spectra=spectra, supports=supports,

@@ -41,6 +41,7 @@ import numpy as np
 from blipsim.errors import ConsistencyError, DomainError
 from blipsim.fields import FieldProfile
 from blipsim.lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _positive, as_channel
+from blipsim.propagation import CENTROID_FLOOR
 from blipsim.scattering import GUARD_HALF_CELLS, GUARD_TOL, NEGLIGIBLE_WEIGHT
 from blipsim.spectral import _SQRT_2PI, SpectralWavePacket, _check_chirp_scale, _chirp_sum, _forward, _inverse, _turns_phase
 
@@ -360,8 +361,10 @@ def dense_scenario(sc) -> dict:
         return moved[time][name]
 
     def centroid(name: str, time: float) -> float | None:
-        """A branch's centroid at ``time``; as in ``run_scenario``, a branch with no photons has none."""
-        return _dense_centroid(grid, at(name, time)) if observables[name]["photon_number"] > 0.0 else None
+        """A branch's centroid at ``time``; as in ``run_scenario``, a branch of at most ``CENTROID_FLOOR``
+        of the input's photons has none."""
+        photons = observables[name]["photon_number"]
+        return _dense_centroid(grid, at(name, time)) if photons > CENTROID_FLOOR * incident_weight else None
 
     def guard(dt: float) -> float:
         floor = NEGLIGIBLE_WEIGHT * incident_weight

@@ -51,8 +51,10 @@ def scatter_case(grid, n, direction):
             p = bs.gaussian_packet(grid, (-1, "H"), 30.0, 30.0, 2.0)
             t_final = 150.0
         start = time.perf_counter()
-        outcome = bs.interface_scatter(p, n, t_final, left=left, right=right)
-        _CACHE[key] = (p, outcome, time.perf_counter() - start)
+        outcome = bs.interface_scatter(p, left, right, t_final)
+        elapsed = time.perf_counter() - start
+        assert outcome.asymptotic, (n, direction)
+        _CACHE[key] = (p, outcome, elapsed)
     return _CACHE[key]
 
 
@@ -254,7 +256,8 @@ def test_scenario_runtime_budget(rig_grid, capsys):
     with gate(capsys, "RIG each scenario completes in under 5 s"):
         start = time.perf_counter()
         p = bs.gaussian_packet(rig_grid, (+1, "H"), -60.0, 30.0, 2.0)
-        outcome = bs.interface_scatter(p, 2.0, 140.0)
+        outcome = bs.interface_scatter(p, bs.Medium.reference(), bs.Medium.from_index(2.0), 140.0)
+        assert outcome.asymptotic
         total_out(outcome)
         assert time.perf_counter() - start < 5.0
         for (n, direction), (_, _, elapsed) in _CACHE.items():

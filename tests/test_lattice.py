@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import mpmath
@@ -197,6 +198,28 @@ def test_gaussian_packet_moments(rig_grid, rig_packet):
     dens = np.abs(p.amplitude((+1, "H"))) ** 2 * rig_grid.dx
     var = float(np.sum((x + 60.0) ** 2 * dens))
     assert var == pytest.approx(4.0, rel=1e-9)  # sigma^2
+
+
+def test_gaussian_packet_frees_the_envelope_square_before_the_carrier():
+    """The fixture keeps 16 B/pt.  It normalises the real envelope before it builds the
+    carrier, so the envelope's square and the carrier are never alive together: the traced
+    peak on a 2^16 grid (x built beforehand) is below 30 B/pt, 28.2 measured against 32.0
+    with both alive.  The amplitudes are those of the same steps, bit for bit."""
+    grid = bs.make_grid(-200.0, 200.0, 1 << 16)
+    grid.x
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p = bs.gaussian_packet(grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * grid.n_points, peak / grid.n_points
+    envelope = np.exp((grid.x - -60.0) ** 2 / (-4.0 * 2.0**2))
+    envelope /= math.sqrt(float(np.sum(envelope**2)) * grid.dx)
+    turn = 30.0 / (2.0 * math.pi)
+    want = _affine_phase(turn * grid.x_min, turn * grid.dx, grid.n_points) * envelope
+    assert np.array_equal(p.amp[bs.Channel(1, "H")], want)
 
 
 def test_gaussian_tail_masses(rig_grid):

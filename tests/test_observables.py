@@ -142,8 +142,9 @@ def test_packet_report_tags_and_values(rig_packet, glass):
     assert rep.field_momentum == pytest.approx(30.0, abs=1e-8)
 
 
-def test_conditional_expectations_per_branch(rig_packet):
-    out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
+def test_conditional_expectations_per_branch(rig_packet, ref_medium, glass):
+    out = bs.interface_scatter(rig_packet, ref_medium, glass, t_final=140.0)
+    assert out.asymptotic
     cond_t = bs.conditional_expectations(out, "transmitted")
     assert cond_t.photon_number == 1.0
     assert cond_t.dyn_momentum == pytest.approx(60.0, rel=1e-9)  # n*k0
@@ -157,24 +158,24 @@ def test_conditional_expectations_per_branch(rig_packet):
         bs.conditional_expectations(out, "transmitted", hbar=-1.0)
 
 
-def test_conditional_rejects_empty_branch(rig_packet):
-    out = bs.interface_scatter(rig_packet, 1.0, t_final=140.0)
-    assert out.prob_r == 0.0
+def test_conditional_rejects_empty_branch(rig_packet, ref_medium):
+    out = bs.interface_scatter(rig_packet, ref_medium, ref_medium, t_final=140.0)
+    assert out.asymptotic and out.prob_r == 0.0
     with pytest.raises(bs.ZeroNormError):
         bs.conditional_expectations(out, "reflected")
 
 
-def test_conditional_weight_is_relative_to_the_incident_weight(rig_packet):
+def test_conditional_weight_is_relative_to_the_incident_weight(rig_packet, ref_medium, glass):
     """A packet of norm 1e-14: its transmitted branch holds 89 % of the state."""
     faint = bs.BlipWavePacket(rig_packet.grid, {ch: 1e-7 * a for ch, a in rig_packet.amp.items()})
-    out = bs.interface_scatter(faint, 2.0, t_final=140.0)
-    assert out.prob_t < CONDITIONAL_MIN_WEIGHT
+    out = bs.interface_scatter(faint, ref_medium, glass, t_final=140.0)
+    assert out.asymptotic and out.prob_t < CONDITIONAL_MIN_WEIGHT
     incident = bs.spectral_expectations(bs.to_momentum(faint), {+1: bs.Medium.reference()})
     p_in = incident.dyn_momentum / incident.photon_number  # per photon, as the conditional
     cond = bs.conditional_expectations(out, "transmitted")
     assert abs(cond.dyn_momentum / p_in - 2.0) <= 1e-9
-    lossless = bs.interface_scatter(faint, 1.0, t_final=140.0)
-    assert lossless.prob_r == 0.0
+    lossless = bs.interface_scatter(faint, ref_medium, ref_medium, t_final=140.0)
+    assert lossless.asymptotic and lossless.prob_r == 0.0
     with pytest.raises(bs.ZeroNormError):
         bs.conditional_expectations(lossless, "reflected")
 

@@ -3,6 +3,7 @@ lists, with the test oracles kept apart."""
 
 import dataclasses
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -73,3 +74,14 @@ def test_readme_entry_points_name_only_existing_functions():
     ]
     assert "spectral_expectations" in names
     assert [name for name in names if not _resolves(name)] == []
+
+
+def test_readme_entry_points_example_gives_its_commented_value():
+    """The section's ``python`` block, run as written, ends on the value its last comment gives."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    *body, last = re.search(r"```python\n(.*?)```", section, re.S).group(1).strip().splitlines()
+    expression, value = last.split("#")
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert math.isclose(eval(expression, namespace), float(value), rel_tol=1e-9), last

@@ -313,10 +313,7 @@ def _old_route_rows(sc, phases):
             )
             rows.append(_field_route(state, incoming, sc.hbar))
             continue
-        out = bs.interface_scatter(
-            sc.packet, sc.n, t, rates=rates, left=sc.left_medium, right=sc.right_medium,
-            allow_partial=True,
-        )
+        out = bs.interface_scatter(sc.packet, sc.left_medium, sc.right_medium, t, rates=rates)
         for packet in (out.transmitted, out.reflected, bs.combine(out.transmitted, out.reflected)):
             rows.append(_field_route(packet, outgoing, sc.hbar))
     return rows
@@ -687,8 +684,10 @@ def _dense_case(log_n, direction, n, coupling, size, carrier, where, when, middl
 )
 @example(log_n=6, direction=+1, n=1.7, coupling=None, size=0.5, carrier=0.3, where=0.2, when=0.5, middle=0.5)
 @example(log_n=9, direction=-1, n=3.9, coupling=(0.9, 1.0), size=0.0, carrier=1.0, where=1.0, when=1.0, middle=0.9)
-# the reflected branch carries about 1e-318 of the weight, in cells that square to subnormals
+# the reflected branch carries about 1e-318 of the weight, below the centroid floor: neither route reports its centroid
 @example(log_n=6, direction=+1, n=1.7, coupling=(3.5e-160, 4.7), size=0.5, carrier=0.3, where=0.2, when=1.0, middle=0.5)
+# the reflected photon number is a few subnormal steps above 0 on one route and 0 on the other
+@example(log_n=6, direction=+1, n=1.7, coupling=(1.2e-162, 4.7), size=0.5, carrier=0.3, where=0.2, when=1.0, middle=0.5)
 def test_a_run_matches_the_dense_oracle(log_n, direction, n, coupling, size, carrier, where, when, middle):
     """``run_scenario`` against :func:`oracles.dense_scenario` on 64 to 512 points, both directions,
     n in (0.3, 4), the Fresnel table or an explicit coupling inside the Born radius, and a final time
@@ -699,10 +698,10 @@ def test_a_run_matches_the_dense_oracle(log_n, direction, n, coupling, size, car
     rounding is that of a centroid up to the whole travel away.  The edge rule leaves up to
     ``SUPPORT_QUANTILE`` of a channel's weight past each end of its support, where the periodic
     lattice rings it across the grid, so a dense centroid may also move by that weight times the
-    grid's length (1.0e-11 of 23.7 seen).  A branch whose density underflows (a coupling near
-    1e-160 reflects about 1e-318 of the weight) is held to the same bound: both routes read its
-    centroid from amplitudes lifted by an exact power of two, so no cell rounds as a subnormal.
-    Phases and the verdict agree."""
+    grid's length (1.0e-11 of 23.7 seen).  A branch of at most ``propagation.CENTROID_FLOOR`` of
+    the input's photon number (a coupling near 1e-160 reflects about 1e-318 of the weight) has no
+    centroid on either route, so neither decides it from a photon number that rounds as a
+    subnormal.  Phases and the verdict agree."""
     case = _dense_case(log_n, direction, n, coupling, size, carrier, where, when, middle)
     assume(case is not None)
     sc, scale = case

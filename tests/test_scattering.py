@@ -187,13 +187,18 @@ def test_dyson_remainder_bound_guards():
         bs.dyson_remainder_bound(mc, 2, "x")
 
 
+def media(n):
+    """The reference medium and the one of index ``n``: a boundary of speed ratio ``n``."""
+    return bs.Medium.reference(), bs.Medium.from_index(n)
+
+
 # ---------------------------------------------------------------------------
 # beamsplitter map (single medium)
 
 
 def test_beamsplitter_splits_and_conserves(rig_packet, ref_medium):
     rates = bs.rates_from_omega(bs.MirrorCoupling(omega=-2j * 0.3))
-    out = bs.interface_scatter(rig_packet, 1.0, 140.0, rates=rates, left=ref_medium, right=ref_medium)
+    out = bs.interface_scatter(rig_packet, ref_medium, ref_medium, 140.0, rates=rates)
     assert out.prob_t == pytest.approx(abs(rates.t_plus) ** 2, rel=1e-9)
     assert out.prob_r == pytest.approx(abs(rates.r_plus) ** 2, rel=1e-9)
     assert out.prob_t + out.prob_r == pytest.approx(1.0, abs=1e-9)
@@ -210,7 +215,8 @@ def test_beamsplitter_spectrum_untouched(rig_grid, rig_packet):
     branchwise up to the constant amplitudes."""
     rates = bs.rates_from_omega(bs.MirrorCoupling(omega=-2j * 0.3))
     m = bs.Medium.reference()
-    out = bs.interface_scatter(rig_packet, 1.0, 140.0, rates=rates, left=m, right=m)
+    out = bs.interface_scatter(rig_packet, m, m, 140.0, rates=rates)
+    assert out.asymptotic
     phi_in = np.abs(bs.to_momentum(rig_packet).amp[bs.Channel(1, "H")])
     phi_t = np.abs(bs.to_momentum(out.transmitted).amp[bs.Channel(1, "H")])
     phi_r = np.abs(bs.to_momentum(out.reflected).amp[bs.Channel(-1, "H")])
@@ -224,7 +230,8 @@ def test_beamsplitter_spectrum_untouched(rig_grid, rig_packet):
 
 def test_interface_air_to_medium_expectations(rig_packet, ref_medium, glass):
     n = 2.0
-    out = bs.interface_scatter(rig_packet, n, t_final=140.0)
+    out = bs.interface_scatter(rig_packet, ref_medium, glass, t_final=140.0)
+    assert out.asymptotic
     assert out.prob_t == pytest.approx(8.0 / 9.0, rel=1e-9)
     assert out.prob_r == pytest.approx(1.0 / 9.0, rel=1e-9)
     assert out.prob_t + out.prob_r == pytest.approx(1.0, abs=1e-9)
@@ -243,7 +250,8 @@ def test_interface_air_to_medium_expectations(rig_packet, ref_medium, glass):
 def test_interface_medium_to_air_expectations(rig_grid, ref_medium, glass):
     n = 2.0
     p = bs.gaussian_packet(rig_grid, (-1, "H"), x0=30.0, k0=30.0, sigma=2.0)
-    out = bs.interface_scatter(p, n, t_final=150.0)
+    out = bs.interface_scatter(p, ref_medium, glass, t_final=150.0)
+    assert out.asymptotic
     assert out.prob_t + out.prob_r == pytest.approx(1.0, abs=1e-9)
     media = {+1: glass, -1: ref_medium}
     total = bs.combine(out.transmitted, out.reflected)
@@ -264,7 +272,8 @@ def test_interface_keeps_wavenumber_sign(rig_grid):
     """A right-mover with negative carrier still transmits to negative
     carrier: rescaling never moves weight across k = 0."""
     p = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-60.0, k0=-30.0, sigma=2.0)
-    out = bs.interface_scatter(p, 2.0, t_final=140.0)
+    out = bs.interface_scatter(p, *media(2.0), t_final=140.0)
+    assert out.asymptotic
     grid = rig_grid
     phi_t = bs.to_momentum(out.transmitted).amp[bs.Channel(1, "H")]
     pos_mass = float(np.sum(np.abs(phi_t[grid.k > 0]) ** 2)) * grid.dk
@@ -284,8 +293,8 @@ def test_outcome_incident_is_the_spectrum_of_the_in_packet(rig_grid):
     right = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-60.0, k0=30.0, sigma=2.0)
     left = bs.gaussian_packet(rig_grid, (-1, "V"), x0=30.0, k0=25.0, sigma=2.0)
     p = bs.combine(right, left)
-    out = bs.interface_scatter(p, 2.0, t_final=140.0)
-    assert isinstance(out.incident, bs.SpectralWavePacket)
+    out = bs.interface_scatter(p, *media(2.0), t_final=140.0)
+    assert out.asymptotic and isinstance(out.incident, bs.SpectralWavePacket)
     want = bs.to_momentum(p)
     assert out.incident.channels() == want.channels()
     for ch in want.channels():
@@ -306,15 +315,15 @@ def test_the_map_builds_its_outcome_once_with_every_field_given(rig_packet, monk
     built = []
     init = bs.ScatterOutcome.__init__
     monkeypatch.setattr(bs.ScatterOutcome, "__init__", lambda self, **kw: built.append(1) or init(self, **kw))
-    for kwargs in ({"t_final": 140.0}, {"t_final": 61.0, "allow_partial": True}):
+    for t_final, asymptotic in ((140.0, True), (61.0, False)):
         built.clear()
-        out = bs.interface_scatter(rig_packet, 2.0, **kwargs)
-        assert len(built) == 1 and out.t_final == kwargs["t_final"], kwargs
+        out = bs.interface_scatter(rig_packet, *media(2.0), t_final)
+        assert len(built) == 1 and out.t_final == t_final and out.asymptotic == asymptotic, t_final
 
 
-def test_interface_unit_index_is_free_flight(rig_packet):
-    out = bs.interface_scatter(rig_packet, 1.0, t_final=140.0)
-    assert out.prob_r == 0.0
+def test_interface_unit_index_is_free_flight(rig_packet, ref_medium):
+    out = bs.interface_scatter(rig_packet, ref_medium, ref_medium, t_final=140.0)
+    assert out.asymptotic and out.prob_r == 0.0
     assert out.prob_t == pytest.approx(1.0, abs=1e-12)
     assert out.resampling_drift == 0.0
     assert bs.centroid(out.transmitted) == pytest.approx(80.0, abs=1e-6)
@@ -322,13 +331,13 @@ def test_interface_unit_index_is_free_flight(rig_packet):
 
 def test_double_transition_recovers_shape(rig_grid, rig_packet, ref_medium, glass):
     """Passing into the medium and back out restores the spectral shape."""
-    first = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
+    first = bs.interface_scatter(rig_packet, ref_medium, glass, t_final=140.0)
+    assert first.asymptotic
     # bring the transmitted branch back to the left of a second boundary
     inside = bs.evolve_free(first.transmitted, glass, -160.0)
     assert bs.centroid(inside) == pytest.approx(-40.0, abs=1e-6)
-    second = bs.interface_scatter(
-        inside, 0.5, t_final=120.0, left=glass, right=ref_medium
-    )
+    second = bs.interface_scatter(inside, glass, ref_medium, t_final=120.0)
+    assert second.asymptotic
     phi_in = np.abs(bs.to_momentum(rig_packet).amp[bs.Channel(1, "H")])
     phi_out = np.abs(bs.to_momentum(second.transmitted).amp[bs.Channel(1, "H")])
     # compare normalized moduli: all phases (propagation, amplitudes) drop out
@@ -340,45 +349,33 @@ def test_double_transition_recovers_shape(rig_grid, rig_packet, ref_medium, glas
     assert abs(k_peak - 30.0) <= rig_grid.dk
 
 
-def test_interface_media_consistency_checks(rig_packet, ref_medium, glass):
-    out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0, left=ref_medium, right=glass)
-    assert out.prob_t == pytest.approx(8.0 / 9.0, rel=1e-9)
-    with pytest.raises(bs.ConsistencyError):
-        bs.interface_scatter(rig_packet, 3.0, t_final=140.0, left=ref_medium, right=glass)
-    with pytest.raises(bs.ConsistencyError):
-        bs.interface_scatter(rig_packet, 2.0, t_final=140.0, left=ref_medium)
-    with pytest.raises(bs.DomainError):
-        bs.interface_scatter(rig_packet, -1.0, t_final=140.0)
-
-
 def test_support_guard_rules(rig_grid, rig_packet):
     # straddling the scatterer
     with pytest.raises(bs.SupportGuardError):
         bs.interface_scatter(
             bs.gaussian_packet(rig_grid, (+1, "H"), x0=0.0, k0=30.0, sigma=2.0),
-            2.0,
+            *media(2.0),
             t_final=140.0,
         )
     # right-mover on the wrong side
     with pytest.raises(bs.SupportGuardError):
         bs.interface_scatter(
             bs.gaussian_packet(rig_grid, (+1, "H"), x0=60.0, k0=30.0, sigma=2.0),
-            2.0,
+            *media(2.0),
             t_final=140.0,
         )
     # left-mover on the wrong side
     with pytest.raises(bs.SupportGuardError):
         bs.interface_scatter(
             bs.gaussian_packet(rig_grid, (-1, "H"), x0=-60.0, k0=30.0, sigma=2.0),
-            2.0,
+            *media(2.0),
             t_final=140.0,
         )
 
 
-def test_not_asymptotic_handling(rig_packet):
-    with pytest.raises(bs.NotAsymptoticError):
-        bs.interface_scatter(rig_packet, 2.0, t_final=61.0)
-    out = bs.interface_scatter(rig_packet, 2.0, t_final=61.0, allow_partial=True)
+def test_not_asymptotic_handling(rig_packet, ref_medium, glass):
+    """A branch still straddling the scatterer is no error: the outcome records it."""
+    out = bs.interface_scatter(rig_packet, ref_medium, glass, t_final=61.0)
     assert not out.asymptotic
     assert out.guard_fraction > bs.scattering.GUARD_TOL
     # probabilities are still the branch norms and still sum to one
@@ -389,7 +386,7 @@ def test_band_edge_overflow_rejected(rig_grid):
     """Transmission would compress the spectrum past the band edge."""
     p = bs.gaussian_packet(rig_grid, (+1, "H"), x0=-60.0, k0=90.0, sigma=2.0)
     with pytest.raises(bs.InterpolationAccuracyError):
-        bs.interface_scatter(p, 2.0, t_final=140.0)
+        bs.interface_scatter(p, *media(2.0), t_final=140.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -402,7 +399,7 @@ def test_the_chirp_windows_stay_finite_at_extreme_speed_ratios():
         p = bs.gaussian_packet(grid, (s, "H"), x0, 5.0, 2.0)
         slow, fast = bs.Medium(epsilon=1e308), bs.Medium(epsilon=1e-306)
         left, right = (fast, slow) if s > 0 else (slow, fast)
-        out = bs.interface_scatter(p, left.c / right.c, t_final=0.0, left=left, right=right, allow_partial=True)
+        out = bs.interface_scatter(p, left, right, t_final=0.0)
         assert out.prob_t == 0.0 and out.resampling_drift <= 1e-300, (s, out.prob_t, out.resampling_drift)
 
 
@@ -429,18 +426,19 @@ def test_a_branch_leaving_the_grid_is_refused_before_the_chirp(monkeypatch):
     for n in (0.05, 1e-3, 1e-8):
         calls.clear()
         with pytest.raises(bs.DomainExitError, match="of the transmitted branch would span"):
-            bs.interface_scatter(p, n, t_final=140.0)
+            bs.interface_scatter(p, *media(n), t_final=140.0)
         assert calls == [], n
     calls.clear()
     with pytest.raises(bs.InterpolationAccuracyError, match="too close to the band edge"):
-        bs.interface_scatter(p, 3.0, t_final=140.0)
+        bs.interface_scatter(p, *media(3.0), t_final=140.0)
     assert calls.count("chirp") == 1, calls
 
 
 def test_every_factor_of_the_map_reads_the_media_speed_ratio(rig_grid, rig_packet, monkeypatch):
-    """With explicit media one ulp off ``n``, the map resamples at exactly ``1 / (c_left / c_right)``
-    (``c_left / c_right`` for a left-mover), scales by ``t_+ / sqrt`` (``sqrt * t_-``) of that ratio,
-    and its default rates are the Fresnel rates of that ratio, not of ``n``."""
+    """With media whose speed ratio is one ulp off the quotient ``n`` of their indices, the map
+    resamples at exactly ``1 / (c_left / c_right)`` (``c_left / c_right`` for a left-mover), scales
+    by ``t_+ / sqrt`` (``sqrt * t_-``) of that ratio, and its default rates are the Fresnel rates of
+    that ratio, not of ``n``."""
     import blipsim.scattering as scattering
 
     left, right = bs.Medium.from_index(1.3), bs.Medium.from_index(2.9)
@@ -462,15 +460,16 @@ def test_every_factor_of_the_map_reads_the_media_speed_ratio(rig_grid, rig_packe
     )
     for packet, scale, factor in cases:
         samples.clear()
-        out = bs.interface_scatter(packet, n, 140.0, left=left, right=right, allow_partial=True)
+        out = bs.interface_scatter(packet, left, right, 140.0)
         (ch,) = packet.channels()
         assert [s for s, _ in samples] == [scale], (ch, samples)
         assert out.rates == rates
         assert np.array_equal(out.spectra["transmitted"].amp[ch], samples[0][1] * factor), ch
 
 
-def test_outcome_records_context(rig_packet, ref_medium):
-    out = bs.interface_scatter(rig_packet, 2.0, t_final=140.0)
+def test_outcome_records_context(rig_packet, ref_medium, glass):
+    out = bs.interface_scatter(rig_packet, ref_medium, glass, t_final=140.0)
+    assert out.asymptotic
     assert out.scenario_tag == "interface(n=2, t=140)"
     assert out.t_final == 140.0
     assert out.left_medium.n == 1.0
@@ -571,18 +570,18 @@ def test_branch_supports_transport_to_the_image_table_bit_for_bit(rig_grid, rig_
     wall = bs.ScatterRates(t_minus=0j, t_plus=0j, r_minus=1 + 0j, r_plus=-1 + 0j)
     ref = bs.Medium.reference()
     cases = {
-        "fresnel n=1.7": dict(n=1.7),
-        "fresnel n=1 (no reflection)": dict(n=1.0),
-        # the media's speed ratio is one ulp off n, and the branches move in the media
-        "explicit media": dict(n=2.9 / 1.3, left=bs.Medium.from_index(1.3), right=bs.Medium.from_index(2.9)),
-        "point mirror": dict(n=1.0, rates=mirror, left=ref, right=ref),
-        "explicit rates, n=2": dict(n=2.0, rates=mirror),
-        "perfect wall (no transmission)": dict(n=1.0, rates=wall, left=ref, right=ref),
+        "fresnel n=1.7": dict(left=ref, right=bs.Medium.from_index(1.7)),
+        "fresnel n=1 (no reflection)": dict(left=ref, right=bs.Medium.from_index(1.0)),
+        # the media's speed ratio is one ulp off 2.9 / 1.3, and the branches move in the media
+        "explicit media": dict(left=bs.Medium.from_index(1.3), right=bs.Medium.from_index(2.9)),
+        "point mirror": dict(left=ref, right=ref, rates=mirror),
+        "explicit rates, n=2": dict(left=ref, right=bs.Medium.from_index(2.0), rates=mirror),
+        "perfect wall (no transmission)": dict(left=ref, right=ref, rates=wall),
     }
     zero_rate = {"fresnel n=1 (no reflection)": {"reflected"}, "perfect wall (no transmission)": {"transmitted"}}
     for packet in (rig_packet, left_mover, mixed):
         for name, kwargs in cases.items():
-            out = bs.interface_scatter(packet, t_final=140.0, allow_partial=True, **kwargs)
+            out = bs.interface_scatter(packet, t_final=140.0, **kwargs)
             outgoing = {+1: out.right_medium, -1: out.left_medium}
             assert set(out.supports) == {"transmitted", "reflected"}
             for t in (0.0, 37.5, 140.0, 1e3):
@@ -611,11 +610,11 @@ def test_edge_margin_is_the_same_on_both_paths(rig_packet, ref_medium):
     t_ok = edge - hi - 1e-9
     t_bad = t_ok + 0.5 * grid.dx
     bs.evolve_free(rig_packet, ref_medium, t_ok)
-    bs.interface_scatter(rig_packet, 1.0, t_final=t_ok)
+    assert bs.interface_scatter(rig_packet, ref_medium, ref_medium, t_final=t_ok).asymptotic
     spans = []
     for attempt in (
         lambda t: bs.evolve_free(rig_packet, ref_medium, t),
-        lambda t: bs.interface_scatter(rig_packet, 1.0, t_final=t),
+        lambda t: bs.interface_scatter(rig_packet, ref_medium, ref_medium, t_final=t),
     ):
         with pytest.raises(bs.DomainExitError) as info:
             attempt(t_bad)
@@ -633,7 +632,7 @@ def test_booleans_are_not_indices(rig_packet):
         with pytest.raises(bs.DomainError):
             bs.omega_from_n(bad)
         with pytest.raises(bs.DomainError, match="refractive index must be positive and finite"):
-            bs.interface_scatter(rig_packet, bad, 140.0)
+            bs.Medium.from_index(bad)
         with pytest.raises(bs.DomainError, match="refractive index must be positive and finite"):
             bs.abraham_momentum(1.0, bad)
         # nor speeds, scales or hbar
@@ -710,7 +709,7 @@ def test_the_asymptotic_verdict_is_the_mask_oracle_at_every_time(n, direction, p
     d = 8.0 * sigma + 1.0 + u * (d_max - 8.0 * sigma - 1.0)
     packet = bs.gaussian_packet(_VERDICT_GRID, (direction, pol), -direction * d, k0, sigma)
     c_in = 1.0 if direction > 0 else 1.0 / n
-    out = bs.interface_scatter(packet, n, f * 2.0 * d / c_in, allow_partial=True)
+    out = bs.interface_scatter(packet, *media(n), f * 2.0 * d / c_in)
     clear = all(branch_guard_oracle(b, out.incident_weight) <= GUARD_TOL for b in (out.transmitted, out.reflected))
     assert out.asymptotic == clear
 
@@ -727,7 +726,7 @@ def test_the_borderline_in_state_is_refused_by_the_map_and_the_scenario(rig_grid
     weight = left + mid + right
     assert mid <= GUARD_TOL * weight and right <= GUARD_TOL * weight < mid + right
     with pytest.raises(bs.SupportGuardError, match=r"Channel\(s=1, pol='H'\) has 1\.0004\d*e-10 .*GUARD_TOL = 1e-10"):
-        bs.interface_scatter(p, 2.0, 140.0)
+        bs.interface_scatter(p, ref_medium, glass, 140.0)
     with pytest.raises(bs.SupportGuardError):
         bs.run_scenario(bs.Scenario(p, ref_medium, glass, schedule=(0.0, 140.0)))
 
@@ -740,10 +739,11 @@ def test_the_map_accepts_exactly_what_the_phase_rule_calls_incoming_at_t0(rig_gr
     for x0 in np.arange(-6.6, -6.1, 0.01) * sigma:
         p = bs.gaussian_packet(rig_grid, (+1, "H"), x0=float(x0), k0=30.0, sigma=sigma)
         try:
-            bs.interface_scatter(p, 2.0, 140.0)
+            out = bs.interface_scatter(p, ref_medium, glass, 140.0)
         except bs.SupportGuardError:
             accepted = False
         else:
+            assert out.asymptotic, x0
             accepted = True
         assert accepted == still_incoming_oracle(bs.Scenario(p, ref_medium, glass, schedule=(0.0,)), 0.0), x0
         verdicts.add(accepted)
@@ -767,7 +767,8 @@ def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_g
         right = ref if omega is not None else bs.Medium.from_index(n)
         sc = bs.Scenario(packet, ref, right, schedule=times, omega=omega)
         rates = None if omega is None else bs.rates_from_omega(bs.MirrorCoupling(omega))
-        event = bs.interface_scatter(packet, n, 140.0, rates=rates, left=ref, right=right)
+        event = bs.interface_scatter(packet, ref, right, 140.0, rates=rates)
+        assert event.asymptotic, name
         # the incoming test reads the whole schedule in one call
         reads = _guard_fractions(packet, {+1: ref, -1: right}, -1, list(times))
         # and the branch guards read the final branches at every time in one call
@@ -776,7 +777,7 @@ def test_guard_fractions_and_phases_match_the_per_mass_oracles_bit_for_bit(rig_g
         translated = _branch_guards(final, outgoing, event.incident_weight, [140.0 - t for t in times])
         want_phase = {}
         for t, read, moved in zip(times, reads, translated):
-            out = bs.interface_scatter(packet, n, t, rates=rates, left=ref, right=right, allow_partial=True)
+            out = bs.interface_scatter(packet, ref, right, t, rates=rates)
             want = max(branch_guard_oracle(b, out.incident_weight) for b in (out.transmitted, out.reflected))
             assert out.guard_fraction.hex() == want.hex(), (name, t)
             want_moved = max(branch_guard_oracle(b, event.incident_weight, outgoing, 140.0 - t) for b in final)

@@ -381,11 +381,13 @@ def test_chirp_memory_stays_under_100_bytes_per_point(monkeypatch):
         return out
 
     monkeypatch.setattr(scattering, "sample_spectrum_scaled", windowed)
+    left, right = bs.Medium.reference(), bs.Medium.from_index(2.0)
     tracemalloc.start()
     try:
-        bs.interface_scatter(p, 2.0, t_final=140.0)
+        out = bs.interface_scatter(p, left, right, t_final=140.0)
     finally:
         tracemalloc.stop()
+    assert out.asymptotic
     (peak,), (chirp_sizes,) = peaks, inside
     assert len(chirp_sizes) == 3 and max(chirp_sizes) < grid.n_points, chirp_sizes
     assert peak <= 24 * grid.n_points, peak / grid.n_points
