@@ -37,7 +37,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -84,11 +84,11 @@ FLOAT = "%.17g"
 
 
 def _text(v: Any, null: str) -> str:
-    """The text of one scalar in a summary or a mixed table row.
+    """The text of one scalar in a summary or a mapping table row.
 
     Floats are written as ``FLOAT`` and must be finite: no output file may hold a NaN
     or infinity, so the command fails with exit 3.  ``None`` becomes ``null``.  Floats
-    are tested first: this runs once per cell of a mixed table.
+    are tested first: this runs once per cell of a mapping table.
     """
     if isinstance(v, float):
         if not math.isfinite(v):
@@ -204,19 +204,20 @@ def _cells(v: np.ndarray) -> np.ndarray:
 
 
 def _write_table(
-    base: Path, header: Sequence[str], rows: Sequence[Sequence[Any]] | np.ndarray, fmt: str
+    base: Path, header: Sequence[str], rows: Sequence[Mapping[str, Any]] | np.ndarray, fmt: str
 ) -> Path:
     """Write one table as ``base.csv`` or ``base.json``; returns the path.
 
-    ``rows`` holds mixed rows, or is one 2-D float64 array, written by :func:`_cells`
+    ``rows`` holds mapping rows, whose values at the ``header`` keys are written in that
+    order, or is one 2-D float64 array of the ``header`` columns, written by :func:`_cells`
     ``_BLOCK_ROWS`` rows at a time into a row of constant text with a hole per cell."""
-    path = base.with_suffix(".csv" if fmt == "csv" else ".json")
-    if not (isinstance(rows, np.ndarray) and rows.size):  # mixed rows, or an empty array
+    path = base.with_suffix("." + fmt)
+    if not (isinstance(rows, np.ndarray) and rows.size):  # mapping rows, or an empty array
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows([header, *([_text(v, "") for v in row] for row in rows)])
+                csv.writer(fh).writerows([header, *([_text(row[key], "") for key in header] for row in rows)])
         else:
-            path.write_text(_dump_json([dict(zip(header, row)) for row in rows]) + "\n")
+            path.write_text(_dump_json([{key: row[key] for key in header} for row in rows]) + "\n")
         return path
     hole = "\0" * _CELL
     if fmt == "csv":
@@ -284,10 +285,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    items = [tok for tok in text.replace(",", " ").split() if tok]
-    if not items:
-        raise ConfigurationError("schedule times must contain at least one value")
-    return tuple(float(tok) for tok in items)
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_tolerance(text: str | float) -> float:
@@ -596,39 +594,25 @@ def _summarize(
     return summary, breaches
 
 
-SERIES_HEADER = (
-    "time",
-    "branch",
-    "norm",
-    "centroid",
-    "energy",
-    "dyn_momentum",
-    "field_momentum",
-    "abraham_momentum",
-)
+#: The series columns, selected from each row's time, branch and :func:`_block`.
+SERIES_HEADER = ("time", "branch", "norm", "centroid", "energy", "dyn_momentum", "field_momentum", "abraham_momentum")
 #: The tables :func:`_write_snapshots` writes, in order.
 SNAPSHOT_TABLES = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
-
-
-def _field_density(sp: SpectralWavePacket, media: dict[int, Medium], hbar: float, t: float) -> np.ndarray:
-    """|E(x)|^2 at time ``t`` with every channel reconstructed, and moved, in its own medium."""
-    e_y = np.zeros(sp.grid.n_points, dtype=np.complex128)
-    e_z = np.zeros(sp.grid.n_points, dtype=np.complex128)
-    for ch, a in sp.amp.items():
-        fp = field_profile(SpectralWavePacket._own(sp.grid, {ch: a}), media[ch.s], hbar, t)
-        e_y += fp.e_y
-        e_z += fp.e_z
-    return np.abs(e_y) ** 2 + np.abs(e_z) ** 2
 
 
 def _write_snapshots(
     out_dir: Path, sc: Scenario, result: ScenarioResult, fmt: str
 ) -> list[Path]:
-    """Position, spectrum and field-density tables of the final state; the
-    field density moves the map's total spectrum to the final time.
+    """Position, spectrum and field-density tables of the final state; the field density is
+    ``|E_y|^2 + |E_z|^2`` of the map's total spectrum moved to the final time in its outgoing media.
     Each table's columns are built just before it is written."""
     outcome = result.outcome
     grid = outcome.total.grid
+
+    def field() -> dict[str, np.ndarray]:
+        fp = field_profile(outcome.spectra["total"], outcome.outgoing, sc.hbar, outcome.t_final)
+        return {"x": grid.x, "e_density": np.abs(fp.e_y) ** 2 + np.abs(fp.e_z) ** 2}
+
     columns = (
         lambda: {
             "x": grid.x,
@@ -641,10 +625,7 @@ def _write_snapshots(
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        lambda: {
-            "x": grid.x,
-            "e_density": _field_density(outcome.spectra["total"], outcome.outgoing, sc.hbar, outcome.t_final),
-        },
+        field,
     )
     return [
         _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
@@ -654,7 +635,7 @@ def _write_snapshots(
 
 def _output_names(output_cfg: dict[str, Any], fmt: str) -> dict[str, str]:
     """The file name of each output of ``run``; two outputs of one file name are refused."""
-    suffix = ".csv" if fmt == "csv" else ".json"
+    suffix = "." + fmt
     names = {"summary": output_cfg.get("summary", "summary.json"),
              "series": Path(output_cfg.get("series", "series.csv")).stem + suffix}
     names |= {table: table + suffix for table in SNAPSHOT_TABLES if output_cfg.get("snapshots", False)}
@@ -674,11 +655,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary, breaches = _summarize(cfg, sc, result)
 
     series = [{"time": row.time, "branch": row.branch} | _block(row) for row in result.rows]
-    series_rows = [[entry[key] for key in SERIES_HEADER] for entry in series]
     with _output_set(args.out) as stage:
         summary_path = stage / names["summary"]
         summary_path.write_text(_dump_json(summary) + "\n")
-        written = [summary_path, _write_table(stage / names["series"], SERIES_HEADER, series_rows, args.fmt)]
+        written = [summary_path, _write_table(stage / names["series"], SERIES_HEADER, series, args.fmt)]
         if output_cfg.get("snapshots", False):
             written.extend(_write_snapshots(stage, sc, result, args.fmt))
 
@@ -704,25 +684,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 #: Largest ``check --steps``; each step is one table row held in memory.
 MAX_CHECK_STEPS = 100_000
 
-CHECK_HEADER = (
-    "n",
-    "t",
-    "r_minus",
-    "r_plus",
-    "stokes_cross",
-    "stokes_minus",
-    "stokes_plus",
-    "omega_roundtrip",
-    "momentum_ratio_in",
-    "momentum_ratio_in_closed",
-    "momentum_ratio_out",
-    "momentum_ratio_out_closed",
-    "postselected_in",
-    "postselected_out",
-    "pass",
-)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     if not (_is_positive_real(args.n_min) and _is_positive_real(args.n_max) and args.n_max >= args.n_min):
         raise ConfigurationError(f"need 0 < n_min <= n_max, got [{args.n_min}, {args.n_max}]")
@@ -734,7 +695,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ConfigurationError(str(exc)) from None
     with np.errstate(over="ignore"):  # with n_max near the float maximum, the last point overflows before it is set
         values = np.linspace(args.n_min, args.n_max, args.steps) if args.steps > 1 else np.array([args.n_min])
-    rows: list[list[Any]] = []
+    rows: list[dict[str, Any]] = []
     worst = 0.0
     failures = 0
     for n in values:
@@ -760,12 +721,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         worst = max(worst, dev)
         ok = dev <= tolerance
         failures += 0 if ok else 1
-        rows.append([
-            n, rates.t_plus.real, rates.r_minus.real, rates.r_plus.real, cross, d_minus, d_plus,
-            roundtrip, ratio_in, closed_in, ratio_out, closed_out, post_in, post_out, ok,
-        ])
+        rows.append({
+            "n": n, "t": rates.t_plus.real, "r_minus": rates.r_minus.real, "r_plus": rates.r_plus.real,
+            "stokes_cross": cross, "stokes_minus": d_minus, "stokes_plus": d_plus, "omega_roundtrip": roundtrip,
+            "momentum_ratio_in": ratio_in, "momentum_ratio_in_closed": closed_in, "momentum_ratio_out": ratio_out,
+            "momentum_ratio_out_closed": closed_out, "postselected_in": post_in, "postselected_out": post_out,
+            "pass": ok,
+        })
     with _output_set(args.out) as stage:
-        path = _write_table(stage / "check", CHECK_HEADER, rows, args.fmt)
+        path = _write_table(stage / "check", tuple(rows[0]), rows, args.fmt)
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {len(rows)} indices)"
     print(
         f"check: {len(rows)} indices in [{FLOAT % args.n_min}, {FLOAT % args.n_max}], "
@@ -781,20 +745,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 #: Largest ``dyson --terms``; each term is one partial sum and one table row.
 MAX_DYSON_TERMS = 10_000
 
-DYSON_HEADER = (
-    "order",
-    "t_partial",
-    "r_partial",
-    "err_t",
-    "bound_t",
-    "within_t",
-    "err_r",
-    "bound_r",
-    "within_r",
-    "divergent",
-)
-
-
 def cmd_dyson(args: argparse.Namespace) -> int:
     q = args.omega_ratio
     if not q >= 0:
@@ -807,25 +757,25 @@ def cmd_dyson(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"terms must be in [1, {MAX_DYSON_TERMS}], got {args.terms}")
     sums = dyson_partial_sums(mc, args.terms)
     divergent = not mc.is_resummable
-    rows: list[list[Any]] = []
+    rows: list[dict[str, Any]] = []
     breaches = 0
     exact = None if divergent else rates_from_omega(mc)
     for order, (t_part, r_part) in enumerate(sums):
-        if exact is None:
-            rows.append([order, t_part.real, r_part.real, None, None, None, None, None, None, True])
-            continue
-        err_t = abs(t_part - exact.t_plus)
-        err_r = abs(r_part - exact.r_plus)
-        bound_t = dyson_remainder_bound(mc, order, "t")
-        bound_r = dyson_remainder_bound(mc, order, "r")
-        within_t = err_t <= bound_t + REMAINDER_ROUNDING_FLOOR
-        within_r = err_r <= bound_r + REMAINDER_ROUNDING_FLOOR
-        breaches += 0 if (within_t and within_r) else 1
-        rows.append([
-            order, t_part.real, r_part.real, err_t, bound_t, within_t, err_r, bound_r, within_r, False,
-        ])
+        err_t = bound_t = within_t = err_r = bound_r = within_r = None  # a divergent series has no limit
+        if exact is not None:
+            err_t = abs(t_part - exact.t_plus)
+            err_r = abs(r_part - exact.r_plus)
+            bound_t = dyson_remainder_bound(mc, order, "t")
+            bound_r = dyson_remainder_bound(mc, order, "r")
+            within_t = err_t <= bound_t + REMAINDER_ROUNDING_FLOOR
+            within_r = err_r <= bound_r + REMAINDER_ROUNDING_FLOOR
+            breaches += 0 if (within_t and within_r) else 1
+        rows.append({
+            "order": order, "t_partial": t_part.real, "r_partial": r_part.real, "err_t": err_t, "bound_t": bound_t,
+            "within_t": within_t, "err_r": err_r, "bound_r": bound_r, "within_r": within_r, "divergent": divergent,
+        })
     with _output_set(args.out) as stage:
-        path = _write_table(stage / "dyson", DYSON_HEADER, rows, args.fmt)
+        path = _write_table(stage / "dyson", tuple(rows[0]), rows, args.fmt)
     if divergent:
         print(
             f"dyson: q = {FLOAT % q} >= 1, series divergent; partial sums do not settle"

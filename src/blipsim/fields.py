@@ -12,8 +12,9 @@ table is
     E_y = sum_s W_s,H          B_z = sum_s (s/c) W_s,H
     E_z = sum_s W_s,V          B_y = -sum_s (s/c) W_s,V
 
-The snapshot field density of ``blipsim run`` is built from these
-profiles.  The package computes energy and momentum in k-space
+Each channel is weighed and moved in its own direction's medium; the
+snapshot field density of ``blipsim run`` is ``|E_y|^2 + |E_z|^2`` of one
+profile.  The package computes energy and momentum in k-space
 (:func:`blipsim.observables.spectral_expectations`); the test suite checks
 those ``|k|``-weighted sums against the quadratic functionals of these
 profiles.
@@ -22,11 +23,12 @@ profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .lattice import Grid, Medium, _positive, _read_only
+from .lattice import Grid, Medium, _medium_of, _positive, _read_only
 from .spectral import SpectralWavePacket, _inverse
 
 __all__ = [
@@ -38,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Complex transverse field components on the grid, summed over channels."""
+    """Complex transverse field components on the grid, summed over channels, tagged with their media."""
 
     grid: Grid
     e_y: np.ndarray
@@ -76,21 +78,23 @@ def zeta(k: np.ndarray | float, m: Medium, hbar: float = 1.0) -> np.ndarray | fl
     return np.sqrt(prefactor) * np.sqrt(np.abs(k))
 
 
-def field_profile(sp: SpectralWavePacket, m: Medium, hbar: float = 1.0, t: float = 0.0) -> FieldProfile:
-    """Reconstruct E and B profiles for a state entirely inside medium ``m``, after free flight
-    for ``t`` in it (folded into each channel's inverse transform)."""
+def field_profile(
+    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], hbar: float = 1.0, t: float = 0.0
+) -> FieldProfile:
+    """Reconstruct E and B profiles after free flight for ``t`` (folded into each channel's inverse
+    transform), channel ``(s, pol)`` weighed and moved in ``media_by_direction[s]``, by the media rule
+    of :func:`blipsim.lattice._medium_of`.  The tag joins the channels' media labels by ``+`` (``-`` if none)."""
     grid = sp.grid
-    w = zeta(grid.k, m, hbar)
-    e_y = np.zeros(grid.n_points, dtype=np.complex128)
-    e_z = np.zeros(grid.n_points, dtype=np.complex128)
-    b_y = np.zeros(grid.n_points, dtype=np.complex128)
-    b_z = np.zeros(grid.n_points, dtype=np.complex128)
+    e_y, e_z, b_y, b_z = (np.zeros(grid.n_points, dtype=np.complex128) for _ in range(4))
+    media = {ch: _medium_of(media_by_direction, ch.s) for ch in sp.amp}
     for ch, a in sp.amp.items():
-        profile = _inverse(grid, ch.s, w * a, m.c * t / grid.dx)
+        m = media[ch]
+        profile = _inverse(grid, ch.s, zeta(grid.k, m, hbar) * a, m.c * t / grid.dx)
         if ch.pol == "H":
             e_y += profile
             b_z += (ch.s / m.c) * profile
         else:
             e_z += profile
             b_y += -(ch.s / m.c) * profile
-    return FieldProfile._own(grid, m.label, e_y=e_y, e_z=e_z, b_y=b_y, b_z=b_z)
+    tag = "+".join(sorted({m.label for m in media.values()})) or "-"
+    return FieldProfile._own(grid, tag, e_y=e_y, e_z=e_z, b_y=b_y, b_z=b_z)

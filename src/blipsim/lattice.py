@@ -27,7 +27,8 @@ Design notes
   density ``|a|**2`` is squared once, on first read, and shared with the
   packets :func:`combine` adopts the array into.  Operations return new packets.
 * :func:`_positive` is the one domain rule of a physical magnitude (index,
-  speed, scale, hbar); :func:`_check_inside` refuses non-finite times.
+  speed, scale, hbar) and :func:`_medium_of` the one media rule; :func:`_check_inside`
+  refuses non-finite times, :func:`_shift_phase` non-finite shifts and those of ``2**52`` cells or more.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ def _affine_phase(f0: float, f1: float, n: int, scale: float = 1.0, start: int =
 
 def _shift_phase(grid: Grid, cells: float, scale: float = 1.0, bins: tuple[int, int] | None = None) -> np.ndarray:
     """``scale exp(-i k cells dx)`` on the ascending ``k`` lattice, or on its ``bins = (lo, hi)``: the phase
-    of a translation by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``."""
+    of a translation by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``,
+    and refused with :class:`DomainError` unless finite and below the ``2**52`` cells of :func:`_affine_phase`."""
+    if not abs(cells) < 2.0**52:
+        raise DomainError(f"a translation by {cells!r} cells is out of range: it must be finite and below 2**52")
     lo, hi = bins or (0, grid.n_points)
     return _affine_phase(cells / 2, -cells / grid.n_points, hi - lo, scale, lo)
 
@@ -437,6 +441,14 @@ def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | N
     return float(lo), float(hi)
 
 
+def _medium_of(media_by_direction: Mapping[int, Medium] | None, s: int) -> Medium:
+    """The one media rule: a direction-``s`` channel is read in ``media_by_direction[s]``;
+    a direction with no medium raises :class:`DomainError`."""
+    if s not in (media_by_direction or {}):
+        raise DomainError(f"no medium given for direction {s}")
+    return media_by_direction[s]
+
+
 def _check_inside(
     grid: Grid,
     t0_supports: Mapping[Channel, tuple[float, float] | None],
@@ -460,7 +472,7 @@ def _check_inside(
     for ch, bounds in t0_supports.items():
         if bounds is None:
             continue
-        shift = ch.s * media_by_direction[ch.s].c * t
+        shift = ch.s * _medium_of(media_by_direction, ch.s).c * t
         lo, hi = bounds[0] + shift, bounds[1] + shift
         if lo < lo_edge or hi > hi_edge:
             raise DomainExitError(

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import Medium, _positive
+from .lattice import Medium, _medium_of, _positive
 from .spectral import SpectralWavePacket
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,22 +86,20 @@ def spectral_expectations(
 
     ``media_by_direction`` maps the direction ``s`` to the medium that
     channel occupies (after scattering, ``+1`` movers are on the right and
-    ``-1`` movers on the left; before, the opposite).  Energy and field
+    ``-1`` movers on the left; before, the opposite), by the one media rule
+    :func:`blipsim.lattice._medium_of`.  Energy and field
     quantities are evaluated channel by channel in that channel's medium.
     The field momentum is the sum ``hbar s |k| |psi~|^2 dk``, which the
     ``E* x B`` integral over the :class:`blipsim.fields.FieldProfile` reproduces.
     """
     hbar = _positive(hbar, "hbar")
-    missing = {ch.s for ch in sp.amp} - set(media_by_direction)
-    if missing:
-        raise DomainError(f"no medium given for direction {min(missing)}")
     k, abs_k, dk = sp.grid.k, sp.grid.abs_k, sp.grid.dk
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
     # the number and the dynamical momentum are the float expressions of
     # spectral_norm and expect_dyn_momentum
     for ch, dens in sp.density.items():
-        m = media_by_direction[ch.s]
+        m = _medium_of(media_by_direction, ch.s)
         weight = np.sum(dens)
         number += weight
         if weight > 0.0:

@@ -50,7 +50,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .lattice import BlipWavePacket, Channel, Grid, Medium, _cis, _Packet, _positive, _shift_phase, _turns, as_channel
+from .lattice import (
+    BlipWavePacket, Channel, Grid, Medium, _cis, _medium_of, _Packet, _positive, _shift_phase, _turns, as_channel,
+)
 
 __all__ = [
     "SpectralWavePacket",
@@ -110,11 +112,11 @@ def to_position(
     sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium] | None = None, t: float = 0.0
 ) -> BlipWavePacket:
     """Position representation of every channel after free flight for ``t`` (none by default):
-    channel ``(s, pol)`` times ``exp(-i c k t)`` at the speed ``c`` of ``media_by_direction[s]``,
-    folded into the transform's one phase product."""
+    channel ``(s, pol)`` times ``exp(-i c k t)`` at the speed ``c`` of ``media_by_direction[s]``
+    (:func:`blipsim.lattice._medium_of`), folded into the transform's one phase product."""
     grid = sp.grid
     return BlipWavePacket._own(grid, {
-        ch: _inverse(grid, ch.s, a, 0.0 if t == 0.0 else media_by_direction[ch.s].c * t / grid.dx)
+        ch: _inverse(grid, ch.s, a, 0.0 if t == 0.0 else _medium_of(media_by_direction, ch.s).c * t / grid.dx)
         for ch, a in sp.amp.items()
     })
 
@@ -197,12 +199,20 @@ def sample_spectrum_scaled(
     Points with ``|scale * k_m|`` beyond the band edge are returned as zero
     (the interpolant has no information there).  ``scale`` must be positive
     and below ``2**53 / N``; the map never moves spectral weight across ``k = 0``.
-    Given ``inputs`` or ``outputs`` (lattice intervals ``[lo, hi)``), only the samples
-    in ``inputs`` are summed, and the bins outside ``outputs`` are exact zeros.
+    Given ``inputs`` or ``outputs`` (lattice intervals ``[lo, hi)``, pairs of ints with
+    ``0 <= lo <= hi <= N``, else :class:`DomainError`), only the samples in ``inputs``
+    are summed, and the bins outside ``outputs`` are exact zeros.
     """
     ch = as_channel(ch)
     scale = _positive(scale, "scale")
     grid = p.grid
+    for window in (inputs, outputs):
+        if window is not None and not (
+            isinstance(window, tuple) and len(window) == 2
+            and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in window)
+            and 0 <= window[0] <= window[1] <= grid.n_points
+        ):
+            raise DomainError(f"a window must be a pair of ints 0 <= lo <= hi <= {grid.n_points}, got {window!r}")
     # sum_j psi_j exp(-i s targets_m x_j) with x_j = x_min + j dx: as
     # targets_m dx = 2 pi scale (m - N/2) / N, the j-sum is a chirp sum with c = s*scale.
     # The prefactor exp(-i s targets_m x_min) is a translation by s*scale*x_min/dx cells.

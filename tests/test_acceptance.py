@@ -194,7 +194,7 @@ def test_c08_dual_route_observables(rig_grid, capsys):
                 abs(oracles.dyn_hamiltonian_position_form(p, m) - in_medium(sp, m).dyn_hamiltonian)
                 <= 1e-10 * scale
             )
-            fp = bs.field_profile(sp, m)
+            fp = bs.field_profile(sp, {+1: m, -1: m})
             assert abs(oracles.energy_from_fields(fp, m) - in_medium(sp, m).energy) <= 1e-8 * scale
             p_number = rig_grid.dk * sum(
                 ch.s * float(np.sum(np.abs(k) * np.abs(a) ** 2)) for ch, a in sp.amp.items()
@@ -221,7 +221,7 @@ def test_c09_single_mode_sign_structure(rig_grid, capsys):
                     p_dyn = bs.expect_dyn_momentum(sp)
                     assert abs(p_dyn - s * k_m) <= tol
                     assert abs(oracles.dyn_momentum_position_form(p) - s * k_m) <= tol
-                    fp = bs.field_profile(sp, m)
+                    fp = bs.field_profile(sp, {+1: m, -1: m})
                     p_field = oracles.momentum_from_fields(fp, m)
                     assert abs(p_field - s * abs(k_m)) <= tol
                     assert abs(p_dyn - math.copysign(1.0, k_m) * p_field) <= tol

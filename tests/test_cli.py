@@ -93,7 +93,7 @@ def test_series_table_shape(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv(out / "series.csv")
-    assert header == list(cli.SERIES_HEADER)
+    assert header == ["time", "branch", "norm", "centroid", "energy", "dyn_momentum", "field_momentum", "abraham_momentum"]
     # one incoming row at t = 0, three branch rows at t = 45
     assert [(r[0], r[1]) for r in rows] == [
         ("0", "incoming"),
@@ -141,7 +141,7 @@ def test_json_table_format(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
     rows = json.loads((out / "series.json").read_text())
     assert len(rows) == 4
-    assert list(rows[0].keys()) == list(cli.SERIES_HEADER)
+    assert list(rows[0].keys()) == ["time", "branch", "norm", "centroid", "energy", "dyn_momentum", "field_momentum", "abraham_momentum"]
     assert rows[0]["branch"] == "incoming"
     assert rows[0]["centroid"] == pytest.approx(-15.0, abs=1e-9)
 
@@ -178,13 +178,14 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         ),
         "nan_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "nan"}}),
         "divergent_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "-3j"}}),
+        "empty_schedule": dict(overrides={"schedule": {"times": " , "}}),
     }
     bad_keys = {
         "negative_index": "'n'", "zero_index": "'n'", "nan_index": "'n'", "zero_area": "'area'",
         "infinite_c0": "'c0'", "overflowing_medium": "[media]", "speedless_medium": "[media]", "nan_omega": "'omega'",
         "overflowing_permittivity": "c0 = 1e-160 give no finite permittivity",
         "divergent_omega": "'omega'", "bad_direction": "'direction'", "bad_polarization": "'polarization'",
-        "bad_coupling_source": "'source'",
+        "bad_coupling_source": "'source'", "empty_schedule": "at least one",
     }
     for name, case in cases.items():
         cfg = write_config(
@@ -403,7 +404,11 @@ def test_check_sweep_passes(tmp_path, capsys):
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
     header, rows = read_csv(out / "check.csv")
-    assert header == list(cli.CHECK_HEADER)
+    assert header == [
+        "n", "t", "r_minus", "r_plus", "stokes_cross", "stokes_minus", "stokes_plus", "omega_roundtrip",
+        "momentum_ratio_in", "momentum_ratio_in_closed", "momentum_ratio_out", "momentum_ratio_out_closed",
+        "postselected_in", "postselected_out", "pass",
+    ]
     assert len(rows) == 7
     assert all(row[-1] == "true" for row in rows)
     mid = rows[3]  # n = 2.5
@@ -424,7 +429,9 @@ def test_dyson_convergent_table(tmp_path, capsys):
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
     header, rows = read_csv(out / "dyson.csv")
-    assert header == list(cli.DYSON_HEADER)
+    assert header == [
+        "order", "t_partial", "r_partial", "err_t", "bound_t", "within_t", "err_r", "bound_r", "within_r", "divergent",
+    ]
     assert [int(r[0]) for r in rows] == list(range(12))
     assert all(r[5] == "true" and r[8] == "true" for r in rows)
     assert all(r[9] == "false" for r in rows)
@@ -437,9 +444,10 @@ def test_dyson_divergent_series_is_flagged(tmp_path, capsys):
     rc = cli.main(["dyson", "--omega-ratio", "1.5", "--terms", "6", "--out", str(out)])
     assert rc == 0
     assert "divergent" in capsys.readouterr().out
-    _, rows = read_csv(out / "dyson.csv")
+    header, rows = read_csv(out / "dyson.csv")
+    assert header[3:9] == ["err_t", "bound_t", "within_t", "err_r", "bound_r", "within_r"]
     assert all(r[9] == "true" for r in rows)
-    assert all(r[3] == "" for r in rows)  # no error columns without a limit
+    assert all(r[3:9] == [""] * 6 for r in rows)  # no error columns without a limit
     assert abs(float(rows[-1][1])) > abs(float(rows[1][1]))
 
 

@@ -9,6 +9,11 @@ import oracles
 from test_spectral import plane_wave
 
 
+def everywhere(m):
+    """Both directions in medium ``m``."""
+    return {+1: m, -1: m}
+
+
 def test_zeta_values(ref_medium, glass):
     assert bs.zeta(4.0, ref_medium) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
     assert bs.zeta(0.0, ref_medium) == 0.0
@@ -34,20 +39,20 @@ def test_a_prefactor_that_is_not_finite_and_positive_raises_domain_error(small_g
     with pytest.raises(bs.DomainError, match=refused):
         bs.zeta(0.0, m, hbar)
     with pytest.raises(bs.DomainError, match=refused):
-        bs.field_profile(sp, m, hbar)
+        bs.field_profile(sp, {+1: m}, hbar)
 
 
 def test_orientation_table(rig_grid, ref_medium):
     """H excites (E_y, B_z), V excites (E_z, B_y); B flips sign with s."""
     for s in (+1, -1):
         h = bs.to_momentum(bs.gaussian_packet(rig_grid, (s, "H"), 0.0, 20.0, 2.0))
-        fp = bs.field_profile(h, ref_medium)
+        fp = bs.field_profile(h, everywhere(ref_medium))
         assert np.max(np.abs(fp.e_y)) > 0.1
         assert np.all(fp.e_z == 0.0) and np.all(fp.b_y == 0.0)
         np.testing.assert_allclose(fp.b_z, s * fp.e_y, rtol=0, atol=1e-15)
 
         v = bs.to_momentum(bs.gaussian_packet(rig_grid, (s, "V"), 0.0, 20.0, 2.0))
-        fpv = bs.field_profile(v, ref_medium)
+        fpv = bs.field_profile(v, everywhere(ref_medium))
         assert np.max(np.abs(fpv.e_z)) > 0.1
         assert np.all(fpv.e_y == 0.0) and np.all(fpv.b_z == 0.0)
         np.testing.assert_allclose(fpv.b_y, -s * fpv.e_z, rtol=0, atol=1e-15)
@@ -55,7 +60,8 @@ def test_orientation_table(rig_grid, ref_medium):
 
 def test_profiles_are_read_only_values(rig_grid, ref_medium):
     """``field_profile`` freezes the arrays it built; the public constructor copies its own."""
-    fp = bs.field_profile(bs.to_momentum(bs.gaussian_packet(rig_grid, (+1, "H"), 0.0, 20.0, 2.0)), ref_medium)
+    sp = bs.to_momentum(bs.gaussian_packet(rig_grid, (+1, "H"), 0.0, 20.0, 2.0))
+    fp = bs.field_profile(sp, everywhere(ref_medium))
     assert not any(a.flags.writeable for a in (fp.e_y, fp.e_z, fp.b_y, fp.b_z))
     given = [np.array(a) for a in (fp.e_y, fp.e_z, fp.b_y, fp.b_z)]
     copy = bs.FieldProfile(rig_grid, *given, medium_tag=fp.medium_tag)
@@ -70,7 +76,7 @@ def test_single_bin_field_functionals(rig_grid, ref_medium):
         for m in (rig_grid.n_points // 2 + 210, rig_grid.n_points // 2 - 210):
             k_m = rig_grid.k[m]
             sp = bs.to_momentum(plane_wave(rig_grid, (s, "H"), m))
-            fp = bs.field_profile(sp, ref_medium)
+            fp = bs.field_profile(sp, everywhere(ref_medium))
             assert oracles.energy_from_fields(fp, ref_medium) == pytest.approx(
                 abs(k_m), rel=1e-12
             )
@@ -97,7 +103,7 @@ def test_field_functionals_match_number_basis(rig_grid):
     num_P = sum(
         ch.s * float(np.sum(absk * np.abs(a) ** 2)) for ch, a in sp.amp.items()
     ) * rig_grid.dk
-    fp = bs.field_profile(sp, medium)
+    fp = bs.field_profile(sp, everywhere(medium))
     assert oracles.energy_from_fields(fp, medium) == pytest.approx(num_E, rel=1e-12)
     assert oracles.momentum_from_fields(fp, medium) == pytest.approx(num_P, rel=1e-12)
     assert oracles.momentum_imaginary_residual(fp, medium) < 1e-12
@@ -109,15 +115,15 @@ def test_counterpropagating_cross_terms_cancel(rig_grid, ref_medium):
     a = bs.gaussian_packet(rig_grid, (+1, "H"), x0=0.0, k0=25.0, sigma=4.0)
     b = bs.gaussian_packet(rig_grid, (-1, "H"), x0=0.0, k0=25.0, sigma=4.0)
     both = bs.combine(a, b)
-    fp = bs.field_profile(bs.to_momentum(both), ref_medium)
+    fp = bs.field_profile(bs.to_momentum(both), everywhere(ref_medium))
     e_total = oracles.energy_from_fields(fp, ref_medium)
     p_total = oracles.momentum_from_fields(fp, ref_medium)
     e_parts = sum(
-        oracles.energy_from_fields(bs.field_profile(bs.to_momentum(q), ref_medium), ref_medium)
+        oracles.energy_from_fields(bs.field_profile(bs.to_momentum(q), everywhere(ref_medium)), ref_medium)
         for q in (a, b)
     )
     p_parts = sum(
-        oracles.momentum_from_fields(bs.field_profile(bs.to_momentum(q), ref_medium), ref_medium)
+        oracles.momentum_from_fields(bs.field_profile(bs.to_momentum(q), everywhere(ref_medium)), ref_medium)
         for q in (a, b)
     )
     assert e_total == pytest.approx(e_parts, rel=1e-10)
@@ -125,8 +131,39 @@ def test_counterpropagating_cross_terms_cancel(rig_grid, ref_medium):
     assert p_total == pytest.approx(0.0, abs=1e-8)
 
 
+def test_one_profile_of_a_scattered_state_is_its_channels_each_in_its_own_medium(rig_packet):
+    """At n = 2 the map's total spectrum holds a transmitted channel in glass and a
+    reflected one in the reference medium: its one profile over the outgoing media
+    is, bit for bit in E and in B, the sum of single-channel, single-medium profiles."""
+    outcome = bs.interface_scatter(rig_packet, bs.Medium.reference(), bs.Medium.from_index(2.0), 140.0)
+    sp, media = outcome.spectra["total"], outcome.outgoing
+    assert len(sp.amp) == 2
+    for t in (0.0, outcome.t_final):
+        fp = bs.field_profile(sp, media, 1.0, t)
+        assert fp.medium_tag == "n=1+n=2"
+        parts = [bs.field_profile(bs.SpectralWavePacket(sp.grid, {ch: a}), {ch.s: media[ch.s]}, 1.0, t)
+                 for ch, a in sp.amp.items()]
+        for name in ("e_y", "e_z", "b_y", "b_z"):
+            total = np.zeros(sp.grid.n_points, dtype=np.complex128)
+            for part in parts:
+                total += getattr(part, name)
+            np.testing.assert_array_equal(getattr(fp, name), total)
+
+
+def test_a_direction_without_a_medium_is_refused(rig_packet, glass):
+    """One media rule reads a channel in its direction's medium, and refuses a direction with none."""
+    sp = bs.to_momentum(rig_packet)  # one +1 channel
+    for media in ({-1: glass}, {}):
+        for read in (lambda: bs.to_position(sp, media, 1.0), lambda: bs.field_profile(sp, media),
+                     lambda: bs.spectral_expectations(sp, media)):
+            with pytest.raises(bs.DomainError, match="no medium given for direction 1"):
+                read()
+    with pytest.raises(bs.DomainError, match="no medium given for direction 1"):
+        bs.to_position(sp, None, 1.0)
+
+
 def test_profile_medium_tag_consistency(rig_packet, ref_medium, glass):
-    fp = bs.field_profile(bs.to_momentum(rig_packet), ref_medium)
+    fp = bs.field_profile(bs.to_momentum(rig_packet), everywhere(ref_medium))
     with pytest.raises(bs.ConsistencyError):
         oracles.energy_from_fields(fp, glass)
     with pytest.raises(bs.ConsistencyError):

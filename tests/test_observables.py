@@ -103,7 +103,7 @@ def test_field_momentum_route_matches_number_basis(rig_grid, glass):
     sp = bs.to_momentum(p)
     k = rig_grid.k
     number_basis = float(np.sum(np.abs(k) * np.abs(sp.amp[bs.Channel(1, "H")]) ** 2)) * rig_grid.dk
-    fp = bs.field_profile(sp, glass)
+    fp = bs.field_profile(sp, {+1: glass, -1: glass})
     assert oracles.momentum_from_fields(fp, glass) == pytest.approx(number_basis, rel=1e-12)
 
 

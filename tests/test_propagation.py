@@ -286,7 +286,7 @@ def _field_route(p, media, hbar=1.0):
     vals["field_momentum"] = vals["abraham_momentum"] = 0.0
     for ch, a in bs.to_momentum(p).amp.items():
         m = media[ch.s]
-        fp = bs.field_profile(bs.SpectralWavePacket(p.grid, {ch: a}), m, hbar)
+        fp = bs.field_profile(bs.SpectralWavePacket(p.grid, {ch: a}), {ch.s: m}, hbar)
         p_field = oracles.momentum_from_fields(fp, m)
         vals["field_momentum"] += p_field
         vals["abraham_momentum"] += bs.abraham_momentum(p_field, m.n)

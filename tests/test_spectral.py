@@ -554,3 +554,33 @@ def test_chirp_refuses_a_scale_whose_turns_lose_their_fraction():
     zero = g.n_points // 2
     assert g.k[zero] == 0.0 and np.count_nonzero(got) == 1
     assert abs(got[zero] - want[zero]) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("window", [
+    dict(outputs=(5, 3)),  # gave 2050 points
+    dict(inputs=(0, 4000)),  # was summed without complaint
+    dict(inputs=(-10, 100)),  # these three ended in a bare numpy ValueError or TypeError
+    dict(outputs=(-4, 100)),
+    dict(outputs=(2.5, 100)),
+])
+def test_scaled_samples_refuse_a_window_that_is_not_on_the_lattice(window):
+    """A window is a pair of ints ``0 <= lo <= hi <= N``, like the map's; any other raises DomainError."""
+    g = bs.make_grid(-50.0, 50.0, 2048)
+    p = bs.gaussian_packet(g, (+1, "H"), x0=0.0, k0=10.0, sigma=1.0)
+    with pytest.raises(bs.DomainError, match=re.escape("a window must be a pair of ints 0 <= lo <= hi <= 2048")):
+        bs.sample_spectrum_scaled(p, (+1, "H"), 0.5, **window)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, math.inf, 1e300])
+def test_free_flight_by_a_time_whose_shift_leaves_the_phase_range_is_refused(rig_packet, ref_medium, t):
+    """Every translation phase is built for a finite shift below 2**52 cells: NaN raised the
+    exit-2 ConfigurationError of a NaN amplitude, inf first warned, 1e300 gave meaningless
+    phases, and the field profile returned NaNs."""
+    sp = bs.to_momentum(rig_packet)
+    media = {+1: ref_medium, -1: ref_medium}
+    refused = "cells is out of range: it must be finite and below 2[*][*]52"
+    with pytest.raises(bs.DomainError, match=refused):
+        bs.to_position(sp, media, t)
+    with pytest.raises(bs.DomainError, match=refused):
+        bs.field_profile(sp, media, 1.0, t)
