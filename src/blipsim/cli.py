@@ -1,23 +1,24 @@
 """Command-line interface: ``run``, ``check``, and ``dyson``.
 
 ``run`` executes one scenario from a config file and writes a JSON summary
-plus a per-report-time series table.  ``check`` sweeps the closed-form
-amplitude identities over a refractive-index range.  ``dyson`` tabulates
-the partial sums of the point-scatterer Born series for a coupling ratio
-``q = |Omega|/(2c)`` (taken on the negative imaginary axis, so both
-amplitudes are real).
+plus a per-report-time series table, and prints one line per check of ``CHECKS``
+(``n/a`` for a skipped one).  ``check`` sweeps the closed-form amplitude identities
+over a refractive-index range.  ``dyson`` tabulates the partial sums of the
+point-scatterer Born series for a coupling ratio ``q = |Omega|/(2c)`` (taken on the
+negative imaginary axis, so both amplitudes are real).
 
 Exit codes: 0 success, 1 tolerance breach under ``--strict``, 2 configuration error
 (including a tolerance, in ``[tolerances]`` or ``check --tolerance``, that is not
 finite and >= 0, a ``[media]`` value that is not finite and > 0, an explicit
 ``[coupling]`` omega that is not finite or whose Born series diverges, a ``[grid]``
-above ``MAX_GRID_POINTS`` points, a ``[packet]`` spectrum reaching across k = 0,
-``[output]`` names that are not bare file names or name one file twice, and a
-``dyson`` q or coupling 2q that is not finite and >= 0), 3 runtime error, also an
-output that cannot be written.  Only finite floats are written, as ``%.17g``;
-a float table gets those exact digits from numpy, a block of rows at a time, and
-identical configs produce byte-identical outputs.  A command writes all of its
-files or none: they are staged inside ``--out`` and moved into it together at the end.
+above ``MAX_GRID_POINTS`` points or with an origin ``2**52 - n_points`` cells or more
+from x = 0, a ``[schedule]`` of more than ``propagation.MAX_REPORT_TIMES`` times, a
+``[packet]`` spectrum reaching across k = 0, ``[output]`` names that are not bare file
+names or name one file twice, and a ``dyson`` q or coupling 2q that is not finite and
+>= 0), 3 runtime error, also an output that cannot be written.  Only finite floats are
+written, as ``%.17g``; a float table gets those exact digits from numpy, a block of rows
+at a time, and identical configs produce byte-identical outputs.  A command writes all
+of its files or none: they are staged inside ``--out`` and moved into it together at the end.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .scattering import (
     REMAINDER_ROUNDING_FLOOR,
     RESAMPLE_DRIFT_TOL,
     MirrorCoupling,
+    ScatterOutcome,
     ScatterRates,
     dyson_partial_sums,
     dyson_remainder_bound,
@@ -66,14 +68,21 @@ from .spectral import SpectralWavePacket
 
 __all__ = ["main", "cmd_run", "cmd_check", "cmd_dyson"]
 
-DEFAULT_TOLERANCES = {
-    "energy_ratio": 1e-9,
-    "momentum_ratio": 1e-6,
-    "conditional_ratio": 1e-6,
-    "unitarity": 1e-9,
-    "resample_drift": RESAMPLE_DRIFT_TOL,
-    "peak_bins": 1.0,
-    "asymptotic": GUARD_TOL,
+#: The strict checks of ``run``, each declared once, in the order of the summary's blocks and the printed
+#: lines: name -> (default tolerance, its deviation read from the run's ``measured`` and ``predictions``
+#: blocks and the map's outcome).  A deviation of ``None`` skips the check.
+CHECKS: dict[str, tuple[float, Callable[[dict[str, Any], dict[str, Any], ScatterOutcome], float | None]]] = {
+    "energy_ratio": (1e-9, lambda m, p, o: _deviation(m["energy_ratio"], p["energy_ratio"])),
+    # the prediction passes through 0 at n = 3 going out: scale by it, but never below the input's scale, 1
+    "momentum_ratio": (1e-6, lambda m, p, o: _deviation(
+        m["momentum_ratio"], p["momentum_ratio"], max(abs(p["momentum_ratio"]), 1.0))),
+    "conditional_ratio": (1e-6, lambda m, p, o: _deviation(
+        m["conditional_transmitted_momentum_ratio"], p["conditional_transmitted_momentum_ratio"])),
+    "unitarity": (1e-9, lambda m, p, o: _deviation(m["unitarity"], p["unitarity"])),
+    "resample_drift": (RESAMPLE_DRIFT_TOL, lambda m, p, o: o.resampling_drift),
+    "peak_bins": (1.0, lambda m, p, o: _deviation(
+        m["transmitted_peak_k"], p["transmitted_peak_k"], o.total.grid.dk)),
+    "asymptotic": (GUARD_TOL, lambda m, p, o: o.guard_fraction),
 }
 
 # ---------------------------------------------------------------------------
@@ -334,7 +343,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], Any]]] = {
     "schedule": {"times": _parse_times},
     "output": {"summary": _parse_file_name, "series": _parse_file_name, "snapshots": _parse_bool},
     "units": {"hbar": float},
-    "tolerances": {key: _parse_tolerance for key in DEFAULT_TOLERANCES},
+    "tolerances": {key: _parse_tolerance for key in CHECKS},
 }
 
 #: Sections that must be given, with every key of their schema.
@@ -477,6 +486,13 @@ def _ratio(numer: float, denom: float) -> float | None:
     return numer / denom
 
 
+def _deviation(measured: float | None, predicted: float, scale: float | None = None) -> float | None:
+    """``|measured - predicted| / scale``, by default relative to ``|predicted|``; ``None`` if nothing was measured."""
+    if measured is None:
+        return None
+    return abs(measured - predicted) / (abs(predicted) if scale is None else scale)
+
+
 def _verdict(deviation: float | None, tol: float) -> str:
     if deviation is None:
         return "skipped"
@@ -489,7 +505,6 @@ def _summarize(
     outcome = result.outcome
     blocks = result.blocks
     n = sc.n
-    rates = outcome.rates
 
     direction = cfg["packet"]["direction"]
     k0 = cfg["packet"]["k0"]
@@ -511,44 +526,29 @@ def _summarize(
     # predictions from the amplitude table; closed forms where the rates are
     # the normal-incidence ones
     fresnel = sc.omega is None
-    pred_momentum, closed, pred_conditional = _momentum_ratios(rates, n, direction)
-    closed = closed if fresnel else None
-    pred_peak = n * k0 if direction > 0 else k0 / n
-
-    measured_energy = _ratio(out_blocks["total"]["energy"], inp["energy"])
-    measured_momentum = _ratio(out_blocks["total"]["dyn_momentum"], inp["dyn_momentum"])
-    cond_t = conditional["transmitted"]
-    measured_conditional = (
-        _ratio(cond_t["dyn_momentum"], inp["dyn_momentum"]) if cond_t else None
-    )
-    measured_peak = _spectral_peak(outcome.spectra["transmitted"])
-    unitarity = outcome.prob_t + outcome.prob_r
-
-    def rel_dev(measured: float | None, predicted: float | None) -> float | None:
-        if measured is None or predicted is None:
-            return None
-        return abs(measured - predicted) / abs(predicted) if abs(predicted) > 1e-12 else abs(measured)
-
-    deviations = {
-        "energy_ratio": rel_dev(measured_energy, 1.0),
-        # the prediction passes through 0 at n = 3 going out: scale by it, but never below the input's scale, 1
-        "momentum_ratio": None if measured_momentum is None else (
-            abs(measured_momentum - pred_momentum) / max(abs(pred_momentum), 1.0)
-        ),
-        "conditional_ratio": rel_dev(measured_conditional, pred_conditional),
-        "unitarity": rel_dev(unitarity, 1.0),
-        "resample_drift": outcome.resampling_drift,
-        "peak_bins": (
-            abs(measured_peak - pred_peak) / sc.packet.grid.dk
-            if measured_peak is not None and pred_peak is not None
-            else None
-        ),
-        "asymptotic": outcome.guard_fraction,
+    pred_momentum, closed, pred_conditional = _momentum_ratios(outcome.rates, n, direction)
+    predictions = {
+        "energy_ratio": 1.0,
+        "momentum_ratio": pred_momentum,
+        "momentum_ratio_closed_form": closed if fresnel else None,
+        "conditional_transmitted_momentum_ratio": pred_conditional,
+        "transmitted_peak_k": n * k0 if direction > 0 else k0 / n,
+        "unitarity": 1.0,
     }
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(cfg.get("tolerances", {}))
-    checks = {key: _verdict(deviations[key], tolerances[key]) for key in deviations}
-    breaches = sum(1 for verdict in checks.values() if verdict == "fail")
+    cond_t = conditional["transmitted"]
+    measured = {
+        "energy_ratio": _ratio(out_blocks["total"]["energy"], inp["energy"]),
+        "momentum_ratio": _ratio(out_blocks["total"]["dyn_momentum"], inp["dyn_momentum"]),
+        "conditional_transmitted_momentum_ratio": (
+            _ratio(cond_t["dyn_momentum"], inp["dyn_momentum"]) if cond_t else None
+        ),
+        "transmitted_peak_k": _spectral_peak(outcome.spectra["transmitted"]),
+        "unitarity": outcome.prob_t + outcome.prob_r,
+    }
+    given = cfg.get("tolerances", {})
+    deviations = {name: read(measured, predictions, outcome) for name, (_, read) in CHECKS.items()}
+    tolerances = {name: given.get(name, default) for name, (default, _) in CHECKS.items()}
+    checks = {name: _verdict(deviations[name], tolerances[name]) for name in CHECKS}
     crossing_times = tuple(dict.fromkeys(row.time for row in (*result.rows, *blocks.values()) if not row.asymptotic))
 
     summary = {
@@ -566,21 +566,8 @@ def _summarize(
         "input": inp,
         "output": out_blocks,
         "conditional": conditional,
-        "predictions": {
-            "energy_ratio": 1.0,
-            "momentum_ratio": pred_momentum,
-            "momentum_ratio_closed_form": closed,
-            "conditional_transmitted_momentum_ratio": pred_conditional,
-            "transmitted_peak_k": pred_peak,
-            "unitarity": 1.0,
-        },
-        "measured": {
-            "energy_ratio": measured_energy,
-            "momentum_ratio": measured_momentum,
-            "conditional_transmitted_momentum_ratio": measured_conditional,
-            "transmitted_peak_k": measured_peak,
-            "unitarity": unitarity,
-        },
+        "predictions": predictions,
+        "measured": measured,
         "deviations": deviations,
         "tolerances": tolerances,
         "checks": checks,
@@ -591,7 +578,7 @@ def _summarize(
             "asymptotic_final": outcome.asymptotic,
         },
     }
-    return summary, breaches
+    return summary, sum(verdict == "fail" for verdict in checks.values())
 
 
 #: The series columns, selected from each row's time, branch and :func:`_block`.
@@ -663,13 +650,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             written.extend(_write_snapshots(stage, sc, result, args.fmt))
 
     print(f"scenario: {summary['scenario']['tag']}")
-    for key in ("energy_ratio", "momentum_ratio", "conditional_ratio", "unitarity", "peak_bins",
-                "asymptotic"):
-        dev = summary["deviations"][key]
-        shown = "n/a" if dev is None else FLOAT % dev
-        print(f"  {key:<18} deviation {shown:<24} [{summary['checks'][key]}]")
-    print(f"  resample_drift     {FLOAT % summary['diagnostics']['resampling_drift']}"
-          f"                [{summary['checks']['resample_drift']}]")
+    for name in CHECKS:
+        dev = summary["deviations"][name]
+        print(f"  {name:<18} deviation {'n/a' if dev is None else FLOAT % dev:<24} [{summary['checks'][name]}]")
     for path in written:
         print(f"wrote {Path(args.out, path.name)}")
     if args.strict and breaches:

@@ -175,7 +175,8 @@ class Grid:
     grid that builds its own.
     A grid refuses a bad lattice with :class:`ConfigurationError`: ``n_points``
     is an integer power of two >= 8, ``dx > 0``, and ``x_min``, ``x_max``,
-    ``dx`` and the band edge ``pi/dx`` are finite.
+    ``dx`` and the band edge ``pi/dx`` are finite, and the origin lies fewer than
+    ``2**52 - n_points`` cells from ``x = 0``, where :func:`_shift_phase` can translate it.
     """
 
     x_min: float
@@ -189,6 +190,8 @@ class Grid:
         ok = isinstance(self.x_min, (int, float)) and math.isfinite(self.x_min) and _is_positive_real(self.dx)
         if not (ok and math.isfinite(self.x_max) and math.isfinite(self.k_max)):
             raise ConfigurationError(f"need finite x_min, x_max and pi/dx with dx > 0, got {self}")
+        if not abs(self.x_min / self.dx) < 2**52 - n:
+            raise ConfigurationError(f"x_min must lie fewer than 2**52 - n_points cells from x = 0, got {self}")
 
     @property
     def x_max(self) -> float:

@@ -69,6 +69,12 @@ def evolve_free(p: BlipWavePacket, m: Medium, t: float) -> BlipWavePacket:
     return p if t == 0.0 else to_position(to_momentum(p), media, t)
 
 
+#: Most report times in a schedule.  At N = 2048 each costs about 0.09 ms, 3.3 KiB of peak RSS and
+#: 400 B of CSV series (fresh processes, 2-vCPU guest, Python 3.11, numpy 2.4: 10,000 times ran in
+#: 1.1 s at 64 MiB, 20,000 in 2.0 s at 97 MiB); the per-report cost grows with N.
+MAX_REPORT_TIMES = 10_000
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One packet, two media meeting at ``x = 0``, and a report schedule.
@@ -92,6 +98,8 @@ class Scenario:
         object.__setattr__(self, "schedule", tuple(float(t) for t in self.schedule))
         if not self.schedule:
             raise ConfigurationError("schedule must contain at least one report time")
+        if len(self.schedule) > MAX_REPORT_TIMES:
+            raise ConfigurationError(f"schedule must hold at most {MAX_REPORT_TIMES} report times, got {len(self.schedule)}")
         if not all(math.isfinite(t) and t >= 0.0 for t in self.schedule):
             raise ConfigurationError("schedule times must be finite and nonnegative")
         for a, b in zip(self.schedule, self.schedule[1:]):

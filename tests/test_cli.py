@@ -6,6 +6,7 @@ the whole file stays fast.
 """
 
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from blipsim import cli, fields, lattice, spectral
+from blipsim import cli, fields, lattice, propagation, spectral
 
 from test_lattice import NUDGE, TAIL_SIGMAS
 
@@ -179,6 +180,11 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "nan_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "nan"}}),
         "divergent_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "-3j"}}),
         "empty_schedule": dict(overrides={"schedule": {"times": " , "}}),
+        # 6e15 cells of 16384 from x = 0: no transform could translate it, and the scatterer is off the grid
+        "far_origin": dict(overrides={
+            "grid": {"x_min": "1e20", "x_max": "100000000000033554432"},
+            "packet": {"direction": "-1", "x0": "100000000000016777216", "k0": "-5e-5", "sigma": "1e5"},
+        }),
     }
     bad_keys = {
         "negative_index": "'n'", "zero_index": "'n'", "nan_index": "'n'", "zero_area": "'area'",
@@ -186,6 +192,7 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "overflowing_permittivity": "c0 = 1e-160 give no finite permittivity",
         "divergent_omega": "'omega'", "bad_direction": "'direction'", "bad_polarization": "'polarization'",
         "bad_coupling_source": "'source'", "empty_schedule": "at least one",
+        "far_origin": "fewer than 2**52 - n_points cells from x = 0",
     }
     for name, case in cases.items():
         cfg = write_config(
@@ -302,6 +309,47 @@ def test_strict_mode_fails_a_run_that_never_became_asymptotic(tmp_path):
     assert cli.main(["run", "--config", str(loose), "--out", str(out), "--strict"]) == 0
 
 
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """``configs/air_to_glass.ini`` without snapshots: its summary and its printed lines."""
+    tmp = tmp_path_factory.mktemp("reference")
+    cfg = tmp / "reference.ini"
+    cfg.write_text((REPO / "configs" / "air_to_glass.ini").read_text().replace("snapshots = true", "snapshots = false"))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp / "out"), "--strict"]) == 0
+    return cfg, json.loads((tmp / "out" / "summary.json").read_text()), stdout.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_a_zero_tolerance_fails_each_check_that_deviates(tmp_path, reference_run, name):
+    """Every entry of the check table is a ``[tolerances]`` key: at 0 it fails a
+    check whose deviation on the reference run is above 0, and passes one at 0."""
+    cfg, summary, _ = reference_run
+    deviates = summary["deviations"][name] > 0
+    strict = tmp_path / "strict.ini"
+    strict.write_text(cfg.read_text() + f"\n[tolerances]\n{name} = 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(strict), "--out", str(out)]) == 0
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks == {**summary["checks"], name: "fail" if deviates else "pass"}
+    assert cli.main(["run", "--config", str(strict), "--out", str(out), "--strict"]) == (1 if deviates else 0)
+
+
+def test_the_check_blocks_and_printed_lines_follow_the_check_table(reference_run):
+    _, summary, lines = reference_run
+    names = list(cli.CHECKS)
+    assert [list(summary[block]) for block in ("deviations", "tolerances", "checks")] == [names] * 3
+    assert list(cli._SCHEMA["tolerances"]) == names
+    assert summary["tolerances"] == {name: default for name, (default, _) in cli.CHECKS.items()}
+    printed = [line for line in lines if line.startswith("  ")]
+    assert printed == [
+        f"  {name:<18} deviation {cli.FLOAT % summary['deviations'][name]:<24} [{summary['checks'][name]}]"
+        for name in names
+    ]
+    assert lines[0].startswith("scenario: ") and lines[1:len(names) + 1] == printed
+
+
 #: ``run --strict`` paths the other tests leave out, as (overrides, dropped
 #: sections) of ``configs/glass_to_air.ini``.
 RUN_PATHS = {
@@ -326,7 +374,7 @@ def run_strict(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", list(RUN_PATHS))
-def test_run_paths_pass_strict(tmp_path, case):
+def test_run_paths_pass_strict(tmp_path, capsys, case):
     summary = run_strict(tmp_path, case)
     if case == "glass_to_air":
         # (3 - n)/(n + 1) = 1/3 in all, and 1/n post-selected on transmission
@@ -343,6 +391,7 @@ def test_run_paths_pass_strict(tmp_path, case):
     else:
         assert summary["conditional"]["transmitted"] is None
         assert summary["checks"]["conditional_ratio"] == "skipped"
+        assert f"  {'conditional_ratio':<18} deviation {'n/a':<24} [skipped]" in capsys.readouterr().out.splitlines()
 
 
 def test_a_vanishing_momentum_prediction_passes_strict(tmp_path):
@@ -456,18 +505,31 @@ def test_dyson_rejects_bad_arguments(tmp_path):
     assert cli.main(["dyson", "--omega-ratio", "0.5", "--terms", "0", "--out", str(tmp_path)]) == 2
 
 
+def report_times(count):
+    """A ``[schedule]`` of ``count`` report times in ``[0, 45)``."""
+    return {"schedule": {"times": ", ".join(str(45 * t / count) for t in range(count))}}
+
+
 def test_loop_caps_reject_one_past_the_cap(tmp_path):
     """Only the rejection path: no sweep or series near the cap is ever started."""
     out = tmp_path / "out"
     huge = write_config(tmp_path / "huge.ini", {"grid": {"n_points": str(2 * cli.MAX_GRID_POINTS)}})
+    long = write_config(tmp_path / "long.ini", report_times(propagation.MAX_REPORT_TIMES + 1))
     argvs = (
         ["check", "--steps", str(cli.MAX_CHECK_STEPS + 1)],
         ["dyson", "--omega-ratio", "0.5", "--terms", str(cli.MAX_DYSON_TERMS + 1)],
         ["run", "--config", str(huge)],
+        ["run", "--config", str(long)],
     )
     for argv in argvs:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_a_schedule_at_the_cap_builds_a_scenario(tmp_path):
+    """Only the scenario is built: ``MAX_REPORT_TIMES`` reports are never run here."""
+    cfg = write_config(tmp_path / "at_cap.ini", report_times(propagation.MAX_REPORT_TIMES))
+    assert len(cli._scenario_from_config(cli._load_config(str(cfg))).schedule) == propagation.MAX_REPORT_TIMES
 
 
 def test_output_names_must_be_bare_file_names(tmp_path):

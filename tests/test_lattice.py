@@ -138,6 +138,23 @@ def test_grid_refuses_each_bad_field(field, bad):
         dataclasses.replace(good, **{field: bad})
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_refuses_an_origin_no_transform_can_translate(sign):
+    """A transform translates by the origin's ``x_min/dx`` cells, which must stay below
+    ``2**52``: the last origin accepted round-trips, one cell further is refused."""
+    n = 1024
+    edge = sign * float(2**52 - n)
+    with pytest.raises(bs.ConfigurationError, match="2\\*\\*52"):
+        bs.Grid(x_min=edge, dx=1.0, n_points=n)
+    with pytest.raises(bs.ConfigurationError):
+        bs.Grid(x_min=sign * 1e20, dx=1.0, n_points=n)
+    grid = bs.Grid(x_min=edge - sign, dx=1.0, n_points=n)
+    packet = bs.gaussian_packet(grid, (sign, "H"), grid.x_min + n / 2, sign * 1.0, 20.0)
+    back = bs.to_position(bs.to_momentum(packet))
+    ch = bs.as_channel((sign, "H"))
+    np.testing.assert_allclose(back.amp[ch], packet.amp[ch], rtol=0, atol=1e-15)
+
+
 def test_channel_validation_and_order():
     assert bs.as_channel((+1, "H")) == bs.Channel(1, "H")
     with pytest.raises(bs.DomainError):
