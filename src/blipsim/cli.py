@@ -147,22 +147,28 @@ _CELL, _BLOCK_ROWS = 24, 2048
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
     """``10**(16 - e) = hi + lo`` for ``e`` in ``[_E_MIN - 1, _E_MAX + 1]``, each part rounded from the
-    exact rational by Python's int division; the 4 ASCII digits of each integer below ``10**4`` as
-    one uint32; and, at ``17 form + last``, the bytes of a :func:`_cells` row (0 hole, 1 sign, 2 point,
-    3-19 the digits, 20 ``e``, 21 exponent sign, 24-27 ``0`` and its digits) that make a cell with
-    digits up to ``last``: ``form`` 0-20 is ``%f`` for exponents -4 to 16, 21-22 ``%e``."""
+    exact rational by Python's int division; the 4 ASCII digits of each integer below ``10**4``, then with
+    trailing zeros as holes, as uint64 words moved on by 2 and 6 bytes and back by 2; and per ``e``, one
+    column per word of a :func:`_cells` row, the bytes after the point's place (byte ``2 + p`` for a point
+    after digit ``p``, byte 1 under ``0.0..``), their shift in bits, and the bytes that fill the gap
+    (integer zeros, ``0.0..`` or ``.``) and end the cell (``e±XX[X]``), without, then with, a digit after it."""
     powers = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(17 - _E_MIN, 14 - _E_MAX, -1)]
     hi = [num / den for num, den in powers]
     lo = [(num * b - a * den) / (den * b) for (num, den), (a, b) in zip(powers, map(float.as_integer_ratio, hi))]
-    quads = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32)
-    layouts = []
-    for form, last in np.ndindex(23, 17):
-        x, digits = form - 4, list(range(3, 4 + last))
-        p = -1 if x < 0 else x if x <= 16 else 0  # the digit the point follows
-        row = [1, *(digits[:p + 1] or [24])] + [2] * (last > p) + [24] * (-x - 1) + digits[p + 1:]
-        row += [20, 21, *range(47 - form, 28)] * (form > 20)
-        layouts.append(row + [0] * (_CELL - len(row)))
-    return np.array(hi), np.array(lo), quads.ravel(), np.array(layouts)
+    quads = [b"%04d" % x for x in range(10**4)]
+    quads = np.frombuffer(b"".join(quads + [q.rstrip(b"0").ljust(4, b"\0") for q in quads]), "<u4").astype(np.uint64)
+    tails, shifts, gaps = [], [], ([], [])
+    for e in range(_E_MIN - 1, _E_MAX + 2):
+        fixed = -4 <= e <= 16
+        p = (e if e >= 0 else -1) if fixed else 0  # the digit the point follows
+        tails.append(b"\0" * (2 + p) + b"\xff" * (22 - p))
+        shifts.append(8 * (1 - e if p < 0 else 1))
+        for has, gap in enumerate(gaps):
+            text = "\0" + ("0." + "0" * (-e - 1) if p < 0 else "\0" + "0" * p + "." * has)
+            gap.append((text.ljust(19, "\0") + ("" if fixed else f"e{e:+03}").ljust(5, "\0")).encode())
+    words = lambda rows: np.frombuffer(b"".join(rows), "<u8").reshape(-1, 3).T.copy()
+    return (np.array(hi), np.array(lo), quads << 16, quads << 48, quads >> 16,
+            words(tails), np.array(shifts, np.uint64), words(gaps[0] + gaps[1]))
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +183,12 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cells(v: np.ndarray) -> np.ndarray:
     """``FLOAT % v`` of each value as one row of ``_CELL`` bytes, 0 bytes as holes: the 17 digits are
     the integer nearest ``|v| 10**(16 - e)``, for the exponent ``e`` of ``log10`` moved by one where
-    :func:`_scaled` falls outside ``[10**16, 10**17)``, as its ``hi`` and ``lo`` decide, not their sum."""
+    :func:`_scaled` falls outside ``[10**16, 10**17)``, as its ``hi`` and ``lo`` decide, not their sum.
+
+    A row is three little-endian uint64 words, built by whole-array integer operations.  Byte 0 holds the
+    sign and bytes 1-17 the digits, each group of four with its trailing zeros as holes where no later
+    digit is nonzero.  The bytes after the point's place then move on by one byte (by ``1 - e`` under
+    ``0.0..``), and the gap row of :func:`_tables` fills in the integer zeros, the point and the exponent."""
     a = np.abs(v)
     e = np.floor(np.log10(np.where(a == 0, 1.0, a)))
     far = ~((e >= _E_MIN) & (e <= _E_MAX))  # also NaN and infinities, which _text refuses
@@ -192,21 +203,30 @@ def _cells(v: np.ndarray) -> np.ndarray:
     d[d == 10**17] = 10**16
     slow = far | (np.abs(f) > 0.5 - _MARGIN) | (d == 10**16) & (np.abs(f) < _MARGIN)
 
-    quads, layouts = _tables()[2:]
-    src = np.zeros((v.size, 28), np.uint8)
-    for j in range(4, 0, -1):
-        src.view(np.uint32)[:, j] = quads[d % 10**4]
-        d //= 10**4
-    src[:, 1], src[:, 3], src[:, 21] = 45 * np.signbit(v), d + 48, np.where(e < 0, 45, 43)  # '-', digit, '-' or '+'
-    src[:, 2], src[:, 20] = 46, 101  # '.', 'e'
-    src.view(np.uint32)[:, 6] = quads[np.abs(e)]
-    fixed = (e >= -4) & (e <= 16)
-    # the last digit kept: the last nonzero one, or -1 where the point before the digits stops the search
-    last = np.maximum(16 - np.argmax(src[:, 19:1:-1] != 48, axis=1), np.where(fixed, e, 0))
-    form = np.where(fixed, e + 4, 21 + (np.abs(e) >= 100))
-    index = layouts[17 * form + last]
-    index += 28 * np.arange(v.size)[:, None]  # in place: a second index array would cost page faults
-    cells = np.take(src.ravel(), index)
+    at2, at6, back2, tail, shift, gap = _tables()[2:]
+    u = d.view(np.uint64)  # d >= 0; unsigned // is the faster
+    first = u // 10**16
+    u -= first * 10**16
+    upper = u // 10**8
+    u -= upper * 10**8
+    g1, g3 = upper // 10**4, u // 10**4
+    g2, g4 = upper - g1 * 10**4, u - g3 * 10**4
+    # each group's index in the digit tables; 10**4 on picks its trimmed digits
+    i1, i2, i3, i4 = (g.view(np.int64) for g in (g1, g2, g3, g4 + 10**4))
+    i1 += 10**4 * ((u == 0) & (g2 == 0))
+    i2 += 10**4 * (u == 0)
+    i3 += 10**4 * (g4 == 0)
+    sign = (v.view(np.uint64) >> 63) * 45  # '-'
+    w = np.stack([at2[i1] | at6[i2] | (first + 48) << 8 | sign, back2[i2] | at2[i3] | at6[i4], back2[i4]])
+    ie = e + (1 - _E_MIN)
+    t = w & np.take(tail, ie, axis=1)
+    w ^= t
+    k = ie + tail.shape[1] * ((t[0] | t[1] | t[2]) != 0)
+    b = shift[ie]
+    w |= t << b
+    w[1:] |= t[:2] >> (64 - b)
+    cells = np.empty((v.size, _CELL), np.uint8)
+    np.bitwise_or(w, np.take(gap, k, axis=1), out=cells.view(np.uint64).T)
     for i in np.flatnonzero(slow):
         cells[i] = np.frombuffer(_text(float(v[i]), "").encode().ljust(_CELL, b"\0"), np.uint8)
     return cells
@@ -219,7 +239,7 @@ def _write_table(
 
     ``rows`` holds mapping rows, whose values at the ``header`` keys are written in that
     order, or is one 2-D float64 array of the ``header`` columns, written by :func:`_cells`
-    ``_BLOCK_ROWS`` rows at a time into a row of constant text with a hole per cell."""
+    ``_BLOCK_ROWS`` rows at a time into a row of constant text with a hole per cell, and the holes dropped."""
     path = base.with_suffix("." + fmt)
     if not (isinstance(rows, np.ndarray) and rows.size):  # mapping rows, or an empty array
         if fmt == "csv":
@@ -245,7 +265,7 @@ def _write_table(
             text = buf[:len(block)]
             for j, at in enumerate(slots):
                 text[:, at:at + _CELL] = cells[:, j]
-            fh.write(text[text != 0])
+            fh.write(text.tobytes().translate(None, b"\0"))
         if fmt != "csv":
             fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close
             fh.write(b"\n]\n")

@@ -846,6 +846,61 @@ def test_the_edge_corpus_matches_the_cell_oracle(tmp_path, fmt):
     assert path.read_bytes() == oracle(header_of(table), table.tolist())
 
 
+def layout_classes():
+    """A value of each layout of a ``%.17g`` cell, with both signs: each ``%f`` exponent from -4 to 16
+    and ``%e`` exponents of two and three digits at both ends of the range, times each count of
+    significant digits from 1 to 17.  The digits are the first of all candidates below 4 digits, or of
+    1000 random ones, whose nearest float keeps exactly them in Python's own 17 digits; no float has a
+    single digit at 1e-5, 1e-274 or 1e99, so those three classes are empty."""
+    rng, values = np.random.default_rng(11), []
+    for e in [*range(-4, 17), -5, -10, -99, -100, -274, 17, 99, 100, 296]:
+        for n in range(1, 18):
+            draws = (str(m) for m in range(10 ** (n - 1), 10**n)) if n < 4 else (
+                "".join(map(str, rng.integers(0, 10, n))) for _ in range(1000))
+            for digits in draws:
+                v = float(f"{digits[0]}.{digits[1:]}e{e}")
+                mantissa, exponent = f"{v:.16e}".split("e")
+                if len(mantissa.replace(".", "").rstrip("0")) == n and int(exponent) == e:
+                    values.append(v)
+                    break
+    assert len(values) == 30 * 17 - 3
+    return np.array(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_layout_class_matches_the_cell_oracle(tmp_path, fmt):
+    table = layout_classes().reshape(-1, 6)
+    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    oracle = cell_oracle if fmt == "csv" else json_oracle
+    assert path.read_bytes() == oracle(header_of(table), table.tolist())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bits=hnp.arrays(np.uint64, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=st.integers(0, 2**64 - 1)))
+def test_float_tables_of_raw_bit_patterns_match_the_cell_oracle(bits):
+    """Any float64 bit pattern, so every exponent and both signs are as likely; rows with a NaN or an
+    infinity are left out."""
+    table = bits.view(np.float64)
+    table = table[np.isfinite(table).all(axis=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "csv")
+        assert path.read_bytes() == cell_oracle(header_of(table), table.tolist())
+
+
+def test_few_reference_snapshot_cells_reach_the_fallback(tmp_path, monkeypatch):
+    """The reference snapshots are written by the fast path: at most 1e-4 of their cells lie within
+    ``_MARGIN`` of a tie or a decade edge and go to ``_text``."""
+    tables, texts = [], []
+    write, text = cli._write_table, cli._text
+    monkeypatch.setattr(cli, "_write_table", lambda base, header, rows, fmt: tables.append(rows) or write(
+        base, header, rows, fmt))
+    assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
+    values = np.concatenate([rows.ravel() for rows in tables if isinstance(rows, np.ndarray)])
+    monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
+    cli._cells(values)
+    assert values.size == 147456 and len(texts) <= 1e-4 * values.size
+
+
 def test_a_decade_edge_and_an_exact_power_of_ten_print_as_by_the_cell(tmp_path, monkeypatch):
     """1e-12 lies just below its decade, so its 17 digits start one decade lower;
     1e20 scales to 10**16 within the margin, so ``_text`` writes it."""
