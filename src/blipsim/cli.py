@@ -405,8 +405,8 @@ def _load_config(path: str) -> dict[str, dict[str, Any]]:
     return cfg
 
 
-#: Largest ``[grid] n_points``; a run's peak RSS grows by about 12 complex arrays of that
-#: length (fresh-process ``wait4`` peak from 2**18 to 2**20 points, snapshots off: 80.0 to 223.8 MiB).
+#: Largest ``[grid] n_points``; a run's peak RSS grows by about 11 complex arrays of that length
+#: (fresh-process ``wait4`` peak, snapshots off: 77.8, 208.0 and 763.4 MiB at 2**18, 2**20 and 2**22 points).
 MAX_GRID_POINTS = 2**22
 
 

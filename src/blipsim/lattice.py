@@ -169,7 +169,7 @@ def as_channel(ch: Channel | tuple[int, str]) -> Channel:
 class Grid:
     """Uniform position lattice and its conjugate wavenumber lattice.
 
-    ``x``, ``k`` and ``abs_k`` depend only on the three fields.  Each is built
+    ``x`` and ``k`` depend only on the three fields.  Each is built
     on first access, cached on the instance and read-only; the cache takes no
     part in equality or the hash, and :func:`dataclasses.replace` gives a new
     grid that builds its own.
@@ -215,11 +215,6 @@ class Grid:
     def k(self) -> np.ndarray:
         """Ascending wavenumber lattice ``-k_max + m*dk``."""
         return _read_only(-self.k_max + self.dk * np.arange(self.n_points))
-
-    @cached_property
-    def abs_k(self) -> np.ndarray:
-        """``|k|`` on the lattice, which weighs the energy and the field momentum."""
-        return _read_only(np.abs(self.k))
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid:
@@ -432,7 +427,7 @@ def centroid(p: BlipWavePacket) -> float:
 
 def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | None:
     """Positions bracketing all but ``SUPPORT_QUANTILE`` per side of a channel."""
-    dens = p.density[ch] * p.grid.dx
+    dens = p.density[ch]
     total = float(dens.sum())
     if total == 0.0:
         return None

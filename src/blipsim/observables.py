@@ -93,7 +93,7 @@ def spectral_expectations(
     ``E* x B`` integral over the :class:`blipsim.fields.FieldProfile` reproduces.
     """
     hbar = _positive(hbar, "hbar")
-    k, abs_k, dk = sp.grid.k, sp.grid.abs_k, sp.grid.dk
+    k, dk, h = sp.grid.k, sp.grid.dk, sp.grid.n_points // 2
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
     # the number and the dynamical momentum are the float expressions of
@@ -104,7 +104,10 @@ def spectral_expectations(
         number += weight
         if weight > 0.0:
             tags.add(m.label)
-        weighted, signed = float(np.sum(abs_k * dens)), float(np.sum(k * dens))
+        kd = k * dens  # k ascends and is exactly 0 at N/2, so kd negated below N/2 is |k| dens
+        signed = float(np.sum(kd))
+        kd[:h] *= -1.0
+        weighted = float(np.sum(kd))
         energy += hbar * m.c * weighted * dk
         dyn_hamiltonian += hbar * m.c * signed * dk
         dyn_momentum += ch.s * signed

@@ -14,9 +14,9 @@ checks the moved supports against the grid edges
 (:func:`blipsim.lattice._check_inside`), moves the centroid by the
 channels' weighted mean of ``s c t``, and reads the guard rule
 (:func:`blipsim.scattering._guard_fractions`) with the band moved the other
-way, as the ``incoming`` test does: slice sums of the density each packet
-squares once, on first read, for the whole schedule.  No report makes a transform or an
-N-point array.  Every other
+way, as the ``incoming`` test does: one tail sum per report of the density
+each packet squares once, on first read, for the whole schedule.  No report
+makes a transform or an N-point array.  Every other
 quadratic observable is time independent, so the input and each branch
 get one :class:`~blipsim.observables.ObservableReport`, which all their
 rows share.  A report is ``incoming`` while the input passes the map's

@@ -31,8 +31,8 @@ re-phases the amplitudes by ``exp(-i c k t)`` into the position branches
 and reads their guard; it builds the outcome once, from both.  One guard
 rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
-``guard_fraction``: slice sums of the packet's cached density, read
-with the band moved by ``s c t`` between times.
+``guard_fraction``: one tail sum of the packet's cached density per
+time, read with the band moved by ``s c t`` between times.
 The map takes the two media and nothing that restates them: every factor reads
 their ratio ``n = c_left / c_right``.  Transmission rescales wavenumbers by it,
 ``psi~(k) -> psi~(k/n)`` going in and ``psi~(n k)`` coming out, with ``1/sqrt(n)``
@@ -319,22 +319,23 @@ def _guard_fractions(
     being its weight in the guard band (``GUARD_HALF_CELLS`` cells each side of its centre) plus
     beyond it on the side the channel does not belong to (right of the band for ``side s = -1``,
     read as incoming; left for ``+1``, read as scattered).  Free flight over ``dt`` moves the band
-    to ``side s c dt`` instead of the packet, so every shift reads slice sums of the packet's
+    to ``side s c dt`` instead of the packet, so every shift reads one tail sum of the packet's
     one density per channel.  A channel is clear while its fraction is at most ``GUARD_TOL``; channels
-    weighing nothing or under ``floor`` are left out."""
+    weighing nothing or under ``floor`` (``weight * dx``) are left out."""
     x, half = p.grid.x, GUARD_HALF_CELLS * p.grid.dx
     fractions: list[dict[Channel, float]] = [{} for _ in dts]
     for ch, dens in p.density.items():
-        dens = dens * p.grid.dx
+        weight = float(np.sum(dens))
+        if not (weight > 0.0 and weight * p.grid.dx >= floor):
+            continue
         for read, dt in zip(fractions, dts):
             center = side * ch.s * media[ch.s].c * dt
-            # x ascends: x < lo is [:i], lo <= x <= hi is [i:j], x > hi is [j:]
-            i = int(np.searchsorted(x, center - half, side="left"))
-            j = int(np.searchsorted(x, center + half, side="right"))
-            left, mid, right = float(np.sum(dens[:i])), float(np.sum(dens[i:j])), float(np.sum(dens[j:]))
-            weight = left + mid + right
-            if weight > 0.0 and weight >= floor:
-                read[ch] = (mid + (right if side * ch.s < 0 else left)) / weight
+            # x ascends, so the band and the wrong side are one tail: x >= center - half or x <= center + half
+            if side * ch.s < 0:
+                stray = dens[int(np.searchsorted(x, center - half, side="left")) :]
+            else:
+                stray = dens[: int(np.searchsorted(x, center + half, side="right"))]
+            read[ch] = float(np.sum(stray)) / weight
     return fractions
 
 

@@ -219,5 +219,5 @@ def sample_spectrum_scaled(
     m0, m1 = outputs or (0, grid.n_points)
     out = _chirp_sum(p.amplitude(ch), ch.s * scale, inputs, outputs)
     out *= _shift_phase(grid, ch.s * scale * grid.x_min / grid.dx, grid.dx / _SQRT_2PI / (2 * grid.n_points), outputs)
-    out[scale * grid.abs_k[m0:m1] > grid.k_max] = 0.0
+    out[scale * np.abs(grid.k[m0:m1]) > grid.k_max] = 0.0
     return out if out.size == grid.n_points else np.pad(out, (m0, grid.n_points - m1))

@@ -447,6 +447,23 @@ def test_the_series_config_reports_every_phase_and_passes_strict(tmp_path):
     assert len(rows) == 2 + 3 * 6 and not (out / "snapshot_position.csv").exists()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the band cuts off the rescaled transmitted spectrum: the map's 1e-8 drift bound lets the lost "
+    "weight through, and run's 1e-9 energy_ratio and unitarity and the guard fail (ROADMAP item 2)"))
+@pytest.mark.parametrize("x0, k0, sigma, n", [(-39.95, 6.87, 4.49, 2.145), (-67.58, 8.47, 6.05, 1.794)])
+def test_a_config_inside_the_domain_never_exits_1_under_strict(tmp_path, x0, k0, sigma, n):
+    """Two draws of the documented domain on 2048 points over [-200, 200), reported at
+    ``0`` and ``|x0| + 8 sigma max(1, n)``, past the crossing.  Under --strict such a run
+    passes or is refused before the chirp; both exit 1 today."""
+    cfg = write_config(tmp_path / "band.ini", {
+        "grid": {"x_min": "-200", "x_max": "200", "n_points": "2048"},
+        "packet": {"x0": repr(x0), "k0": repr(k0), "sigma": repr(sigma)},
+        "media": {"n": repr(n)},
+        "schedule": {"times": f"0, {abs(x0) + 8 * sigma * max(1, n)!r}"},
+    })
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) != 1
+
+
 def test_check_sweep_passes(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["check", "--n-min", "1", "--n-max", "4", "--steps", "7", "--out", str(out)])

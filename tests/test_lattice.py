@@ -32,7 +32,7 @@ def test_grid_arrays_are_cached_read_only_and_outside_equality():
     g = bs.make_grid(-3.0, 5.0, 64)
     twin = bs.make_grid(-3.0, 5.0, 64)
     assert g == twin and hash(g) == hash(twin)
-    for name in ("x", "k", "abs_k"):
+    for name in ("x", "k"):
         a = getattr(g, name)
         assert getattr(g, name) is a, name
         with pytest.raises(ValueError):

@@ -480,17 +480,16 @@ def test_outcome_records_context(rig_packet, ref_medium, glass):
     assert out.incident_supports == {ch: bs.lattice._support_interval(rig_packet, ch)}
 
 
-def band_masses_oracle(p, ch, center):
-    """Test oracle: the guard-band masses from three boolean masks over ``x``."""
+def band_masses_oracle(p, ch, center, side):
+    """Test oracle: a channel's stray mass, from one boolean mask over ``x`` holding the guard band
+    moved to ``center`` and what lies beyond it on the side the channel does not belong to (the
+    right for ``side * s < 0``, read as incoming; the left otherwise, read as scattered), and its weight,
+    both sums of the unscaled density."""
     half = GUARD_HALF_CELLS * p.grid.dx
-    lo, hi = center - half, center + half
     x = p.grid.x
-    dens = np.abs(p.amp[ch]) ** 2 * p.grid.dx
-    return (
-        float(np.sum(dens[x < lo])),
-        float(np.sum(dens[(x >= lo) & (x <= hi)])),
-        float(np.sum(dens[x > hi])),
-    )
+    dens = np.abs(p.amp[ch]) ** 2
+    stray = x >= center - half if side * ch.s < 0 else x <= center + half
+    return float(np.sum(dens[stray])), float(np.sum(dens))
 
 
 _MASS_GRID = bs.make_grid(-10.0, 10.0, 1024)
@@ -522,8 +521,8 @@ def test_band_masses_match_the_mask_oracle_bit_for_bit(center, side):
     ch = bs.Channel(1, "H")
     ref = bs.Medium.reference()
     (got,) = _guard_fractions(_MASS_PACKET, {+1: ref, -1: ref}, side, [side * center])
-    left, mid, right = band_masses_oracle(_MASS_PACKET, ch, center)
-    want = (mid + (left if side > 0 else right)) / (left + mid + right)
+    stray, weight = band_masses_oracle(_MASS_PACKET, ch, center, side)
+    want = stray / weight
     assert got[ch].hex() == want.hex()
 
 
@@ -660,12 +659,10 @@ def branch_guard_oracle(branch, input_weight, media=None, dt=0.0):
     below ``NEGLIGIBLE_WEIGHT`` of the input are skipped."""
     worst = 0.0
     for ch in branch.amp:
-        left, mid, right = band_masses_oracle(branch, ch, 0.0 if media is None else ch.s * media[ch.s].c * dt)
-        weight = left + mid + right
-        if weight < NEGLIGIBLE_WEIGHT * input_weight:
+        stray, weight = band_masses_oracle(branch, ch, 0.0 if media is None else ch.s * media[ch.s].c * dt, +1)
+        if weight * branch.grid.dx < NEGLIGIBLE_WEIGHT * input_weight:
             continue
-        wrong = left if ch.s > 0 else right
-        worst = max(worst, (mid + wrong) / weight)
+        worst = max(worst, stray / weight)
     return worst
 
 
@@ -674,9 +671,8 @@ def still_incoming_oracle(sc, t):
     of the outgoing side, the band moved to ``-s c t`` instead of the packet."""
     media = {+1: sc.left_medium, -1: sc.right_medium}
     for ch in sc.packet.amp:
-        left, mid, right = band_masses_oracle(sc.packet, ch, -ch.s * media[ch.s].c * t)
-        wrong = right if ch.s > 0 else left
-        if mid + wrong > GUARD_TOL * (left + mid + right):
+        stray, weight = band_masses_oracle(sc.packet, ch, -ch.s * media[ch.s].c * t, -1)
+        if stray > GUARD_TOL * weight:
             return False
     return True
 
@@ -722,8 +718,10 @@ def _borderline_packet(grid):
 
 def test_the_borderline_in_state_is_refused_by_the_map_and_the_scenario(rig_grid, ref_medium, glass):
     p = _borderline_packet(rig_grid)
-    left, mid, right = band_masses_oracle(p, bs.Channel(1, "H"), 0.0)
-    weight = left + mid + right
+    x, half = rig_grid.x, GUARD_HALF_CELLS * rig_grid.dx
+    dens = np.abs(p.amp[bs.Channel(1, "H")]) ** 2
+    mid, right = float(np.sum(dens[(x >= -half) & (x <= half)])), float(np.sum(dens[x > half]))
+    weight = float(np.sum(dens))
     assert mid <= GUARD_TOL * weight and right <= GUARD_TOL * weight < mid + right
     with pytest.raises(bs.SupportGuardError, match=r"Channel\(s=1, pol='H'\) has 1\.0004\d*e-10 .*GUARD_TOL = 1e-10"):
         bs.interface_scatter(p, ref_medium, glass, 140.0)

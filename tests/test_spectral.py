@@ -324,7 +324,7 @@ def test_the_maps_windows_keep_the_chirp_within_1e_15_of_its_peak(state):
         assert np.max(np.abs(got - want[outputs[0] : outputs[1]])) <= 1e-15 * peak, (c, inputs, outputs)
         outside = np.ones(n, dtype=bool)
         outside[outputs[0] : outputs[1]] = False
-        outside &= scale * grid.abs_k <= grid.k_max
+        outside &= scale * np.abs(grid.k) <= grid.k_max
         assert np.max(np.abs(want[outside]), initial=0.0) <= 1e-15 * peak, (c, inputs, outputs)
         blocks.append(inputs[1] - inputs[0] + outputs[1] - outputs[0] > n + 1)
     assert any(blocks) and not all(blocks), blocks
