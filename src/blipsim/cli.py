@@ -406,7 +406,7 @@ def _load_config(path: str) -> dict[str, dict[str, Any]]:
 
 
 #: Largest ``[grid] n_points``; a run's peak RSS grows by about 11 complex arrays of that length
-#: (fresh-process ``wait4`` peak, snapshots off: 77.8, 208.0 and 763.4 MiB at 2**18, 2**20 and 2**22 points).
+#: (fresh-process ``wait4`` peak, snapshots off: 76.1, 198.7 and 731.9 MiB at 2**18, 2**20 and 2**22 points).
 MAX_GRID_POINTS = 2**22
 
 

@@ -25,7 +25,9 @@ Design notes
 * Packets are value objects: amplitude arrays are copied in, or adopted when
   the library has just built them, and frozen (read-only); each channel's
   density ``|a|**2`` is squared once, on first read, and shared with the
-  packets :func:`combine` adopts the array into.  Operations return new packets.
+  packets :func:`combine` adopts the array into.  A channel the library built
+  on a window records it as its span, outside which it is exactly zero, and
+  every sum of its density reads the span only.  Operations return new packets.
 * :func:`_positive` is the one domain rule of a physical magnitude (index,
   speed, scale, hbar) and :func:`_medium_of` the one media rule; :func:`_check_inside`
   refuses non-finite times, :func:`_shift_phase` non-finite shifts and those of ``2**52`` cells or more.
@@ -94,32 +96,58 @@ def _turns(f0: float, f1: float, q: np.ndarray) -> np.ndarray:
     return hi - np.rint(hi) + (lo + (f0 - np.rint(f0)))
 
 
-def _affine_phase(f0: float, f1: float, n: int, scale: float = 1.0, start: int = 0) -> np.ndarray:
-    """``scale exp(2 pi i (f0 + m f1))`` for ``m = start .. start+n-1``, with ``|(start + n) f1| < 2**52``.
+def _affine_phase(
+    f0: float | tuple[float, ...], f1: float | tuple[float, ...], n: int, scale: float = 1.0, start: int = 0
+) -> np.ndarray:
+    """``scale exp(2 pi i (f0 + m f1))`` for ``m = start .. start+n-1``, with ``|(start + n) f1| < 2**52``;
+    ``f0`` and ``f1`` may be equal-length tuples of parts, the phase of their sums, each part turned on its own.
 
     With ``m = start + a b + j`` (``b`` a power of two near ``sqrt(n)``) it is the outer
     product of about ``sqrt(n)`` row phases at ``f0 + (start + a b) f1`` and ``b`` column
     phases at ``j f1`` (which carry ``scale``).  Each angle is taken from
-    :func:`_turns` and, for the rows, less whole turns once more, so it is at
-    most about half a turn when it is rounded into radians, however far the
-    lattice reaches.
+    :func:`_turns`, part by part, and the parts' fractions are summed and less whole
+    turns once more, so it is at most about half a turn when it is rounded into radians,
+    however far the lattice reaches, and no sum of two parts is ever rounded.
     """
+    (g0, g1), *more = tuple(zip(f0, f1)) if isinstance(f0, tuple) else ((f0, f1),)
     b = 1 << ((n - 1).bit_length() // 2)
-    rows = _turns(f0, f1, start + b * np.arange(-(-n // b), dtype=np.float64))
+    q, j = start + b * np.arange(-(-n // b), dtype=np.float64), np.arange(b, dtype=np.float64)
+    rows, cols = _turns(g0, g1, q), _turns(0.0, g1, j)
+    for g0, g1 in more:
+        rows += _turns(g0, g1, q)
+        cols += _turns(0.0, g1, j)
+        cols -= np.rint(cols)
     rows -= np.rint(rows)
-    cols = _cis(2.0 * np.pi * _turns(0.0, f1, np.arange(b, dtype=np.float64)))
+    cols = _cis(2.0 * np.pi * cols)
     cols *= scale
     return np.multiply.outer(_cis(2.0 * np.pi * rows), cols).ravel()[:n]
 
 
-def _shift_phase(grid: Grid, cells: float, scale: float = 1.0, bins: tuple[int, int] | None = None) -> np.ndarray:
+def _shift_phase(
+    grid: Grid, cells: float | tuple[float, ...], scale: float = 1.0, bins: tuple[int, int] | None = None
+) -> np.ndarray:
     """``scale exp(-i k cells dx)`` on the ascending ``k`` lattice, or on its ``bins = (lo, hi)``: the phase
-    of a translation by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``,
-    and refused with :class:`DomainError` unless finite and below the ``2**52`` cells of :func:`_affine_phase`."""
-    if not abs(cells) < 2.0**52:
-        raise DomainError(f"a translation by {cells!r} cells is out of range: it must be finite and below 2**52")
+    of a translation by ``cells`` lattice cells, as ``k_m dx = 2 pi (m - N/2) / N``; exact for whole ``cells``.
+    ``cells`` may be a tuple of parts (an origin and a flight), each folded in as its own exact turns, so their
+    sum is never rounded.  Each part is refused with :class:`DomainError` unless finite and below the ``2**52``
+    cells of :func:`_affine_phase`."""
+    parts = cells if isinstance(cells, tuple) else (cells,)
+    for part in parts:
+        if not abs(part) < 2.0**52:
+            raise DomainError(f"a translation by {part!r} cells is out of range: it must be finite and below 2**52")
     lo, hi = bins or (0, grid.n_points)
-    return _affine_phase(cells / 2, -cells / grid.n_points, hi - lo, scale, lo)
+    f0, f1 = tuple(c / 2 for c in parts), tuple(-c / grid.n_points for c in parts)
+    return _affine_phase(f0, f1, hi - lo, scale, lo)
+
+
+def _framed(n: int, lo: int, hi: int, dtype: type = np.float64) -> np.ndarray:
+    """An ``n``-point array, exact zeros outside ``[lo, hi)`` and unset inside.  Every point is written, as in a
+    whole-lattice array, so a rerun reuses the pages a first run touched, where the lazily zeroed pages of
+    ``np.zeros`` that a first run leaves untouched would fault in on the rerun."""
+    out = np.empty(n, dtype)
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -273,10 +301,12 @@ class Medium:
 
 
 def _freeze_amp(
-    grid: Grid, amp: Mapping[Channel | tuple[int, str], np.ndarray], copy: bool = True
+    grid: Grid, amp: Mapping[Channel | tuple[int, str], np.ndarray], copy: bool = True,
+    spans: Mapping[Channel, tuple[int, int]] = {},
 ) -> dict[Channel, np.ndarray]:
     """Validate channel amplitudes and freeze them read-only: copies, or with
-    ``copy=False`` the complex128 arrays themselves."""
+    ``copy=False`` the complex128 arrays themselves; a channel with a span is
+    checked for NaN/Inf on its span only, outside which it is exactly zero."""
     items: dict[Channel, np.ndarray] = {}
     for raw_ch, values in amp.items():
         ch = as_channel(raw_ch)
@@ -288,7 +318,8 @@ def _freeze_amp(
         arr = (np.array if copy else np.asarray)(items[ch], dtype=np.complex128)
         if arr.shape != (grid.n_points,):
             raise ConfigurationError(f"channel {ch} amplitude has shape {arr.shape}, expected ({grid.n_points},)")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = spans.get(ch, (0, grid.n_points))
+        if not np.all(np.isfinite(arr[lo:hi])):
             raise ConfigurationError(f"channel {ch} amplitude contains NaN/Inf")
         out[ch] = _read_only(arr)
     return out
@@ -302,28 +333,49 @@ class _Packet:
     Channels that are absent are identically zero.  The constructor copies the arrays
     and freezes the copies, :meth:`_own` freezes arrays the library has just built in
     place, and every sum over ``|a|**2`` reads ``density``; treat packets as values.
+    Each channel has a span (:meth:`_span`), the lattice interval outside which it is
+    exactly zero, and every reader of its density sums over that span only.
     """
 
     grid: Grid
     amp: Mapping[Channel | tuple[int, str], np.ndarray] = field(default_factory=dict)
     _sources: ClassVar[Mapping[Channel, _Packet]] = {}  # whose density a channel shares, see combine()
+    _spans: ClassVar[Mapping[Channel, tuple[int, int]]] = {}  # the channels not spread over the whole lattice
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp", _freeze_amp(self.grid, self.amp))
 
     @classmethod
-    def _own(cls, grid: Grid, amp: Mapping[Channel, np.ndarray], sources: Mapping[Channel, _Packet] = {}) -> _Packet:
-        """Adopt ``amp``'s arrays, frozen in place (only arrays no caller writes to), and ``sources``' densities."""
+    def _own(
+        cls, grid: Grid, amp: Mapping[Channel, np.ndarray], sources: Mapping[Channel, _Packet] = {},
+        spans: Mapping[Channel, tuple[int, int]] = {},
+    ) -> _Packet:
+        """Adopt ``amp``'s arrays, frozen in place (only arrays no caller writes to), ``sources``' densities
+        and the ``spans`` ``(lo, hi)`` outside which the library built a channel as exact zeros."""
         p = object.__new__(cls)
-        p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, copy=False), _sources=sources)
+        p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, False, spans), _sources=sources, _spans=spans)
         return p
+
+    def _span(self, ch: Channel) -> tuple[int, int]:
+        """The lattice interval ``[lo, hi)`` outside which channel ``ch`` is exactly zero: the whole lattice
+        unless the library built the channel on a window."""
+        return self._spans.get(ch, (0, self.grid.n_points))
 
     @cached_property
     def density(self) -> dict[Channel, np.ndarray]:
-        """Each channel's read-only ``|a|**2``, squared once, on first read and cached like :attr:`Grid.x`;
-        a channel :func:`combine` took from one packet is that packet's density, squared by whichever reads first."""
-        src = self._sources
-        return {ch: src[ch].density[ch] if ch in src else _read_only(np.abs(a) ** 2) for ch, a in self.amp.items()}
+        """Each channel's read-only ``|a|**2``, squared once, on its span only (exact zeros outside), on first
+        read and cached like :attr:`Grid.x`; a channel :func:`combine` took from one packet is that packet's
+        density, squared by whichever reads first."""
+        src, out = self._sources, {}
+        for ch, a in self.amp.items():
+            if ch in src:
+                out[ch] = src[ch].density[ch]
+                continue
+            lo, hi = self._span(ch)
+            dens = out[ch] = _framed(a.size, lo, hi)
+            np.square(np.abs(a[lo:hi], out=dens[lo:hi]), out=dens[lo:hi])
+            _read_only(dens)
+        return out
 
     def channels(self) -> tuple[Channel, ...]:
         return tuple(self.amp)
@@ -395,9 +447,18 @@ def gaussian_packet(
     return BlipWavePacket._own(grid, {ch: values})
 
 
+def _spanned(p: _Packet) -> dict[Channel, tuple[int, np.ndarray]]:
+    """Each channel's span start ``lo`` and its density on its span, the part every sum reads."""
+    out = {}
+    for ch, dens in p.density.items():
+        lo, hi = p._span(ch)
+        out[ch] = lo, dens[lo:hi]
+    return out
+
+
 def norm(p: BlipWavePacket) -> float:
     """Total weight ``sum_ch integral |psi|^2 dx`` (1 for a physical state)."""
-    return float(sum(np.sum(dens) for dens in p.density.values()) * p.grid.dx)
+    return float(sum(np.sum(dens) for _, dens in _spanned(p).values()) * p.grid.dx)
 
 
 def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
@@ -405,17 +466,17 @@ def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
     ``2**-969`` (the smallest normal over the unit roundoff) a cell holding ``2**-53`` of the sum can
     be subnormal, so both are then read from ``|a 2**k|**2``, ``2**k`` lifting the peak amplitude to
     order 1: the scaling is exact, and a packet of normal weight keeps every bit of its sums."""
-    densities = p.density
-    weights = {ch: float(np.sum(dens)) for ch, dens in densities.items()}
+    spanned = _spanned(p)
+    weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
     if sum(weights.values()) < 2.0**-969:
         peak = max((float(np.max(np.abs(a))) for a in p.amp.values()), default=0.0)
         lift = 2.0 ** min(-math.frexp(peak)[1], 1023)
-        densities = {ch: np.abs(a * lift) ** 2 for ch, a in p.amp.items()}
-        weights = {ch: float(np.sum(dens)) for ch, dens in densities.items()}
+        spanned = {ch: (lo, np.abs(p.amp[ch][lo : lo + dens.size] * lift) ** 2) for ch, (lo, dens) in spanned.items()}
+        weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
     total = sum(weights.values())  # summed as in norm()
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
-    first = sum(float(np.sum(p.grid.x * dens)) for dens in densities.values())
+    first = sum(float(np.sum(p.grid.x[lo : lo + dens.size] * dens)) for lo, dens in spanned.values())
     return weights, first * p.grid.dx / (total * p.grid.dx)
 
 
@@ -481,16 +542,22 @@ def _check_inside(
 
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:
     """Coherent sum of position, or of momentum, packets on one grid: shared channels
-    add, and a channel that only one packet has keeps that packet's frozen array and
-    shares its density, squared once by whichever of the two packets reads it first."""
+    add, over the hull of their spans, and a channel that only one packet has keeps that
+    packet's frozen array and span and shares its density, squared once by whichever of
+    the two packets reads it first."""
     if not packets:
         raise DomainError("combine() needs at least one packet")
     kind, grid = type(packets[0]), packets[0].grid
     acc: dict[Channel, np.ndarray] = {}
     sources: dict[Channel, _Packet | None] = {}
+    spans: dict[Channel, tuple[int, int]] = {}
     for p in packets:
         if p.grid != grid or type(p) is not kind:
             raise DomainError("combine() requires a shared grid and one packet type, position or momentum")
         for ch, a in p.amp.items():
-            acc[ch], sources[ch] = (acc[ch] + a, None) if ch in acc else (a, p)
-    return kind._own(grid, acc, {ch: p for ch, p in sources.items() if p is not None})
+            lo, hi = p._span(ch)
+            if ch in acc:
+                acc[ch], sources[ch], spans[ch] = acc[ch] + a, None, (min(lo, spans[ch][0]), max(hi, spans[ch][1]))
+            else:
+                acc[ch], sources[ch], spans[ch] = a, p, (lo, hi)
+    return kind._own(grid, acc, {ch: p for ch, p in sources.items() if p is not None}, spans)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import Medium, _medium_of, _positive
+from .lattice import Medium, _medium_of, _positive, _spanned
 from .spectral import SpectralWavePacket
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,16 +97,16 @@ def spectral_expectations(
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
     # the number and the dynamical momentum are the float expressions of
-    # spectral_norm and expect_dyn_momentum
-    for ch, dens in sp.density.items():
+    # spectral_norm and expect_dyn_momentum, each over the channel's span from bin lo
+    for ch, (lo, dens) in _spanned(sp).items():
         m = _medium_of(media_by_direction, ch.s)
         weight = np.sum(dens)
         number += weight
         if weight > 0.0:
             tags.add(m.label)
-        kd = k * dens  # k ascends and is exactly 0 at N/2, so kd negated below N/2 is |k| dens
+        kd = k[lo : lo + dens.size] * dens  # k ascends and is exactly 0 at N/2, so kd negated below N/2 is |k| dens
         signed = float(np.sum(kd))
-        kd[:h] *= -1.0
+        kd[: max(h - lo, 0)] *= -1.0
         weighted = float(np.sum(kd))
         energy += hbar * m.c * weighted * dk
         dyn_hamiltonian += hbar * m.c * signed * dk

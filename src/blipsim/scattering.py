@@ -28,7 +28,10 @@ event's ``t = 0`` state (each out-branch's momentum amplitudes, their sum
 and each branch channel's support) and, at ``t_final``, moves the supports
 by ``s c t`` through the edge rule of :func:`blipsim.lattice._check_inside`,
 re-phases the amplitudes by ``exp(-i c k t)`` into the position branches
-and reads their guard; it builds the outcome once, from both.  One guard
+and reads their guard; it builds the outcome once, from both.  Each branch
+channel is built on windows: exact zeros outside the bins its incident
+spectrum fills and, in position, outside the points that image reaches at
+``t_final``, the channel's span, on which every reader sums.  One guard
 rule, :func:`_guard_fractions`, decides the map's in-state check, the
 ``incoming`` label of :mod:`blipsim.propagation` and each branch's
 ``guard_fraction``: one tail sum of the packet's cached density per
@@ -52,19 +55,22 @@ from .errors import DivergenceError, DomainError, InterpolationAccuracyError, Su
 from .lattice import (
     BlipWavePacket,
     Channel,
+    Grid,
     Medium,
     _check_inside,
+    _framed,
     _positive,
+    _spanned,
     _support_interval,
     combine,
     norm,
 )
 from .spectral import (
     SpectralWavePacket,
+    _position_on,
     sample_spectrum_scaled,
     spectral_norm,
     to_momentum,
-    to_position,
 )
 
 __all__ = [
@@ -324,17 +330,18 @@ def _guard_fractions(
     weighing nothing or under ``floor`` (``weight * dx``) are left out."""
     x, half = p.grid.x, GUARD_HALF_CELLS * p.grid.dx
     fractions: list[dict[Channel, float]] = [{} for _ in dts]
-    for ch, dens in p.density.items():
+    for ch, (lo, dens) in _spanned(p).items():
         weight = float(np.sum(dens))
         if not (weight > 0.0 and weight * p.grid.dx >= floor):
             continue
         for read, dt in zip(fractions, dts):
             center = side * ch.s * media[ch.s].c * dt
-            # x ascends, so the band and the wrong side are one tail: x >= center - half or x <= center + half
+            # x ascends, so the band and the wrong side are one tail: x >= center - half or x <= center + half;
+            # dens starts at x[lo] and is zero outside its span
             if side * ch.s < 0:
-                stray = dens[int(np.searchsorted(x, center - half, side="left")) :]
+                stray = dens[max(int(np.searchsorted(x, center - half, side="left")) - lo, 0) :]
             else:
-                stray = dens[: int(np.searchsorted(x, center + half, side="right"))]
+                stray = dens[: max(int(np.searchsorted(x, center + half, side="right")) - lo, 0)]
             read[ch] = float(np.sum(stray)) / weight
     return fractions
 
@@ -349,6 +356,29 @@ def _window(dens: np.ndarray, floor: float, scale: float = 1.0) -> tuple[int, in
     lo = h + math.floor(np.clip((int(above[0]) - h - 4) / scale, -reach, reach))
     hi = h + math.ceil(np.clip((int(above[-1]) - h + 4) / scale, -reach, reach)) + 1
     return lo, max(lo, min(hi, n))
+
+
+def _image(branch: str, ch: Channel, ratio: float, lo: float, hi: float) -> tuple[float, float]:
+    """The ``t = 0`` image in ``branch`` of the positions ``[lo, hi]`` of incident channel ``ch``: ``[lo/n, hi/n]``
+    (``s = +1``) or ``[n lo, n hi]`` (``s = -1``) on transmission, ``[-hi, -lo]`` on reflection."""
+    if branch == "reflected":
+        return -hi, -lo
+    return (lo / ratio, hi / ratio) if ch.s > 0 else (ratio * lo, ratio * hi)
+
+
+def _points(grid: Grid, lo: float, hi: float, shift: float) -> tuple[int, int]:
+    """The lattice points ``[j0, j1)`` from below ``lo + shift`` to above ``hi + shift``, widened by 4 points
+    and clipped to the lattice."""
+    j0 = min(max(math.floor((lo + shift - grid.x_min) / grid.dx) - 4, 0), grid.n_points)
+    return j0, max(j0, min(math.ceil((hi + shift - grid.x_min) / grid.dx) + 5, grid.n_points))
+
+
+def _on(values: np.ndarray, factor: complex, window: tuple[int, int]) -> np.ndarray:
+    """``factor * values`` on ``window = (lo, hi)`` and exact zeros outside it."""
+    lo, hi = window
+    out = _framed(values.size, lo, hi, np.complex128)
+    np.multiply(values[lo:hi], factor, out=out[lo:hi])
+    return out
 
 
 def interface_scatter(
@@ -368,7 +398,12 @@ def interface_scatter(
 
     These spectra, their per-channel sum and each branch channel's support
     are the event's ``t = 0`` state; re-phased to ``t_final`` they give the
-    position branches, and the outcome is built once from both.  At ``n = 1``
+    position branches, and the outcome is built once from both.  Each branch
+    channel is built on windows: its bins are those whose wavenumber meets the
+    incident spectrum above ``2**-100`` of its peak density (:func:`_window`),
+    exact zeros elsewhere, and its position amplitude is zoomed
+    (:func:`blipsim.spectral._position_on`) onto the image of the points where
+    the incident density reaches ``2**-100`` of its peak, moved by ``s c t_final``.  At ``n = 1``
     with default rates this reduces exactly to free propagation with an
     empty reflected branch; with explicit rates and one medium on both
     sides it is the point mirror.
@@ -402,18 +437,16 @@ def interface_scatter(
     # each branch's t = 0 image of the incident support, scaled by the media's
     # speed ratio, in which the branches are then advanced: the edge rule runs
     # on these alone, so a branch that would leave the grid costs no chirp
+    # (and the image of each incident channel's floor window, on which its branches are built)
     supports: dict[str, dict[Channel, tuple[float, float] | None]] = {"transmitted": {}, "reflected": {}}
+    floors: dict[str, dict[Channel, tuple[float, float]]] = {"transmitted": {}, "reflected": {}}
     incident_supports: dict[Channel, tuple[float, float] | None] = {}
     for ch in p.amp:
         bounds = incident_supports[ch] = _support_interval(p, ch)
-        t_image = r_image = None
-        if bounds is not None:
-            lo, hi = bounds
-            if rates.t(ch.s) != 0:
-                t_image = (lo / ratio, hi / ratio) if ch.s > 0 else (ratio * lo, ratio * hi)
-            if rates.r(ch.s) != 0:
-                r_image = (-hi, -lo)
-        supports["transmitted"][ch], supports["reflected"][Channel(-ch.s, ch.pol)] = t_image, r_image
+        lo, hi = _window(p.density[ch], 2.0**-100)
+        for name, out, rate in (("transmitted", ch, rates.t(ch.s)), ("reflected", Channel(-ch.s, ch.pol), rates.r(ch.s))):
+            supports[name][out] = None if bounds is None or rate == 0 else _image(name, ch, ratio, *bounds)
+            floors[name][out] = _image(name, ch, ratio, float(grid.x[lo]), float(grid.x[hi - 1]))
     outgoing = _outgoing(left, right)
     # an input still incoming at t_final has its branches extrapolated back from x = 0
     early = "the schedule ends before the packet reaches x = 0: extend it past the crossing or enlarge the grid"
@@ -422,32 +455,42 @@ def interface_scatter(
         _check_inside(grid, images, outgoing, t_final, f"the {name} branch", remedy)
     incident = to_momentum(p)  # the input's one forward transform per event
     # each chirp sums the points whose |values| outside sum to at most N sqrt(2**-106 / N**2 peak) <= 2**-53 of
-    # their own sum, into the bins that sample the spectrum above 2**-50 of its peak amplitude (about its rounding)
-    drift, transmitted, reflected = 0.0, [], {}
+    # their own sum, into the bins that sample the spectrum above 2**-50 of its peak amplitude (about its rounding);
+    # every other branch spectrum is the incident one on those bins at scale 1, and exact zeros outside them
+    drift, transmitted, reflected, reflected_bins = 0.0, [], {}, {}
     for ch, phi in incident.amp.items():
         coeff = rates.t_plus / math.sqrt(ratio) if ch.s > 0 else math.sqrt(ratio) * rates.t_minus
+        bins = reflected_bins[Channel(-ch.s, ch.pol)] = _window(incident.density[ch], 2.0**-100)
         if ratio == 1.0:  # nothing is rescaled
-            transmitted.append(SpectralWavePacket._own(grid, {ch: coeff * phi}))
-        else:  # the chirp's own array, scaled in place, and its norm drift
+            transmitted.append(SpectralWavePacket._own(grid, {ch: _on(phi, coeff, bins)}, spans={ch: bins}))
+        else:  # the chirp's own array, scaled in place on its bins, and its norm drift
             scale = 1.0 / ratio if ch.s > 0 else ratio
             inputs = _window(p.density[ch], 2.0**-106 / grid.n_points**2)
             outputs = _window(incident.density[ch], 2.0**-100, scale)
             amp = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
-            amp *= coeff
-            transmitted.append(SpectralWavePacket._own(grid, {ch: amp}))
+            amp[outputs[0] : outputs[1]] *= coeff
+            transmitted.append(SpectralWavePacket._own(grid, {ch: amp}, spans={ch: outputs}))
             weight = float(np.sum(incident.density[ch])) * grid.dk
             if weight > 0.0:
-                measured = float(np.sum(transmitted[-1].density[ch])) * grid.dk
+                measured = spectral_norm(transmitted[-1])
                 drift = max(drift, abs(measured - abs(rates.t(ch.s)) ** 2 * weight) / weight)
-        reflected[Channel(-ch.s, ch.pol)] = rates.r(ch.s) * phi
+        reflected[Channel(-ch.s, ch.pol)] = _on(phi, rates.r(ch.s), bins)
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    spectra = {"transmitted": combine(*transmitted), "reflected": SpectralWavePacket._own(grid, reflected)}
+    spectra = {
+        "transmitted": combine(*transmitted), "reflected": SpectralWavePacket._own(grid, reflected, spans=reflected_bins)
+    }
     prob_t, prob_r = map(spectral_norm, spectra.values())
-    branches = {name: to_position(sp, outgoing, t_final) for name, sp in spectra.items()}
+    # each branch channel is built on the points of its floor image moved by s c t_final
+    branches = {
+        name: _position_on(sp, outgoing, t_final, {
+            ch: _points(grid, *floors[name][ch], ch.s * outgoing[ch.s].c * t_final) for ch in sp.amp
+        })
+        for name, sp in spectra.items()
+    }
     spectra["total"] = combine(*spectra.values())
     (guard_fraction,) = _branch_guards(branches.values(), outgoing, incident_weight, [0.0])
     return ScatterOutcome(

@@ -21,6 +21,17 @@ lattice), whose quadratic phases (~1e5 rad at n_points = 16384) are formed
 in exact turns in float64 and reduced to their fraction of a turn before
 they are rounded into radians.
 
+The transforms of one scattering event: one N-point forward transform per
+incident channel; one windowed chirp per rescaled channel (none at n = 1),
+from the points that hold the input onto the bins that hold its image; and
+per branch channel one zoom (:func:`_zoom`, the same chirp with ``c = -s``)
+from its bins onto the points it reaches at ``t_final``, three FFTs of the
+two windows' length.  A branch whose convolution would take N points or
+more, or whose window misses more than ``ZOOM_WEIGHT_TOL`` of its weight,
+gets the whole-lattice inverse instead (:func:`_position_on`).  Reports make
+no transform; a snapshot's field profile makes one whole-lattice inverse
+per channel.
+
 Where each phase comes from:
 
 * every phase affine in the lattice index is built by one helper,
@@ -34,7 +45,9 @@ Where each phase comes from:
   origin phase ``exp(i s k x_min)``, the free flight ``exp(-i c k t)`` over
   ``c t / dx`` cells and the scale ``dk / sqrt(2 pi)`` into it before its
   FFT, run into that array, whose odd sites then change sign (the kernel's
-  ``m - N/2``);
+  ``m - N/2``); the origin and the flight are separate parts of the phase,
+  each in its own exact turns, so their sum is never rounded (the zoom adds
+  ``N/2`` cells as a third part);
 * the prefactor of the scaled samples is a translation by ``s scale x_min / dx``
   cells, from the same helper, on the output window;
 * the chirps come from :func:`_turns_phase`, which hands ``_cis`` only the
@@ -51,7 +64,8 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import (
-    BlipWavePacket, Channel, Grid, Medium, _cis, _medium_of, _Packet, _positive, _shift_phase, _turns, as_channel,
+    BlipWavePacket, Channel, Grid, Medium, _cis, _framed, _medium_of, _Packet, _positive, _shift_phase, _spanned, _turns,
+    as_channel,
 )
 
 __all__ = [
@@ -93,14 +107,58 @@ def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:
 def _inverse(grid: Grid, s: int, values: np.ndarray, cells: float = 0.0) -> np.ndarray:
     """Channel transform k -> x after free flight over ``cells = c t / dx`` lattice cells,
     the exact inverse of :func:`_forward` at ``cells = 0``: ``values`` times the phase
-    ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)``, then the unscaled ``ifft`` (``s = +1``)
+    ``exp(i s k x_min - i c k t) dk / sqrt(2 pi)`` (the origin's ``s x_min / dx`` cells and
+    the flight folded in as separate exact turns), then the unscaled ``ifft`` (``s = +1``)
     or ``fft`` (``s = -1``), both in place; the kernel's ``exp(-i pi s j)`` of ``m - N/2``
     negates the odd sites."""
-    b = _shift_phase(grid, cells - s * grid.x_min / grid.dx, grid.dk / _SQRT_2PI)
+    b = _shift_phase(grid, (cells, -s * grid.x_min / grid.dx), grid.dk / _SQRT_2PI)
     b *= values
     out = _fft_in_place(b, s > 0)
     out[1::2] *= -1
     return out
+
+
+def _zoom(
+    grid: Grid, s: int, values: np.ndarray, cells: float, bins: tuple[int, int], points: tuple[int, int]
+) -> np.ndarray:
+    """:func:`_inverse` on the lattice points ``points = (j0, j1)`` only, from the bins ``bins``
+    (``values`` is zero outside them): one windowed :func:`_chirp_sum` with ``c = -s``.  As
+    ``exp(2 pi i s (m - N/2) j / N) = (-1)^(m + j) exp(-2 pi i (-s) (j - N/2) m / N)``, the input
+    ``(-1)^m`` is a translation by ``N/2`` cells, folded as exact turns into the phase beside the
+    origin and the flight, and the output ``(-1)^j`` negates the odd sites."""
+    n, (j0, j1) = grid.n_points, points
+    phase = _shift_phase(grid, (cells, -s * grid.x_min / grid.dx, n / 2), grid.dk / _SQRT_2PI / (2 * n), bins)
+    out = _chirp_sum(values, -s, bins, points, phase)
+    out[(j0 + 1) % 2 :: 2] *= -1
+    return out
+
+
+#: Largest fraction of a channel's spectral weight its zoomed points may miss (Parseval), a rounding bound:
+#: a window holding its branch misses at most about 1e-15 either way, so past it the ringing of a band-cut
+#: spectrum reaches outside the window, and the whole lattice is read.
+ZOOM_WEIGHT_TOL = 2.0**-46
+
+
+def _position_on(
+    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float, windows: Mapping[Channel, tuple[int, int]]
+) -> BlipWavePacket:
+    """:func:`to_position` with each channel ``ch`` built on its lattice points ``windows[ch]`` by one
+    :func:`_zoom` from its span of bins, and exact zeros outside them, which become its span.  A channel
+    whose convolution would take N points or more, or whose window holds less than ``1 - ZOOM_WEIGHT_TOL``
+    of its spectral weight, is built over the whole lattice by :func:`_inverse` instead."""
+    grid, amp, spans = sp.grid, {}, {}
+    for ch, a in sp.amp.items():
+        cells = _medium_of(media_by_direction, ch.s).c * t / grid.dx
+        (m0, m1), (j0, j1) = sp._span(ch), windows[ch]
+        if (m1 - m0) + (j1 - j0) - 1 <= grid.n_points // 2:
+            zoomed = _zoom(grid, ch.s, a, cells, (m0, m1), (j0, j1))
+            weight = float(np.sum(sp.density[ch][m0:m1])) * grid.dk
+            if weight - float(np.sum(np.abs(zoomed) ** 2)) * grid.dx <= ZOOM_WEIGHT_TOL * weight:
+                amp[ch] = _framed(grid.n_points, j0, j1, np.complex128)
+                amp[ch][j0:j1], spans[ch] = zoomed, (j0, j1)
+                continue
+        amp[ch] = _inverse(grid, ch.s, a, cells)
+    return BlipWavePacket._own(grid, amp, spans=spans)
 
 
 def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:
@@ -123,7 +181,7 @@ def to_position(
 
 def spectral_norm(sp: SpectralWavePacket) -> float:
     """Total weight ``sum_ch integral |psi~|^2 dk``; equals the position norm."""
-    return float(sum(np.sum(dens) for dens in sp.density.values()) * sp.grid.dk)
+    return float(sum(np.sum(dens) for _, dens in _spanned(sp).values()) * sp.grid.dk)
 
 
 def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:
@@ -141,10 +199,12 @@ def _check_chirp_scale(c: float, n: int) -> None:
 
 
 def _chirp_sum(
-    values: np.ndarray, c: float, inputs: tuple[int, int] | None = None, outputs: tuple[int, int] | None = None
+    values: np.ndarray, c: float, inputs: tuple[int, int] | None = None, outputs: tuple[int, int] | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """``2N X_m``, ``X_m = sum_j values_j exp(-2 pi i c (m - N/2) j / N)``, N a power of two, at the ``M`` bins
-    ``m = m0 + b`` of ``outputs = (m0, m1)`` over the ``L`` points ``j = j0 + a`` of ``inputs = (j0, j1)``.
+    ``m = m0 + b`` of ``outputs = (m0, m1)`` over the ``L`` points ``j = j0 + a`` of ``inputs = (j0, j1)``,
+    each ``values_j`` first times ``weights_a`` if given.
 
     Bluestein's ``ab = (a^2 + b^2 - (b-a)^2)/2`` gives the Toeplitz product ``y_b = sum_a K(b - a) u_a`` of the
     pre-chirp ``u_a = values_j exp(2 pi i c a (N - 2 m0 - a) / 2N)`` and the even ``K(d) = exp(2 pi i c d^2 / 2N)``,
@@ -166,6 +226,8 @@ def _chirp_sum(
     j = np.arange(n if blocks else max(size, count), dtype=np.float64)
     u = np.zeros(p, dtype=np.complex128)
     np.multiply(values[j0:j1], _turns_phase(c, j[:size] * (n - 2 * m0 - j[:size]), 2 * n), out=u[:size])
+    if weights is not None:
+        u[:size] *= weights
     kernel = _turns_phase(c, j * j, 2 * n)
     del j
     if blocks:

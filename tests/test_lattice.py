@@ -476,3 +476,64 @@ def test_both_packet_types_share_one_body_but_stay_distinct(small_grid):
     with pytest.raises(ValueError):
         k_a.amplitude((-1, "V"))[0] = 1.0
     assert repr(k_a).startswith("SpectralWavePacket(grid=")
+
+
+def test_a_packet_on_spans_reads_as_its_whole_lattice_copy(rig_grid, ref_medium, glass):
+    """Channels the library built on spans (exact zeros outside them) read the same density, norm,
+    centroid, guard fractions and expectation values as the same arrays held on the whole lattice:
+    the density is the same array, and each sum over a span differs from the whole-lattice sum only in
+    its pairwise grouping, within 4e-15 of the quantity's scale (the weight, the weight times the
+    largest ``c |k|``, or the grid's length for the centroid).  The spans lie below, across and above
+    ``k = 0`` at N/2, and ``combine`` reads two channels that overlap on the hull of their spans."""
+    from blipsim.scattering import _guard_fractions
+
+    n = rig_grid.n_points
+    media = {+1: glass, -1: ref_medium}
+    rng = np.random.default_rng(29)
+
+    def on(lo, hi):
+        values = np.zeros(n, dtype=np.complex128)
+        values[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+        return values
+
+    def same(got, want, scale):
+        assert abs(got - want) <= 4e-15 * scale, (got, want, scale)
+
+    h, v = bs.Channel(1, "H"), bs.Channel(-1, "V")
+    layouts = {
+        "below and above k = 0": {h: (3000, 7000), v: (9000, 12001)},
+        "across k = 0": {h: (n // 2 - 777, n // 2 + 1201), v: (0, 40)},
+        "at both ends": {h: (n - 64, n), v: (0, n)},
+    }
+    for name, spans in layouts.items():
+        amp = {ch: on(*span) for ch, span in spans.items()}
+        for kind in (bs.BlipWavePacket, bs.SpectralWavePacket):
+            spanned = kind._own(rig_grid, {ch: a.copy() for ch, a in amp.items()}, spans=spans)
+            whole = kind(rig_grid, amp)
+            for ch in amp:
+                assert spanned._span(ch) == spans[ch] and whole._span(ch) == (0, n), name
+                np.testing.assert_array_equal(spanned.density[ch], whole.density[ch])
+            weight = bs.norm(whole) if kind is bs.BlipWavePacket else bs.spectral_norm(whole)
+            read = bs.norm if kind is bs.BlipWavePacket else bs.spectral_norm
+            same(read(spanned), weight, weight)
+            if kind is bs.BlipWavePacket:
+                same(bs.centroid(spanned), bs.centroid(whole), rig_grid.x_max - rig_grid.x_min)
+                for side in (-1, +1):
+                    dts = [-150.0, -20.0, 0.0, 30.0, 140.0]
+                    for got, want in zip(_guard_fractions(spanned, media, side, dts), _guard_fractions(whole, media, side, dts)):
+                        assert got.keys() == want.keys(), name
+                        for ch in want:
+                            same(got[ch], want[ch], 1.0)
+            else:
+                got, want = bs.spectral_expectations(spanned, media), bs.spectral_expectations(whole, media)
+                assert got.medium_tag == want.medium_tag
+                energy = weight * rig_grid.k_max * max(m.c for m in media.values())
+                for field in ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "abraham_momentum"):
+                    same(getattr(got, field), getattr(want, field), energy)
+                same(got.photon_number, want.photon_number, weight)
+        # a channel in two packets adds over the hull of its spans
+        first = bs.BlipWavePacket._own(rig_grid, {h: on(100, 900)}, spans={h: (100, 900)})
+        second = bs.BlipWavePacket._own(rig_grid, {h: on(5000, 5200)}, spans={h: (5000, 5200)})
+        both = bs.combine(first, second)
+        assert both._span(h) == (100, 5200)
+        np.testing.assert_array_equal(both.density[h], np.abs(first.amp[h] + second.amp[h]) ** 2)

@@ -399,14 +399,16 @@ def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_p
 
 
 def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
-    """A point mirror (n = 1, so no chirp) makes one forward transform per
+    """A point mirror (n = 1, so no resampling chirp) makes one forward transform per
     incident channel: the map's own, which every incoming report and the
-    input's observables reuse.  No report costs a transform: the inverse
-    transforms (and, at n = 2, the chirps) do not grow with the schedule."""
+    input's observables reuse.  Each branch channel costs one inverse: a zoom on its
+    window (one chirp each) or, where the window would not pay, a whole-lattice
+    ``_inverse``; on the rig every branch is zoomed.  No report costs a transform:
+    the inverses and the chirps do not grow with the schedule."""
     from blipsim import fields, spectral
 
     calls = []
-    forward, inverse, chirp = spectral._forward, spectral._inverse, spectral._chirp_sum
+    forward, inverse, chirp, zoom = spectral._forward, spectral._inverse, spectral._chirp_sum, spectral._zoom
 
     def counting(kind, transform):
         def wrapper(*args, **kwargs):
@@ -418,6 +420,7 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
     for module in (spectral, fields):
         monkeypatch.setattr(module, "_inverse", counting("inverse", inverse))
     monkeypatch.setattr(spectral, "_chirp_sum", counting("chirp", chirp))
+    monkeypatch.setattr(spectral, "_zoom", counting("zoom", zoom))
     mixed = _mixed_packet(rig_grid)
     schedules = ((0.0, 140.0), (0.0, 30.0, 100.0, 140.0, 160.0), (0.0, 30.0, 50.0, 70.0, 100.0, 120.0, 140.0, 160.0))
     for packet, channels in ((rig_packet, 1), (mixed, 2)):
@@ -428,21 +431,24 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
                 sc = bs.Scenario(packet, ref_medium, right, schedule=schedule, omega=omega)
                 bs.run_scenario(sc)
                 assert calls.count("forward") == channels, (channels, schedule)
-                if omega is not None:
-                    assert "chirp" not in calls, (channels, schedule)
-                counts.add(tuple(calls.count(kind) for kind in ("inverse", "chirp")))
+                assert calls.count("zoom") == 2 * channels and "inverse" not in calls, (channels, schedule)
+                resampled = 0 if omega is not None else channels
+                assert calls.count("chirp") == calls.count("zoom") + resampled, (channels, schedule)
+                counts.add(tuple(calls.count(kind) for kind in ("inverse", "zoom", "chirp")))
             assert len(counts) == 1, (channels, omega, counts)
 
 
 def test_reports_square_nothing(monkeypatch, ref_medium, glass):
-    """Each packet squares each channel once, on first read, and every reader
-    takes that density: the guard rule's tail sums for all reports, the
-    norms, the map's drift check, the centroids and the expectation values.
-    So the length-N ``np.abs`` calls do not grow with the schedule: the six
-    channel densities of a run (input, ``incident``, the transmitted and
-    reflected spectra and position branches; each ``total`` shares its
-    branches' densities) make 6 calls, on the rig and for the point mirror,
-    and the expectation values weigh by ``|k|`` with no ``|k|`` axis.  Each
+    """Each packet squares each channel once, on first read and on its span only,
+    and every reader takes that density: the guard rule's tail sums for all
+    reports, the norms, the map's drift check, the centroids and the expectation
+    values.  So the ``np.abs`` calls on complex arrays do not grow with the
+    schedule: the six channel densities of a run (input, ``incident``, the
+    transmitted and reflected spectra and position branches; each ``total``
+    shares its branches' densities) make 6 calls, and each zoomed branch's
+    Parseval check on its window one more, 8 on the rig and for the point
+    mirror; the expectation values weigh by ``|k|`` with no ``|k|`` axis.  Of
+    these only the input's and ``incident``'s densities span all N points.  Each
     run gets a fresh grid and packet, so no density an earlier run cached
     takes part."""
     n_points = 16384
@@ -450,8 +456,8 @@ def test_reports_square_nothing(monkeypatch, ref_medium, glass):
     absolute = np.abs
 
     def counting_abs(a, *args, **kwargs):
-        if np.size(a) == n_points:
-            calls.append(1)
+        if np.iscomplexobj(a):
+            calls.append(np.size(a))
         return absolute(a, *args, **kwargs)
 
     schedules = ((0.0, 30.0, 140.0), (0.0, 30.0, *np.linspace(100.0, 160.0, 48).tolist()))
@@ -465,8 +471,8 @@ def test_reports_square_nothing(monkeypatch, ref_medium, glass):
                 patch.setattr(np, "abs", counting_abs)
                 bs.run_scenario(bs.Scenario(packet, ref_medium, right, schedule=schedule, omega=omega))
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, (omega, counts)
-        assert counts[0] <= 6, (omega, counts)
+            assert calls.count(n_points) == 2, (omega, calls)
+        assert counts[0] == counts[1] == 8, (omega, counts)
 
 
 def test_a_run_keeps_one_read_only_array_per_channel(rig_grid, rig_packet, ref_medium, glass):
@@ -557,10 +563,10 @@ def test_no_complex_exp_per_report(monkeypatch, ref_medium, glass):
 def test_a_run_computes_no_n_point_cosines(monkeypatch, rig_grid, ref_medium, glass):
     """Every affine phase of a run (origin, free flight, the scaled samples'
     prefactor) comes from tables of about sqrt(N) cosines and sines, and the
-    map's chirp builds its pre-chirp, kernel and post-chirp on its windows
-    only, so a run computes no N-point ``_cis`` at all: at n = 2 no table
-    reaches N/4 (the rig packet's input window is 2,241 of 16,384 points),
-    and the point mirror builds none past 256."""
+    map's chirps (the resampling and each branch's zoom) build their pre-chirp,
+    kernel and post-chirp on their windows only, so a run computes no N-point
+    ``_cis`` at all: no table reaches N/4 (the rig packet's input window is 2,241
+    of 16,384 points, its branch windows at most 1,946), at n = 2 or for the point mirror."""
     import blipsim.lattice as lattice
     import blipsim.spectral as spectral
 
@@ -575,10 +581,10 @@ def test_a_run_computes_no_n_point_cosines(monkeypatch, rig_grid, ref_medium, gl
         monkeypatch.setattr(module, "_cis", counting_cis)
     mixed = _mixed_packet(rig_grid)
     for packet, channels in ((mixed, 2), (bs.gaussian_packet(rig_grid, (+1, "H"), -60.0, 30.0, 2.0), 1)):
-        for right, omega, largest in ((glass, None, rig_grid.n_points // 4 - 1), (ref_medium, -0.6j, 256)):
+        for right, omega in ((glass, None), (ref_medium, -0.6j)):
             sizes.clear()
             bs.run_scenario(bs.Scenario(packet, ref_medium, right, schedule=(0.0, 30.0, 140.0), omega=omega))
-            assert sizes and max(sizes) <= largest, (channels, omega, sizes)
+            assert sizes and max(sizes) < rig_grid.n_points // 4, (channels, omega, sizes)
             if omega is None:  # each incident channel's pre-chirp and kernel
                 assert sum(size > 256 for size in sizes) >= 2 * channels, (channels, sizes)
 

@@ -484,10 +484,11 @@ def band_masses_oracle(p, ch, center, side):
     """Test oracle: a channel's stray mass, from one boolean mask over ``x`` holding the guard band
     moved to ``center`` and what lies beyond it on the side the channel does not belong to (the
     right for ``side * s < 0``, read as incoming; the left otherwise, read as scattered), and its weight,
-    both sums of the unscaled density."""
+    both sums of the unscaled density over the channel's span, outside which it is exactly zero."""
     half = GUARD_HALF_CELLS * p.grid.dx
-    x = p.grid.x
-    dens = np.abs(p.amp[ch]) ** 2
+    lo, hi = p._span(ch)
+    x = p.grid.x[lo:hi]
+    dens = np.abs(p.amp[ch][lo:hi]) ** 2
     stray = x >= center - half if side * ch.s < 0 else x <= center + half
     return float(np.sum(dens[stray])), float(np.sum(dens))
 

@@ -419,6 +419,65 @@ def test_channel_transforms_match_the_dense_dft_oracle():
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, s, i)
 
 
+def _point_sampled_inverse(grid, s, values, cells, points):
+    """Test oracle: ``(2 pi)^(-1/2) dk sum_m values_m exp(i s k_m x_j - i k_m cells dx)`` at the lattice points
+    ``points``, summed at 120 bits over the nonzero bins, with each phase in exact turns:
+    ``(m - N/2) (s (x_min / dx + j) - cells) / N``, the float ``cells`` and ``x_min / dx`` taken as exact."""
+    n, bins = grid.n_points, np.flatnonzero(values)
+    with mpmath.workprec(120):
+        origin = mpmath.mpf(grid.x_min) / mpmath.mpf(grid.dx)
+        scale = mpmath.mpf(grid.dk) / mpmath.sqrt(2 * mpmath.pi)
+        out = []
+        for j in points:
+            step = (s * (origin + j) - mpmath.mpf(cells)) / n
+            total = mpmath.fsum(mpmath.mpc(values[m]) * mpmath.expjpi(2 * (int(m) - n // 2) * step) for m in bins)
+            out.append(complex(scale * total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("s", [+1, -1])
+def test_the_inverse_folds_the_origin_and_the_flight_as_separate_exact_turns(s):
+    """At N = 2^17 on [-200, 200) the origin is 65,536 cells and a flight of 22,338.44 cells
+    (a branch's, at t_final) sums to a float that drops the flight's low bits.  ``_inverse``
+    and ``_zoom`` turn each part on its own, so at a few points around the peak both stay
+    within 1e-14 of the peak of a 120-bit sum; with the sum rounded first (9.1e-13 of the
+    peak was measured on a benchmark op) they do not."""
+    grid = bs.make_grid(-200.0, 200.0, 1 << 17)
+    k0, sigma_k, cells = 30.0, 0.25, 22338.44
+    values = np.exp(-((grid.k - k0) / (2 * sigma_k)) ** 2).astype(np.complex128)
+    bins = (int(np.argmax(values >= 2.0**-50)), grid.n_points - int(np.argmax(values[::-1] >= 2.0**-50)))
+    values[: bins[0]] = values[bins[1] :] = 0.0
+    peak = int(round((s * cells * grid.dx - grid.x_min) / grid.dx))
+    points = [peak - 300, peak - 7, peak, peak + 1, peak + 150]
+    want = _point_sampled_inverse(grid, s, values, cells, points)
+    scale = float(np.max(np.abs(want)))
+    full = _inverse(grid, s, values, cells)
+    zoomed = spectral._zoom(grid, s, values, cells, bins, (peak - 400, peak + 400))
+    for name, got in (("inverse", full[points]), ("zoom", zoomed[np.array(points) - (peak - 400)])):
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, (name, np.max(np.abs(got - want)) / scale)
+
+
+def test_the_zoom_matches_the_dense_oracle_on_its_points():
+    """``_zoom`` from a window of bins onto a window of points, against ``oracles.dense_inverse`` of the same
+    spectrum (zero outside its bins) on a lattice whose ``x_min`` and ``dx`` are not dyadic: both directions,
+    odd and even starts of both windows, windows at both ends of the lattice and fractional flights, within
+    1e-13 of the largest value."""
+    rng = np.random.default_rng(17)
+    grid = bs.make_grid(-7.3, 11.9, 256)
+    windows = (((40, 97), (13, 120)), ((101, 180), (64, 191)), ((0, 30), (0, 90)), ((200, 256), (166, 256)),
+               ((57, 58), (7, 8)))
+    for s in (+1, -1):
+        for bins, points in windows:
+            values = np.zeros(grid.n_points, dtype=np.complex128)
+            values[bins[0] : bins[1]] = rng.standard_normal(bins[1] - bins[0]) + 1j * rng.standard_normal(bins[1] - bins[0])
+            for cells in (0.0, 3.7, -41.3, 1234.567):
+                want = oracles.dense_inverse(grid, s, values, cells)
+                got = spectral._zoom(grid, s, values, cells, bins, points)
+                assert got.shape == (points[1] - points[0],)
+                err = np.max(np.abs(got - want[points[0] : points[1]]))
+                assert err <= 1e-13 * np.max(np.abs(want)), (s, bins, points, cells)
+
+
 @pytest.mark.skipif(
     np.lib.NumpyVersion(np.__version__) < "2.0.0",
     reason="numpy 1.x copies an FFT's input once more; this bound was measured with numpy 2",
