@@ -447,12 +447,13 @@ def gaussian_packet(
     return BlipWavePacket._own(grid, {ch: values})
 
 
-def _spanned(p: _Packet) -> dict[Channel, tuple[int, np.ndarray]]:
-    """Each channel's span start ``lo`` and its density on its span, the part every sum reads."""
+def _spanned(p: _Packet) -> dict[Channel, tuple[slice, np.ndarray]]:
+    """Each channel's span, as the slice that cuts it from any lattice axis (``x``, ``k``, the amplitude),
+    and its density on its span, the part every sum reads."""
     out = {}
     for ch, dens in p.density.items():
-        lo, hi = p._span(ch)
-        out[ch] = lo, dens[lo:hi]
+        span = slice(*p._span(ch))
+        out[ch] = span, dens[span]
     return out
 
 
@@ -471,12 +472,12 @@ def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
     if sum(weights.values()) < 2.0**-969:
         peak = max((float(np.max(np.abs(a))) for a in p.amp.values()), default=0.0)
         lift = 2.0 ** min(-math.frexp(peak)[1], 1023)
-        spanned = {ch: (lo, np.abs(p.amp[ch][lo : lo + dens.size] * lift) ** 2) for ch, (lo, dens) in spanned.items()}
+        spanned = {ch: (span, np.abs(p.amp[ch][span] * lift) ** 2) for ch, (span, _) in spanned.items()}
         weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
     total = sum(weights.values())  # summed as in norm()
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
-    first = sum(float(np.sum(p.grid.x[lo : lo + dens.size] * dens)) for lo, dens in spanned.values())
+    first = sum(float(np.sum(p.grid.x[span] * dens)) for span, dens in spanned.values())
     return weights, first * p.grid.dx / (total * p.grid.dx)
 
 

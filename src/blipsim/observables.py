@@ -68,7 +68,8 @@ class ObservableReport:
 
 def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
     """Generator of translations ``sum hbar s k |psi~|^2 dk``."""
-    return hbar * sum(ch.s * float(np.sum(sp.grid.k * dens)) for ch, dens in sp.density.items()) * sp.grid.dk
+    k = sp.grid.k
+    return hbar * sum(ch.s * float(np.sum(k[span] * dens)) for ch, (span, dens) in _spanned(sp).items()) * sp.grid.dk
 
 
 def abraham_momentum(p_field: float, n: float) -> float:
@@ -93,20 +94,21 @@ def spectral_expectations(
     ``E* x B`` integral over the :class:`blipsim.fields.FieldProfile` reproduces.
     """
     hbar = _positive(hbar, "hbar")
-    k, dk, h = sp.grid.k, sp.grid.dk, sp.grid.n_points // 2
+    k, dk = sp.grid.k, sp.grid.dk
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
     # the number and the dynamical momentum are the float expressions of
-    # spectral_norm and expect_dyn_momentum, each over the channel's span from bin lo
-    for ch, (lo, dens) in _spanned(sp).items():
+    # spectral_norm and expect_dyn_momentum, each over the channel's span
+    for ch, (span, dens) in _spanned(sp).items():
         m = _medium_of(media_by_direction, ch.s)
         weight = np.sum(dens)
         number += weight
         if weight > 0.0:
             tags.add(m.label)
-        kd = k[lo : lo + dens.size] * dens  # k ascends and is exactly 0 at N/2, so kd negated below N/2 is |k| dens
+        ks = k[span]
+        kd = ks * dens  # k ascends and is exactly 0 at N/2, so kd negated where k < 0 is |k| dens
         signed = float(np.sum(kd))
-        kd[: max(h - lo, 0)] *= -1.0
+        kd[: int(np.searchsorted(ks, 0.0))] *= -1.0
         weighted = float(np.sum(kd))
         energy += hbar * m.c * weighted * dk
         dyn_hamiltonian += hbar * m.c * signed * dk

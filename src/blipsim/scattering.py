@@ -328,20 +328,20 @@ def _guard_fractions(
     to ``side s c dt`` instead of the packet, so every shift reads one tail sum of the packet's
     one density per channel.  A channel is clear while its fraction is at most ``GUARD_TOL``; channels
     weighing nothing or under ``floor`` (``weight * dx``) are left out."""
-    x, half = p.grid.x, GUARD_HALF_CELLS * p.grid.dx
+    half = GUARD_HALF_CELLS * p.grid.dx
     fractions: list[dict[Channel, float]] = [{} for _ in dts]
-    for ch, (lo, dens) in _spanned(p).items():
+    for ch, (span, dens) in _spanned(p).items():
         weight = float(np.sum(dens))
         if not (weight > 0.0 and weight * p.grid.dx >= floor):
             continue
+        x = p.grid.x[span]
         for read, dt in zip(fractions, dts):
             center = side * ch.s * media[ch.s].c * dt
-            # x ascends, so the band and the wrong side are one tail: x >= center - half or x <= center + half;
-            # dens starts at x[lo] and is zero outside its span
+            # x ascends, so the band and the wrong side are one tail: x >= center - half or x <= center + half
             if side * ch.s < 0:
-                stray = dens[max(int(np.searchsorted(x, center - half, side="left")) - lo, 0) :]
+                stray = dens[int(np.searchsorted(x, center - half, side="left")) :]
             else:
-                stray = dens[: max(int(np.searchsorted(x, center + half, side="right")) - lo, 0)]
+                stray = dens[: int(np.searchsorted(x, center + half, side="right"))]
             read[ch] = float(np.sum(stray)) / weight
     return fractions
 

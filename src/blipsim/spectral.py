@@ -26,11 +26,11 @@ incident channel; one windowed chirp per rescaled channel (none at n = 1),
 from the points that hold the input onto the bins that hold its image; and
 per branch channel one zoom (:func:`_zoom`, the same chirp with ``c = -s``)
 from its bins onto the points it reaches at ``t_final``, three FFTs of the
-two windows' length.  A branch whose convolution would take N points or
-more, or whose window misses more than ``ZOOM_WEIGHT_TOL`` of its weight,
-gets the whole-lattice inverse instead (:func:`_position_on`).  Reports make
-no transform; a snapshot's field profile makes one whole-lattice inverse
-per channel.
+two windows' length.  A branch whose convolution would take more than
+``N/4`` points (``ZOOM_MAX_FRACTION``), or whose window misses more than
+``ZOOM_WEIGHT_TOL`` of its weight, gets the whole-lattice inverse instead
+(:func:`_position_on`).  Reports make no transform; a snapshot's field
+profile makes one whole-lattice inverse per channel.
 
 Where each phase comes from:
 
@@ -138,19 +138,27 @@ def _zoom(
 #: spectrum reaches outside the window, and the whole lattice is read.
 ZOOM_WEIGHT_TOL = 2.0**-46
 
+#: Largest convolution a zoom may take, as a fraction of N.  One branch channel, built and read as the map
+#: does (the transform, its Parseval check, the density, norm, centroid and five guard reads), timed against
+#: ``_inverse`` and whole-lattice reads at N = 2^14, 2^16 and 2^17 (Intel Xeon, 2 vCPUs, numpy's pocketfft):
+#: a zoom whose ``L + M - 1`` fits N/8 points took 0.43-0.58 of the time, one that fits N/4 took 0.62-0.93,
+#: and one that needs N/2 took 1.20-1.85.
+ZOOM_MAX_FRACTION = 1 / 4
+
 
 def _position_on(
     sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float, windows: Mapping[Channel, tuple[int, int]]
 ) -> BlipWavePacket:
     """:func:`to_position` with each channel ``ch`` built on its lattice points ``windows[ch]`` by one
     :func:`_zoom` from its span of bins, and exact zeros outside them, which become its span.  A channel
-    whose convolution would take N points or more, or whose window holds less than ``1 - ZOOM_WEIGHT_TOL``
-    of its spectral weight, is built over the whole lattice by :func:`_inverse` instead."""
+    whose convolution would take more than ``ZOOM_MAX_FRACTION`` of N points, or whose window holds less
+    than ``1 - ZOOM_WEIGHT_TOL`` of its spectral weight, is built over the whole lattice by :func:`_inverse`
+    instead."""
     grid, amp, spans = sp.grid, {}, {}
     for ch, a in sp.amp.items():
         cells = _medium_of(media_by_direction, ch.s).c * t / grid.dx
         (m0, m1), (j0, j1) = sp._span(ch), windows[ch]
-        if (m1 - m0) + (j1 - j0) - 1 <= grid.n_points // 2:
+        if (m1 - m0) + (j1 - j0) - 1 <= ZOOM_MAX_FRACTION * grid.n_points:
             zoomed = _zoom(grid, ch.s, a, cells, (m0, m1), (j0, j1))
             weight = float(np.sum(sp.density[ch][m0:m1])) * grid.dk
             if weight - float(np.sum(np.abs(zoomed) ** 2)) * grid.dx <= ZOOM_WEIGHT_TOL * weight:

@@ -464,15 +464,19 @@ def test_a_config_inside_the_domain_never_exits_1_under_strict(tmp_path, x0, k0,
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) != 1
 
 
-def test_a_branch_whose_ringing_leaves_its_window_does_not_pass_strict(tmp_path):
+@pytest.mark.parametrize("half_width, n_points", [(200, 2048), (1600, 16384)])
+def test_a_branch_whose_ringing_leaves_its_window_does_not_pass_strict(tmp_path, half_width, n_points):
     """ROADMAP item 2's config that fails only ``asymptotic``: the band cuts the rescaled transmitted
-    spectrum, and its ringing reaches the scatterer (guard 1.29e-10).  The map zooms each branch onto the
-    window its incident state maps to only while that window holds the branch's spectral weight to within
-    a rounding bound; this branch misses more, so it is read on the whole lattice and the guard still
-    sees the ringing.  A zoom kept regardless read a guard of 2.2e-12, and the run passed --strict."""
+    spectrum, and its ringing reaches the scatterer (guard 1.29e-10 at N = 2048).  At N = 2048 the
+    branch windows exceed a quarter of the lattice, so the map reads the branches on the whole lattice.
+    At N = 2^14 over a lattice eight times as long (the same cell, so the same band cut) they fit, and
+    the map zooms each branch only while its window holds the branch's spectral weight to within a
+    rounding bound; this branch misses more, so it is read on the whole lattice and the guard still
+    sees the ringing (1.53e-10).  A zoom kept regardless read a guard of 4.9e-11 there, and the run
+    passed --strict."""
     x0, k0, sigma, n = -41.4, 9.18, 3.71, 1.609
     cfg = write_config(tmp_path / "ringing.ini", {
-        "grid": {"x_min": "-200", "x_max": "200", "n_points": "2048"},
+        "grid": {"x_min": repr(-half_width), "x_max": repr(half_width), "n_points": repr(n_points)},
         "packet": {"x0": repr(x0), "k0": repr(k0), "sigma": repr(sigma)},
         "media": {"n": repr(n)},
         "schedule": {"times": f"0, {abs(x0) + 8 * sigma * max(1, n)!r}"},

@@ -480,7 +480,8 @@ def test_both_packet_types_share_one_body_but_stay_distinct(small_grid):
 
 def test_a_packet_on_spans_reads_as_its_whole_lattice_copy(rig_grid, ref_medium, glass):
     """Channels the library built on spans (exact zeros outside them) read the same density, norm,
-    centroid, guard fractions and expectation values as the same arrays held on the whole lattice:
+    centroid, guard fractions and expectation values (and ``expect_dyn_momentum``, whose float the
+    expectations' dynamical momentum is) as the same arrays held on the whole lattice:
     the density is the same array, and each sum over a span differs from the whole-lattice sum only in
     its pairwise grouping, within 4e-15 of the quantity's scale (the weight, the weight times the
     largest ``c |k|``, or the grid's length for the centroid).  The spans lie below, across and above
@@ -531,6 +532,10 @@ def test_a_packet_on_spans_reads_as_its_whole_lattice_copy(rig_grid, ref_medium,
                 for field in ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum", "abraham_momentum"):
                     same(getattr(got, field), getattr(want, field), energy)
                 same(got.photon_number, want.photon_number, weight)
+                # the report's number and dynamical momentum are spectral_norm's and expect_dyn_momentum's floats
+                assert got.photon_number == bs.spectral_norm(spanned), name
+                assert got.dyn_momentum == bs.expect_dyn_momentum(spanned), name
+                same(bs.expect_dyn_momentum(spanned), bs.expect_dyn_momentum(whole), energy)
         # a channel in two packets adds over the hull of its spans
         first = bs.BlipWavePacket._own(rig_grid, {h: on(100, 900)}, spans={h: (100, 900)})
         second = bs.BlipWavePacket._own(rig_grid, {h: on(5000, 5200)}, spans={h: (5000, 5200)})

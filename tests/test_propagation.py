@@ -565,28 +565,41 @@ def test_a_run_computes_no_n_point_cosines(monkeypatch, rig_grid, ref_medium, gl
     prefactor) comes from tables of about sqrt(N) cosines and sines, and the
     map's chirps (the resampling and each branch's zoom) build their pre-chirp,
     kernel and post-chirp on their windows only, so a run computes no N-point
-    ``_cis`` at all: no table reaches N/4 (the rig packet's input window is 2,241
-    of 16,384 points, its branch windows at most 1,946), at n = 2 or for the point mirror."""
+    ``_cis`` at all.  At n = 2 no table reaches N/4 (the rig packet's input
+    window is 2,241 of 16,384 points).  The point mirror has no resampling
+    chirp: past 256 points it builds only its zooms' tables, at most three per
+    zoom and none longer than the zoom's larger window, under 2,048 points on
+    the rig."""
     import blipsim.lattice as lattice
     import blipsim.spectral as spectral
 
-    sizes = []
-    cis = lattice._cis
+    sizes, windows = [], []
+    cis, zoom = lattice._cis, spectral._zoom
 
     def counting_cis(theta):
         sizes.append(np.size(theta))
         return cis(theta)
 
+    def recording_zoom(grid, s, values, cells, bins, points):
+        windows.append(max(bins[1] - bins[0], points[1] - points[0]))
+        return zoom(grid, s, values, cells, bins, points)
+
     for module in (lattice, spectral):
         monkeypatch.setattr(module, "_cis", counting_cis)
+    monkeypatch.setattr(spectral, "_zoom", recording_zoom)
     mixed = _mixed_packet(rig_grid)
     for packet, channels in ((mixed, 2), (bs.gaussian_packet(rig_grid, (+1, "H"), -60.0, 30.0, 2.0), 1)):
         for right, omega in ((glass, None), (ref_medium, -0.6j)):
             sizes.clear()
+            windows.clear()
             bs.run_scenario(bs.Scenario(packet, ref_medium, right, schedule=(0.0, 30.0, 140.0), omega=omega))
-            assert sizes and max(sizes) < rig_grid.n_points // 4, (channels, omega, sizes)
+            assert len(windows) == 2 * channels and sizes, (channels, omega, windows)
             if omega is None:  # each incident channel's pre-chirp and kernel
+                assert max(sizes) < rig_grid.n_points // 4, (channels, sizes)
                 assert sum(size > 256 for size in sizes) >= 2 * channels, (channels, sizes)
+            else:
+                assert max(sizes) <= max(windows) < 2048, (channels, sizes, windows)
+                assert sum(size > 256 for size in sizes) <= 3 * len(windows), (channels, sizes, windows)
 
 
 # ---------------------------------------------------------------------------

@@ -484,9 +484,11 @@ def band_masses_oracle(p, ch, center, side):
     """Test oracle: a channel's stray mass, from one boolean mask over ``x`` holding the guard band
     moved to ``center`` and what lies beyond it on the side the channel does not belong to (the
     right for ``side * s < 0``, read as incoming; the left otherwise, read as scattered), and its weight,
-    both sums of the unscaled density over the channel's span, outside which it is exactly zero."""
+    both sums of the unscaled density over the channel's span; it first asserts that the channel is
+    exactly zero outside that span, so every guard oracle call checks the span the map recorded."""
     half = GUARD_HALF_CELLS * p.grid.dx
     lo, hi = p._span(ch)
+    assert not np.any(p.amp[ch][:lo]) and not np.any(p.amp[ch][hi:]), (ch, lo, hi)
     x = p.grid.x[lo:hi]
     dens = np.abs(p.amp[ch][lo:hi]) ** 2
     stray = x >= center - half if side * ch.s < 0 else x <= center + half

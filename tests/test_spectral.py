@@ -478,6 +478,31 @@ def test_the_zoom_matches_the_dense_oracle_on_its_points():
                 assert err <= 1e-13 * np.max(np.abs(want)), (s, bins, points, cells)
 
 
+def test_a_branch_past_a_quarter_of_the_lattice_takes_the_whole_lattice_inverse():
+    """``_position_on`` zooms a channel while its convolution ``L + M - 1`` fits ``ZOOM_MAX_FRACTION`` of N
+    points and runs ``_inverse`` past it: one point more makes the channel's span the whole lattice.  Both
+    sides read the whole-lattice inverse's amplitudes within 1e-13 of the peak, the zoom with exact zeros
+    outside its window."""
+    from blipsim.scattering import _window
+
+    grid, ch, t = bs.make_grid(-100.0, 100.0, 4096), bs.Channel(1, "H"), 7.3
+    media = {+1: bs.Medium(1.0), -1: bs.Medium(1.0)}
+    incident = spectral.to_momentum(bs.gaussian_packet(grid, ch, -20.0, 3.0, 1.0))
+    bins = _window(incident.density[ch], 2.0**-100)
+    values = np.zeros(grid.n_points, dtype=np.complex128)
+    values[bins[0] : bins[1]] = incident.amp[ch][bins[0] : bins[1]]
+    sp = bs.SpectralWavePacket._own(grid, {ch: values}, spans={ch: bins})
+    whole = _inverse(grid, ch.s, values, t / grid.dx)
+    largest = int(spectral.ZOOM_MAX_FRACTION * grid.n_points) - (bins[1] - bins[0]) + 1
+    j0 = int(np.argmax(np.abs(whole))) - largest // 2
+    for size, span in ((largest, (j0, j0 + largest)), (largest + 1, (0, grid.n_points))):
+        got = spectral._position_on(sp, media, t, {ch: (j0, j0 + size)})
+        assert got._span(ch) == span, (size, got._span(ch))
+        assert np.max(np.abs(got.amp[ch] - whole)) <= 1e-13 * np.max(np.abs(whole)), size
+        if span[0]:
+            assert not np.any(got.amp[ch][: span[0]]) and not np.any(got.amp[ch][span[1] :]), size
+
+
 @pytest.mark.skipif(
     np.lib.NumpyVersion(np.__version__) < "2.0.0",
     reason="numpy 1.x copies an FFT's input once more; this bound was measured with numpy 2",
