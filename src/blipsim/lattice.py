@@ -67,6 +67,11 @@ SUPPORT_QUANTILE = 1e-12
 #: Cells a transported support keeps clear of both ends of ``[x_min, x_max - dx]``.
 EDGE_MARGIN_CELLS = 1
 
+#: The smallest normal over the unit roundoff: below it :func:`_weighed` lifts a packet's density, and a state of
+#: at most this fraction of the input's photons reports no centroid (:mod:`blipsim.propagation`), so a photon number
+#: near it is a normal float on every route that computes it, not a subnormal step that sums round either side of 0.
+CENTROID_FLOOR = 2.0**-969
+
 
 #: Veltkamp's splitter 2**27 + 1: ``_SPLIT * a - (_SPLIT * a - a)`` is ``a``'s top 26 bits.
 _SPLIT = 134217729.0
@@ -464,12 +469,12 @@ def norm(p: BlipWavePacket) -> float:
 
 def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
     """Each channel's summed density (its weight over ``dx``) and the packet's centroid.  Below
-    ``2**-969`` (the smallest normal over the unit roundoff) a cell holding ``2**-53`` of the sum can
-    be subnormal, so both are then read from ``|a 2**k|**2``, ``2**k`` lifting the peak amplitude to
-    order 1: the scaling is exact, and a packet of normal weight keeps every bit of its sums."""
+    ``CENTROID_FLOOR`` a cell holding ``2**-53`` of the sum can be subnormal, so both are then read
+    from ``|a 2**k|**2``, ``2**k`` lifting the peak amplitude to order 1: the scaling is exact, and a
+    packet of normal weight keeps every bit of its sums."""
     spanned = _spanned(p)
     weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
-    if sum(weights.values()) < 2.0**-969:
+    if sum(weights.values()) < CENTROID_FLOOR:
         peak = max((float(np.max(np.abs(a))) for a in p.amp.values()), default=0.0)
         lift = 2.0 ** min(-math.frexp(peak)[1], 1023)
         spanned = {ch: (span, np.abs(p.amp[ch][span] * lift) ** 2) for ch, (span, _) in spanned.items()}

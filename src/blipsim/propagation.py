@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ConfigurationError
-from .lattice import BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, _weighed
+from .lattice import CENTROID_FLOOR, BlipWavePacket, Medium, _check_inside, _is_positive_real, _support_interval, _weighed
 from .observables import ObservableReport, spectral_expectations
 from .scattering import (
     GUARD_TOL,
@@ -146,13 +146,6 @@ class ScenarioResult:
     outcome: ScatterOutcome
     blocks: Mapping[str, ScenarioRow]
     guard_fraction: float
-
-
-#: A state of at most this fraction of the input's photon number reports no centroid: the
-#: smallest normal over the unit roundoff, :func:`blipsim.lattice._weighed`'s threshold, so a
-#: photon number near it is a normal float on every route that computes it, not a subnormal
-#: step that two summations can round either side of 0.
-CENTROID_FLOOR = 2.0**-969
 
 
 def _measure(

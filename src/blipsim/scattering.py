@@ -29,6 +29,7 @@ and each branch channel's support) and, at ``t_final``, moves the supports
 by ``s c t`` through the edge rule of :func:`blipsim.lattice._check_inside`,
 re-phases the amplitudes by ``exp(-i c k t)`` into the position branches
 and reads their guard; it builds the outcome once, from both.  Each branch
+spectrum is one packet; ``combine`` sums only the two totals.  Each branch
 channel is built on windows: exact zeros outside the bins its incident
 spectrum fills and, in position, outside the points that image reaches at
 ``t_final``, the channel's span, on which every reader sums.  One guard
@@ -457,32 +458,32 @@ def interface_scatter(
     # each chirp sums the points whose |values| outside sum to at most N sqrt(2**-106 / N**2 peak) <= 2**-53 of
     # their own sum, into the bins that sample the spectrum above 2**-50 of its peak amplitude (about its rounding);
     # every other branch spectrum is the incident one on those bins at scale 1, and exact zeros outside them
-    drift, transmitted, reflected, reflected_bins = 0.0, [], {}, {}
+    amps: dict[str, dict[Channel, np.ndarray]] = {"transmitted": {}, "reflected": {}}
+    spans: dict[str, dict[Channel, tuple[int, int]]] = {"transmitted": {}, "reflected": {}}
     for ch, phi in incident.amp.items():
         coeff = rates.t_plus / math.sqrt(ratio) if ch.s > 0 else math.sqrt(ratio) * rates.t_minus
-        bins = reflected_bins[Channel(-ch.s, ch.pol)] = _window(incident.density[ch], 2.0**-100)
+        bins = spans["reflected"][Channel(-ch.s, ch.pol)] = _window(incident.density[ch], 2.0**-100)
         if ratio == 1.0:  # nothing is rescaled
-            transmitted.append(SpectralWavePacket._own(grid, {ch: _on(phi, coeff, bins)}, spans={ch: bins}))
-        else:  # the chirp's own array, scaled in place on its bins, and its norm drift
+            amps["transmitted"][ch], spans["transmitted"][ch] = _on(phi, coeff, bins), bins
+        else:  # the chirp's own array, scaled in place on its bins
             scale = 1.0 / ratio if ch.s > 0 else ratio
             inputs = _window(p.density[ch], 2.0**-106 / grid.n_points**2)
-            outputs = _window(incident.density[ch], 2.0**-100, scale)
-            amp = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
+            outputs = spans["transmitted"][ch] = _window(incident.density[ch], 2.0**-100, scale)
+            amp = amps["transmitted"][ch] = sample_spectrum_scaled(p, ch, scale, inputs=inputs, outputs=outputs)
             amp[outputs[0] : outputs[1]] *= coeff
-            transmitted.append(SpectralWavePacket._own(grid, {ch: amp}, spans={ch: outputs}))
+        amps["reflected"][Channel(-ch.s, ch.pol)] = _on(phi, rates.r(ch.s), bins)
+    spectra = {name: SpectralWavePacket._own(grid, amps[name], spans=spans[name]) for name in amps}
+    drift = 0.0
+    if ratio != 1.0:  # each rescaled channel's norm drift, read from its span density
+        for ch, (_, dens) in _spanned(spectra["transmitted"]).items():
             weight = float(np.sum(incident.density[ch])) * grid.dk
             if weight > 0.0:
-                measured = spectral_norm(transmitted[-1])
-                drift = max(drift, abs(measured - abs(rates.t(ch.s)) ** 2 * weight) / weight)
-        reflected[Channel(-ch.s, ch.pol)] = _on(phi, rates.r(ch.s), bins)
+                drift = max(drift, abs(float(np.sum(dens)) * grid.dk - abs(rates.t(ch.s)) ** 2 * weight) / weight)
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "
             f"(> {RESAMPLE_DRIFT_TOL:.0e}); the spectrum is too close to the band edge"
         )
-    spectra = {
-        "transmitted": combine(*transmitted), "reflected": SpectralWavePacket._own(grid, reflected, spans=reflected_bins)
-    }
     prob_t, prob_r = map(spectral_norm, spectra.values())
     # each branch channel is built on the points of its floor image moved by s c t_final
     branches = {

@@ -28,9 +28,11 @@ per branch channel one zoom (:func:`_zoom`, the same chirp with ``c = -s``)
 from its bins onto the points it reaches at ``t_final``, three FFTs of the
 two windows' length.  A branch whose convolution would take more than
 ``N/4`` points (``ZOOM_MAX_FRACTION``), or whose window misses more than
-``ZOOM_WEIGHT_TOL`` of its weight, gets the whole-lattice inverse instead
-(:func:`_position_on`).  Reports make no transform; a snapshot's field
-profile makes one whole-lattice inverse per channel.
+``ZOOM_WEIGHT_TOL`` of its weight, gets the whole-lattice inverse instead.
+:func:`_position_on` is the one builder of position packets, and
+:func:`to_position`, with no windows, its whole-lattice case.  Reports make
+no transform; a snapshot's field profile makes one whole-lattice inverse
+per channel.
 
 Where each phase comes from:
 
@@ -147,17 +149,19 @@ ZOOM_MAX_FRACTION = 1 / 4
 
 
 def _position_on(
-    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium], t: float, windows: Mapping[Channel, tuple[int, int]]
+    sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium] | None, t: float,
+    windows: Mapping[Channel, tuple[int, int]],
 ) -> BlipWavePacket:
-    """:func:`to_position` with each channel ``ch`` built on its lattice points ``windows[ch]`` by one
-    :func:`_zoom` from its span of bins, and exact zeros outside them, which become its span.  A channel
-    whose convolution would take more than ``ZOOM_MAX_FRACTION`` of N points, or whose window holds less
-    than ``1 - ZOOM_WEIGHT_TOL`` of its spectral weight, is built over the whole lattice by :func:`_inverse`
-    instead."""
+    """The one builder of position packets: each channel ``(s, pol)`` after free flight for ``t``, times
+    ``exp(-i c k t)`` at the speed ``c`` of ``media_by_direction[s]`` (:func:`blipsim.lattice._medium_of`, not
+    read at ``t = 0``), on its lattice points ``windows[ch]`` by one :func:`_zoom` from its span of bins, and
+    exact zeros outside them, which become its span.  A channel with no window, whose convolution would take
+    more than ``ZOOM_MAX_FRACTION`` of N points, or whose window holds less than ``1 - ZOOM_WEIGHT_TOL`` of
+    its spectral weight, is built over the whole lattice by :func:`_inverse` instead."""
     grid, amp, spans = sp.grid, {}, {}
     for ch, a in sp.amp.items():
-        cells = _medium_of(media_by_direction, ch.s).c * t / grid.dx
-        (m0, m1), (j0, j1) = sp._span(ch), windows[ch]
+        cells = 0.0 if t == 0.0 else _medium_of(media_by_direction, ch.s).c * t / grid.dx
+        (m0, m1), (j0, j1) = sp._span(ch), windows.get(ch, (0, grid.n_points))
         if (m1 - m0) + (j1 - j0) - 1 <= ZOOM_MAX_FRACTION * grid.n_points:
             zoomed = _zoom(grid, ch.s, a, cells, (m0, m1), (j0, j1))
             weight = float(np.sum(sp.density[ch][m0:m1])) * grid.dk
@@ -177,14 +181,9 @@ def to_momentum(p: BlipWavePacket) -> SpectralWavePacket:
 def to_position(
     sp: SpectralWavePacket, media_by_direction: Mapping[int, Medium] | None = None, t: float = 0.0
 ) -> BlipWavePacket:
-    """Position representation of every channel after free flight for ``t`` (none by default):
-    channel ``(s, pol)`` times ``exp(-i c k t)`` at the speed ``c`` of ``media_by_direction[s]``
-    (:func:`blipsim.lattice._medium_of`), folded into the transform's one phase product."""
-    grid = sp.grid
-    return BlipWavePacket._own(grid, {
-        ch: _inverse(grid, ch.s, a, 0.0 if t == 0.0 else _medium_of(media_by_direction, ch.s).c * t / grid.dx)
-        for ch, a in sp.amp.items()
-    })
+    """Position representation of every channel after free flight for ``t`` (none by default): the
+    whole-lattice case of :func:`_position_on`, whose windowless channels all take :func:`_inverse`."""
+    return _position_on(sp, media_by_direction, t, {})
 
 
 def spectral_norm(sp: SpectralWavePacket) -> float:

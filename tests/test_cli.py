@@ -484,6 +484,33 @@ def test_a_branch_whose_ringing_leaves_its_window_does_not_pass_strict(tmp_path,
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) != 0
 
 
+def test_the_wide_packet_config_runs_the_block_chirp_and_the_whole_lattice_inverse(tmp_path, monkeypatch):
+    """``configs/wide_packet.ini`` runs the paths no other committed config takes: its transmitted
+    spectrum is resampled by one 2x2 block chirp (its input and output windows together exceed N + 1
+    points), and each branch's convolution would take more than N/4 points, so ``_position_on`` builds
+    both on the whole lattice by ``_inverse`` and zooms neither.  It passes --strict, and a rerun writes
+    the same bytes."""
+    calls = []
+    chirp, inverse, zoom = spectral._chirp_sum, spectral._inverse, spectral._zoom
+
+    def counting_chirp(values, c, inputs=None, outputs=None, weights=None):
+        windows = (inputs or (0, values.size), outputs or (0, values.size))
+        calls.append("block" if sum(hi - lo for lo, hi in windows) > values.size + 1 else "chirp")
+        return chirp(values, c, inputs, outputs, weights)
+
+    monkeypatch.setattr(spectral, "_chirp_sum", counting_chirp)
+    monkeypatch.setattr(spectral, "_inverse", lambda *args: calls.append("inverse") or inverse(*args))
+    monkeypatch.setattr(spectral, "_zoom", lambda *args: calls.append("zoom") or zoom(*args))
+    cfg, runs = REPO / "configs" / "wide_packet.ini", (tmp_path / "a", tmp_path / "b")
+    assert cli.main(["run", "--config", str(cfg), "--strict", "--out", str(runs[0])]) == 0
+    assert sorted(calls) == ["block", "inverse", "inverse"]
+    assert cli.main(["run", "--config", str(cfg), "--strict", "--out", str(runs[1])]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir()) and "snapshot_field.csv" in names
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_check_sweep_passes(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["check", "--n-min", "1", "--n-max", "4", "--steps", "7", "--out", str(out)])

@@ -404,8 +404,9 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
     input's observables reuse.  Each branch channel costs one inverse: a zoom on its
     window (one chirp each) or, where the window would not pay, a whole-lattice
     ``_inverse``; on the rig every branch is zoomed.  No report costs a transform:
-    the inverses and the chirps do not grow with the schedule."""
-    from blipsim import fields, spectral
+    the inverses and the chirps do not grow with the schedule.  Each branch spectrum
+    is assembled as one packet, so the map calls ``combine`` only for its two totals."""
+    from blipsim import fields, scattering, spectral
 
     calls = []
     forward, inverse, chirp, zoom = spectral._forward, spectral._inverse, spectral._chirp_sum, spectral._zoom
@@ -421,6 +422,7 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
         monkeypatch.setattr(module, "_inverse", counting("inverse", inverse))
     monkeypatch.setattr(spectral, "_chirp_sum", counting("chirp", chirp))
     monkeypatch.setattr(spectral, "_zoom", counting("zoom", zoom))
+    monkeypatch.setattr(scattering, "combine", counting("combine", scattering.combine))
     mixed = _mixed_packet(rig_grid)
     schedules = ((0.0, 140.0), (0.0, 30.0, 100.0, 140.0, 160.0), (0.0, 30.0, 50.0, 70.0, 100.0, 120.0, 140.0, 160.0))
     for packet, channels in ((rig_packet, 1), (mixed, 2)):
@@ -434,6 +436,7 @@ def test_the_input_is_transformed_once_per_incident_channel(monkeypatch, rig_gri
                 assert calls.count("zoom") == 2 * channels and "inverse" not in calls, (channels, schedule)
                 resampled = 0 if omega is not None else channels
                 assert calls.count("chirp") == calls.count("zoom") + resampled, (channels, schedule)
+                assert calls.count("combine") == 2, (channels, schedule)
                 counts.add(tuple(calls.count(kind) for kind in ("inverse", "zoom", "chirp")))
             assert len(counts) == 1, (channels, omega, counts)
 
