@@ -202,6 +202,7 @@ def _cells(v: np.ndarray) -> np.ndarray:
     e += d == 10**17
     d[d == 10**17] = 10**16
     slow = far | (np.abs(f) > 0.5 - _MARGIN) | (d == 10**16) & (np.abs(f) < _MARGIN)
+    del a, f, step, fix  # dead from here; with the del below, a call peaks at about 130 bytes a value, not 226
 
     at2, at6, back2, tail, shift, gap = _tables()[2:]
     u = d.view(np.uint64)  # d >= 0; unsigned // is the faster
@@ -218,6 +219,7 @@ def _cells(v: np.ndarray) -> np.ndarray:
     i3 += 10**4 * (g4 == 0)
     sign = (v.view(np.uint64) >> 63) * 45  # '-'
     w = np.stack([at2[i1] | at6[i2] | (first + 48) << 8 | sign, back2[i2] | at2[i3] | at6[i4], back2[i4]])
+    del d, u, first, upper, g1, g2, g3, g4, i1, i2, i3, i4, sign
     ie = e + (1 - _E_MIN)
     t = w & np.take(tail, ie, axis=1)
     w ^= t
@@ -238,38 +240,63 @@ def _write_table(
     """Write one table as ``base.csv`` or ``base.json``; returns the path.
 
     ``rows`` holds mapping rows, whose values at the ``header`` keys are written in that
-    order, or is one 2-D float64 array of the ``header`` columns, written by :func:`_cells`
-    ``_BLOCK_ROWS`` rows at a time into a row of constant text with a hole per cell, and the holes dropped."""
+    order, or is one 2-D float64 array of the ``header`` columns, written by :func:`_write_tables` a block of
+    ``_BLOCK_ROWS`` rows at a time: only each column's nonzero span of a block is formatted, and the zero
+    cells outside it are framed from the constant cell ``0`` or ``-0``."""
     path = base.with_suffix("." + fmt)
-    if not (isinstance(rows, np.ndarray) and rows.size):  # mapping rows, or an empty array
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows([header, *([_text(row[key], "") for key in header] for row in rows)])
-        else:
-            path.write_text(_dump_json([{key: row[key] for key in header} for row in rows]) + "\n")
-        return path
-    hole = "\0" * _CELL
-    if fmt == "csv":
-        line = io.StringIO(newline="")
-        csv.writer(line).writerow(header)
-        head, row = line.getvalue(), ",".join([hole] * len(header)) + "\r\n"
+    if isinstance(rows, np.ndarray) and rows.size:
+        return _write_tables(fmt, (base, header, list(rows.T)))[0]
+    if fmt == "csv":  # mapping rows, or an empty array
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *([_text(row[key], "") for key in header] for row in rows)])
     else:
-        head, row = "[\n", "  {\n" + ",\n".join(f"    {json.dumps(str(key))}: {hole}" for key in header) + "\n  },\n"
-    buf = np.tile(np.frombuffer(row.encode(), np.uint8), (min(len(rows), _BLOCK_ROWS), 1))
-    slots = np.flatnonzero(buf[0] == 0)[::_CELL]
-    with open(path, "wb") as fh:
-        fh.write(head.encode())
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            cells = _cells(block.ravel()).reshape(len(block), -1, _CELL)
-            text = buf[:len(block)]
-            for j, at in enumerate(slots):
-                text[:, at:at + _CELL] = cells[:, j]
-            fh.write(text.tobytes().translate(None, b"\0"))
-        if fmt != "csv":
-            fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close
-            fh.write(b"\n]\n")
+        path.write_text(_dump_json([{key: row[key] for key in header} for row in rows]) + "\n")
     return path
+
+
+def _write_tables(fmt: str, *tables: tuple[Path, Sequence[str], Sequence[np.ndarray]]) -> list[Path]:
+    """Write float64 tables of one length, each ``(base, header, columns)``, in one pass over blocks of
+    ``_BLOCK_ROWS`` rows; returns their paths.  Per block, one :func:`_cells` call formats the nonzero span
+    (first to last nonzero row) of each column, and of a column that several tables hold (the same array)
+    once.  The cells go into a row of constant text with a hole per cell, and the holes are dropped; a cell
+    outside its column's span is the constant cell ``0``, or ``-0`` where the sign bit is set."""
+    columns = list({id(col): col for _, _, cols in tables for col in cols}.values())
+    index = {id(col): i for i, col in enumerate(columns)}
+    zero, neg = (np.frombuffer(text.ljust(_CELL, b"\0"), np.uint8) for text in (b"0", b"-0"))
+    hole, n_rows, paths, frames = "\0" * _CELL, len(columns[0]), [], []
+    with contextlib.ExitStack() as files:
+        for base, header, cols in tables:
+            if fmt == "csv":
+                line = io.StringIO(newline="")
+                csv.writer(line).writerow(header)
+                head, row = line.getvalue(), ",".join([hole] * len(header)) + "\r\n"
+            else:
+                keys = ",\n".join(f"    {json.dumps(str(key))}: {hole}" for key in header)
+                head, row = "[\n", "  {\n" + keys + "\n  },\n"
+            paths.append(base.with_suffix("." + fmt))
+            fh = files.enter_context(open(paths[-1], "wb"))
+            fh.write(head.encode())
+            buf = np.tile(np.frombuffer(row.encode(), np.uint8), (min(n_rows, _BLOCK_ROWS), 1))
+            slots = np.flatnonzero(buf[0] == 0)[::_CELL]
+            frames.append((fh, buf, [(at, index[id(col)]) for at, col in zip(slots, cols)]))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            blocks = [col[start:start + _BLOCK_ROWS] for col in columns]
+            spans = [(nz[0], nz[-1] + 1) if nz.size else (0, 0) for nz in map(np.flatnonzero, blocks)]
+            cells = _cells(np.concatenate([block[lo:hi] for block, (lo, hi) in zip(blocks, spans)]))
+            cells = np.split(cells, np.cumsum([hi - lo for lo, hi in spans])[:-1])
+            for fh, buf, slots in frames:
+                text = buf[:len(blocks[0])]
+                for at, i in slots:
+                    (lo, hi), cell = spans[i], text[:, at:at + _CELL]
+                    cell[:] = zero
+                    cell[np.signbit(blocks[i])] = neg
+                    cell[lo:hi] = cells[i]
+                fh.write(text.tobytes().translate(None, b"\0"))
+        if fmt != "csv":
+            for fh, _, _ in frames:
+                fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close
+                fh.write(b"\n]\n")
+    return paths
 
 
 @contextlib.contextmanager
@@ -612,32 +639,30 @@ def _write_snapshots(
 ) -> list[Path]:
     """Position, spectrum and field-density tables of the final state; the field density is
     ``|E_y|^2 + |E_z|^2`` of the map's total spectrum moved to the final time in its outgoing media.
-    Each table's columns are built just before it is written."""
+    The three are written in one pass over blocks of rows by :func:`_write_tables`, which formats each block
+    of ``grid.x`` once for the position and field tables, and frames the zeros outside each column's nonzero
+    span (a branch outside its window) from a constant cell.  The field, built first, leaves only its density."""
     outcome = result.outcome
     grid = outcome.total.grid
-
-    def field() -> dict[str, np.ndarray]:
-        fp = field_profile(outcome.spectra["total"], outcome.outgoing, sc.hbar, outcome.t_final)
-        return {"x": grid.x, "e_density": np.abs(fp.e_y) ** 2 + np.abs(fp.e_z) ** 2}
-
+    fp = field_profile(outcome.spectra["total"], outcome.outgoing, sc.hbar, outcome.t_final)
+    e_density = np.abs(fp.e_y) ** 2 + np.abs(fp.e_z) ** 2
+    del fp
     columns = (
-        lambda: {
+        {
             "x": grid.x,
             "transmitted": _density(outcome.transmitted),
             "reflected": _density(outcome.reflected),
             "total": _density(outcome.total),
         },
-        lambda: {
+        {
             "k": grid.k,
             "transmitted": _density(outcome.spectra["transmitted"]),
             "reflected": _density(outcome.spectra["reflected"]),
         },
-        field,
+        {"x": grid.x, "e_density": e_density},
     )
-    return [
-        _write_table(out_dir / name, tuple(cols), np.column_stack(tuple(cols.values())), fmt)
-        for name, cols in zip(SNAPSHOT_TABLES, (build() for build in columns))
-    ]
+    tables = zip(SNAPSHOT_TABLES, columns)
+    return _write_tables(fmt, *((out_dir / name, tuple(cols), tuple(cols.values())) for name, cols in tables))
 
 
 def _output_names(output_cfg: dict[str, Any], fmt: str) -> dict[str, str]:

@@ -9,6 +9,7 @@ import configparser
 import contextlib
 import csv
 import io
+import itertools
 import json
 import re
 import shutil
@@ -955,9 +956,9 @@ def test_few_reference_snapshot_cells_reach_the_fallback(tmp_path, monkeypatch):
     """The reference snapshots are written by the fast path: at most 1e-4 of their cells lie within
     ``_MARGIN`` of a tie or a decade edge and go to ``_text``."""
     tables, texts = [], []
-    write, text = cli._write_table, cli._text
-    monkeypatch.setattr(cli, "_write_table", lambda base, header, rows, fmt: tables.append(rows) or write(
-        base, header, rows, fmt))
+    write, text = cli._write_tables, cli._text
+    monkeypatch.setattr(cli, "_write_tables", lambda fmt, *specs: tables.extend(
+        np.column_stack(columns) for _, _, columns in specs) or write(fmt, *specs))
     assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
     values = np.concatenate([rows.ravel() for rows in tables if isinstance(rows, np.ndarray)])
     monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
@@ -1007,22 +1008,89 @@ def test_non_finite_float_table_fails_and_places_nothing(table, bad, where, fmt)
         assert list(out.iterdir()) == []
 
 
-def test_reference_snapshots_match_the_cell_oracle(tmp_path, monkeypatch):
-    tables = {}
-    write = cli._write_table
+def block_edge_columns():
+    """Columns of ``3 * _BLOCK_ROWS + 5`` rows around the span rule: for each shift ``d`` of -1, 0 and 1,
+    one column whose zero runs end at each block edge plus ``d`` and one whose runs start there, then an
+    all-zero column, a column with one nonzero cell and one with no zeros.  The zeros take either sign
+    at random; the other cells are normal values of any scale."""
+    rows, edges = 3 * cli._BLOCK_ROWS + 5, range(cli._BLOCK_ROWS, 3 * cli._BLOCK_ROWS + 1, cli._BLOCK_ROWS)
+    rng = np.random.default_rng(36)
+    columns = rng.standard_normal((9, rows)) * 10.0 ** rng.integers(-30, 30, (9, rows))
+    for d in (-1, 0, 1):
+        for e in edges:
+            columns[1 + d, e - 40:e + d] = 0.0
+            columns[4 + d, e + d:e + 40] = 0.0
+    columns[6] = 0.0
+    columns[7] = 0.0
+    columns[7, 2 * cli._BLOCK_ROWS - 1] = 1.5
+    columns[:8] = np.where(columns[:8] == 0.0, rng.choice([0.0, -0.0], columns[:8].shape), columns[:8])
+    return list(columns)
 
-    def capture(base, header, rows, fmt):
-        tables[base.name] = (header, rows)
-        return write(base, header, rows, fmt)
 
-    monkeypatch.setattr(cli, "_write_table", capture)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_runs_at_block_edges_match_the_cell_oracle(tmp_path, fmt):
+    """Each column's nonzero span per block, and the ``0`` and ``-0`` cells outside it, give the oracle's
+    bytes, in a table of its own and in two tables written in one pass that hold one column in common."""
+    columns = block_edge_columns()
+    table = np.column_stack(columns)
+    oracle = cell_oracle if fmt == "csv" else json_oracle
+    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    assert path.read_bytes() == oracle(header_of(table), table.tolist())
+    first = (tmp_path / "first", ("a", "b"), columns[:2])
+    second = (tmp_path / "second", ("c", "a"), [columns[8], columns[1]])
+    for path, (_, header, cols) in zip(cli._write_tables(fmt, first, second), (first, second)):
+        assert path.read_bytes() == oracle(header, np.column_stack(cols).tolist()), path.name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nan_inside_a_zero_run_fails_and_places_nothing(tmp_path, fmt):
+    table = np.column_stack(block_edge_columns())
+    table[cli._BLOCK_ROWS + 3, 6] = float("nan")
+    with pytest.raises(cli.BlipSimError, match="non-finite"):
+        with cli._output_set(str(tmp_path / "out")) as stage:
+            cli._write_table(stage / "t", header_of(table), table, fmt)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_reference_run_formats_each_nonzero_span_and_each_block_of_x_once(tmp_path, monkeypatch):
+    """The reference snapshots hold 147,456 cells, about half of them zeros outside the branch windows:
+    at most 65,536 values reach :func:`cli._cells`, and each of ``grid.x`` once, not once per table."""
+    values = []
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells", lambda v: values.append(v.copy()) or cells(v))
     assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
-    names = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
-    assert set(names) <= set(tables)
-    for name in names:
-        header, rows = tables[name]
-        assert isinstance(rows, np.ndarray) and rows.shape == (16384, len(header)), name
-        assert (tmp_path / f"{name}.csv").read_bytes() == cell_oracle(header, rows.tolist()), name
+    values = np.concatenate(values)
+    x = lattice.make_grid(-200.0, 200.0, 16384).x
+    x = x[x != 0.0]
+    assert values.size <= 65536
+    assert np.count_nonzero(np.isin(values, x)) == x.size
+
+
+def test_reference_snapshots_match_the_cell_oracle(tmp_path, monkeypatch):
+    """The snapshots of the reference config, whose branch columns are mostly zero outside their
+    windows, and of the wide packet, whose position columns come from the whole-lattice inverse,
+    in both formats."""
+    tables = {}
+    write = cli._write_tables
+
+    def capture(fmt, *specs):
+        tables.update((base.name, (header, np.column_stack(columns))) for base, header, columns in specs)
+        return write(fmt, *specs)
+
+    monkeypatch.setattr(cli, "_write_tables", capture)
+    for config, fmt in itertools.product(("air_to_glass", "wide_packet"), ("csv", "json")):
+        tables.clear()
+        out = tmp_path / config / fmt
+        assert cli.main(["run", "--config", str(REPO / "configs" / f"{config}.ini"), "--out", str(out),
+                         "--format", fmt]) == 0
+        n_points = int(read_config(REPO / "configs" / f"{config}.ini")["grid"]["n_points"])
+        oracle = cell_oracle if fmt == "csv" else json_oracle
+        names = ("snapshot_position", "snapshot_spectrum", "snapshot_field")
+        assert set(names) <= set(tables)
+        for name in names:
+            header, rows = tables[name]
+            assert isinstance(rows, np.ndarray) and rows.shape == (n_points, len(header)), name
+            assert (out / f"{name}.{fmt}").read_bytes() == oracle(header, rows.tolist()), (config, name)
 
 
 def test_a_reference_run_with_snapshots_copies_no_packet_array(tmp_path, monkeypatch):

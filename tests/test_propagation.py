@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import blipsim as bs
-from blipsim import cli
+from blipsim import cli, spectral
 import oracles
 from blipsim.lattice import FIXTURE_TAIL_TOL, SUPPORT_QUANTILE, _gauss_tail, _support_interval
 from blipsim.scattering import _guard_fractions
@@ -784,3 +784,14 @@ def test_a_run_matches_the_dense_oracle(log_n, direction, n, coupling, size, car
         assert abs(getattr(out, name) - want[name]) <= bound, (name, getattr(out, name), want[name])
     guard = (result.guard_fraction, want["guard_fraction"])
     assert abs(guard[0] - guard[1]) <= bound, guard
+
+
+def test_a_run_with_every_branch_free_to_zoom_matches_the_dense_oracle(monkeypatch):
+    """The dense oracle property again with ``spectral.ZOOM_MAX_FRACTION`` at 1, so that a branch whose
+    window fits the lattice may zoom: on 64 to 512 points the N/4 rule sends every branch to ``_inverse``,
+    and the zoom that every committed config and benchmark op takes is checked end to end only here."""
+    zooms, zoom = [], spectral._zoom
+    monkeypatch.setattr(spectral, "ZOOM_MAX_FRACTION", 1.0)
+    monkeypatch.setattr(spectral, "_zoom", lambda *args: zooms.append(args[-1]) or zoom(*args))
+    test_a_run_matches_the_dense_oracle()
+    assert zooms
