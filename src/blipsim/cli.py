@@ -234,19 +234,11 @@ def _cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _write_table(
-    base: Path, header: Sequence[str], rows: Sequence[Mapping[str, Any]] | np.ndarray, fmt: str
-) -> Path:
-    """Write one table as ``base.csv`` or ``base.json``; returns the path.
-
-    ``rows`` holds mapping rows, whose values at the ``header`` keys are written in that
-    order, or is one 2-D float64 array of the ``header`` columns, written by :func:`_write_tables` a block of
-    ``_BLOCK_ROWS`` rows at a time: only each column's nonzero span of a block is formatted, and the zero
-    cells outside it are framed from the constant cell ``0`` or ``-0``."""
+def _write_table(base: Path, header: Sequence[str], rows: Sequence[Mapping[str, Any]], fmt: str) -> Path:
+    """Write one table of mapping rows as ``base.csv`` or ``base.json``, each row's values at the ``header``
+    keys in that order; returns the path.  Float columns go to :func:`_write_tables` instead."""
     path = base.with_suffix("." + fmt)
-    if isinstance(rows, np.ndarray) and rows.size:
-        return _write_tables(fmt, (base, header, list(rows.T)))[0]
-    if fmt == "csv":  # mapping rows, or an empty array
+    if fmt == "csv":
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([header, *([_text(row[key], "") for key in header] for row in rows)])
     else:
@@ -276,8 +268,8 @@ def _write_tables(fmt: str, *tables: tuple[Path, Sequence[str], Sequence[np.ndar
             paths.append(base.with_suffix("." + fmt))
             fh = files.enter_context(open(paths[-1], "wb"))
             fh.write(head.encode())
-            buf = np.tile(np.frombuffer(row.encode(), np.uint8), (min(n_rows, _BLOCK_ROWS), 1))
-            slots = np.flatnonzero(buf[0] == 0)[::_CELL]
+            pattern = np.frombuffer(row.encode(), np.uint8)
+            buf, slots = np.tile(pattern, (min(n_rows, _BLOCK_ROWS), 1)), np.flatnonzero(pattern == 0)[::_CELL]
             frames.append((fh, buf, [(at, index[id(col)]) for at, col in zip(slots, cols)]))
         for start in range(0, n_rows, _BLOCK_ROWS):
             blocks = [col[start:start + _BLOCK_ROWS] for col in columns]
@@ -294,8 +286,8 @@ def _write_tables(fmt: str, *tables: tuple[Path, Sequence[str], Sequence[np.ndar
                 fh.write(text.tobytes().translate(None, b"\0"))
         if fmt != "csv":
             for fh, _, _ in frames:
-                fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close
-                fh.write(b"\n]\n")
+                fh.seek(-2, os.SEEK_END)  # the last row's ",\n" becomes the list's close, or "[\n" an empty list
+                fh.write(b"\n]\n" if n_rows else b"[]\n")
     return paths
 
 

@@ -85,13 +85,10 @@ class SpectralWavePacket(_Packet):
     """Momentum-space amplitudes per channel, on the ascending ``grid.k`` lattice."""
 
 
-_FFT_OUT = int(np.__version__.split(".")[0]) >= 2
-
-
 def _fft_in_place(a: np.ndarray, unscaled_inverse: bool = False) -> np.ndarray:
-    """``fft`` of ``a``, or its unscaled ``ifft``, written over ``a`` (numpy 1.x has no ``out=``: a new array)."""
+    """``fft`` of ``a``, or its unscaled ``ifft``, written over ``a``."""
     fft, norm = (np.fft.ifft, "forward") if unscaled_inverse else (np.fft.fft, "backward")
-    return fft(a, norm=norm, out=a) if _FFT_OUT else fft(a, norm=norm)
+    return fft(a, norm=norm, out=a)
 
 
 def _forward(grid: Grid, s: int, values: np.ndarray) -> np.ndarray:

@@ -865,11 +865,17 @@ def header_of(table):
     return tuple(f"c{i}" for i in range(table.shape[1]))
 
 
+def write_float_table(base, table, fmt):
+    """Write the 2-D float64 ``table`` as columns ``c0, c1, ...`` by ``cli._write_tables``, the route of every
+    float table; returns its path."""
+    return cli._write_tables(fmt, (base, header_of(table), list(table.T)))[0]
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(table=float_tables)
 def test_float_table_csv_matches_the_cell_oracle(table):
     with tempfile.TemporaryDirectory() as tmp:
-        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "csv")
+        path = write_float_table(Path(tmp) / "t", table, "csv")
         assert path.read_bytes() == cell_oracle(header_of(table), table.tolist())
 
 
@@ -882,8 +888,17 @@ def json_oracle(header, rows):
 @given(table=float_tables)
 def test_float_table_json_matches_the_dump_json_oracle(table):
     with tempfile.TemporaryDirectory() as tmp:
-        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "json")
+        path = write_float_table(Path(tmp) / "t", table, "json")
         assert path.read_bytes() == json_oracle(header_of(table), table.tolist())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_empty_float_table_matches_the_oracles(tmp_path, fmt):
+    """A table of no rows, as the raw bit patterns below leave when every row holds a NaN or an infinity,
+    is its header alone, or an empty JSON list."""
+    table = np.zeros((0, 2))
+    oracle = cell_oracle if fmt == "csv" else json_oracle
+    assert write_float_table(tmp_path / "t", table, fmt).read_bytes() == oracle(header_of(table), [])
 
 
 def edge_corpus():
@@ -906,7 +921,7 @@ def edge_corpus():
 def test_the_edge_corpus_matches_the_cell_oracle(tmp_path, fmt):
     table = edge_corpus()[:, None]
     assert len(table) > cli._BLOCK_ROWS
-    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    path = write_float_table(tmp_path / "t", table, fmt)
     oracle = cell_oracle if fmt == "csv" else json_oracle
     assert path.read_bytes() == oracle(header_of(table), table.tolist())
 
@@ -935,7 +950,7 @@ def layout_classes():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_every_layout_class_matches_the_cell_oracle(tmp_path, fmt):
     table = layout_classes().reshape(-1, 6)
-    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    path = write_float_table(tmp_path / "t", table, fmt)
     oracle = cell_oracle if fmt == "csv" else json_oracle
     assert path.read_bytes() == oracle(header_of(table), table.tolist())
 
@@ -948,7 +963,7 @@ def test_float_tables_of_raw_bit_patterns_match_the_cell_oracle(bits):
     table = bits.view(np.float64)
     table = table[np.isfinite(table).all(axis=1)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = cli._write_table(Path(tmp) / "t", header_of(table), table, "csv")
+        path = write_float_table(Path(tmp) / "t", table, "csv")
         assert path.read_bytes() == cell_oracle(header_of(table), table.tolist())
 
 
@@ -960,7 +975,7 @@ def test_few_reference_snapshot_cells_reach_the_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_tables", lambda fmt, *specs: tables.extend(
         np.column_stack(columns) for _, _, columns in specs) or write(fmt, *specs))
     assert cli.main(["run", "--config", str(REPO / "configs" / "air_to_glass.ini"), "--out", str(tmp_path)]) == 0
-    values = np.concatenate([rows.ravel() for rows in tables if isinstance(rows, np.ndarray)])
+    values = np.concatenate([rows.ravel() for rows in tables])
     monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
     cli._cells(values)
     assert values.size == 147456 and len(texts) <= 1e-4 * values.size
@@ -972,8 +987,8 @@ def test_a_decade_edge_and_an_exact_power_of_ten_print_as_by_the_cell(tmp_path, 
     texts = []
     text = cli._text
     monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
-    path = cli._write_table(tmp_path / "t", ("a", "b"), np.array([[1e-12, 1e20]]), "csv")
-    assert path.read_bytes() == b"a,b\r\n9.9999999999999998e-13,1e+20\r\n"
+    path = write_float_table(tmp_path / "t", np.array([[1e-12, 1e20]]), "csv")
+    assert path.read_bytes() == b"c0,c1\r\n9.9999999999999998e-13,1e+20\r\n"
     assert texts == [1e20]
 
 
@@ -981,12 +996,12 @@ def test_a_decade_edge_and_an_exact_power_of_ten_print_as_by_the_cell(tmp_path, 
 def test_every_cell_on_the_fallback_gives_the_same_bytes(tmp_path, monkeypatch, fmt):
     """With every product reported as a tie, each cell is written by ``_text``."""
     table = np.concatenate([edge_corpus(), np.random.default_rng(7).standard_normal(4000)]).reshape(-1, 4)
-    fast = cli._write_table(tmp_path / "fast", header_of(table), table, fmt).read_bytes()
+    fast = write_float_table(tmp_path / "fast", table, fmt).read_bytes()
     texts = []
     text, scaled = cli._text, cli._scaled
     monkeypatch.setattr(cli, "_text", lambda v, null: texts.append(v) or text(v, null))
     monkeypatch.setattr(cli, "_scaled", lambda a, e: (scaled(a, e)[0], np.full(a.shape, 0.5)))
-    slow = cli._write_table(tmp_path / "slow", header_of(table), table, fmt).read_bytes()
+    slow = write_float_table(tmp_path / "slow", table, fmt).read_bytes()
     assert len(texts) == table.size
     assert slow == fast
 
@@ -1004,7 +1019,7 @@ def test_non_finite_float_table_fails_and_places_nothing(table, bad, where, fmt)
         out = Path(tmp) / "out"
         with pytest.raises(cli.BlipSimError, match="non-finite"):
             with cli._output_set(str(out)) as stage:
-                cli._write_table(stage / "t", header_of(table), table, fmt)
+                write_float_table(stage / "t", table, fmt)
         assert list(out.iterdir()) == []
 
 
@@ -1034,7 +1049,7 @@ def test_zero_runs_at_block_edges_match_the_cell_oracle(tmp_path, fmt):
     columns = block_edge_columns()
     table = np.column_stack(columns)
     oracle = cell_oracle if fmt == "csv" else json_oracle
-    path = cli._write_table(tmp_path / "t", header_of(table), table, fmt)
+    path = write_float_table(tmp_path / "t", table, fmt)
     assert path.read_bytes() == oracle(header_of(table), table.tolist())
     first = (tmp_path / "first", ("a", "b"), columns[:2])
     second = (tmp_path / "second", ("c", "a"), [columns[8], columns[1]])
@@ -1048,7 +1063,7 @@ def test_a_nan_inside_a_zero_run_fails_and_places_nothing(tmp_path, fmt):
     table[cli._BLOCK_ROWS + 3, 6] = float("nan")
     with pytest.raises(cli.BlipSimError, match="non-finite"):
         with cli._output_set(str(tmp_path / "out")) as stage:
-            cli._write_table(stage / "t", header_of(table), table, fmt)
+            write_float_table(stage / "t", table, fmt)
     assert list((tmp_path / "out").iterdir()) == []
 
 

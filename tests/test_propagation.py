@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import blipsim as bs
-from blipsim import cli, spectral
+from blipsim import cli, propagation, spectral
 import oracles
 from blipsim.lattice import FIXTURE_TAIL_TOL, SUPPORT_QUANTILE, _gauss_tail, _support_interval
 from blipsim.scattering import _guard_fractions
@@ -371,7 +372,6 @@ def test_rows_agree_with_the_per_time_map_and_field_route(rig_grid, rig_packet, 
 def test_one_map_and_one_chirp_per_incident_channel(monkeypatch, rig_grid, rig_packet, ref_medium, glass):
     """Also one support measurement per incident channel: incoming reports and
     branches transport the supports the map measured."""
-    import blipsim.propagation as propagation
     import blipsim.scattering as scattering
 
     calls = {"map": 0, "chirp": 0, "support": 0}
@@ -496,10 +496,6 @@ def test_a_run_keeps_one_read_only_array_per_channel(rig_grid, rig_packet, ref_m
         assert len(distinct) <= 6, len(distinct)
 
 
-@pytest.mark.skipif(
-    np.lib.NumpyVersion(np.__version__) < "2.0.0",
-    reason="numpy 1.x has no FFT out= and copies an FFT's input; this bound was measured with numpy 2",
-)
 def test_a_run_peaks_under_160_bytes_per_point(ref_medium, glass):
     """The traced peak of a whole ``run_scenario`` on a fresh 2^16-point grid, above
     the input packet, stays at or under 160 bytes per point for the interface (n = 2)
@@ -739,7 +735,15 @@ def _dense_case(log_n, direction, n, coupling, size, carrier, where, when, middl
 @example(log_n=6, direction=+1, n=1.7, coupling=(3.5e-160, 4.7), size=0.5, carrier=0.3, where=0.2, when=1.0, middle=0.5)
 # the reflected photon number is a few subnormal steps above 0 on one route and 0 on the other
 @example(log_n=6, direction=+1, n=1.7, coupling=(1.2e-162, 4.7), size=0.5, carrier=0.3, where=0.2, when=1.0, middle=0.5)
-def test_a_run_matches_the_dense_oracle(log_n, direction, n, coupling, size, carrier, where, when, middle):
+# one medium on both sides with a coupling, the point mirror: the map rescales nothing and runs no chirp
+@example(log_n=6, direction=+1, n=1.0, coupling=(0.5, 1.0), size=0.5, carrier=0.3, where=0.2, when=1.0, middle=0.5)
+# free to zoom, the transmitted branch keeps its zoom: its window misses 7.5e-16 of its spectral weight
+@example(log_n=8, direction=+1, n=0.5, coupling=None, size=0.0, carrier=0.3, where=0.2, when=0.5, middle=0.5)
+# the same with the carrier at the band: the band cuts the transmitted spectrum 7.3 sigma_k from its peak, its
+# ringing leaves the window (1.1e-13 of the weight missed, 7.5 ZOOM_WEIGHT_TOL), and the zoom falls back to
+# the whole-lattice inverse by the Parseval rule
+@example(log_n=8, direction=+1, n=0.5, coupling=None, size=0.0, carrier=1.0, where=0.2, when=0.5, middle=0.5)
+def dense_property(log_n, direction, n, coupling, size, carrier, where, when, middle):
     """``run_scenario`` against :func:`oracles.dense_scenario` on 64 to 512 points, both directions,
     n in (0.3, 4), the Fresnel table or an explicit coupling inside the Born radius, and a final time
     before, at or after the crossing: every row, block and outcome number within 1e-12 of its
@@ -786,12 +790,52 @@ def test_a_run_matches_the_dense_oracle(log_n, direction, n, coupling, size, car
     assert abs(guard[0] - guard[1]) <= bound, guard
 
 
+def count_map_paths(monkeypatch):
+    """Count each path the runs' maps take: ``zoom`` (a branch zoomed onto its window), ``parseval`` (a zoom
+    whose window misses more than ``ZOOM_WEIGHT_TOL`` of the weight, rebuilt by ``_inverse``), ``quarter`` (an
+    ``_inverse`` with no zoom before it, as the N/4 rule sends), ``chirp`` and ``block`` (a chirp on one
+    convolution, or in 2x2 blocks) and ``n = 1`` (a map that rescales nothing)."""
+    paths, zoomed = collections.Counter(), []
+    zoom, inverse, chirp, scatter = spectral._zoom, spectral._inverse, spectral._chirp_sum, propagation.interface_scatter
+
+    def counting_zoom(grid, s, values, *args):
+        paths["zoom"] += 1
+        zoomed[:] = [values]
+        return zoom(grid, s, values, *args)
+
+    def counting_inverse(grid, s, values, cells=0.0):
+        paths["parseval" if zoomed and zoomed.pop() is values else "quarter"] += 1
+        return inverse(grid, s, values, cells)
+
+    def counting_chirp(values, c, inputs=None, outputs=None, weights=None):
+        windows = (inputs or (0, values.size), outputs or (0, values.size))
+        paths["block" if sum(hi - lo for lo, hi in windows) > values.size + 1 else "chirp"] += 1
+        return chirp(values, c, inputs, outputs, weights)
+
+    def counting_scatter(p, left, right, *args, **kwargs):
+        paths["n = 1"] += left.c / right.c == 1.0
+        return scatter(p, left, right, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_zoom", counting_zoom)
+    monkeypatch.setattr(spectral, "_inverse", counting_inverse)
+    monkeypatch.setattr(spectral, "_chirp_sum", counting_chirp)
+    monkeypatch.setattr(propagation, "interface_scatter", counting_scatter)
+    return paths
+
+
+def test_a_run_matches_the_dense_oracle(monkeypatch):
+    """:func:`dense_property`, whose examples run the windowed chirp, the block chirp and the ``n = 1`` map
+    that rescales nothing, and on 64 to 512 points send branches by the N/4 rule to ``_inverse``."""
+    paths = count_map_paths(monkeypatch)
+    dense_property()
+    assert paths["quarter"] and paths["chirp"] and paths["block"] and paths["n = 1"], paths
+
+
 def test_a_run_with_every_branch_free_to_zoom_matches_the_dense_oracle(monkeypatch):
-    """The dense oracle property again with ``spectral.ZOOM_MAX_FRACTION`` at 1, so that a branch whose
-    window fits the lattice may zoom: on 64 to 512 points the N/4 rule sends every branch to ``_inverse``,
-    and the zoom that every committed config and benchmark op takes is checked end to end only here."""
-    zooms, zoom = [], spectral._zoom
+    """:func:`dense_property` again with ``spectral.ZOOM_MAX_FRACTION`` at 1, so that a branch whose
+    window fits the lattice may zoom: the zoom that every committed config and benchmark op takes is
+    checked end to end only here.  A zoom is kept, and a band-cut branch falls back by the Parseval rule."""
     monkeypatch.setattr(spectral, "ZOOM_MAX_FRACTION", 1.0)
-    monkeypatch.setattr(spectral, "_zoom", lambda *args: zooms.append(args[-1]) or zoom(*args))
-    test_a_run_matches_the_dense_oracle()
-    assert zooms
+    paths = count_map_paths(monkeypatch)
+    dense_property()
+    assert paths["zoom"] > paths["parseval"] > 0, paths

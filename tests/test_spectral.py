@@ -330,10 +330,6 @@ def test_the_maps_windows_keep_the_chirp_within_1e_15_of_its_peak(state):
     assert any(blocks) and not all(blocks), blocks
 
 
-@pytest.mark.skipif(
-    np.lib.NumpyVersion(np.__version__) < "2.0.0",
-    reason="numpy 1.x has no FFT out= and pads an FFT input with a copy; this bound was measured with numpy 2",
-)
 def test_chirp_memory_stays_under_100_bytes_per_point(monkeypatch):
     """The traced peak of one resampling, above what the caller already holds,
     stays under 100 bytes per point (96 measured): the kernel, the pre-chirped
@@ -503,10 +499,6 @@ def test_a_branch_past_a_quarter_of_the_lattice_takes_the_whole_lattice_inverse(
             assert not np.any(got.amp[ch][: span[0]]) and not np.any(got.amp[ch][span[1] :]), size
 
 
-@pytest.mark.skipif(
-    np.lib.NumpyVersion(np.__version__) < "2.0.0",
-    reason="numpy 1.x copies an FFT's input once more; this bound was measured with numpy 2",
-)
 def test_a_channel_transform_peaks_under_40_bytes_per_point():
     """The traced peak of one ``_forward`` and one ``_inverse`` on a fresh
     2^16-point grid, above their input, stays at or under 40 bytes per point:
@@ -525,35 +517,6 @@ def test_a_channel_transform_peaks_under_40_bytes_per_point():
             finally:
                 tracemalloc.stop()
             assert peak <= bound * grid.n_points, (name, s, peak / grid.n_points)
-
-
-def test_the_numpy_1_copy_branch_gives_the_same_bits(monkeypatch):
-    """numpy 1.x has no FFT ``out=``, so ``_fft_in_place`` returns a new array there.
-    That branch, forced here with FFTs that refuse ``out=`` as numpy 1.x does, gives
-    ``_inverse`` and the chirp, over the whole lattice or over windows, the same bits
-    as the in-place one."""
-    rng = np.random.default_rng(23)
-    grid = bs.make_grid(-7.3, 11.9, 512)
-    values = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    cases = [(_inverse, (grid, s, values, cells)) for s in (+1, -1) for cells in (0.0, 3.7)]
-    windows = ((None, None), ((3, 200), (100, 300)))
-    cases += [(_chirp_sum, (values, c, *window)) for c in CHIRP_CS for window in windows]
-    in_place = [f(*args) for f, args in cases]
-
-    def without_out(transform):
-        def run(*args, **kwargs):
-            if "out" in kwargs:
-                raise TypeError("numpy 1.x FFTs take no out=")
-            return transform(*args, **kwargs)
-
-        return run
-
-    monkeypatch.setattr(spectral, "_FFT_OUT", False)
-    monkeypatch.setattr(np.fft, "fft", without_out(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", without_out(np.fft.ifft))
-    for (f, args), want in zip(cases, in_place):
-        got = f(*args)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f.__name__, args[1:])
 
 
 def test_scaled_sampling_norm_ratio(rig_packet, rig_grid):
