@@ -36,7 +36,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -492,7 +491,7 @@ CONDITIONAL_KEYS = ("energy", "dyn_hamiltonian", "dyn_momentum", "field_momentum
 def _block(row: ScenarioRow) -> dict[str, Any]:
     """``norm``, ``centroid`` and the expectation values of one row; the
     summary's input and output blocks and every series row are built from it."""
-    values = asdict(row.values)
+    values = dict(vars(row.values))
     del values["medium_tag"]
     return {"norm": values.pop("photon_number"), "centroid": row.centroid} | values
 
@@ -839,7 +838,9 @@ def _keep_freed_pages() -> None:
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="blipsim",
         description="Single-photon wave packets at mirrors and dielectric boundaries.",

@@ -23,11 +23,11 @@ Design notes
   ``dk``); for the smooth, edge-decaying states this package handles these
   are spectrally accurate.
 * Packets are value objects: amplitude arrays are copied in, or adopted when
-  the library has just built them, and frozen (read-only); each channel's
-  density ``|a|**2`` is squared once, on first read, and shared with the
-  packets :func:`combine` adopts the array into.  A channel the library built
-  on a window records it as its span, outside which it is exactly zero, and
-  every sum of its density reads the span only.  Operations return new packets.
+  the library has just built them, and frozen (read-only).  A channel the library built
+  on a window records it as its span, outside which it is exactly zero.  Its span, its
+  density ``|a|**2`` on the span and its weight, that density's sum, are computed once
+  per packet, on first read, and shared with the packets :func:`combine` adopts the
+  array into; every sum of a density reads them.  Operations return new packets.
 * :func:`_positive` is the one domain rule of a physical magnitude (index,
   speed, scale, hbar) and :func:`_medium_of` the one media rule; :func:`_check_inside`
   refuses non-finite times, :func:`_shift_phase` non-finite shifts and those of ``2**52`` cells or more.
@@ -337,14 +337,14 @@ class _Packet:
     ``amp`` maps channels to complex arrays of length ``grid.n_points``.
     Channels that are absent are identically zero.  The constructor copies the arrays
     and freezes the copies, :meth:`_own` freezes arrays the library has just built in
-    place, and every sum over ``|a|**2`` reads ``density``; treat packets as values.
-    Each channel has a span (:meth:`_span`), the lattice interval outside which it is
-    exactly zero, and every reader of its density sums over that span only.
+    place; treat packets as values.  Each channel has a span (:meth:`_span`), the lattice
+    interval outside which it is exactly zero; its span, its density on the span and its
+    weight are computed once per packet (:attr:`_spanned`), and every sum reads them.
     """
 
     grid: Grid
     amp: Mapping[Channel | tuple[int, str], np.ndarray] = field(default_factory=dict)
-    _sources: ClassVar[Mapping[Channel, _Packet]] = {}  # whose density a channel shares, see combine()
+    _sources: ClassVar[Mapping[Channel, _Packet]] = {}  # whose density and record a channel shares, see combine()
     _spans: ClassVar[Mapping[Channel, tuple[int, int]]] = {}  # the channels not spread over the whole lattice
 
     def __post_init__(self) -> None:
@@ -355,8 +355,8 @@ class _Packet:
         cls, grid: Grid, amp: Mapping[Channel, np.ndarray], sources: Mapping[Channel, _Packet] = {},
         spans: Mapping[Channel, tuple[int, int]] = {},
     ) -> _Packet:
-        """Adopt ``amp``'s arrays, frozen in place (only arrays no caller writes to), ``sources``' densities
-        and the ``spans`` ``(lo, hi)`` outside which the library built a channel as exact zeros."""
+        """Adopt ``amp``'s arrays, frozen in place (only arrays no caller writes to), ``sources``' densities and
+        records and the ``spans`` ``(lo, hi)`` outside which the library built a channel as exact zeros."""
         p = object.__new__(cls)
         p.__dict__.update(grid=grid, amp=_freeze_amp(grid, amp, False, spans), _sources=sources, _spans=spans)
         return p
@@ -380,6 +380,17 @@ class _Packet:
             dens = out[ch] = _framed(a.size, lo, hi)
             np.square(np.abs(a[lo:hi], out=dens[lo:hi]), out=dens[lo:hi])
             _read_only(dens)
+        return out
+
+    @cached_property
+    def _spanned(self) -> dict[Channel, tuple[slice, np.ndarray, float]]:
+        """Each channel's span, as the slice that cuts it from any lattice axis (``x``, ``k``, the amplitude),
+        its density on its span, the part every sum reads, and its weight, the sum of that part (over ``dx``
+        or ``dk``), summed once per packet; a channel :func:`combine` took from one packet is that packet's."""
+        src, out = self._sources, {}
+        for ch, dens in self.density.items():
+            span = slice(*self._span(ch))
+            out[ch] = src[ch]._spanned[ch] if ch in src else (span, dens[span], float(np.sum(dens[span])))
         return out
 
     def channels(self) -> tuple[Channel, ...]:
@@ -452,19 +463,9 @@ def gaussian_packet(
     return BlipWavePacket._own(grid, {ch: values})
 
 
-def _spanned(p: _Packet) -> dict[Channel, tuple[slice, np.ndarray]]:
-    """Each channel's span, as the slice that cuts it from any lattice axis (``x``, ``k``, the amplitude),
-    and its density on its span, the part every sum reads."""
-    out = {}
-    for ch, dens in p.density.items():
-        span = slice(*p._span(ch))
-        out[ch] = span, dens[span]
-    return out
-
-
 def norm(p: BlipWavePacket) -> float:
     """Total weight ``sum_ch integral |psi|^2 dx`` (1 for a physical state)."""
-    return float(sum(np.sum(dens) for _, dens in _spanned(p).values()) * p.grid.dx)
+    return float(sum(w for _, _, w in p._spanned.values()) * p.grid.dx)
 
 
 def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
@@ -472,17 +473,17 @@ def _weighed(p: BlipWavePacket) -> tuple[dict[Channel, float], float]:
     ``CENTROID_FLOOR`` a cell holding ``2**-53`` of the sum can be subnormal, so both are then read
     from ``|a 2**k|**2``, ``2**k`` lifting the peak amplitude to order 1: the scaling is exact, and a
     packet of normal weight keeps every bit of its sums."""
-    spanned = _spanned(p)
-    weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
-    if sum(weights.values()) < CENTROID_FLOOR:
+    spanned = p._spanned
+    if sum(w for _, _, w in spanned.values()) < CENTROID_FLOOR:
         peak = max((float(np.max(np.abs(a))) for a in p.amp.values()), default=0.0)
         lift = 2.0 ** min(-math.frexp(peak)[1], 1023)
-        spanned = {ch: (span, np.abs(p.amp[ch][span] * lift) ** 2) for ch, (span, _) in spanned.items()}
-        weights = {ch: float(np.sum(dens)) for ch, (_, dens) in spanned.items()}
+        spanned = {ch: (span, np.abs(p.amp[ch][span] * lift) ** 2) for ch, (span, _, _) in spanned.items()}
+        spanned = {ch: (span, dens, float(np.sum(dens))) for ch, (span, dens) in spanned.items()}
+    weights = {ch: w for ch, (_, _, w) in spanned.items()}
     total = sum(weights.values())  # summed as in norm()
     if total == 0.0:
         raise ZeroNormError("centroid of a zero packet is undefined")
-    first = sum(float(np.sum(p.grid.x[span] * dens)) for span, dens in spanned.values())
+    first = sum(float(np.sum(p.grid.x[span] * dens)) for span, dens, _ in spanned.values())
     return weights, first * p.grid.dx / (total * p.grid.dx)
 
 
@@ -494,15 +495,14 @@ def centroid(p: BlipWavePacket) -> float:
 
 def _support_interval(p: BlipWavePacket, ch: Channel) -> tuple[float, float] | None:
     """Positions bracketing all but ``SUPPORT_QUANTILE`` per side of a channel."""
-    dens = p.density[ch]
-    total = float(dens.sum())
+    span, dens, total = p._spanned[ch]
     if total == 0.0:
         return None
     cum = np.cumsum(dens)
     tol = SUPPORT_QUANTILE * total
-    x = p.grid.x
+    x = p.grid.x[span]
     lo = x[int(np.searchsorted(cum, tol, side="right"))]
-    hi = x[min(int(np.searchsorted(cum, total - tol, side="left")), p.grid.n_points - 1)]
+    hi = x[min(int(np.searchsorted(cum, total - tol, side="left")), x.size - 1)]
     return float(lo), float(hi)
 
 
@@ -549,8 +549,8 @@ def _check_inside(
 def combine(*packets: BlipWavePacket) -> BlipWavePacket:
     """Coherent sum of position, or of momentum, packets on one grid: shared channels
     add, over the hull of their spans, and a channel that only one packet has keeps that
-    packet's frozen array and span and shares its density, squared once by whichever of
-    the two packets reads it first."""
+    packet's frozen array and span and shares its density and its record (:attr:`_Packet._spanned`),
+    each built once by whichever of the two packets reads it first."""
     if not packets:
         raise DomainError("combine() needs at least one packet")
     kind, grid = type(packets[0]), packets[0].grid

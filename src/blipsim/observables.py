@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import DomainError, ZeroNormError
-from .lattice import Medium, _medium_of, _positive, _spanned
+from .lattice import Medium, _medium_of, _positive
 from .spectral import SpectralWavePacket
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +69,7 @@ class ObservableReport:
 def expect_dyn_momentum(sp: SpectralWavePacket, hbar: float = 1.0) -> float:
     """Generator of translations ``sum hbar s k |psi~|^2 dk``."""
     k = sp.grid.k
-    return hbar * sum(ch.s * float(np.sum(k[span] * dens)) for ch, (span, dens) in _spanned(sp).items()) * sp.grid.dk
+    return hbar * sum(ch.s * float(np.sum(k[span] * dens)) for ch, (span, dens, _) in sp._spanned.items()) * sp.grid.dk
 
 
 def abraham_momentum(p_field: float, n: float) -> float:
@@ -97,11 +97,10 @@ def spectral_expectations(
     k, dk = sp.grid.k, sp.grid.dk
     number = energy = dyn_hamiltonian = dyn_momentum = field_momentum = abraham = 0.0
     tags = set()
-    # the number and the dynamical momentum are the float expressions of
-    # spectral_norm and expect_dyn_momentum, each over the channel's span
-    for ch, (span, dens) in _spanned(sp).items():
+    # the number sums the recorded weights as spectral_norm does, and the dynamical
+    # momentum is the float expression of expect_dyn_momentum over the channel's span
+    for ch, (span, dens, weight) in sp._spanned.items():
         m = _medium_of(media_by_direction, ch.s)
-        weight = np.sum(dens)
         number += weight
         if weight > 0.0:
             tags.add(m.label)

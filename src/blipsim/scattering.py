@@ -61,7 +61,6 @@ from .lattice import (
     _check_inside,
     _framed,
     _positive,
-    _spanned,
     _support_interval,
     combine,
     norm,
@@ -331,8 +330,7 @@ def _guard_fractions(
     weighing nothing or under ``floor`` (``weight * dx``) are left out."""
     half = GUARD_HALF_CELLS * p.grid.dx
     fractions: list[dict[Channel, float]] = [{} for _ in dts]
-    for ch, (span, dens) in _spanned(p).items():
-        weight = float(np.sum(dens))
+    for ch, (span, dens, weight) in p._spanned.items():
         if not (weight > 0.0 and weight * p.grid.dx >= floor):
             continue
         x = p.grid.x[span]
@@ -474,11 +472,11 @@ def interface_scatter(
         amps["reflected"][Channel(-ch.s, ch.pol)] = _on(phi, rates.r(ch.s), bins)
     spectra = {name: SpectralWavePacket._own(grid, amps[name], spans=spans[name]) for name in amps}
     drift = 0.0
-    if ratio != 1.0:  # each rescaled channel's norm drift, read from its span density
-        for ch, (_, dens) in _spanned(spectra["transmitted"]).items():
-            weight = float(np.sum(incident.density[ch])) * grid.dk
+    if ratio != 1.0:  # each rescaled channel's norm drift, read from its weight and the incident one
+        for ch, (_, _, out) in spectra["transmitted"]._spanned.items():
+            weight = incident._spanned[ch][2] * grid.dk
             if weight > 0.0:
-                drift = max(drift, abs(float(np.sum(dens)) * grid.dk - abs(rates.t(ch.s)) ** 2 * weight) / weight)
+                drift = max(drift, abs(out * grid.dk - abs(rates.t(ch.s)) ** 2 * weight) / weight)
     if drift > RESAMPLE_DRIFT_TOL:
         raise InterpolationAccuracyError(
             f"wavenumber rescaling drifted branch norms by {drift:.3e} "

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import (
-    BlipWavePacket, Channel, Grid, Medium, _cis, _framed, _medium_of, _Packet, _positive, _shift_phase, _spanned, _turns,
+    BlipWavePacket, Channel, Grid, Medium, _cis, _framed, _medium_of, _Packet, _positive, _shift_phase, _turns,
     as_channel,
 )
 
@@ -161,7 +161,7 @@ def _position_on(
         (m0, m1), (j0, j1) = sp._span(ch), windows.get(ch, (0, grid.n_points))
         if (m1 - m0) + (j1 - j0) - 1 <= ZOOM_MAX_FRACTION * grid.n_points:
             zoomed = _zoom(grid, ch.s, a, cells, (m0, m1), (j0, j1))
-            weight = float(np.sum(sp.density[ch][m0:m1])) * grid.dk
+            weight = sp._spanned[ch][2] * grid.dk
             if weight - float(np.sum(np.abs(zoomed) ** 2)) * grid.dx <= ZOOM_WEIGHT_TOL * weight:
                 amp[ch] = _framed(grid.n_points, j0, j1, np.complex128)
                 amp[ch][j0:j1], spans[ch] = zoomed, (j0, j1)
@@ -185,7 +185,7 @@ def to_position(
 
 def spectral_norm(sp: SpectralWavePacket) -> float:
     """Total weight ``sum_ch integral |psi~|^2 dk``; equals the position norm."""
-    return float(sum(np.sum(dens) for _, dens in _spanned(sp).values()) * sp.grid.dk)
+    return float(sum(w for _, _, w in sp._spanned.values()) * sp.grid.dk)
 
 
 def _turns_phase(c: float, q: np.ndarray, den: int) -> np.ndarray:

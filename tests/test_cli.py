@@ -181,6 +181,14 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "nan_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "nan"}}),
         "divergent_omega": dict(overrides={"coupling": {"source": "explicit", "omega": "-3j"}}),
         "empty_schedule": dict(overrides={"schedule": {"times": " , "}}),
+        "bad_complex": dict(overrides={"coupling": {"source": "explicit", "omega": "abc"}}),
+        "bad_boolean": dict(overrides={"output": {"snapshots": "maybe"}}),
+        "three_media_pairs": dict(
+            overrides={"media": {"left_epsilon": "1", "left_mu": "1", "right_epsilon": "4"}}, drop=("media",)
+        ),
+        "explicit_without_omega": dict(overrides={"coupling": {"source": "explicit"}}),
+        "no_points": dict(overrides={"grid": {"n_points": "0"}}),
+        "section_twice": dict(append="[schedule]\ntimes = 0, 45\n"),
         # 6e15 cells of 16384 from x = 0: no transform could translate it, and the scatterer is off the grid
         "far_origin": dict(overrides={
             "grid": {"x_min": "1e20", "x_max": "100000000000033554432"},
@@ -194,11 +202,16 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         "divergent_omega": "'omega'", "bad_direction": "'direction'", "bad_polarization": "'polarization'",
         "bad_coupling_source": "'source'", "empty_schedule": "at least one",
         "far_origin": "fewer than 2**52 - n_points cells from x = 0",
+        "bad_complex": "cannot parse complex number", "bad_boolean": "cannot parse boolean",
+        "three_media_pairs": "missing 'right_mu'", "explicit_without_omega": "needs an omega value",
+        "no_points": "must be a positive integer", "section_twice": "malformed config",
     }
     for name, case in cases.items():
         cfg = write_config(
             tmp_path / f"{name}.ini", case.get("overrides"), case.get("drop", ())
         )
+        with open(cfg, "a") as fh:  # a config text write_config cannot give, such as a section given twice
+            fh.write(case.get("append", ""))
         out = tmp_path / f"out_{name}"
         rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2, name
@@ -207,6 +220,28 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         assert err.startswith("configuration error:") and bad_keys.get(name, "") in err, (name, err)
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_a_grid_without_the_scatterer_exits_3_and_writes_nothing(tmp_path, capsys):
+    """The scatterer sits at x = 0, so a grid on [10, 110) with a left-mover inside it has nothing to cross."""
+    cfg = write_config(tmp_path / "scenario.ini", {
+        "grid": {"x_min": "10", "x_max": "110"}, "packet": {"direction": "-1", "x0": "60"},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "the scatterer at x = 0 lies outside the grid" in capsys.readouterr().err
+
+
+def test_an_empty_units_section_is_echoed_as_an_empty_one(tmp_path):
+    cfg = write_config(tmp_path / "scenario.ini", {"units": {}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["units"] == {}
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_a_borderline_in_state_exits_3_and_writes_nothing(tmp_path, capsys):

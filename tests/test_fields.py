@@ -59,7 +59,8 @@ def test_orientation_table(rig_grid, ref_medium):
 
 
 def test_profiles_are_read_only_values(rig_grid, ref_medium):
-    """``field_profile`` freezes the arrays it built; the public constructor copies its own."""
+    """``field_profile`` freezes the arrays it built; the public constructor copies its own and refuses
+    one of the wrong length."""
     sp = bs.to_momentum(bs.gaussian_packet(rig_grid, (+1, "H"), 0.0, 20.0, 2.0))
     fp = bs.field_profile(sp, everywhere(ref_medium))
     assert not any(a.flags.writeable for a in (fp.e_y, fp.e_z, fp.b_y, fp.b_z))
@@ -68,6 +69,8 @@ def test_profiles_are_read_only_values(rig_grid, ref_medium):
     given[0][:] = 0.0
     np.testing.assert_array_equal(copy.e_y, fp.e_y)
     assert not copy.e_y.flags.writeable
+    with pytest.raises(bs.ConsistencyError, match=r"e_z has shape \(2047,\), expected \(16384,\)"):
+        bs.FieldProfile(rig_grid, given[0], given[1][:2047], *given[2:], medium_tag=fp.medium_tag)
 
 
 def test_single_bin_field_functionals(rig_grid, ref_medium):

@@ -496,6 +496,19 @@ def test_a_run_keeps_one_read_only_array_per_channel(rig_grid, rig_packet, ref_m
         assert len(distinct) <= 6, len(distinct)
 
 
+def test_each_channel_weight_is_summed_once_and_shared_with_the_totals(rig_packet, ref_medium, glass):
+    """Each packet records each channel's span, span density and weight once, and a total that ``combine``
+    builds from disjoint branches takes each branch's own record entry.  So the transmitted probability,
+    the spectral norm and the transmitted block's photon number are one sum, and the same float."""
+    result = bs.run_scenario(bs.Scenario(rig_packet, ref_medium, glass, schedule=(0.0, 30.0, 140.0)))
+    out = result.outcome
+    for branches, total in ((out.spectra, out.spectra["total"]), (vars(out), out.total)):
+        for ch, entry in total._spanned.items():
+            assert entry is branches["transmitted" if ch.s > 0 else "reflected"]._spanned[ch], ch
+    weights = (out.prob_t, bs.spectral_norm(out.spectra["transmitted"]), result.blocks["transmitted"].values.photon_number)
+    assert len({w.hex() for w in weights}) == 1, weights
+
+
 def test_a_run_peaks_under_160_bytes_per_point(ref_medium, glass):
     """The traced peak of a whole ``run_scenario`` on a fresh 2^16-point grid, above
     the input packet, stays at or under 160 bytes per point for the interface (n = 2)
@@ -794,9 +807,11 @@ def count_map_paths(monkeypatch):
     """Count each path the runs' maps take: ``zoom`` (a branch zoomed onto its window), ``parseval`` (a zoom
     whose window misses more than ``ZOOM_WEIGHT_TOL`` of the weight, rebuilt by ``_inverse``), ``quarter`` (an
     ``_inverse`` with no zoom before it, as the N/4 rule sends), ``chirp`` and ``block`` (a chirp on one
-    convolution, or in 2x2 blocks) and ``n = 1`` (a map that rescales nothing)."""
+    convolution, or in 2x2 blocks), ``n = 1`` (a map that rescales nothing) and ``faint`` (a state measured
+    with no centroid, at most ``CENTROID_FLOOR`` of the input's photons)."""
     paths, zoomed = collections.Counter(), []
     zoom, inverse, chirp, scatter = spectral._zoom, spectral._inverse, spectral._chirp_sum, propagation.interface_scatter
+    measure = propagation._measure
 
     def counting_zoom(grid, s, values, *args):
         paths["zoom"] += 1
@@ -816,19 +831,26 @@ def count_map_paths(monkeypatch):
         paths["n = 1"] += left.c / right.c == 1.0
         return scatter(p, left, right, *args, **kwargs)
 
+    def counting_measure(*args):
+        measured = measure(*args)
+        paths["faint"] += measured[1] is None
+        return measured
+
     monkeypatch.setattr(spectral, "_zoom", counting_zoom)
     monkeypatch.setattr(spectral, "_inverse", counting_inverse)
     monkeypatch.setattr(spectral, "_chirp_sum", counting_chirp)
     monkeypatch.setattr(propagation, "interface_scatter", counting_scatter)
+    monkeypatch.setattr(propagation, "_measure", counting_measure)
     return paths
 
 
 def test_a_run_matches_the_dense_oracle(monkeypatch):
-    """:func:`dense_property`, whose examples run the windowed chirp, the block chirp and the ``n = 1`` map
-    that rescales nothing, and on 64 to 512 points send branches by the N/4 rule to ``_inverse``."""
+    """:func:`dense_property`, whose examples run the windowed chirp, the block chirp, the ``n = 1`` map
+    that rescales nothing and a branch too faint for a centroid, and on 64 to 512 points send branches by
+    the N/4 rule to ``_inverse``."""
     paths = count_map_paths(monkeypatch)
     dense_property()
-    assert paths["quarter"] and paths["chirp"] and paths["block"] and paths["n = 1"], paths
+    assert paths["quarter"] and paths["chirp"] and paths["block"] and paths["n = 1"] and paths["faint"], paths
 
 
 def test_a_run_with_every_branch_free_to_zoom_matches_the_dense_oracle(monkeypatch):

@@ -371,6 +371,9 @@ def test_support_guard_rules(rig_grid, rig_packet):
             *media(2.0),
             t_final=140.0,
         )
+    # nothing to scatter
+    with pytest.raises(bs.SupportGuardError, match="cannot scatter a zero-weight packet"):
+        bs.interface_scatter(bs.BlipWavePacket(rig_grid, {(+1, "H"): np.zeros(rig_grid.n_points)}), *media(2.0), 140.0)
 
 
 def test_not_asymptotic_handling(rig_packet, ref_medium, glass):
